@@ -11,7 +11,7 @@ This module never imports kinkzeta.  It holds two kinds of reference:
 Rebuild the table (about a minute) with
 
     python3 kzbench/reference.py              # writes kzbench/reference.json
-    python3 kzbench/reference.py --compare    # 30 vs 40 digits, no write
+    python3 kzbench/reference.py --compare    # DPS vs DPS + 10 digits, no write
 
 The periodic density is rho(lambda) = (1/pi) Im gamma_hat(p - i0) at
 p = -lambda, with gamma_hat = N(p) / (2 sqrt Q(p)).  N carries the
@@ -37,6 +37,7 @@ from pools import (FAULT_K, FAULT_S, K_POOL, TRACE_T_POOL, ZETA_S_POOL,
 
 HERE = Path(__file__).resolve().parent
 TABLE = HERE / "reference.json"
+DPS = 30   # working precision (decimal digits) of the table and the checks
 
 # ---------------------------------------------------------------------------
 # periodic cases
@@ -412,10 +413,10 @@ def build_table(dps: int) -> dict:
     }
 
 
-def self_check(dps: int) -> float:
+def self_check() -> float:
     """Properties the reference itself must have.  Returns the worst
     defect as a share of its limit and raises if any exceeds its limit."""
-    mp.mp.dps = dps
+    mp.mp.dps = DPS
     checks = []
     for case, k in periodic_configs():
         pc = Periodic(case, k)
@@ -451,8 +452,10 @@ def self_check(dps: int) -> float:
     return worst
 
 
-def compare(lo: int, hi: int) -> float:
-    a, b = build_table(lo), build_table(hi)
+def compare() -> float:
+    """Largest relative difference of the table built at DPS and at
+    DPS + 10 digits."""
+    a, b = build_table(DPS), build_table(DPS + 10)
     worst = 0.0
     for sect in ("zeta", "trace"):
         for key, va in a[sect].items():
@@ -465,19 +468,17 @@ def compare(lo: int, hi: int) -> float:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--dps", type=int, default=30)
     ap.add_argument("--compare", action="store_true",
-                    help="rebuild at --dps and --dps + 10 and report the "
-                         "largest relative difference; writes nothing")
+                    help=f"rebuild at {DPS} and {DPS + 10} digits and report "
+                         "the largest relative difference; writes nothing")
     args = ap.parse_args(argv)
     if args.compare:
-        diff = compare(args.dps, args.dps + 10)
-        print(f"largest relative difference, {args.dps} vs {args.dps + 10} "
-              f"digits: {diff:.3e}")
+        print(f"largest relative difference, {DPS} vs {DPS + 10} digits: "
+              f"{compare():.3e}")
         return 0
-    worst = self_check(args.dps)
+    worst = self_check()
     print(f"self-check passed; worst defect {worst:.3e} of its limit")
-    table = build_table(args.dps)
+    table = build_table(DPS)
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table['zeta'])} zeta and {len(table['trace'])} trace "
           f"values to {TABLE.name}")

@@ -10,9 +10,11 @@ metrics, as the last line of standard output.  See kzbench/README.md.
 
 This process only starts workers and collects their reports; it imports
 neither numpy nor kinkzeta.  Each worker is a fresh interpreter: the
-set-up probes import, build the inputs, run one warm-up operation and
-stop, and the main worker then runs the timed phase in a closed loop with
-one caller.
+set-up probes import, build the inputs, run one warm-up operation, time
+the yardstick and stop, and the main worker then runs the timed phase in
+a closed loop with one caller.  The end-to-end times are scaled to the
+yardstick's reference speed (see yardstick.py); the raw values go to the
+line above the result and to the results file.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -63,6 +66,9 @@ def worker(args) -> int:
         rounds, warmup = workloads.build(args.workload, args.seed, ctx)
         warmup.call()
         print(f"READY {time.perf_counter() - t_start:.6f}", flush=True)
+        if not args.trace:
+            import yardstick
+            print(f"SPEED {yardstick.REF_S / yardstick.burst():.9f}", flush=True)
         if args.probe:
             return 0
         if tracer:
@@ -71,7 +77,8 @@ def worker(args) -> int:
             report = timed_phase(rounds, args.seconds)
         report["peak_rss_mb"] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                                  / 1024.0)
-        report.update(verify(report.pop("records"), report.pop("results")))
+        report.update(verify(report.pop("records"), report.pop("results"),
+                             report.pop("scales", None)))
         if tracer:
             report["metrics"] = tracer.metrics()
             tracer.dump(RESULTS / f"spans-{args.workload}-seed{args.seed}.json")
@@ -108,24 +115,46 @@ def run_op(op, records, results, op_id):
 
 
 def timed_phase(rounds, seconds):
-    """Whole rounds until `seconds` have passed (at least one round)."""
-    records, results = [], {}
+    """Whole rounds until `seconds` have passed (at least one round).  A
+    yardstick sample follows the first operation that ends EVERY_S or more
+    after the last one; its time is left out of the wall time.  Returns,
+    besides the records, each operation's scale to the reference speed."""
+    import yardstick
+
+    records, results, spans, samples = [], {}, [], []
     n_rounds = 0
+    left_out = 0.0
+    last = -math.inf
     t0 = time.perf_counter()
     while True:
         for op in rounds[n_rounds % len(rounds)]:
-            run_op(op, records, results, len(records))
+            dt = run_op(op, records, results, len(records))
+            now = time.perf_counter()
+            spans.append((now - dt, now))
+            if now - last >= yardstick.EVERY_S:
+                samples.append((now, yardstick.sample()))
+                last = time.perf_counter()
+                left_out += last - now
         n_rounds += 1
-        wall = time.perf_counter() - t0
+        wall = time.perf_counter() - t0 - left_out
         if wall >= seconds:
             break
     return {"rounds": n_rounds, "wall_s": wall, "records": records,
-            "results": results}
+            "results": results, "scales": yardstick.scales(spans, samples),
+            "speed": yardstick.REF_S / statistics.median(s for _, s in samples)}
 
 
 def traced_pass(ops, tracer):
-    """One pass over the first round with spans on, then the same pass
-    untimed by spans, to give the tracing overhead."""
+    """One pass over the first round with spans on, for the per-layer
+    metrics, then the same pass without spans, for the tracing overhead.
+    An unmeasured pass runs first, so that neither measured pass pays for
+    first calls, and the lame_system cache is emptied before each measured
+    pass, so that both do the same work."""
+    from kinkzeta.bakerakhiezer import lame_system
+
+    for op in ops:
+        run_op(op, [], {}, 0)
+    lame_system.cache_clear()
     records, results = [], {}
     tracer.install()
     try:
@@ -136,6 +165,7 @@ def traced_pass(ops, tracer):
         traced = time.perf_counter() - t0
     finally:
         tracer.uninstall()
+    lame_system.cache_clear()
     t0 = time.perf_counter()
     for op in ops:
         run_op(op, [], {}, 0)
@@ -144,8 +174,22 @@ def traced_pass(ops, tracer):
             "records": records, "results": results}
 
 
-def verify(records, results):
-    """Check every distinct result against the reference (after timing)."""
+def class_p50(records, times):
+    """op_p50_ms: the median over attempted operations of their class's
+    median time, and the class medians (ms).  Classes differ in cost by up
+    to x10 and come in fixed numbers per round; with an even split the
+    plain median of all times is the mean of the slowest call of one class
+    and the fastest of the next, two tail values."""
+    by_class = {}
+    for (op, *_), t in zip(records, times):
+        by_class.setdefault(op.cls, []).append(t)
+    med = {cls: 1e3 * statistics.median(ts) for cls, ts in by_class.items()}
+    return statistics.median(med[op.cls] for op, *_ in records), med
+
+
+def verify(records, results, scales=None):
+    """Check every distinct result against the reference (after timing).
+    `scales` turns each operation's time into time at the reference speed."""
     from checks import CheckFailed
     from workloads import op_digits
 
@@ -177,17 +221,24 @@ def verify(records, results):
             cls["checked" if kind == "check" else "repeats"] += 1
         if ok:
             passed += 1
-            digits.append(d)
+            if d is not None:
+                digits.append(d)
             continue
         failed += 1
         cls["failed"] += 1
-        if op.fault and kind == "raised":
+        if op.fault and kind != "changed":
             named_faults += 1
         else:
             correct = False
             if len(problems) < 5:
                 problems.append(f"{op.cls} {op.key}: {why}")
+    scaled = [t * f for t, f in zip(times, scales)] if scales else times
+    p50, _ = class_p50(records, scaled)
+    raw_p50, raw_med = class_p50(records, times)
+    for name, m in raw_med.items():
+        per_class[name]["median_ms"] = m
     return {"attempted": len(records), "failed": failed, "passed": passed,
+            "op_p50_ms": p50, "raw_op_p50_ms": raw_p50, "busy_s": sum(scaled),
             "named_faults": named_faults, "correct": correct,
             "problems": problems, "times": times,
             "min_correct_digits": min(digits) if digits else 0.0,
@@ -199,7 +250,8 @@ def verify(records, results):
 # ---------------------------------------------------------------------------
 
 def spawn(args, probe: bool):
-    """Start a worker; return (seconds until it reported READY, report)."""
+    """Start a worker; return (seconds until it reported READY, the speed
+    it measured right after, report)."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--worker",
            "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace)]
@@ -209,11 +261,13 @@ def spawn(args, probe: bool):
     proc = subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
     killer = threading.Timer(WORKER_TIMEOUT, proc.kill)
     killer.start()
-    ready, report = None, None
+    ready, speed, report = None, None, None
     try:
         for line in proc.stdout:
             if line.startswith("READY ") and ready is None:
                 ready = time.perf_counter() - t0
+            elif line.startswith("SPEED "):
+                speed = float(line[len("SPEED "):])
             elif line.startswith("REPORT "):
                 report = json.loads(line[len("REPORT "):])
         rc = proc.wait()
@@ -223,9 +277,10 @@ def spawn(args, probe: bool):
             proc.kill()
             proc.wait()
         proc.stdout.close()
-    if rc != 0 or ready is None or (not probe and report is None):
+    if rc != 0 or ready is None or (not probe and report is None) or (
+            speed is None and not args.trace):
         raise RuntimeError(f"worker failed (exit code {rc})")
-    return ready, report
+    return ready, speed, report
 
 
 def run(args) -> tuple[dict, dict]:
@@ -233,24 +288,30 @@ def run(args) -> tuple[dict, dict]:
     counts of attempted, raised, checked and repeated operations."""
     setup = []
     if not args.trace:
-        setup = [spawn(args, probe=True)[0] for _ in range(args.probes)]
-    ready, rep = spawn(args, probe=False)
-    setup.append(ready)
+        setup = [spawn(args, probe=True)[:2] for _ in range(args.probes)]
+    ready, speed, rep = spawn(args, probe=False)
+    setup.append((ready, speed))
     times = sorted(rep["times"])
     n = len(times)
     info = (f"{args.workload} seed {args.seed}: {rep['rounds']} rounds, "
             f"attempted {rep['attempted']}, failed {rep['failed']} "
             f"({rep['named_faults']} at named faults), "
             f"p90 {1e3 * times[min(n - 1, int(0.9 * n))]:.3f} ms over {n} ops")
+    raw = {}
     if args.trace:
         info += (f"; traced pass {rep['wall_s']:.4f} s, untraced "
                  f"{rep['untraced_wall_s']:.4f} s")
         metrics = rep["metrics"]
     else:
+        raw = {"setup_s": statistics.median(r for r, _ in setup),
+               "results_per_s": rep["passed"] / rep["wall_s"],
+               "op_p50_ms": rep["raw_op_p50_ms"], "speed": rep["speed"]}
+        info += "; raw " + ", ".join(f"{k} {v:.4g}" for k, v in raw.items())
         metrics = {
-            "setup_s": {"value": statistics.median(setup), "unit": "s"},
-            "results_per_s": {"value": rep["passed"] / rep["wall_s"], "unit": "1/s"},
-            "op_p50_ms": {"value": 1e3 * statistics.median(times), "unit": "ms"},
+            "setup_s": {"value": statistics.median(r * f for r, f in setup),
+                        "unit": "s"},
+            "results_per_s": {"value": rep["passed"] / rep["busy_s"], "unit": "1/s"},
+            "op_p50_ms": {"value": rep["op_p50_ms"], "unit": "ms"},
             "peak_rss_mb": {"value": rep["peak_rss_mb"], "unit": "MB"},
             "min_correct_digits": {"value": rep["min_correct_digits"],
                                    "unit": "digits"},
@@ -262,7 +323,8 @@ def run(args) -> tuple[dict, dict]:
               "failed": rep["failed"], "metrics": metrics}
     RESULTS.mkdir(exist_ok=True)
     (RESULTS / f"{args.workload}-seed{args.seed}-trace{args.trace}.json").write_text(
-        json.dumps({**result, "classes": rep["classes"], "info": info}, indent=1))
+        json.dumps({**result, "raw": raw, "classes": rep["classes"], "info": info},
+                   indent=1))
     return result, rep["classes"]
 
 

@@ -37,7 +37,7 @@ class Op:
     key: tuple                    # identity of the input, for repeats
     call: Callable[[], object]
     check: tuple                  # (name in checks, *arguments)
-    fault: bool = False           # a named-fault point, expected to raise
+    fault: bool = False           # a named-fault point, expected to fail
     cli: bool = False             # CLI output: repeats must be byte-identical
 
 
@@ -207,9 +207,9 @@ def lattice_gate_warmup(ctx) -> Op:
 # pointwise-tables
 # ---------------------------------------------------------------------------
 
-def _cli_op(ctx, cls, argv, check):
+def _cli_op(ctx, cls, argv, check, fault=False):
     return Op(f"cli:{cls}", ("cli",) + tuple(argv),
-              lambda: ctx.run_cli(argv), check, cli=True)
+              lambda: ctx.run_cli(argv), check, fault, cli=True)
 
 
 def _num(v) -> str:
@@ -275,6 +275,14 @@ def pointwise_rounds(ctx, rng) -> list[list[Op]]:
         argv = ["resolvent", "--case", case, "--b", _num(b)]
         ops.append(_cli_op(ctx, "resolvent", argv + (["--k", _num(k)] if k else []),
                            ("cli_resolvent", case, b, k)))
+        # named fault: the same input in every round.  The case-C zeta and
+        # heat trace at this scale also go wrong, but take 1 s and 0.3 s
+        # where a sound scale takes 9 ms and 8 ms, so the cheap root
+        # table carries the fault and the round keeps its short calls.
+        b = pools.FAULT_C_B
+        ops.append(_cli_op(ctx, "resolvent:fault",
+                           ["resolvent", "--case", "c", "--b", _num(b)],
+                           ("cli_resolvent", "c", b, None), fault=True))
         for case in ("a", "c", "b", "d", "nahm"):
             ts = sorted(rng.sample(pools.TRACE_T_POOL, 3))
             if case in ("a", "c"):
