@@ -16,7 +16,8 @@ import sys
 
 from . import bakerakhiezer  # noqa: F401  (re-exported surface)
 from . import models, oracle, resolvent, specfun, zetareg
-from .errors import ConvergenceError, DomainError, KinkZetaError, PoleError
+from .errors import (DomainError, KinkZetaError, PoleError,
+                     UnsupportedFamilyError)
 
 _POLE_MARK = "pole"
 
@@ -131,8 +132,11 @@ def _cmd_resolvent(args) -> int:
     return 0
 
 
-def _parse_grid(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+def _parse_grid(raw: str, kind=float) -> list:
+    try:
+        return [kind(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise DomainError(f"bad grid value in {raw!r}: {exc}") from None
 
 
 def _cmd_heattrace(args) -> int:
@@ -198,7 +202,7 @@ def _cmd_correction(args) -> int:
 
 
 def _cmd_figure_z(args) -> int:
-    ds = [int(tok) for tok in args.d.split(",") if tok.strip()]
+    ds = _parse_grid(args.d, int)
     rows = []
     for i in range(args.n):
         m = args.m_min + (args.m_max - args.m_min) * i / (args.n - 1)
@@ -209,13 +213,9 @@ def _cmd_figure_z(args) -> int:
     return 0
 
 
-def _oracle_potential(rp: resolvent.ResolventPolynomial):
-    return lambda x: rp.u_of_x(x)
-
-
 def _cmd_oracle(args) -> int:
     rp = _resolvent_from_args(args)
-    u = _oracle_potential(rp)
+    u = rp.u_of_x
     if args.mode == "edges":
         if rp.is_kink:
             raise DomainError("edges mode needs a periodic case (b, d, nahm)")
@@ -332,10 +332,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DomainError, ValueError) as exc:
+    except (DomainError, UnsupportedFamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, PoleError, KinkZetaError) as exc:
+    except KinkZetaError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

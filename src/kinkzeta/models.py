@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _K1 = 1.0 / math.sqrt(2.0)  # reduced modulus of the Nahm real form
+_K_NAHM = specfun.ellipk(_K1)  # quarter period of cn(.; _K1)
 
 
 class Family(str, Enum):
@@ -221,10 +222,9 @@ class ClassicalSolution:
     def _nahm_pole_guard(self, x: float) -> None:
         w = self.spec.w
         u = math.sqrt(2.0) * w * x
-        quarter = specfun.ellipk(_K1)
         # distance (in u) to the nearest zero of cn, at odd multiples of K
-        d = abs((u - quarter) % (2.0 * quarter))
-        d = min(d, 2.0 * quarter - d)
+        d = abs((u - _K_NAHM) % (2.0 * _K_NAHM))
+        d = min(d, 2.0 * _K_NAHM - d)
         if d < 1e-3:
             raise PoleError(f"Nahm solution pole near x = {x}")
 
@@ -273,7 +273,7 @@ def nahm_solution(spec: ModelSpec, sign: int = 1) -> ClassicalSolution:
         raise UnsupportedFamilyError("nahm_solution requires the Nahm family")
     w = spec.w
     sigma = w / math.sqrt(2.0)
-    period = math.sqrt(2.0) * specfun.ellipk(_K1) / w
+    period = math.sqrt(2.0) * _K_NAHM / w
     return ClassicalSolution(spec=spec, kind=SolutionKind.PERIODIC,
                              w_const=-0.5 * w ** 4, b_or_sigma=sigma,
                              branch_sign=1 if sign > 0 else -1, period=period)

@@ -3,17 +3,24 @@
 Second-order central differences on a uniform grid; Dirichlet boxes for
 kink potentials and Bloch-phased single periods for periodic ones.  Used
 to gate every closed-form spectral statement in the package.
+
+u(x) is sampled once per lattice (``LatticeSpec.diagonal``).  Dirichlet
+boxes are symmetric tridiagonal; a Bloch-phased period is a periodic
+tridiagonal ring, solved as a Hermitian matrix of bandwidth 2 after the
+ring is reordered (real at theta = 0 and pi, complex otherwise).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
 from .errors import DomainError
 
@@ -55,6 +62,24 @@ class LatticeSpec:
             return np.linspace(self.x_min, self.x_max, self.n)
         return self.x_min + self.h * np.arange(self.n)
 
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """2/h^2 + u on the unknowns: the interior points for Dirichlet,
+        the whole grid for periodic.  u is sampled here and only here."""
+        x = self.grid()
+        if self.bc == "dirichlet":
+            x = x[1:-1]
+        return 2.0 / self.h ** 2 + np.array([self.u(xi) for xi in x])
+
+
+def _lowest(count: int | None, size: int) -> dict:
+    """LAPACK selection keywords for the lowest count of size eigenvalues."""
+    if count is None or count >= size:
+        return {}
+    if count < 1:
+        raise DomainError("count must be at least 1")
+    return dict(select="i", select_range=(0, count - 1))
+
 
 def eigenvalues(spec: LatticeSpec, count: int | None = None) -> np.ndarray:
     """Ascending eigenvalues of the discretized operator.
@@ -64,35 +89,35 @@ def eigenvalues(spec: LatticeSpec, count: int | None = None) -> np.ndarray:
     """
     if spec.bc == "periodic":
         return bloch_eigenvalues(spec, 0.0, count)
-    h = spec.h
-    x = spec.grid()[1:-1]
-    diag = 2.0 / h ** 2 + np.array([spec.u(xi) for xi in x])
-    off = np.full(len(x) - 1, -1.0 / h ** 2)
-    if count is not None and count < len(diag):
-        lam = eigvalsh_tridiagonal(diag, off, select="i",
-                                   select_range=(0, count - 1))
-    else:
-        lam = eigvalsh_tridiagonal(diag, off)
-    return lam
+    diag = spec.diagonal
+    off = np.full(len(diag) - 1, -1.0 / spec.h ** 2)
+    return eigvalsh_tridiagonal(diag, off, **_lowest(count, len(diag)))
 
 
 def bloch_eigenvalues(spec: LatticeSpec, theta: float,
                       count: int | None = None) -> np.ndarray:
-    """Eigenvalues at Bloch phase theta on one period (psi(x+L) = e^{i theta} psi)."""
+    """Eigenvalues at Bloch phase theta on one period (psi(x+L) = e^{i theta} psi).
+
+    The ring is reordered as 0, n-1, 1, n-2, ...; every neighbour pair is
+    then at most two places apart and the Hermitian matrix has bandwidth 2.
+    In lower banded form row 2 is the plain hopping -1/h^2 throughout, and
+    row 1 holds only the phase link H[n-1, 0] = -e^{i theta}/h^2 (position 0)
+    and the link across the middle of the ring (position n-2).
+    """
     if spec.bc != "periodic":
         raise DomainError("bloch_eigenvalues requires a periodic lattice")
-    h = spec.h
-    x = spec.grid()
     n = spec.n
-    H = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n)
-    H[idx, idx] = 2.0 / h ** 2 + np.array([spec.u(xi) for xi in x])
-    H[idx[:-1], idx[:-1] + 1] = -1.0 / h ** 2
-    H[idx[:-1] + 1, idx[:-1]] = -1.0 / h ** 2
-    H[0, n - 1] = -np.exp(-1j * theta) / h ** 2
-    H[n - 1, 0] = -np.exp(1j * theta) / h ** 2
-    lam = np.linalg.eigvalsh(H)
-    return lam[:count] if count is not None else lam
+    hop = -1.0 / spec.h ** 2
+    real = theta % math.pi == 0.0
+    band = np.zeros((3, n), dtype=float if real else complex)
+    order = np.empty(n, dtype=np.intp)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    band[0] = spec.diagonal[order]
+    band[1, 0] = hop * (math.cos(theta) if real else cmath.exp(1j * theta))
+    band[1, n - 2] = hop
+    band[2, :n - 2] = hop
+    return eig_banded(band, lower=True, eigvals_only=True, **_lowest(count, n))
 
 
 def relative_heat_trace(spec: LatticeSpec, spec0: LatticeSpec, t: float) -> float:
@@ -132,7 +157,7 @@ def band_edges_lattice(spec: LatticeSpec, n_edges: int) -> np.ndarray:
             order.extend(lam0[i0:i0 + 2])
             i0 += 2
         take_pi = not take_pi
-    return np.sort(np.array(order[:n_edges]).real)
+    return np.sort(np.array(order[:n_edges]))
 
 
 def lattice_heat_trace(spec: LatticeSpec, t: float, n_theta: int = 32) -> float:

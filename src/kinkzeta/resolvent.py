@@ -50,6 +50,7 @@ __all__ = [
 
 _K1 = 1.0 / math.sqrt(2.0)
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=250)
+_EPS = float(np.finfo(float).eps)
 
 
 class CaseTag(str, Enum):
@@ -235,9 +236,18 @@ class ResolventPolynomial:
         return sorted(out)
 
 
+def _is_double_root(coeffs: tuple[float, ...], lo: float, hi: float) -> bool:
+    """Whether a close pair of roots of Q is one double root split by
+    rounding: Q' vanishes at its midpoint to the rounding level of the
+    evaluation (8 eps of the summed terms, the bound for degree <= 4)."""
+    mid = 0.5 * (lo + hi)
+    terms = [j * c * mid ** (j - 1) for j, c in enumerate(coeffs) if j]
+    return abs(sum(terms)) <= 8.0 * _EPS * sum(abs(t) for t in terms)
+
+
 def _clean_roots(coeffs: tuple[float, ...], b: float) -> tuple[float, ...]:
     """Roots of the monic Q from its coefficients: deflate the structural
-    zeros, root-solve numerically, merge near-coincident pairs."""
+    zeros, root-solve numerically, merge double roots split by rounding."""
     c = list(coeffs)
     zeros = 0
     while abs(c[0]) == 0.0:
@@ -248,11 +258,13 @@ def _clean_roots(coeffs: tuple[float, ...], b: float) -> tuple[float, ...]:
     if np.max(np.abs(arr.imag), initial=0.0) > 1e-7 * scale:
         raise ConvergenceError("complex roots in the spectral polynomial")
     roots = sorted(arr.real.tolist() + [0.0] * zeros)
-    # average pairs split by rounding (double roots of the kink cases)
+    # average pairs split by rounding (double roots of the kink cases); a
+    # split double root opens to about 1.5e-7 * scale, distinct close roots
+    # (periodic edges near k -> 1) fail the Q' test and stay apart
     for i in range(len(roots) - 1):
-        if abs(roots[i + 1] - roots[i]) < 1e-7 * scale and roots[i] != roots[i + 1]:
-            mid = 0.5 * (roots[i] + roots[i + 1])
-            roots[i] = roots[i + 1] = mid
+        lo, hi = roots[i], roots[i + 1]
+        if lo != hi and hi - lo < 1e-6 * scale and _is_double_root(coeffs, lo, hi):
+            roots[i] = roots[i + 1] = 0.5 * (lo + hi)
     return tuple(roots)
 
 

@@ -36,7 +36,7 @@ from scipy.special import loggamma, rgamma
 
 from . import specfun
 from .errors import (BranchCollisionError, ConvergenceError, DomainError,
-                     PoleError)
+                     KinkZetaError, PoleError)
 from .resolvent import ResolventPolynomial
 
 __all__ = [
@@ -408,6 +408,22 @@ def _contour_value(rp: ResolventPolynomial, s: complex, opts) -> tuple[complex, 
     return value, err
 
 
+def _checked_contour_value(rp: ResolventPolynomial, s: complex,
+                           opts) -> tuple[complex, float]:
+    """_contour_value, with integrand breakdowns (the edge substitution
+    rounding onto the edge as Re s -> 1/2) raised as ConvergenceError."""
+    try:
+        value, err = _contour_value(rp, s, opts)
+    except KinkZetaError:
+        raise
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConvergenceError(
+            f"contour zeta integrand failed at s = {s}: {exc}") from exc
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise ConvergenceError(f"contour zeta is not finite at s = {s}")
+    return value, err
+
+
 def zeta_contour(rp: ResolventPolynomial, s: complex,
                  refine: bool = True) -> ZetaEvaluation:
     """zeta(s) from the resolvent trace, contour collapsed onto the cuts.
@@ -426,10 +442,10 @@ def zeta_contour(rp: ResolventPolynomial, s: complex,
     elif not (-0.5 + 1e-9 < s.real < 0.5 - 1e-9):
         raise BranchCollisionError(
             "periodic contour zeta requires -1/2 < Re s < 1/2")
-    v1, e1 = _contour_value(rp, s, dict(_QUAD_OPTS))
+    v1, e1 = _checked_contour_value(rp, s, dict(_QUAD_OPTS))
     if refine:
         fine = dict(epsabs=1e-13, epsrel=1e-12, limit=500)
-        v2, e2 = _contour_value(rp, s, fine)
+        v2, e2 = _checked_contour_value(rp, s, fine)
         return ZetaEvaluation(s=s, value=v2, method="contour",
                               err_estimate=abs(v2 - v1) + e2)
     return ZetaEvaluation(s=s, value=v1, method="contour", err_estimate=e1)

@@ -192,6 +192,25 @@ class TestContracts:
                              "--W", "-0.01")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("zeta", "--case", "nahm", "--s", "0.49"),
+        ("zeta", "--case", "d", "--k", "0.9", "--s", "0.48")])
+    def test_numerical_failure_exit_4(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numerical failure:")
+        assert err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("zeta", "--case", "a", "--s", "0.1,zz"),
+        ("figure-z", "--n", "3", "--d", "1,x"),
+        ("oracle", "--case", "a", "--mode", "eigen", "--count", "0")])
+    def test_bad_argument_exit_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.strip().count("\n") == 0
+
     def test_byte_identical_reruns(self, capsys):
         args = ("zeta", "--case", "b", "--k", "0.5", "--s", "0.3,-0.2")
         _, out1, _ = run_cli(capsys, *args)

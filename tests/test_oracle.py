@@ -129,3 +129,71 @@ class TestBandEdges:
                        (2 * math.pi / L) ** 2 + c0,
                        (2 * math.pi / L) ** 2 + c0])
         assert np.allclose(edges, free, atol=2e-3)
+
+
+def dense_bloch(spec, theta):
+    """Reference: the full complex Hermitian Bloch matrix on the natural
+    ring order, solved densely."""
+    h, n = spec.h, spec.n
+    H = np.zeros((n, n), dtype=complex)
+    idx = np.arange(n)
+    H[idx, idx] = 2.0 / h ** 2 + np.array([spec.u(x) for x in spec.grid()])
+    H[idx[:-1], idx[:-1] + 1] = -1.0 / h ** 2
+    H[idx[:-1] + 1, idx[:-1]] = -1.0 / h ** 2
+    H[0, n - 1] = -np.exp(-1j * theta) / h ** 2
+    H[n - 1, 0] = -np.exp(1j * theta) / h ** 2
+    return np.linalg.eigvalsh(H)
+
+
+class TestBlochEigenvalues:
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7, 2.9])
+    def test_banded_matches_dense(self, n, theta):
+        rp = build_resolvent(CaseTag.D, 1.0, k=0.6)
+        spec = oracle.LatticeSpec(0.0, rp.period, n, "periodic", rp.u_of_x)
+        ref = dense_bloch(spec, theta)
+        tol = 1e-9 * np.max(np.abs(ref))
+        full = oracle.bloch_eigenvalues(spec, theta)
+        assert full.shape == (n,)
+        assert np.max(np.abs(full - ref)) < tol
+        low = oracle.bloch_eigenvalues(spec, theta, count=6)
+        assert np.max(np.abs(low - ref[:6])) < tol
+
+    def test_count_beyond_size_returns_all(self):
+        spec = oracle.LatticeSpec(0.0, 1.0, 16, "periodic", lambda x: 0.0)
+        assert len(oracle.bloch_eigenvalues(spec, 0.3, count=40)) == 16
+
+    def test_requires_periodic(self):
+        spec = oracle.LatticeSpec(0.0, 1.0, 16, "dirichlet", lambda x: 0.0)
+        with pytest.raises(DomainError):
+            oracle.bloch_eigenvalues(spec, 0.0)
+
+
+class TestLatticeHeatTrace:
+    def test_case_d_matches_laplace_inversion(self):
+        from kinkzeta.resolvent import invert_laplace_gamma
+        rp = build_resolvent(CaseTag.D, 1.0, k=0.5)
+        spec = oracle.LatticeSpec(0.0, rp.period, 360, "periodic", rp.u_of_x)
+        for t in (0.5, 2.0):
+            want = invert_laplace_gamma(rp, t).total
+            got = oracle.lattice_heat_trace(spec, t)
+            assert got == pytest.approx(want, rel=5e-3)
+
+    def test_samples_potential_once_per_lattice(self):
+        rp = build_resolvent(CaseTag.B, 1.0, k=0.5)
+        calls = []
+
+        def u(x):
+            calls.append(x)
+            return rp.u_of_x(x)
+
+        spec = oracle.LatticeSpec(0.0, rp.period, 64, "periodic", u)
+        oracle.lattice_heat_trace(spec, 1.0)
+        assert len(calls) == spec.n
+        oracle.band_edges_lattice(spec, 3)
+        assert len(calls) == spec.n
+
+    def test_requires_periodic(self):
+        spec = oracle.LatticeSpec(0.0, 1.0, 16, "dirichlet", lambda x: 0.0)
+        with pytest.raises(DomainError):
+            oracle.lattice_heat_trace(spec, 1.0)

@@ -67,6 +67,21 @@ class TestCoefficients:
         expected = sorted([-4 * b * b, -3 * b * b, -3 * b * b, 0.0, 0.0])
         assert np.allclose(rp.roots, expected, atol=1e-9)
 
+    def test_case_c_double_root_over_scales(self):
+        # np.roots opens the double root at -3 b^2 by up to ~1.5e-7 * 4b^2
+        for b in [0.706165, *np.linspace(0.5, 2.0, 3001)]:
+            roots = build_resolvent(CaseTag.C, b).roots
+            assert roots[1] == roots[2], b
+            assert abs(roots[1] + 3 * b * b) < 1e-12 * b * b, b
+
+    def test_close_distinct_roots_stay_apart(self):
+        # near k -> 1 the edges 0 and b^2 (1 - k^2) of case B approach each
+        # other, but they are simple roots and must not be averaged
+        for k in (1.0 - 1e-6, 1.0 - 1e-9):
+            roots = build_resolvent(CaseTag.B, 1.0, k=k).roots
+            assert roots[1] == 0.0
+            assert roots[2] == pytest.approx(1.0 - k * k, rel=1e-6)
+
     def test_input_validation(self):
         with pytest.raises(DomainError):
             build_resolvent(CaseTag.B, 1.0)

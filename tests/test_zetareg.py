@@ -4,11 +4,15 @@ derivative at zero, and the one-loop correction."""
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kinkzeta import zetareg
-from kinkzeta.errors import BranchCollisionError, DomainError, PoleError
+from kinkzeta.errors import (BranchCollisionError, ConvergenceError,
+                             DomainError, PoleError)
 from kinkzeta.resolvent import CaseTag, build_resolvent
 
 
@@ -215,6 +219,17 @@ class TestContour:
         # unstable band contributes the e^{-i pi s} phase: genuinely complex
         assert abs(ev.value.imag) > 1e-3
 
+    @pytest.mark.parametrize("case,k,s", [
+        (CaseTag.NAHM, None, 0.49), (CaseTag.B, 0.5, 0.48),
+        (CaseTag.D, 0.5, 0.49), (CaseTag.D, 0.9, 0.48)])
+    def test_strip_edge_breakdown_is_typed(self, case, k, s):
+        # the edge substitution at lambda = 0 rounds onto the edge as
+        # Re s -> 1/2; that surfaces as ConvergenceError, never as a bare
+        # arithmetic error or a silent non-finite value
+        rp = build_resolvent(case, 1.0, k=k)
+        with pytest.raises(ConvergenceError):
+            zetareg.zeta_contour(rp, s)
+
     def test_periodic_strip_guard(self):
         rp = build_resolvent(CaseTag.B, 1.0, k=0.5)
         with pytest.raises(BranchCollisionError):
@@ -244,3 +259,29 @@ class TestDimensionalReduction:
                 got = zetareg.mellin_zeta(tr, s).value
                 assert got == pytest.approx(zetareg.zeta_d_kink(s, 1.0, d),
                                             abs=1e-6)
+
+
+def zeta_c_closed(s, b):
+    """Case C closed form: the A kink at 2b plus the Mellin image of the
+    e^{-3 b^2 t} erf(b sqrt t) bound-state term, at 30 digits."""
+    with mp.workdps(30):
+        s, b = mp.mpf(s), mp.mpf(b)
+        za = -(2 * b) ** (-2 * s) * mp.gamma(s + 0.5) / (
+            mp.sqrt(mp.pi) * mp.gamma(s + 1))
+        bound = (2 * b / mp.sqrt(mp.pi) * mp.gamma(s + 0.5)
+                 * (3 * b * b) ** (-s - 0.5)
+                 * mp.hyp2f1(0.5, s + 0.5, 1.5, -mp.mpf(1) / 3) * mp.rgamma(s))
+        return complex(za + bound)
+
+
+class TestCaseCProperty:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(b=st.floats(0.5, 2.0), s=st.floats(-0.45, 0.45))
+    @example(b=0.706165, s=0.25)
+    def test_double_root_and_closed_form(self, b, s):
+        rp = build_resolvent(CaseTag.C, b)
+        assert rp.roots[1] == rp.roots[2]
+        assert rp.roots[1] == pytest.approx(-3 * b * b, rel=1e-12)
+        want = zeta_c_closed(s, b)
+        got = zetareg.zeta_contour(rp, s).value
+        assert abs(got - want) <= 1e-9 * abs(want)
