@@ -10,9 +10,8 @@ from .models import (ClassicalSolution, Family, ModelSpec, SolutionKind,
                      classical_energy, closed_form_energy, energy_report,
                      kink_solution, nahm_solution, periodic_solution,
                      potential_v, schrodinger_potential)
-from .resolvent import (CaseTag, ResolventPolynomial, band_edges,
-                        build_resolvent, gamma_hat, hermit_residual,
-                        invert_laplace_gamma)
+from .resolvent import (CaseTag, ResolventPolynomial, build_resolvent,
+                        hermit_residual, invert_laplace_gamma)
 from .zetareg import (HeatTrace, ZetaEvaluation, derivative_at_zero,
                       erf_heat_trace, mellin_zeta, quantum_correction,
                       vacuum_heat_trace, zeta_contour, zeta_d_kink,
@@ -30,7 +29,7 @@ __all__ = [
     "schrodinger_potential", "classical_energy", "closed_form_energy",
     "energy_report",
     "CaseTag", "ResolventPolynomial", "build_resolvent", "hermit_residual",
-    "band_edges", "gamma_hat", "invert_laplace_gamma",
+    "invert_laplace_gamma",
     "ZetaEvaluation", "HeatTrace", "zeta_vacuum", "zeta_kink_1d",
     "zeta_d_kink", "derivative_at_zero", "quantum_correction",
     "mellin_zeta", "zeta_contour", "erf_heat_trace", "vacuum_heat_trace",

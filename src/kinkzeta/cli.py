@@ -14,7 +14,6 @@ import json
 import math
 import sys
 
-from . import bakerakhiezer  # noqa: F401  (re-exported surface)
 from . import models, oracle, resolvent, specfun, zetareg
 from .errors import (DomainError, KinkZetaError, PoleError,
                      UnsupportedFamilyError)
@@ -76,7 +75,13 @@ def _solution_from_args(args) -> models.ClassicalSolution:
     return models.periodic_solution(spec, k=args.k, W=args.W, sign=args.sign)
 
 
+def _check_n(n: int) -> None:
+    if n < 2:
+        raise DomainError(f"--n must be at least 2, got {n}")
+
+
 def _cmd_solution(args) -> int:
+    _check_n(args.n)
     sol = _solution_from_args(args)
     if args.x_min is None or args.x_max is None:
         if sol.kind is models.SolutionKind.PERIODIC:
@@ -202,6 +207,7 @@ def _cmd_correction(args) -> int:
 
 
 def _cmd_figure_z(args) -> int:
+    _check_n(args.n)
     ds = _parse_grid(args.d, int)
     rows = []
     for i in range(args.n):

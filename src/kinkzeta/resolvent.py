@@ -18,7 +18,8 @@ rho = z^2(1-z) for kinks and z(1-z)(1-k^2+k^2 z) for the periodic cases.
 
 The module also assembles the per-period trace of G (gamma_hat), the
 relative spectral density along the branch cuts of sqrt(Q), and its
-inverse Laplace transform (the relative heat trace).
+inverse Laplace transform (the relative heat trace), through the band
+integrator that the contour zeta also uses.
 
 Case tags: A = SG kink, B = SG periodic, C = GL kink, D = GL periodic,
 NAHM = the k^2 = -1 continuation of D.
@@ -36,19 +37,17 @@ from scipy.integrate import quad
 
 from . import specfun
 from .errors import ConvergenceError, DomainError, PoleError
+from .models import _K1
 
 __all__ = [
     "CaseTag",
     "ResolventPolynomial",
     "build_resolvent",
     "hermit_residual",
-    "band_edges",
-    "gamma_hat",
     "invert_laplace_gamma",
     "TraceInversion",
 ]
 
-_K1 = 1.0 / math.sqrt(2.0)
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=250)
 _EPS = float(np.finfo(float).eps)
 
@@ -377,17 +376,6 @@ def hermit_residual(rp: ResolventPolynomial, p: complex, x: float,
     return abs(R / rp.Q(pc))
 
 
-def band_edges(rp: ResolventPolynomial) -> tuple[float, ...]:
-    """Sorted roots of Q; their negatives are the Bloch band edges of
-    -d^2/dx^2 + u(x)."""
-    return rp.roots
-
-
-def gamma_hat(rp: ResolventPolynomial, p: complex) -> complex:
-    """Module-level alias of ResolventPolynomial.gamma_hat."""
-    return rp.gamma_hat(p)
-
-
 # ---------------------------------------------------------------------------
 # inverse Laplace transform of gamma_hat
 # ---------------------------------------------------------------------------
@@ -416,20 +404,21 @@ class TraceInversion:
         return self.continuum_unstable != 0.0
 
 
-def _integrate_band(f, lo: float, hi: float, opts=None) -> tuple[float, float]:
-    """Integrate f over a band with inverse-square-root endpoints handled
-    by the v^2 substitution on each half (or on the single edge when the
-    band is half-infinite)."""
-    opts = opts or _QUAD_OPTS
+def _integrate_band(f, lo: float, hi: float, powers=(2.0, 2.0),
+                    opts=_QUAD_OPTS) -> tuple[float, float]:
+    """Integrate the real f over a band, split at its midpoint, with the
+    power substitution lam = edge +- u^beta flattening each edge
+    singularity; powers = (beta_lo, beta_hi), and beta = 2 handles the
+    inverse-square-root edges of the density.  A half-infinite band uses
+    the lower edge alone."""
+    bl, br = powers
+    gl = lambda u: bl * u ** (bl - 1.0) * f(lo + u ** bl)
     if math.isinf(hi):
-        g = lambda v: 2.0 * v * f(lo + v * v)
-        val, err = quad(g, 0.0, math.inf, **opts)
-        return val, err
+        return quad(gl, 0.0, math.inf, **opts)
     mid = 0.5 * (lo + hi)
-    gl = lambda v: 2.0 * v * f(lo + v * v)
-    gr = lambda v: 2.0 * v * f(hi - v * v)
-    v1, e1 = quad(gl, 0.0, math.sqrt(mid - lo), **opts)
-    v2, e2 = quad(gr, 0.0, math.sqrt(hi - mid), **opts)
+    gr = lambda u: br * u ** (br - 1.0) * f(hi - u ** br)
+    v1, e1 = quad(gl, 0.0, (mid - lo) ** (1.0 / bl), **opts)
+    v2, e2 = quad(gr, 0.0, (hi - mid) ** (1.0 / br), **opts)
     return v1 + v2, e1 + e2
 
 

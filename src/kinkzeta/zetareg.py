@@ -34,10 +34,11 @@ from typing import Callable
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import loggamma, rgamma
 
-from . import specfun
+from . import resolvent
 from .errors import (BranchCollisionError, ConvergenceError, DomainError,
                      KinkZetaError, PoleError)
-from .resolvent import ResolventPolynomial
+from .resolvent import _QUAD_OPTS, ResolventPolynomial
+from .specfun import _near_nonpositive_integer, gamma_fn
 
 __all__ = [
     "ZetaEvaluation",
@@ -56,7 +57,6 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=250)
 
 
 @dataclass(frozen=True)
@@ -95,15 +95,7 @@ class HeatTrace:
 
 def erf_heat_trace(b: float) -> HeatTrace:
     """Renormalized kink trace gamma_k(t) = erf(b sqrt(t))."""
-    small = tuple(
-        (j + 0.5,
-         2.0 / _SQRT_PI * (-1.0) ** j * b ** (2 * j + 1)
-         / (math.factorial(j) * (2 * j + 1)))
-        for j in range(9)
-    )
-    return HeatTrace(source="closed_form_erf",
-                     eval=lambda t: math.erf(b * math.sqrt(t)),
-                     renormalized=True, small_t=small, large_t=((0.0, 1.0),))
+    return kink_trace_d(b, 1)
 
 
 def vacuum_heat_trace(nu: float, d: int) -> HeatTrace:
@@ -127,7 +119,8 @@ def kink_trace_d(m: float, d: int) -> HeatTrace:
     erf(m sqrt(t)) (4 pi t)^{-(d-1)/2}, per unit transverse volume."""
     if d not in (1, 2, 3, 4):
         raise DomainError("d must be 1..4")
-    pref = (4.0 * math.pi) ** (-(d - 1) / 2.0)
+    q = (d - 1) / 2.0   # the transverse factor decays as t^{-q}
+    pref = (4.0 * math.pi) ** -q
     small = tuple(
         (j + 0.5 * (2 - d),
          pref * 2.0 / _SQRT_PI * (-1.0) ** j * m ** (2 * j + 1)
@@ -136,20 +129,13 @@ def kink_trace_d(m: float, d: int) -> HeatTrace:
     )
     return HeatTrace(
         source="closed_form_erf",
-        eval=lambda t: math.erf(m * math.sqrt(t)) * pref * t ** (-(d - 1) / 2.0),
-        renormalized=True, small_t=small,
-        large_t=(((d - 1) / 2.0, pref),))
+        eval=lambda t: math.erf(m * math.sqrt(t)) * pref * t ** -q,
+        renormalized=True, small_t=small, large_t=((q, pref),))
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
-
-def _near_nonpos_int(x: complex) -> bool:
-    x = complex(x)
-    return (abs(x.imag) < 1e-12 and x.real < 0.5
-            and abs(x.real - round(x.real)) < 1e-10)
-
 
 def zeta_vacuum(s: complex, nu: float, d: int) -> complex:
     """zeta of -Delta + nu in d dimensions, per unit volume.
@@ -173,7 +159,7 @@ def zeta_vacuum(s: complex, nu: float, d: int) -> complex:
         if abs(denom) < 1e-12:
             raise PoleError(f"zeta_vacuum pole at s = {s}")
         return pref * (-1.0) ** n / denom * power
-    if _near_nonpos_int(s - 0.5 * d):
+    if _near_nonpositive_integer(s - 0.5 * d):
         raise PoleError(f"zeta_vacuum pole at s = {s}")
     ratio = cmath.exp(complex(loggamma(s - 0.5 * d)) - complex(loggamma(s))) \
         if abs(s) > 1e-300 else 0.0
@@ -183,31 +169,24 @@ def zeta_vacuum(s: complex, nu: float, d: int) -> complex:
 
 
 def zeta_kink_1d(s: complex, b: float) -> complex:
-    """Renormalized kink zeta in one dimension:
-    zeta(s) = -b^{-2s} Gamma(s + 1/2) / (sqrt(pi) Gamma(s + 1))."""
-    if b <= 0.0:
-        raise DomainError("zeta_kink_1d requires b > 0")
-    s = complex(s)
-    if _near_nonpos_int(s + 0.5) or _near_nonpos_int(s + 1.0):
-        raise PoleError(f"zeta_kink_1d pole at s = {s}")
-    return (-cmath.exp(-2.0 * s * math.log(b))
-            * specfun.gamma_fn(s + 0.5) * complex(rgamma(s + 1.0)) / _SQRT_PI)
+    """Renormalized kink zeta in one dimension, zeta_d_kink at d = 1."""
+    return zeta_d_kink(s, b, 1)
 
 
 def _kink_T(s: complex, d: int) -> complex:
     """Gamma(s + 1 - d/2) / ((2s - d + 1) Gamma(s)), pole-safe per d."""
     if d == 1:
-        if _near_nonpos_int(s + 0.5):
+        if _near_nonpositive_integer(s + 0.5):
             raise PoleError(f"kink zeta pole at s = {s}")
-        return specfun.gamma_fn(s + 0.5) * complex(rgamma(s + 1.0)) / 2.0
+        return gamma_fn(s + 0.5) * complex(rgamma(s + 1.0)) / 2.0
     if d == 2:
         if abs(2.0 * s - 1.0) < 1e-12:
             raise PoleError("kink zeta pole at s = 1/2 (d = 2)")
         return 1.0 / (2.0 * s - 1.0)
     if d == 3:
-        if _near_nonpos_int(s - 0.5) or abs(s - 1.0) < 1e-12:
+        if _near_nonpositive_integer(s - 0.5) or abs(s - 1.0) < 1e-12:
             raise PoleError(f"kink zeta pole at s = {s} (d = 3)")
-        return specfun.gamma_fn(s - 0.5) * complex(rgamma(s)) / (2.0 * s - 2.0)
+        return gamma_fn(s - 0.5) * complex(rgamma(s)) / (2.0 * s - 2.0)
     if abs(s - 1.0) < 1e-12 or abs(2.0 * s - 3.0) < 1e-12:
         raise PoleError(f"kink zeta pole at s = {s} (d = 4)")
     return 1.0 / ((2.0 * s - 3.0) * (s - 1.0))
@@ -243,19 +222,24 @@ def zeta_d_kink(s: complex, m: float, d: int, method: str = "closed_form") -> co
 
 
 def derivative_at_zero(m: float, d: int) -> float:
-    """d zeta_d / ds at s = 0 by Richardson-extrapolated 5-point stencils."""
-    def f(x: float) -> float:
-        v = zeta_d_kink(complex(x, 0.0), m, d)
-        return v.real
+    """d zeta_d / ds at s = 0, the exact derivative of the closed form:
 
-    def stencil(h: float) -> float:
-        return (f(-2 * h) - 8 * f(-h) + 8 * f(h) - f(2 * h)) / (12.0 * h)
-
-    h = 1e-3
-    d1, d2 = stencil(h), stencil(0.5 * h)
-    if abs(d2 - d1) > 1e-6 * max(1.0, abs(d2)):
-        raise ConvergenceError("zeta derivative stencil did not stabilize")
-    return d2 + (d2 - d1) / 15.0
+        d = 1:  2 ln(2m)
+        d = 2:  (2m/pi) (1 - ln m)
+        d = 3:  -m^2 / (2 pi)
+        d = 4:  -m^3 / (4 pi^2) (5/9 - (2/3) ln m)
+    """
+    if d not in (1, 2, 3, 4):
+        raise DomainError("d must be 1..4")
+    if m <= 0.0:
+        raise DomainError("derivative_at_zero requires m > 0")
+    if d == 1:
+        return 2.0 * math.log(2.0 * m)
+    if d == 2:
+        return 2.0 * m / math.pi * (1.0 - math.log(m))
+    if d == 3:
+        return -m * m / (2.0 * math.pi)
+    return -m ** 3 / (4.0 * math.pi ** 2) * (5.0 / 9.0 - 2.0 / 3.0 * math.log(m))
 
 
 def quantum_correction(m: float, d: int, hbar: float = 1.0,
@@ -276,14 +260,13 @@ def quantum_correction(m: float, d: int, hbar: float = 1.0,
 # numerical Mellin transform
 # ---------------------------------------------------------------------------
 
-def _cquad(f, a, b, **opts) -> tuple[complex, float]:
-    opts = {**_QUAD_OPTS, **opts}
+def _cquad(f, a, b) -> tuple[complex, float]:
     with warnings.catch_warnings():
         # roundoff-limited extrapolation on subtracted tails is expected;
         # the returned error estimate still reflects it
         warnings.simplefilter("ignore", IntegrationWarning)
-        re, re_err = quad(lambda t: f(t).real, a, b, **opts)
-        im, im_err = quad(lambda t: f(t).imag, a, b, **opts)
+        re, re_err = quad(lambda t: f(t).real, a, b, **_QUAD_OPTS)
+        im, im_err = quad(lambda t: f(t).imag, a, b, **_QUAD_OPTS)
     return complex(re, im), re_err + im_err
 
 
@@ -352,68 +335,48 @@ def _edge_power(edge: float, s: complex) -> float:
     return min(80.0, 3.0 / (1.0 - 2.0 * s.real))
 
 
-def _band_piece(f, lo: float, hi: float, s: complex, opts) -> tuple[complex, float]:
-    """Complex band integral with power substitutions at both edges."""
-    if math.isinf(hi):
-        bl = _edge_power(lo, s)
-        g = lambda u: bl * u ** (bl - 1.0) * f(lo + u ** bl)
-        return _cquad(g, 0.0, math.inf, **opts)
-    mid = 0.5 * (lo + hi)
-    bl = _edge_power(lo, s)
-    br = _edge_power(hi, s)
-    gl = lambda u: bl * u ** (bl - 1.0) * f(lo + u ** bl)
-    gr = lambda u: br * u ** (br - 1.0) * f(hi - u ** br)
-    v1, e1 = _cquad(gl, 0.0, (mid - lo) ** (1.0 / bl), **opts)
-    v2, e2 = _cquad(gr, 0.0, (hi - mid) ** (1.0 / br), **opts)
-    return v1 + v2, e1 + e2
-
-
 def _contour_value(rp: ResolventPolynomial, s: complex, opts) -> tuple[complex, float]:
     value = 0.0 + 0.0j
     err = 0.0
     for lam, res in rp.pole_terms():
         if abs(lam) > 1e-12:   # the zero mode contributes 0^{-s} == 0
             value += res * _lam_weight(lam, s)
-    bands = rp.bands()
-    if rp.is_kink:
-        for lo, hi in bands:
-            f = lambda lam: rp.density(lam) * _lam_weight(lam, s)
-            v, e = _band_piece(f, lo, hi, s, opts)
-            value += v
-            err += e
-        return value, err
-    # periodic: subtract the free-background density I0/(2 pi sqrt(lambda))
     i0 = rp.moments[0]
-    rho0 = lambda lam: i0 / (2.0 * math.pi * math.sqrt(lam))
-    neg = [(lo, hi) for lo, hi in bands if hi <= 1e-12]
-    pos = [(lo, hi) for lo, hi in bands if hi > 1e-12]
-    for lo, hi in neg:
-        f = lambda lam: rp.density(lam) * _lam_weight(lam, s)
-        v, e = _band_piece(f, lo, hi, s, opts)
-        value += v
-        err += e
     prev_hi = 0.0
-    for lo, hi in pos:
-        lo = max(lo, 0.0)
-        if lo > prev_hi + 1e-14:
-            # spectral gap: the subtraction integrates exactly
-            upper = cmath.exp((0.5 - s) * math.log(lo))
-            lower = 0.0 if prev_hi == 0.0 else cmath.exp((0.5 - s) * math.log(prev_hi))
-            value -= i0 / (2.0 * math.pi) * (upper - lower) / (0.5 - s)
-        f = lambda lam: (rp.density(lam) - rho0(lam)) * _lam_weight(lam, s)
-        v, e = _band_piece(f, lo, hi, s, opts)
-        value += v
-        err += e
-        prev_hi = hi
+    # bands ascend, so the negative (unstable) bands come first
+    for lo, hi in rp.bands():
+        if rp.is_kink or hi <= 1e-12:
+            f = lambda lam: rp.density(lam) * _lam_weight(lam, s)
+        else:
+            # periodic: subtract the free-background density I0/(2 pi sqrt(lambda))
+            lo = max(lo, 0.0)
+            if lo > prev_hi + 1e-14:
+                # spectral gap: the subtraction integrates exactly
+                upper = cmath.exp((0.5 - s) * math.log(lo))
+                lower = 0.0 if prev_hi == 0.0 else cmath.exp((0.5 - s) * math.log(prev_hi))
+                value -= i0 / (2.0 * math.pi) * (upper - lower) / (0.5 - s)
+            f = lambda lam: ((rp.density(lam) - i0 / (2.0 * math.pi * math.sqrt(lam)))
+                             * _lam_weight(lam, s))
+            prev_hi = hi
+        powers = (_edge_power(lo, s), _edge_power(hi, s))
+        re, re_err = resolvent._integrate_band(lambda lam: f(lam).real, lo, hi,
+                                               powers, opts)
+        im, im_err = resolvent._integrate_band(lambda lam: f(lam).imag, lo, hi,
+                                               powers, opts)
+        value += complex(re, im)
+        err += re_err + im_err
     return value, err
 
 
 def _checked_contour_value(rp: ResolventPolynomial, s: complex,
                            opts) -> tuple[complex, float]:
     """_contour_value, with integrand breakdowns (the edge substitution
-    rounding onto the edge as Re s -> 1/2) raised as ConvergenceError."""
+    rounding onto the edge as Re s -> 1/2) raised as ConvergenceError.
+    IntegrationWarning is silenced as in _cquad."""
     try:
-        value, err = _contour_value(rp, s, opts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            value, err = _contour_value(rp, s, opts)
     except KinkZetaError:
         raise
     except (ValueError, ZeroDivisionError) as exc:

@@ -14,8 +14,8 @@ import pytest
 from kinkzeta import bakerakhiezer as ba
 from kinkzeta import models, oracle, specfun, zetareg
 from kinkzeta.cli import main as cli_main
-from kinkzeta.resolvent import (CaseTag, build_resolvent, gamma_hat,
-                                hermit_residual, invert_laplace_gamma)
+from kinkzeta.resolvent import (CaseTag, build_resolvent, hermit_residual,
+                                invert_laplace_gamma)
 
 SQ2 = math.sqrt(2.0)
 

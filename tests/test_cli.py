@@ -211,6 +211,17 @@ class TestContracts:
         assert code == 2
         assert err.strip().count("\n") == 0
 
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    @pytest.mark.parametrize("argv", [
+        ("solution", "--family", "gl", "--kink"),
+        ("figure-z",)])
+    def test_sample_count_below_two_exit_2(self, capsys, argv, n):
+        code, out, err = run_cli(capsys, *argv, f"--n={n}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.strip().count("\n") == 0
+
     def test_byte_identical_reruns(self, capsys):
         args = ("zeta", "--case", "b", "--k", "0.5", "--s", "0.3,-0.2")
         _, out1, _ = run_cli(capsys, *args)

@@ -10,8 +10,7 @@ from scipy.integrate import quad
 
 from kinkzeta import specfun
 from kinkzeta.errors import DomainError, PoleError
-from kinkzeta.resolvent import (CaseTag, band_edges, build_resolvent,
-                                gamma_hat, hermit_residual,
+from kinkzeta.resolvent import (CaseTag, build_resolvent, hermit_residual,
                                 invert_laplace_gamma)
 
 SQ3 = math.sqrt(3.0)
@@ -145,7 +144,7 @@ class TestBandEdges:
     def test_band_edges_sorted(self):
         for case, k in ALL_CASES:
             rp = build_resolvent(case, 0.9, k=k)
-            e = band_edges(rp)
+            e = rp.roots
             assert all(e[i] <= e[i + 1] for i in range(len(e) - 1))
 
 
@@ -164,7 +163,7 @@ class TestGammaHat:
             gk = b * b * z / (2.0 * p * cmath.sqrt(p + b * b))
             assert rp.green_diag(p, x) == pytest.approx(gc + gk, rel=1e-12)
             assert rp.gamma_hat_background(p) == pytest.approx(gc, rel=1e-13)
-            assert gamma_hat(rp, p) == pytest.approx(
+            assert rp.gamma_hat(p) == pytest.approx(
                 b / (p * cmath.sqrt(p + b * b)), rel=1e-12)
 
     def test_kink_moments_against_quadrature(self):
@@ -208,14 +207,14 @@ class TestGammaHat:
     def test_cut_proximity_error(self):
         rp = build_resolvent(CaseTag.B, 1.0, k=0.5)
         with pytest.raises(PoleError):
-            gamma_hat(rp, 0.75 + 1e-9j)
+            rp.gamma_hat(0.75 + 1e-9j)
 
     def test_weyl_asymptotics(self):
         # gamma_hat -> period/(2 sqrt(p)) as p -> +inf for periodic cases
         for case, k in [(CaseTag.B, 0.6), (CaseTag.D, 0.4), (CaseTag.NAHM, None)]:
             rp = build_resolvent(case, 1.0, k=k)
             p = 4e6
-            assert gamma_hat(rp, p).real == pytest.approx(
+            assert rp.gamma_hat(p).real == pytest.approx(
                 rp.period / (2.0 * math.sqrt(p)), rel=1e-5)
 
 
@@ -325,7 +324,7 @@ class TestLaplaceInversion:
         gam = np.array([invert_laplace_gamma(rp, v * v).total for v in vs])
         for p in np.linspace(top + 1.0, top + 6.0, 10):
             val = float(np.sum(ws * 2.0 * vs * gam * np.exp(-p * vs * vs)))
-            assert val == pytest.approx(gamma_hat(rp, p).real, abs=1e-6)
+            assert val == pytest.approx(rp.gamma_hat(p).real, abs=1e-6)
 
     def test_domain_error(self):
         rp = build_resolvent(CaseTag.A, 1.0)

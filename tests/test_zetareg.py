@@ -3,14 +3,16 @@ derivative at zero, and the one-loop correction."""
 
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning
 
-from kinkzeta import zetareg
+from kinkzeta import resolvent, specfun, zetareg
 from kinkzeta.errors import (BranchCollisionError, ConvergenceError,
                              DomainError, PoleError)
 from kinkzeta.resolvent import CaseTag, build_resolvent
@@ -58,6 +60,20 @@ class TestVacuumZeta:
         with pytest.raises(PoleError):
             zetareg.zeta_vacuum(0.5, 1.0, 1)
 
+    def test_pole_tolerance(self):
+        # one non-positive-integer test, 1e-12 wide, at both of its callers
+        for pole in (0.0, -2.0):
+            with pytest.raises(PoleError):
+                specfun.gamma_fn(pole + 5e-13)
+            got = specfun.gamma_fn(pole + 5e-11)
+            assert got.real == pytest.approx(float(mp.gamma(pole + 5e-11)),
+                                             rel=1e-6)
+        for d, s0 in ((1, 0.5), (3, -0.5)):
+            with pytest.raises(PoleError):
+                zetareg.zeta_vacuum(s0 + 5e-13, 1.3, d)
+            got = zetareg.zeta_vacuum(s0 + 5e-11, 1.3, d)
+            assert cmath.isfinite(got) and abs(got) > 1e8
+
     def test_vacuum_dprime_at_zero_d1(self):
         # zeta'(0) = -sqrt(nu) for -d^2/dx^2 + nu per unit length
         nu = 2.3
@@ -84,6 +100,17 @@ class TestKinkZeta1d:
     def test_mellin_at_zero(self):
         got = zetareg.mellin_zeta(zetareg.erf_heat_trace(1.0), 0.0).value
         assert got == pytest.approx(-1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("b", [0.7, 1.3])
+    def test_cancelled_gamma_poles(self, b):
+        # at s = -1, -2 the pole of Gamma(s + 1) cancels: zeta is 0 there,
+        # as the Mellin route gives; s = -1/2 is a true pole
+        tr = zetareg.erf_heat_trace(b)
+        for s in (-1.0, -2.0):
+            assert zetareg.zeta_kink_1d(s, b) == 0.0
+            assert zetareg.mellin_zeta(tr, s).value == zetareg.zeta_kink_1d(s, b)
+        with pytest.raises(PoleError):
+            zetareg.zeta_kink_1d(-0.5, b)
 
     def test_zero_trace(self):
         tr = zetareg.zero_heat_trace()
@@ -119,14 +146,39 @@ class TestKinkZetaD:
             assert v == pytest.approx(a * (4.0 * math.pi) ** d, rel=1e-12)
 
     def test_derivative_symbolic_oracles(self):
-        # d=1: 2 ln(2m); d=2: (2m/pi)(1 - ln m); d=3: -m^2/(2 pi)
+        # d=1: 2 ln(2m); d=2: (2m/pi)(1 - ln m); d=3: -m^2/(2 pi);
+        # d=4: -m^3/(4 pi^2) (5/9 - (2/3) ln m)
         for m in (0.5, 1.0, 2.0):
             assert zetareg.derivative_at_zero(m, 1) == pytest.approx(
-                2.0 * math.log(2.0 * m), abs=1e-8)
+                2.0 * math.log(2.0 * m), abs=1e-13)
             assert zetareg.derivative_at_zero(m, 2) == pytest.approx(
-                2.0 * m / math.pi * (1.0 - math.log(m)), abs=1e-8)
+                2.0 * m / math.pi * (1.0 - math.log(m)), abs=1e-13)
             assert zetareg.derivative_at_zero(m, 3) == pytest.approx(
-                -m * m / (2.0 * math.pi), abs=1e-8)
+                -m * m / (2.0 * math.pi), abs=1e-13)
+            assert zetareg.derivative_at_zero(m, 4) == pytest.approx(
+                -m ** 3 / (4.0 * math.pi ** 2)
+                * (5.0 / 9.0 - 2.0 / 3.0 * math.log(m)), abs=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_derivative_matches_mpmath(self, d):
+        # independent of the four formulas: mpmath differentiates the
+        # closed form zeta_d(s) itself at 40 digits
+        def zeta_d(s, m):
+            return (-mp.mpf(2) ** (2 - d) * mp.pi ** (-mp.mpf(d) / 2)
+                    * m ** (d - 1 - 2 * s) * mp.gamma(s + 1 - mp.mpf(d) / 2)
+                    * mp.rgamma(s) / (2 * s - d + 1))
+        with mp.workdps(40):
+            for m in (0.3, 1.7, 2.72):
+                # s = 0 is a removable point of Gamma(s + 1 - d/2) / Gamma(s)
+                # for d = 1, 3; differentiate just off it
+                ref = mp.diff(lambda s: zeta_d(s, mp.mpf(m)), mp.mpf("1e-30"))
+                got = zetareg.derivative_at_zero(m, d)
+                assert abs(got - float(ref)) <= 4e-16 * max(1.0, abs(got))
+
+    @pytest.mark.parametrize("m,d", [(0.0, 1), (-1.0, 2), (1.0, 0), (1.0, 5)])
+    def test_derivative_domain(self, m, d):
+        with pytest.raises(DomainError):
+            zetareg.derivative_at_zero(m, d)
 
     def test_derivative_richardson_stability(self):
         # recomputing with halved stencils moves the value below 1e-7
@@ -229,6 +281,22 @@ class TestContour:
         rp = build_resolvent(case, 1.0, k=k)
         with pytest.raises(ConvergenceError):
             zetareg.zeta_contour(rp, s)
+
+    def test_integration_warning_routing(self, monkeypatch):
+        # the band integrator lets IntegrationWarning through on the heat
+        # trace path; the contour route silences it
+        quad = resolvent.quad
+
+        def noisy_quad(*args, **kwargs):
+            warnings.warn("roundoff", IntegrationWarning)
+            return quad(*args, **kwargs)
+        monkeypatch.setattr(resolvent, "quad", noisy_quad)
+        rp = build_resolvent(CaseTag.A, 1.0)
+        with pytest.warns(IntegrationWarning):
+            resolvent.invert_laplace_gamma(rp, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zetareg.zeta_contour(rp, 0.25, refine=False)
 
     def test_periodic_strip_guard(self):
         rp = build_resolvent(CaseTag.B, 1.0, k=0.5)
