@@ -17,8 +17,9 @@ class ConvergenceError(KinkZetaError, RuntimeError):
     """An adaptive quadrature or series failed to reach its tolerance."""
 
 
-class BranchCollisionError(ConvergenceError):
-    """A contour parameter produces a non-integrable endpoint singularity."""
+class BranchCollisionError(DomainError):
+    """A contour parameter produces a non-integrable endpoint singularity
+    (known from the input, before any quadrature runs)."""
 
 
 class UnsupportedFamilyError(KinkZetaError, ValueError):

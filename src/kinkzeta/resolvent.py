@@ -31,6 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -142,18 +143,20 @@ class ResolventPolynomial:
         return self.P(complex(p), self.z_of_x(x)) / (2.0 * self.sqrt_q(p))
 
     # -- trace numerators ---------------------------------------------------
-    def _numerator(self, p: complex, relative: bool) -> complex:
-        """Numerator of the period/relative trace of G.
-
-        relative drops the z-independent column (the constant-background
-        Green function), leaving the finite kink moments; otherwise the
-        full per-period moments weight every column.
-        """
+    def _trace_coeffs(self, relative: bool) -> tuple[float, ...]:
+        """Ascending p-coefficients of the trace numerator: each row of P
+        weighted by the period moments of its z powers.  relative drops the
+        z-independent column (the constant-background Green function),
+        leaving the finite kink moments."""
         I0, Iz, Izz = self.moments
         weights = (0.0 if relative else I0, Iz, Izz)
+        return tuple(sum(row[j] * weights[j] for j in range(len(row)))
+                     for row in self.p_rows)
+
+    def _numerator(self, p: complex, relative: bool) -> complex:
+        """Numerator of the period/relative trace of G at p."""
         acc = 0.0 + 0.0j
-        for i, row in enumerate(self.p_rows):
-            coef = sum(row[j] * weights[j] for j in range(len(row)))
+        for i, coef in enumerate(self._trace_coeffs(relative)):
             acc += coef * complex(p) ** i
         return acc
 
@@ -172,13 +175,27 @@ class ResolventPolynomial:
         """Constant-background trace per unit length, 1/(2 sqrt(p + nu))."""
         return 1.0 / (2.0 * cmath.sqrt(complex(p) + self.nu))
 
-    # -- spectral structure -------------------------------------------------
-    def cut_segments(self) -> list[tuple[float, float]]:
+    # -- spectral structure (computed once per instance) ---------------------
+    def cut_segments(self) -> tuple[tuple[float, float], ...]:
         """Cuts of sqrt(Q) on the real p axis (Q < 0), as (lo, hi) pairs
         with lo = -inf on the unbounded segment, ordered descending in p."""
+        return self._cuts
+
+    def pole_terms(self) -> tuple[tuple[float, float], ...]:
+        """(lambda, residue) for the poles of the relative trace at the
+        double roots of Q (bound states of the kink operators)."""
+        return self._poles
+
+    def bands(self) -> tuple[tuple[float, float], ...]:
+        """Allowed spectral bands in lambda, ascending; the top one is
+        half-infinite and returned as (lo, inf)."""
+        return self._bands
+
+    @cached_property
+    def _cuts(self) -> tuple[tuple[float, float], ...]:
         distinct: list[tuple[float, int]] = []
         for r in self.roots:
-            if distinct and abs(r - distinct[-1][0]) < 1e-9 * max(1.0, abs(r)):
+            if distinct and r == distinct[-1][0]:
                 distinct[-1] = (distinct[-1][0], distinct[-1][1] + 1)
             else:
                 distinct.append((r, 1))
@@ -191,17 +208,16 @@ class ResolventPolynomial:
             lo = pts[i - 1] if i > 0 else -math.inf
             if parity == 1:
                 segs.append((lo, pts[i]))
-        return segs
+        return tuple(segs)
 
-    def pole_terms(self) -> list[tuple[float, float]]:
-        """(lambda, residue) for the poles of the relative trace at the
-        double roots of Q (bound states of the kink operators)."""
+    @cached_property
+    def _poles(self) -> tuple[tuple[float, float], ...]:
         out = []
         i = 0
         roots = self.roots
         while i < len(roots) - 1:
-            if abs(roots[i] - roots[i + 1]) < 1e-9 * max(1.0, abs(roots[i])):
-                p0 = 0.5 * (roots[i] + roots[i + 1])
+            if roots[i] == roots[i + 1]:
+                p0 = roots[i]
                 others = list(roots[:i]) + list(roots[i + 2:])
                 acc = 0.0 + 0.0j
                 for r in others:
@@ -211,28 +227,82 @@ class ResolventPolynomial:
                 i += 2
             else:
                 i += 1
-        return out
+        return tuple(out)
 
-    def density(self, lam: float) -> float:
+    @cached_property
+    def _bands(self) -> tuple[tuple[float, float], ...]:
+        return tuple(sorted((-hi, math.inf if lo == -math.inf else -lo)
+                            for lo, hi in self._cuts))
+
+    @cached_property
+    def _density_coeffs(self) -> tuple[float, ...]:
+        return self._trace_coeffs(self.is_kink)
+
+    def density(self, lam):
         """Spectral density at lambda (per period, or relative for kinks):
         rho(lambda) = (1/pi) Im gamma_hat(p - i0) at p = -lambda.
 
-        Zero off the bands; do not call at band edges.
+        lam is a float or an array of them; an array gives the array of the
+        scalar values, bit for bit.  Exactly 0.0 off the bands; do not call
+        at band edges.  On a band sqrt(Q) is i^m prod sqrt|p - r|, m the
+        number of roots above p (odd there), so the density is the real
+        +-N(p) / (2 pi prod sqrt|p - r|), + for m = 1 mod 4.
         """
-        p = -lam
-        on_cut = any(lo < p < hi for lo, hi in self.cut_segments())
-        if not on_cut:
-            return 0.0
-        val = self._numerator(p, self.is_kink) / (2.0 * self.sqrt_q(p))
-        return -val.imag / math.pi
+        if np.ndim(lam) == 0:
+            p = -float(lam)
+            if not any(lo < p < hi for lo, hi in self._cuts):
+                return 0.0
+            return self._band_density(p, sum(p < r for r in self.roots), math.sqrt)
+        p = -np.asarray(lam, dtype=float)
+        on_cut = np.zeros(p.shape, dtype=bool)
+        for lo, hi in self._cuts:
+            on_cut |= (lo < p) & (p < hi)
+        above = sum((p < r).astype(int) for r in self.roots)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = self._band_density(p, above, np.sqrt)
+        return np.where(on_cut, val, 0.0)
 
-    def bands(self) -> list[tuple[float, float]]:
-        """Allowed spectral bands in lambda, ascending; the top one is
-        half-infinite and returned as (lo, inf)."""
-        out = []
-        for lo, hi in self.cut_segments():
-            out.append((-hi, math.inf if lo == -math.inf else -lo))
-        return sorted(out)
+    def band_density(self, lo: float, hi: float, d_lo, d_hi=None):
+        """density on the band (lo, hi) at lam = lo + d_lo, for an array of
+        distances d_lo, and on a finite band also lam = hi - d_hi.  The
+        edge factors of |Q| are taken from the distances, not from the
+        rounded lam, so that the density keeps its digits next to an edge,
+        also on a band narrower than the rounding of lam (case D as
+        k -> 1)."""
+        above = sum(r >= -lo for r in self.roots)
+        if math.isinf(hi):
+            return self._band_density(-(lo + d_lo), above, np.sqrt,
+                                      np.sqrt(d_lo), (-lo,))
+        p = -np.where(d_lo <= d_hi, lo + d_lo, hi - d_hi)
+        return self._band_density(p, above, np.sqrt,
+                                  np.sqrt(d_lo) * np.sqrt(d_hi), (-lo, -hi))
+
+    def top_band_excess(self, above):
+        """rho(lo + above) - I0 / (2 pi sqrt(above)) on the top band
+        (lo, inf) of a periodic case, lo = -roots[0]; above is an array.
+
+        Both terms fall as lam^{-1/2} and their difference as lam^{-3/2}, so
+        the difference is formed from their ratio, which keeps its digits at
+        large lam: with N(-lam) = I0 (-lam)^d (1 + eta),
+        rho / rho0 = (1 + eta) / prod_{i > 0} sqrt(1 + r_i / lam).
+        """
+        lam = -self.roots[0] + above
+        coeffs = self._density_coeffs
+        t = -1.0 / lam
+        eta = 0.0 * t
+        for c in coeffs[:-1]:
+            eta = (eta + c / coeffs[-1]) * t
+        log_ratio = np.log1p(eta) - 0.5 * sum(np.log1p(r / lam) for r in self.roots[1:])
+        return self.moments[0] / (2.0 * math.pi) / np.sqrt(above) * np.expm1(log_ratio)
+
+    def _band_density(self, p, above, sqrt, mag=1.0, known=()):
+        """+-N(p) / (2 pi prod sqrt|p - r|), for p a float (with math.sqrt)
+        or an array (with np.sqrt) in the same operation order; mag holds
+        the factors of the roots in known, computed by the caller."""
+        for r in self.roots:
+            if r not in known:
+                mag = mag * sqrt(abs(p - r))
+        return _polyval(self._density_coeffs, p) / (2.0 * math.pi * mag) * (2 - above % 4)
 
 
 def _is_double_root(coeffs: tuple[float, ...], lo: float, hi: float) -> bool:
@@ -293,14 +363,15 @@ def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> Resolven
         moments = (math.inf, 2.0 / b, 4.0 / (3.0 * b))
     elif case is CaseTag.B:
         k2 = k * k
+        kc2 = (1.0 - k) * (1.0 + k)   # 1 - k^2, without cancellation as k -> 1
         p_rows = ((0.0, k2 * b2), (1.0,))
-        q = (0.0, b2 * b2 * k2 * (k2 - 1.0), b2 * (2.0 * k2 - 1.0), 1.0)
-        rho = (0.0, 1.0 - k2, 2.0 * k2 - 1.0, -k2)
+        q = (0.0, -b2 * b2 * k2 * kc2, b2 * (2.0 * k2 - 1.0), 1.0)
+        rho = (0.0, kc2, 2.0 * k2 - 1.0, -k2)
         u = (b2 * (2.0 * k2 - 1.0), -2.0 * k2 * b2)
         nu = b2  # SG vacuum edge (k -> 1 limit of the top band edge)
         K, E = specfun.ellipk(k), specfun.ellipe(k)
         period = 2.0 * K / b
-        moments = (period, 2.0 / (b * k2) * (E - (1.0 - k2) * K), 0.0)
+        moments = (period, 2.0 / (b * k2) * (E - kc2 * K), 0.0)
     elif case is CaseTag.C:
         b4 = b2 * b2
         p_rows = ((0.0, 0.0, 9.0 * b4), (3.0 * b2, 3.0 * b2), (1.0,))
@@ -312,22 +383,23 @@ def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> Resolven
         moments = (math.inf, 2.0 / b, 4.0 / (3.0 * b))
     elif case is CaseTag.D:
         k2 = k * k
+        kc2 = (1.0 - k) * (1.0 + k)
         b4 = b2 * b2
-        p_rows = ((0.0, 9.0 * b4 * k2 * (1.0 - k2), 9.0 * b4 * k2 * k2),
+        p_rows = ((0.0, 9.0 * b4 * k2 * kc2, 9.0 * b4 * k2 * k2),
                   (3.0 * b2, 3.0 * b2 * k2),
                   (1.0,))
         q = (0.0,
-             -27.0 * k2 * (1.0 - k2) ** 2 * b4 * b4,
+             -27.0 * k2 * kc2 ** 2 * b4 * b4,
              -9.0 * b2 ** 3 * (k2 + 1.0) * (k2 * k2 - 4.0 * k2 + 1.0),
              3.0 * b4 * (1.0 + 9.0 * k2 + k2 * k2),
              5.0 * b2 * (1.0 + k2),
              1.0)
-        rho = (0.0, 1.0 - k2, 2.0 * k2 - 1.0, -k2)
+        rho = (0.0, kc2, 2.0 * k2 - 1.0, -k2)
         u = (b2 * (5.0 * k2 - 1.0), -6.0 * k2 * b2)
         nu = 0.0  # periodic case: free reference background
         K, E = specfun.ellipk(k), specfun.ellipe(k)
         period = 2.0 * K / b
-        Iz = 2.0 / (b * k2) * (E - (1.0 - k2) * K)
+        Iz = 2.0 / (b * k2) * (E - kc2 * K)
         Izz = 2.0 / b * (K - 2.0 * (K - E) / k2
                          + ((2.0 + k2) * K - 2.0 * (1.0 + k2) * E) / (3.0 * k2 * k2))
         moments = (period, Iz, Izz)
@@ -404,21 +476,18 @@ class TraceInversion:
         return self.continuum_unstable != 0.0
 
 
-def _integrate_band(f, lo: float, hi: float, powers=(2.0, 2.0),
-                    opts=_QUAD_OPTS) -> tuple[float, float]:
+def _integrate_band(f, lo: float, hi: float) -> tuple[float, float]:
     """Integrate the real f over a band, split at its midpoint, with the
-    power substitution lam = edge +- u^beta flattening each edge
-    singularity; powers = (beta_lo, beta_hi), and beta = 2 handles the
-    inverse-square-root edges of the density.  A half-infinite band uses
-    the lower edge alone."""
-    bl, br = powers
-    gl = lambda u: bl * u ** (bl - 1.0) * f(lo + u ** bl)
+    substitution lam = edge +- u^2 flattening the inverse-square-root edge
+    singularities of the density.  A half-infinite band uses the lower
+    edge alone."""
+    gl = lambda u: 2.0 * u * f(lo + u * u)
     if math.isinf(hi):
-        return quad(gl, 0.0, math.inf, **opts)
+        return quad(gl, 0.0, math.inf, **_QUAD_OPTS)
     mid = 0.5 * (lo + hi)
-    gr = lambda u: br * u ** (br - 1.0) * f(hi - u ** br)
-    v1, e1 = quad(gl, 0.0, (mid - lo) ** (1.0 / bl), **opts)
-    v2, e2 = quad(gr, 0.0, (hi - mid) ** (1.0 / br), **opts)
+    gr = lambda u: 2.0 * u * f(hi - u * u)
+    v1, e1 = quad(gl, 0.0, math.sqrt(mid - lo), **_QUAD_OPTS)
+    v2, e2 = quad(gr, 0.0, math.sqrt(hi - mid), **_QUAD_OPTS)
     return v1 + v2, e1 + e2
 
 

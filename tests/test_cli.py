@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from kinkzeta import models
+from kinkzeta import models, zetareg
 from kinkzeta.cli import main
+from kinkzeta.errors import ConvergenceError
 
 
 def run_cli(capsys, *argv):
@@ -195,11 +196,33 @@ class TestContracts:
     @pytest.mark.parametrize("argv", [
         ("zeta", "--case", "nahm", "--s", "0.49"),
         ("zeta", "--case", "d", "--k", "0.9", "--s", "0.48")])
-    def test_numerical_failure_exit_4(self, capsys, argv):
+    def test_numerical_failure_exit_4(self, capsys, monkeypatch, argv):
+        def fail(rp, s):
+            raise ConvergenceError(f"contour zeta is not finite at s = {s}")
+        monkeypatch.setattr(zetareg, "zeta_contour", fail)
         code, out, err = run_cli(capsys, *argv)
         assert code == 4
         assert out == ""
         assert err.startswith("numerical failure:")
+        assert err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("zeta", "--case", "nahm", "--s", "0.49"),
+        ("zeta", "--case", "d", "--k", "0.9", "--s", "0.48")])
+    def test_strip_edge_values_exit_0(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert all(math.isfinite(float(cell)) for cell in rows[0][1:3])
+
+    @pytest.mark.parametrize("argv", [
+        ("zeta", "--case", "a", "--s=-1"),
+        ("zeta", "--case", "b", "--k", "0.5", "--s", "0.7")])
+    def test_out_of_strip_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
         assert err.strip().count("\n") == 0
 
     @pytest.mark.parametrize("argv", [

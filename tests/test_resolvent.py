@@ -4,10 +4,12 @@ trace assembly, and the inverse Laplace transform of the trace."""
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from contour_reference import Periodic
 from kinkzeta import specfun
 from kinkzeta.errors import DomainError, PoleError
 from kinkzeta.resolvent import (CaseTag, build_resolvent, hermit_residual,
@@ -262,6 +264,70 @@ class TestSpectralStructure:
         # spectral gaps for k = 1/2: (0, 0.75) and (3, 3.0527756...)
         assert rp.density(0.4) == 0.0
         assert rp.density(3.02) == 0.0
+
+    @pytest.mark.parametrize("case,k", ALL_CASES)
+    def test_density_array_matches_scalar_bitwise(self, case, k):
+        rp = build_resolvent(case, 1.2, k=k)
+        edges = sorted(-r for r in rp.roots)
+        lams = np.linspace(edges[0] - 2.0, edges[-1] + 40.0, 1001)
+        lams = lams[np.min(np.abs(lams[:, None] - edges), axis=1) > 1e-9]
+        got = rp.density(lams)
+        assert isinstance(got, np.ndarray) and got.shape == lams.shape
+        want = np.array([rp.density(float(lam)) for lam in lams])
+        assert got.tobytes() == want.tobytes()
+        assert np.count_nonzero(got) > 100
+
+    def test_density_array_exact_zero_in_gaps(self):
+        rp = build_resolvent(CaseTag.D, 1.0, k=0.5)
+        lams = np.array([-3.0, -1.0, 0.1, 0.4, 0.7, 3.01, 3.05])
+        got = rp.density(lams)
+        assert got.tobytes() == np.zeros(len(lams)).tobytes()   # +0.0 each
+        assert np.all(rp.density(np.array([-0.3, 1.5, 4.0])) != 0.0)
+
+    def test_spectral_structure_is_cached_and_immutable(self):
+        rp = build_resolvent(CaseTag.D, 1.0, k=0.5)
+        for method in (rp.bands, rp.cut_segments, rp.pole_terms):
+            first = method()
+            assert method() is first
+            assert isinstance(first, tuple)
+            with pytest.raises((TypeError, AttributeError)):
+                first.append((0.0, 1.0))
+            with pytest.raises(TypeError):
+                first[0] = (0.0, 1.0)
+        assert rp.bands() == build_resolvent(CaseTag.D, 1.0, k=0.5).bands()
+
+    @pytest.mark.parametrize("case,k", [(CaseTag.A, None), (CaseTag.B, 0.3),
+                                        (CaseTag.C, None), (CaseTag.D, 0.5),
+                                        (CaseTag.D, 0.9), (CaseTag.NAHM, None)])
+    def test_band_density_matches_density(self, case, k):
+        rp = build_resolvent(case, 1.0, k=k)
+        for lo, hi in rp.bands():
+            if math.isinf(hi):
+                d_lo = np.logspace(-2, 3, 50)
+                got = rp.band_density(lo, hi, d_lo)
+            else:
+                d_lo = (hi - lo) * np.linspace(0.01, 0.99, 50)
+                got = rp.band_density(lo, hi, d_lo, (hi - lo) - d_lo)
+            want = rp.density(lo + d_lo)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("case,k", [(CaseTag.B, 0.3), (CaseTag.D, 0.5),
+                                        (CaseTag.NAHM, None)])
+    def test_top_band_excess_keeps_digits(self, case, k):
+        # rho - I0 / (2 pi sqrt(lambda - lo)) falls as lambda^{-3/2} while
+        # both terms fall as lambda^{-1/2}; at 40 digits the difference is
+        # exact, and the float form keeps it to 1e-12 out to 1e9 lo
+        rp = build_resolvent(case, 1.0, k=k)
+        lo = rp.bands()[-1][0]
+        above = lo * np.logspace(-6, 9, 31)
+        got = rp.top_band_excess(above)
+        with mp.workdps(40):
+            ref = Periodic(case.value, k)
+            top = ref.e[-1]
+            want = [ref.rho(top + mp.mpf(a), top, mp.mpf(a))
+                    - ref.c0 / mp.sqrt(a) for a in above]
+        for g, w in zip(got, want):
+            assert abs(g - float(w)) <= 1e-12 * abs(float(w))
 
 
 class TestLaplaceInversion:

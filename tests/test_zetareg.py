@@ -271,20 +271,30 @@ class TestContour:
         # unstable band contributes the e^{-i pi s} phase: genuinely complex
         assert abs(ev.value.imag) > 1e-3
 
-    @pytest.mark.parametrize("case,k,s", [
-        (CaseTag.NAHM, None, 0.49), (CaseTag.B, 0.5, 0.48),
-        (CaseTag.D, 0.5, 0.49), (CaseTag.D, 0.9, 0.48)])
-    def test_strip_edge_breakdown_is_typed(self, case, k, s):
-        # the edge substitution at lambda = 0 rounds onto the edge as
-        # Re s -> 1/2; that surfaces as ConvergenceError, never as a bare
-        # arithmetic error or a silent non-finite value
-        rp = build_resolvent(case, 1.0, k=k)
-        with pytest.raises(ConvergenceError):
-            zetareg.zeta_contour(rp, s)
+    # 30-digit mpmath values, rounded to double, at points where the edge
+    # substitution of the adaptive route broke down: from
+    # kzbench/reference.json (written by kzbench/reference.py), and D at
+    # k = 0.9 from contour_reference.Periodic("d", 0.9).zeta(0.48)
+    STRIP_EDGE = {
+        ("b", 0.5, 0.48): -25.875460987984713 - 8.509128380776717j,
+        ("b", 0.5, 0.49): -52.731498082333935 - 15.995630783637507j,
+        ("d", 0.5, 0.48): -25.69932374583315 - 14.744637804414573j,
+        ("d", 0.5, 0.49): -52.551872946620776 - 28.738027419987517j,
+        ("d", 0.9, 0.48): -30.879309455992544 - 86.79273852866528j,
+        ("nahm", None, 0.48): -8.99978642866043 - 0.5675312731115891j,
+        ("nahm", None, 0.49): -17.832436129572912 - 0.5617313431862924j,
+    }
+
+    @pytest.mark.parametrize("case,k,s", list(STRIP_EDGE))
+    def test_strip_edge_matches_mpmath(self, case, k, s):
+        want = self.STRIP_EDGE[case, k, s]
+        ev = zetareg.zeta_contour(build_resolvent(case, 1.0, k=k), s)
+        assert abs(ev.value - want) <= 1e-8 * abs(want)
+        assert abs(ev.value - want) <= ev.err_estimate + 1e-12 * abs(want)
 
     def test_integration_warning_routing(self, monkeypatch):
         # the band integrator lets IntegrationWarning through on the heat
-        # trace path; the contour route silences it
+        # trace path; the contour route runs no quad and raises none
         quad = resolvent.quad
 
         def noisy_quad(*args, **kwargs):
@@ -296,7 +306,7 @@ class TestContour:
             resolvent.invert_laplace_gamma(rp, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            zetareg.zeta_contour(rp, 0.25, refine=False)
+            zetareg.zeta_contour(rp, 0.25)
 
     def test_periodic_strip_guard(self):
         rp = build_resolvent(CaseTag.B, 1.0, k=0.5)
@@ -304,6 +314,10 @@ class TestContour:
             zetareg.zeta_contour(rp, 0.7)
         with pytest.raises(BranchCollisionError):
             zetareg.zeta_contour(rp, -0.6)
+        # known from the input before any quadrature: bad input, not a
+        # numerical failure
+        assert issubclass(BranchCollisionError, DomainError)
+        assert not issubclass(BranchCollisionError, ConvergenceError)
 
     def test_method_triangle_case_a(self):
         rp = build_resolvent(CaseTag.A, 1.0)
