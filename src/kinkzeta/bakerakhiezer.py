@@ -39,7 +39,6 @@ __all__ = [
     "lame_system",
     "LameSolution",
     "make_lame_solution",
-    "lame_psi",
     "green_diag",
     "green_offdiag",
     "lame_band_edges",
@@ -141,12 +140,6 @@ def make_lame_solution(h: float, k: float) -> LameSolution:
     return LameSolution(h=h, k=k, a=a, system=sys_, wronskian=w,
                         psi_plus=pp, psi_minus=pm, dpsi_plus=dpp,
                         dpsi_minus=dpm)
-
-
-def lame_psi(x: float, h: float, k: float, sign: int = 1) -> complex:
-    """One Bloch solution of the cnoidal problem at spectral parameter h."""
-    sol = make_lame_solution(h, k)
-    return sol.psi_plus(x) if sign > 0 else sol.psi_minus(x)
 
 
 def green_diag(x: float, h: float, k: float) -> complex:

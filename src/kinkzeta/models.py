@@ -75,22 +75,13 @@ class ModelSpec:
         f = Family(self.family)
         object.__setattr__(self, "family", f)
         if f is Family.NAHM:
-            if self.w <= 0.0:
-                raise DomainError("Nahm model requires w > 0")
+            if not 0.0 < self.w < math.inf:
+                raise DomainError("Nahm model requires 0 < w < inf")
             object.__setattr__(self, "g", 2.0)
             object.__setattr__(self, "m", 0.0)
         else:
-            if self.m <= 0.0 or self.g <= 0.0:
-                raise DomainError(f"{f.value} model requires m > 0 and g > 0")
-
-    @property
-    def vacuum_mass2(self) -> float:
-        """V''(vacuum): the continuum edge nu of the fluctuation operator."""
-        if self.family is Family.GL:
-            return 2.0 * self.m ** 2
-        if self.family is Family.SG:
-            return self.m ** 2
-        raise UnsupportedFamilyError("Nahm has no constant vacuum")
+            if not (0.0 < self.m < math.inf and 0.0 < self.g < math.inf):
+                raise DomainError(f"{f.value} model requires 0 < m, g < inf")
 
     @property
     def field_period(self) -> float:

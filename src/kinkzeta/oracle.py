@@ -122,8 +122,8 @@ def bloch_eigenvalues(spec: LatticeSpec, theta: float,
 
 def relative_heat_trace(spec: LatticeSpec, spec0: LatticeSpec, t: float) -> float:
     """sum_n (e^{-lambda_n t} - e^{-lambda0_n t}) over all lattice modes."""
-    if t <= 0.0:
-        raise DomainError("relative_heat_trace requires t > 0")
+    if not 0.0 < t < math.inf:
+        raise DomainError("relative_heat_trace requires 0 < t < inf")
     if (spec.bc, spec.n, spec.x_min, spec.x_max) != (spec0.bc, spec0.n,
                                                      spec0.x_min, spec0.x_max):
         raise DomainError("both lattices must share the same geometry")

@@ -31,7 +31,6 @@ __all__ = [
     "jacobi_sn_cn_dn",
     "jacobi_sn_cn_dn_complex",
     "theta3",
-    "theta3_half_shift",
     "theta1",
     "theta1_dw",
     "WeierstrassParams",
@@ -188,11 +187,6 @@ def theta3(w: complex, tau: complex) -> complex:
         if abs(tp) + abs(tm) < 1e-16 * max(1.0, abs(s)) and m >= 2:
             return s
     raise ConvergenceError("theta3 series did not converge in 511 terms")
-
-
-def theta3_half_shift(w: complex, tau: complex) -> complex:
-    """theta(w + 1/2 | tau), the antisymmetric companion series."""
-    return theta3(complex(w) + 0.5, tau)
 
 
 def theta1_dw(w: complex, tau: complex, order: int = 0) -> complex:

@@ -32,12 +32,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.fft import dct
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import loggamma, rgamma
 
 from .errors import BranchCollisionError, ConvergenceError, DomainError, PoleError
-from .resolvent import _EPS, _QUAD_OPTS, ResolventPolynomial
+from .resolvent import (_EPS, ResolventPolynomial, _band_integral,
+                        _product_integral)
 from .specfun import _near_nonpositive_integer, gamma_fn
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=250)   # the Mellin route
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,8 @@ class ZetaEvaluation:
 
     s: complex
     value: complex
-    method: str      # closed_form | mellin_numeric | contour | variant_closed_form
+    method: str      # mellin_numeric | contour
     err_estimate: float
-    d: int = 1
-    nu: float = 0.0
-    dvalue_at_0: float | None = None
-    hbar: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -100,8 +97,8 @@ def erf_heat_trace(b: float) -> HeatTrace:
 
 def vacuum_heat_trace(nu: float, d: int) -> HeatTrace:
     """Constant-background trace e^{-nu t} / (2 sqrt(pi t))^d per unit volume."""
-    if nu <= 0.0:
-        raise DomainError("vacuum_heat_trace requires nu > 0")
+    if not 0.0 < nu < math.inf:
+        raise DomainError("vacuum_heat_trace requires 0 < nu < inf")
     pref = (2.0 * _SQRT_PI) ** (-d)
     small = tuple((j - 0.5 * d, pref * (-nu) ** j / math.factorial(j))
                   for j in range(10))
@@ -146,8 +143,8 @@ def zeta_vacuum(s: complex, nu: float, d: int) -> complex:
     """
     if d not in (1, 2, 3, 4):
         raise DomainError("d must be 1..4")
-    if nu <= 0.0:
-        raise DomainError("zeta_vacuum requires nu > 0")
+    if not 0.0 < nu < math.inf:
+        raise DomainError("zeta_vacuum requires 0 < nu < inf")
     s = complex(s)
     pref = (2.0 * _SQRT_PI) ** (-d)
     power = cmath.exp((0.5 * d - s) * math.log(nu))
@@ -192,7 +189,7 @@ def _kink_T(s: complex, d: int) -> complex:
     return 1.0 / ((2.0 * s - 3.0) * (s - 1.0))
 
 
-def zeta_d_kink(s: complex, m: float, d: int, method: str = "closed_form") -> complex:
+def zeta_d_kink(s: complex, m: float, d: int) -> complex:
     """Renormalized kink zeta in d dimensions (per unit transverse volume).
 
     The normative route multiplies the kink trace by the transverse
@@ -201,24 +198,15 @@ def zeta_d_kink(s: complex, m: float, d: int, method: str = "closed_form") -> co
         zeta_d(s) = -2^{2-d} pi^{-d/2} m^{d-1-2s}
                     Gamma(s + 1 - d/2) / ((2s - d + 1) Gamma(s)).
 
-    method 'variant_closed_form' is the same Gamma structure with the
-    alternative overall normalization (4 pi)^d, kept for side-by-side
-    comparison; 'mellin_numeric' runs the quadrature route.
+    mellin_zeta(kink_trace_d(m, d), s) is the quadrature route to it.
     """
     if d not in (1, 2, 3, 4):
         raise DomainError("d must be 1..4")
-    if m <= 0.0:
-        raise DomainError("zeta_d_kink requires m > 0")
+    if not 0.0 < m < math.inf:
+        raise DomainError("zeta_d_kink requires 0 < m < inf")
     s = complex(s)
-    if method == "mellin_numeric":
-        return mellin_zeta(kink_trace_d(m, d), s).value
-    base = (-(2.0 ** (2 - d)) * math.pi ** (-0.5 * d)
+    return (-(2.0 ** (2 - d)) * math.pi ** (-0.5 * d)
             * cmath.exp((d - 1.0 - 2.0 * s) * math.log(m)) * _kink_T(s, d))
-    if method == "closed_form":
-        return base
-    if method == "variant_closed_form":
-        return base * (4.0 * math.pi) ** d
-    raise DomainError(f"unknown method {method!r}")
 
 
 def derivative_at_zero(m: float, d: int) -> float:
@@ -231,8 +219,8 @@ def derivative_at_zero(m: float, d: int) -> float:
     """
     if d not in (1, 2, 3, 4):
         raise DomainError("d must be 1..4")
-    if m <= 0.0:
-        raise DomainError("derivative_at_zero requires m > 0")
+    if not 0.0 < m < math.inf:
+        raise DomainError("derivative_at_zero requires 0 < m < inf")
     if d == 1:
         return 2.0 * math.log(2.0 * m)
     if d == 2:
@@ -250,8 +238,8 @@ def quantum_correction(m: float, d: int, hbar: float = 1.0,
     subtraction, so no separate zeta'_D0 term appears.  half_convention
     applies the alternative normalization with an extra factor 1/2.
     """
-    if hbar <= 0.0 or m <= 0.0:
-        raise DomainError("quantum_correction requires positive m and hbar")
+    if not (0.0 < hbar < math.inf and 0.0 < m < math.inf):
+        raise DomainError("quantum_correction requires finite positive m and hbar")
     ds = -0.5 * hbar * derivative_at_zero(m, d)
     return 0.5 * ds if half_convention else ds
 
@@ -323,114 +311,14 @@ def _lam_weight(lam: float, s: complex) -> complex:
     return cmath.exp(-s * math.log(-lam)) * cmath.exp(-1j * math.pi * s)
 
 
-# Product integration against Jacobi weights: on a piece of a band the
-# integrand is (1 - y)^a (1 + y)^b f(y) with f smooth, f is interpolated at
-# first-kind Chebyshev nodes, and the Chebyshev coefficients are integrated
-# against the modified moments of the weight.  Every piece runs the rules
-# of _ORDER and 2 _ORDER nodes; their difference is the error estimate, and
-# a piece where it exceeds _PIECE_TOL * max(1, |value|) is bisected.
-# 64 nodes already resolve every band of the test tables to rounding (worst
-# 4.3e-14 on kzbench/reference.json, under 1 ms a value).  The order is 512
-# because the zeta-sweep benchmark's harness keeps about 0.3 KB for every
-# operation it runs, so its peak-memory bound caps the operation rate; at
-# 64 nodes a 20 s run makes 26.8k operations and exceeds it.
-_ORDER = 512
-_PIECE_TOL = 1e-11
-_MAX_PIECES = 200        # per band; past it pieces are taken as they are
-_MIN_HALF = 2.0 ** -30   # half-width of the narrowest piece that is split
-
-
-def _chebyshev_nodes(n: int):
-    """(1 + y, 1 - y) at y = cos(pi (j + 1/2) / n), free of cancellation."""
-    half = 0.5 * np.pi * (np.arange(n) + 0.5) / n
-    return 2.0 * np.cos(half) ** 2, 2.0 * np.sin(half) ** 2
-
-
-# the nodes of both rules in one array: _ORDER of the first, then 2 _ORDER
-_OPY, _OMY = (np.concatenate(pair) for pair in
-              zip(_chebyshev_nodes(_ORDER), _chebyshev_nodes(2 * _ORDER)))
-_LOG_OPY, _LOG_OMY = np.log(_OPY), np.log(_OMY)
-
-
-def _jacobi_moments(a: complex, b: complex, n: int) -> np.ndarray:
-    """G_k = int_{-1}^{1} (1 - x)^a (1 + x)^b T_k(x) dx for k < n.
-
-    Forward recurrence (a+b+k+2) G_{k+1} + 2(a-b) G_k + (a+b-k+2) G_{k-1} = 0
-    from G_0 = 2^{a+b+1} B(a+1, b+1) and G_1 = G_0 (b-a)/(a+b+2), for
-    complex a, b with real parts above -1 (Piessens & Branders, BIT 13,
-    1973, the moments of QUADPACK's QAWS).
-    """
-    ab = a + b
-    g = [0j] * n
-    g[0] = (cmath.exp((ab + 1.0) * math.log(2.0)) * gamma_fn(a + 1.0)
-            * gamma_fn(b + 1.0) * complex(rgamma(ab + 2.0)))
-    g[1] = g[0] * (b - a) / (ab + 2.0)
-    amb2 = 2.0 * (a - b)
-    for k in range(1, n - 1):
-        g[k + 1] = -(amb2 * g[k] + (ab - k + 2.0) * g[k - 1]) / (ab + k + 2.0)
-    return np.array(g)
-
-
-def _chebyshev_sum(f: np.ndarray, moments: np.ndarray) -> complex:
-    """sum_k c_k G_k, c_k the Chebyshev coefficients of the interpolant of
-    f at the first-kind nodes (scipy's DCT-II is 2 sum_j f_j cos(...))."""
-    c = dct(f, type=2) / len(f)
-    c[0] *= 0.5
-    return complex(c @ moments[:len(f)])
-
-
-def _product_integral(F, exp_lo: complex, exp_hi: complex) -> tuple[complex, float]:
-    """int_{-1}^{1} F(x) dx for F smooth inside, ~ (1 + x)^exp_lo at -1 and
-    ~ (1 - x)^exp_hi at 1; F takes the arrays 1 + x and 1 - x.
-
-    Adaptive bisection over pieces; a piece touching an end carries that
-    end's exponent in its weight, an inner piece the weight 1.  Returns
-    the value of the finer rule and the summed rule differences.
-    """
-    moments: dict[tuple[complex, complex], np.ndarray] = {}
-    value, err = 0j, 0.0
-    pieces = [(-1.0, 1.0)]
-    done = 0
-    while pieces:
-        u, v = pieces.pop()
-        h = 0.5 * (v - u)
-        b = exp_lo if u == -1.0 else 0.0
-        a = exp_hi if v == 1.0 else 0.0
-        f = F((1.0 + u) + h * _OPY, (1.0 - v) + h * _OMY)
-        if a or b:
-            f = f * np.exp(-a * _LOG_OMY - b * _LOG_OPY)
-        if (a, b) not in moments:
-            moments[a, b] = _jacobi_moments(a, b, 2 * _ORDER)
-        g = moments[a, b]
-        coarse = h * _chebyshev_sum(f[:_ORDER], g)
-        fine = h * _chebyshev_sum(f[_ORDER:], g)
-        diff = abs(fine - coarse)
-        done += 1
-        if (diff > _PIECE_TOL * max(1.0, abs(fine)) and h > _MIN_HALF
-                and done + len(pieces) < _MAX_PIECES):
-            mid = u + h
-            pieces += [(u, mid), (mid, v)]
-        else:
-            value += fine
-            err += diff
-    return value, err
-
-
 def _finite_band(rp: ResolventPolynomial, s: complex, lo: float,
                  hi: float) -> tuple[complex, float]:
     """int rho(lam) lam^{-s} over the band (lo, hi); a band below 0 carries
-    |lam|^{-s} e^{-i pi s}.  lam is taken from the nearer edge, so that
-    |lam| is exact next to an edge at 0, where the exponent is -1/2 - s."""
-    w = hi - lo
-
-    def F(opx, omx):
-        d_lo, d_hi = 0.5 * w * opx, 0.5 * w * omx
-        lam = np.where(d_lo <= d_hi, lo + d_lo, hi - d_hi)
-        return (rp.band_density(lo, hi, d_lo, d_hi)
-                * np.exp(-s * np.log(np.abs(lam))) * (0.5 * w))
-
-    value, err = _product_integral(F, -0.5 - s if lo == 0.0 else -0.5,
-                                   -0.5 - s if hi == 0.0 else -0.5)
+    |lam|^{-s} e^{-i pi s}; the exponent at an edge at 0 is -1/2 - s."""
+    value, err = _band_integral(rp, lo, hi,
+                                lambda lam: np.exp(-s * np.log(np.abs(lam))),
+                                -0.5 - s if lo == 0.0 else -0.5,
+                                -0.5 - s if hi == 0.0 else -0.5)
     if hi <= 0.0:
         phase = cmath.exp(-1j * math.pi * s)
         return phase * value, abs(phase) * err

@@ -137,8 +137,3 @@ class TestGreenDiagonal:
                     g = ba.green_diag(x, h, k)
                     G = rp.green_diag(1.0 - h, x)
                     assert abs(g - G) < 1e-6
-
-    def test_lame_psi_entry_point(self):
-        val = ba.lame_psi(0.7, 1.15, 0.6, sign=+1)
-        sol = ba.make_lame_solution(1.15, 0.6)
-        assert val == pytest.approx(sol.psi_plus(0.7))

@@ -207,6 +207,16 @@ class TestContracts:
         assert err.strip().count("\n") == 0
 
     @pytest.mark.parametrize("argv", [
+        ("heattrace", "--case", "b", "--k", "0.5", "--t", "1000"),
+        ("heattrace", "--case", "nahm", "--t", "800")])
+    def test_heat_trace_overflow_exit_4(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numerical failure:")
+        assert err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("argv", [
         ("zeta", "--case", "nahm", "--s", "0.49"),
         ("zeta", "--case", "d", "--k", "0.9", "--s", "0.48")])
     def test_strip_edge_values_exit_0(self, capsys, argv):
@@ -228,7 +238,16 @@ class TestContracts:
     @pytest.mark.parametrize("argv", [
         ("zeta", "--case", "a", "--s", "0.1,zz"),
         ("figure-z", "--n", "3", "--d", "1,x"),
-        ("oracle", "--case", "a", "--mode", "eigen", "--count", "0")])
+        ("oracle", "--case", "a", "--mode", "eigen", "--count", "0"),
+        ("heattrace", "--case", "a", "--t", "nan"),
+        ("heattrace", "--case", "a", "--t", "inf"),
+        ("correction", "--m", "nan"),
+        ("correction", "--m", "1", "--hbar", "nan"),
+        ("figure-z", "--m-min", "nan"),
+        ("solution", "--family", "gl", "--m", "nan", "--kink"),
+        ("zeta", "--case", "a", "--b", "nan"),
+        ("resolvent", "--case", "a", "--b", "1e200"),
+        ("oracle", "--case", "nahm", "--b", "nan")])
     def test_bad_argument_exit_2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from contour_reference import Periodic
 from kinkzeta import specfun
-from kinkzeta.errors import DomainError, PoleError
+from kinkzeta.errors import ConvergenceError, DomainError, PoleError
 from kinkzeta.resolvent import (CaseTag, build_resolvent, hermit_residual,
                                 invert_laplace_gamma)
 
@@ -164,7 +164,6 @@ class TestGammaHat:
             z = 1.0 / math.cosh(b * x) ** 2
             gk = b * b * z / (2.0 * p * cmath.sqrt(p + b * b))
             assert rp.green_diag(p, x) == pytest.approx(gc + gk, rel=1e-12)
-            assert rp.gamma_hat_background(p) == pytest.approx(gc, rel=1e-13)
             assert rp.gamma_hat(p) == pytest.approx(
                 b / (p * cmath.sqrt(p + b * b)), rel=1e-12)
 
@@ -261,28 +260,29 @@ class TestSpectralStructure:
 
     def test_density_zero_in_gaps(self):
         rp = build_resolvent(CaseTag.D, 1.0, k=0.5)
-        # spectral gaps for k = 1/2: (0, 0.75) and (3, 3.0527756...)
-        assert rp.density(0.4) == 0.0
-        assert rp.density(3.02) == 0.0
+        # below the spectrum and in the gaps for k = 1/2: (0, 0.75) and
+        # (3, 3.0527756...); +0.0 each
+        for lam in (-3.0, -1.0, 0.1, 0.4, 0.7, 3.01, 3.02, 3.05):
+            got = rp.density(lam)
+            assert type(got) is float and math.copysign(1.0, got) == 1.0
+            assert got == 0.0
+        assert all(rp.density(lam) != 0.0 for lam in (-0.3, 1.5, 4.0))
 
     @pytest.mark.parametrize("case,k", ALL_CASES)
     def test_density_array_matches_scalar_bitwise(self, case, k):
+        # band_density on an array of distances gives the scalar density
+        # of every point bit for bit
         rp = build_resolvent(case, 1.2, k=k)
-        edges = sorted(-r for r in rp.roots)
-        lams = np.linspace(edges[0] - 2.0, edges[-1] + 40.0, 1001)
-        lams = lams[np.min(np.abs(lams[:, None] - edges), axis=1) > 1e-9]
-        got = rp.density(lams)
-        assert isinstance(got, np.ndarray) and got.shape == lams.shape
-        want = np.array([rp.density(float(lam)) for lam in lams])
-        assert got.tobytes() == want.tobytes()
-        assert np.count_nonzero(got) > 100
-
-    def test_density_array_exact_zero_in_gaps(self):
-        rp = build_resolvent(CaseTag.D, 1.0, k=0.5)
-        lams = np.array([-3.0, -1.0, 0.1, 0.4, 0.7, 3.01, 3.05])
-        got = rp.density(lams)
-        assert got.tobytes() == np.zeros(len(lams)).tobytes()   # +0.0 each
-        assert np.all(rp.density(np.array([-0.3, 1.5, 4.0])) != 0.0)
+        count = 0
+        for lo, hi in rp.bands():
+            top = math.isinf(hi)
+            lams = np.linspace(lo, lo + 40.0 if top else hi, 201)[1:-1]
+            got = (rp.band_density(lo, hi, lams - lo) if top
+                   else rp.band_density(lo, hi, lams - lo, hi - lams))
+            want = np.array([rp.density(float(lam)) for lam in lams])
+            assert got.tobytes() == want.tobytes()
+            count += np.count_nonzero(got)
+        assert count > 100
 
     def test_spectral_structure_is_cached_and_immutable(self):
         rp = build_resolvent(CaseTag.D, 1.0, k=0.5)
@@ -300,6 +300,8 @@ class TestSpectralStructure:
                                         (CaseTag.C, None), (CaseTag.D, 0.5),
                                         (CaseTag.D, 0.9), (CaseTag.NAHM, None)])
     def test_band_density_matches_density(self, case, k):
+        # the density is (1/pi) Im gamma_hat(p - i0) at p = -lambda, and
+        # sqrt_q realizes p + i0 on the real axis
         rp = build_resolvent(case, 1.0, k=k)
         for lo, hi in rp.bands():
             if math.isinf(hi):
@@ -308,7 +310,7 @@ class TestSpectralStructure:
             else:
                 d_lo = (hi - lo) * np.linspace(0.01, 0.99, 50)
                 got = rp.band_density(lo, hi, d_lo, (hi - lo) - d_lo)
-            want = rp.density(lo + d_lo)
+            want = [-rp.gamma_hat(-(lo + d)).imag / math.pi for d in d_lo]
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("case,k", [(CaseTag.B, 0.3), (CaseTag.D, 0.5),
@@ -340,6 +342,29 @@ class TestLaplaceInversion:
         for t in (0.25, 0.5, 2.0):
             got = invert_laplace_gamma(rp, t).total
             assert got == pytest.approx(math.erf(math.sqrt(t)), abs=1e-8)
+
+    @pytest.mark.parametrize("t", [1e-10, 1e-8, 1e-6, 1e-4])
+    def test_case_a_small_t(self, t):
+        # the continuum cancels the zero mode to within erf(b sqrt t)
+        for b in (0.6, 1.0, 2.3):
+            rp = build_resolvent(CaseTag.A, b)
+            got = invert_laplace_gamma(rp, t).total
+            assert abs(got - math.erf(b * math.sqrt(t))) <= 1e-13
+
+    def test_case_a_tiny_t_within_estimate_or_raises(self):
+        rp = build_resolvent(CaseTag.A, 1.0)
+        try:
+            inv = invert_laplace_gamma(rp, 1e-12)
+        except ConvergenceError:
+            return
+        assert abs(inv.total - math.erf(1e-6)) <= inv.err_estimate
+
+    @pytest.mark.parametrize("case,k,t", [(CaseTag.B, 0.5, 1000.0),
+                                          (CaseTag.NAHM, None, 800.0)])
+    def test_overflow_is_a_convergence_error(self, case, k, t):
+        # e^{|lambda| t} on the band below 0 overflows
+        with pytest.raises(ConvergenceError, match="not finite"):
+            invert_laplace_gamma(build_resolvent(case, 1.0, k=k), t)
 
     def test_case_a_long_time_limit(self):
         rp = build_resolvent(CaseTag.A, 1.0)
@@ -394,5 +419,6 @@ class TestLaplaceInversion:
 
     def test_domain_error(self):
         rp = build_resolvent(CaseTag.A, 1.0)
-        with pytest.raises(DomainError):
-            invert_laplace_gamma(rp, -1.0)
+        for t in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                invert_laplace_gamma(rp, t)

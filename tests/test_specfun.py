@@ -173,12 +173,6 @@ class TestTheta:
         with pytest.raises(DomainError):
             specfun.theta3(0.0, -0.5j)
 
-    def test_half_shift(self):
-        tau = 0.77j
-        w = 0.21 + 0.05j
-        assert specfun.theta3_half_shift(w, tau) == pytest.approx(
-            specfun.theta3(w + 0.5, tau))
-
     def test_theta1_odd_and_zero(self):
         tau = 0.65j
         assert abs(specfun.theta1(0.0, tau)) < 1e-15

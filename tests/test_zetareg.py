@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import IntegrationWarning
 
 from kinkzeta import resolvent, specfun, zetareg
 from kinkzeta.errors import (BranchCollisionError, ConvergenceError,
@@ -127,23 +126,15 @@ class TestKinkZetaD:
     def test_mellin_route(self):
         for d in (1, 2, 3):
             for s in (0.1, 0.35):
-                got = zetareg.zeta_d_kink(s, 1.0, d, method="mellin_numeric")
+                got = zetareg.mellin_zeta(zetareg.kink_trace_d(1.0, d), s).value
                 ref = zetareg.zeta_d_kink(s, 1.0, d)
                 assert got == pytest.approx(ref, abs=1e-6)
 
     def test_mellin_route_at_zero(self):
         for d in (1, 2, 3):
-            got = zetareg.zeta_d_kink(0.0, 1.3, d, method="mellin_numeric")
+            got = zetareg.mellin_zeta(zetareg.kink_trace_d(1.3, d), 0.0).value
             ref = zetareg.zeta_d_kink(0.0, 1.3, d)
             assert got == pytest.approx(ref, abs=1e-6)
-
-    def test_variant_is_fixed_rescale(self):
-        # the alternative printed normalization differs by (4 pi)^d exactly
-        for d in (1, 2, 3, 4):
-            s = 0.27
-            a = zetareg.zeta_d_kink(s, 1.1, d)
-            v = zetareg.zeta_d_kink(s, 1.1, d, method="variant_closed_form")
-            assert v == pytest.approx(a * (4.0 * math.pi) ** d, rel=1e-12)
 
     def test_derivative_symbolic_oracles(self):
         # d=1: 2 ln(2m); d=2: (2m/pi)(1 - ln m); d=3: -m^2/(2 pi);
@@ -292,20 +283,21 @@ class TestContour:
         assert abs(ev.value - want) <= 1e-8 * abs(want)
         assert abs(ev.value - want) <= ev.err_estimate + 1e-12 * abs(want)
 
-    def test_integration_warning_routing(self, monkeypatch):
-        # the band integrator lets IntegrationWarning through on the heat
-        # trace path; the contour route runs no quad and raises none
-        quad = resolvent.quad
-
-        def noisy_quad(*args, **kwargs):
-            warnings.warn("roundoff", IntegrationWarning)
-            return quad(*args, **kwargs)
-        monkeypatch.setattr(resolvent, "quad", noisy_quad)
-        rp = build_resolvent(CaseTag.A, 1.0)
-        with pytest.warns(IntegrationWarning):
-            resolvent.invert_laplace_gamma(rp, 1.0)
+    @pytest.mark.parametrize("case,k", [(CaseTag.A, None), (CaseTag.C, None),
+                                        (CaseTag.B, 0.5), (CaseTag.D, 0.5),
+                                        (CaseTag.NAHM, None)])
+    def test_band_integrator_raises_no_warning(self, monkeypatch, case, k):
+        # the heat trace and the contour zeta share the product rules and
+        # run no quad; neither route warns
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quad called on a band route")
+        monkeypatch.setattr(resolvent, "quad", no_quad)
+        monkeypatch.setattr(zetareg, "quad", no_quad)
+        rp = build_resolvent(case, 1.0, k=k)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            for t in (1e-10, 0.5, 4.0):
+                resolvent.invert_laplace_gamma(rp, t)
             zetareg.zeta_contour(rp, 0.25)
 
     def test_periodic_strip_guard(self):
