@@ -161,6 +161,9 @@ def _cmd_heattrace(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    if not 0.0 <= args.method_tol < math.inf:
+        raise DomainError("--method-tol must be finite and >= 0, "
+                          f"got {args.method_tol}")
     rp = _resolvent_from_args(args)
     is_a = rp.case is resolvent.CaseTag.A
     nahm = rp.case is resolvent.CaseTag.NAHM

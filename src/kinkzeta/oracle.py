@@ -140,24 +140,16 @@ def relative_heat_trace(spec: LatticeSpec, spec0: LatticeSpec, t: float) -> floa
 def band_edges_lattice(spec: LatticeSpec, n_edges: int) -> np.ndarray:
     """Band edges from the Bloch problem at theta = 0 and theta = pi.
 
-    The edge sequence alternates 1, 2, 2, 2, ... between the periodic and
-    antiperiodic reductions: [t0_0, tp_0, tp_1, t0_1, t0_2, tp_2, ...].
+    The edges alternate 1, 2, 2, 2, ... between the periodic and
+    antiperiodic reductions, so the lowest n_edges of their union, sorted,
+    are the edges.  Each solve asks for n_edges // 2 + 3 eigenvalues, two
+    more than needed: another count changes LAPACK's selection and with it
+    the last bits of the edges.
     """
-    need = n_edges // 2 + 2
-    lam0 = bloch_eigenvalues(spec, 0.0, need + 1)
-    lamp = bloch_eigenvalues(spec, math.pi, need + 1)
-    order = [lam0[0]]
-    i0, ip = 1, 0
-    take_pi = True
-    while len(order) < n_edges:
-        if take_pi:
-            order.extend(lamp[ip:ip + 2])
-            ip += 2
-        else:
-            order.extend(lam0[i0:i0 + 2])
-            i0 += 2
-        take_pi = not take_pi
-    return np.sort(np.array(order[:n_edges]))
+    count = n_edges // 2 + 3
+    lam = np.concatenate([bloch_eigenvalues(spec, 0.0, count),
+                          bloch_eigenvalues(spec, math.pi, count)])
+    return np.sort(lam)[:n_edges]
 
 
 def lattice_heat_trace(spec: LatticeSpec, t: float, n_theta: int = 32) -> float:

@@ -146,20 +146,21 @@ class ResolventPolynomial:
         return self.P(complex(p), self.z_of_x(x)) / (2.0 * self.sqrt_q(p))
 
     # -- trace numerators ---------------------------------------------------
-    def _trace_coeffs(self, relative: bool) -> tuple[float, ...]:
+    @cached_property
+    def _trace_coeffs(self) -> tuple[float, ...]:
         """Ascending p-coefficients of the trace numerator: each row of P
-        weighted by the period moments of its z powers.  relative drops the
-        z-independent column (the constant-background Green function),
-        leaving the finite kink moments."""
+        weighted by the period moments of its z powers.  For a kink the
+        z-independent column (the constant-background Green function) is
+        dropped, leaving the finite kink moments."""
         I0, Iz, Izz = self.moments
-        weights = (0.0 if relative else I0, Iz, Izz)
+        weights = (0.0 if self.is_kink else I0, Iz, Izz)
         return tuple(sum(row[j] * weights[j] for j in range(len(row)))
                      for row in self.p_rows)
 
-    def _numerator(self, p: complex, relative: bool) -> complex:
+    def _numerator(self, p: complex) -> complex:
         """Numerator of the period/relative trace of G at p."""
         acc = 0.0 + 0.0j
-        for i, coef in enumerate(self._trace_coeffs(relative)):
+        for i, coef in enumerate(self._trace_coeffs):
             acc += coef * complex(p) ** i
         return acc
 
@@ -172,7 +173,7 @@ class ResolventPolynomial:
         pc = complex(p)
         if min(abs(pc - r) for r in self.roots) < 1e-6:
             raise PoleError("gamma_hat within 1e-6 of a branch point")
-        return self._numerator(pc, self.is_kink) / (2.0 * self.sqrt_q(pc))
+        return self._numerator(pc) / (2.0 * self.sqrt_q(pc))
 
     # -- spectral structure (computed once per instance) ---------------------
     def cut_segments(self) -> tuple[tuple[float, float], ...]:
@@ -221,7 +222,7 @@ class ResolventPolynomial:
                 acc = 0.0 + 0.0j
                 for r in others:
                     acc += cmath.log(complex(p0) - r)
-                res = self._numerator(p0, self.is_kink) / (2.0 * cmath.exp(0.5 * acc))
+                res = self._numerator(p0) / (2.0 * cmath.exp(0.5 * acc))
                 out.append((-p0, res.real))
                 i += 2
             else:
@@ -232,10 +233,6 @@ class ResolventPolynomial:
     def _bands(self) -> tuple[tuple[float, float], ...]:
         return tuple(sorted((-hi, math.inf if lo == -math.inf else -lo)
                             for lo, hi in self._cuts))
-
-    @cached_property
-    def _density_coeffs(self) -> tuple[float, ...]:
-        return self._trace_coeffs(self.is_kink)
 
     def density(self, lam: float) -> float:
         """Spectral density at lambda (per period, or relative for kinks):
@@ -276,7 +273,7 @@ class ResolventPolynomial:
         rho / rho0 = (1 + eta) / prod_{i > 0} sqrt(1 + r_i / lam).
         """
         lam = -self.roots[0] + above
-        coeffs = self._density_coeffs
+        coeffs = self._trace_coeffs
         t = -1.0 / lam
         eta = 0.0 * t
         for c in coeffs[:-1]:
@@ -290,7 +287,7 @@ class ResolventPolynomial:
         for r in self.roots:
             if r not in known:
                 mag = mag * np.sqrt(abs(p - r))
-        return _polyval(self._density_coeffs, p) / (2.0 * math.pi * mag) * (2 - above % 4)
+        return _polyval(self._trace_coeffs, p) / (2.0 * math.pi * mag) * (2 - above % 4)
 
 
 def _is_double_root(coeffs: tuple[float, ...], lo: float, hi: float) -> bool:
@@ -305,8 +302,6 @@ def _is_double_root(coeffs: tuple[float, ...], lo: float, hi: float) -> bool:
 def _clean_roots(coeffs: tuple[float, ...], b: float) -> tuple[float, ...]:
     """Roots of the monic Q from its coefficients: deflate the structural
     zeros, root-solve numerically, merge double roots split by rounding."""
-    if not all(map(math.isfinite, coeffs)):
-        raise DomainError(f"the coefficients of Q overflow at b = {b}")
     c = list(coeffs)
     zeros = 0
     while abs(c[0]) == 0.0:
@@ -341,72 +336,60 @@ def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> Resolven
             raise DomainError(f"case {case.value} requires 0 < k < 1")
     else:
         k = None
+    # a kink is the k^2 = 1 member of its family, NAHM the k^2 = -1 member
+    # of GL; kc2 = 1 - k^2, without cancellation as k -> 1
+    kink = case in (CaseTag.A, CaseTag.C)
+    if kink:
+        k2, kc2 = 1.0, 0.0
+    elif case is CaseTag.NAHM:
+        k2, kc2 = -1.0, 2.0
+    else:
+        k2, kc2 = k * k, (1.0 - k) * (1.0 + k)
     b2 = b * b
+    b4 = b2 * b2
 
-    if case is CaseTag.A:
-        p_rows = ((0.0, b2), (1.0,))
-        q = (0.0, 0.0, b2, 1.0)
-        rho = (0.0, 0.0, 1.0, -1.0)
-        u = (b2, -2.0 * b2)
-        nu = b2
-        period = math.inf
-        moments = (math.inf, 2.0 / b, 4.0 / (3.0 * b))
-    elif case is CaseTag.B:
-        k2 = k * k
-        kc2 = (1.0 - k) * (1.0 + k)   # 1 - k^2, without cancellation as k -> 1
+    if case in (CaseTag.A, CaseTag.B):  # SG
         p_rows = ((0.0, k2 * b2), (1.0,))
-        q = (0.0, -b2 * b2 * k2 * kc2, b2 * (2.0 * k2 - 1.0), 1.0)
-        rho = (0.0, kc2, 2.0 * k2 - 1.0, -k2)
+        q = (0.0, -b4 * k2 * kc2, b2 * (2.0 * k2 - 1.0), 1.0)
         u = (b2 * (2.0 * k2 - 1.0), -2.0 * k2 * b2)
         nu = b2  # SG vacuum edge (k -> 1 limit of the top band edge)
-        K, E = specfun.ellipk(k), specfun.ellipe(k)
-        period = 2.0 * K / b
-        moments = (period, 2.0 / (b * k2) * (E - kc2 * K), 0.0)
-    elif case is CaseTag.C:
-        b4 = b2 * b2
-        p_rows = ((0.0, 0.0, 9.0 * b4), (3.0 * b2, 3.0 * b2), (1.0,))
-        q = (0.0, 0.0, 36.0 * b2 ** 3, 33.0 * b4, 10.0 * b2, 1.0)
-        rho = (0.0, 0.0, 1.0, -1.0)
-        u = (4.0 * b2, -6.0 * b2)
-        nu = 4.0 * b2
-        period = math.inf
-        moments = (math.inf, 2.0 / b, 4.0 / (3.0 * b))
-    elif case is CaseTag.D:
-        k2 = k * k
-        kc2 = (1.0 - k) * (1.0 + k)
-        b4 = b2 * b2
+    else:  # GL
         p_rows = ((0.0, 9.0 * b4 * k2 * kc2, 9.0 * b4 * k2 * k2),
                   (3.0 * b2, 3.0 * b2 * k2),
                   (1.0,))
         q = (0.0,
              -27.0 * k2 * kc2 ** 2 * b4 * b4,
              -9.0 * b2 ** 3 * (k2 + 1.0) * (k2 * k2 - 4.0 * k2 + 1.0),
-             3.0 * b4 * (1.0 + 9.0 * k2 + k2 * k2),
+             3.0 * (1.0 + 9.0 * k2 + k2 * k2) * b4,
              5.0 * b2 * (1.0 + k2),
              1.0)
-        rho = (0.0, kc2, 2.0 * k2 - 1.0, -k2)
         u = (b2 * (5.0 * k2 - 1.0), -6.0 * k2 * b2)
-        nu = 0.0  # periodic case: free reference background
+        nu = 4.0 * b2 if kink else 0.0  # periodic: free reference background
+    # the limits leave some products at -0.0; adding 0.0 makes them +0.0
+    q = tuple(c + 0.0 for c in q)
+    if not all(map(math.isfinite, q)):
+        raise DomainError(f"the coefficients of Q overflow at b = {b}")
+    # Q(0) = 0; the next coefficient, q2 for the double root of a kink at 0
+    # and q1 otherwise, is the first to underflow as b -> 0
+    if not abs(q[2 if kink else 1]) >= np.finfo(float).tiny:
+        raise DomainError(f"the coefficients of Q underflow at b = {b}")
+    rho = (0.0, kc2, 2.0 * k2 - 1.0, -k2)
+
+    if kink:
+        period = math.inf
+        moments = (math.inf, 2.0 / b, 4.0 / (3.0 * b))
+    elif case is CaseTag.NAHM:
+        # period moments carry the imaginary-modulus integrals K(i), E(i)
+        ki, ei = specfun.ellipk_imag(1.0), specfun.ellipe_imag(1.0)
+        period = 2.0 * ki / b
+        moments = (period, 2.0 / b * (2.0 * ki - ei),
+                   2.0 / b * (10.0 / 3.0 * ki - 2.0 * ei))
+    else:  # z = cn^2(bx; k) for B and D
         K, E = specfun.ellipk(k), specfun.ellipe(k)
         period = 2.0 * K / b
         Iz = 2.0 / (b * k2) * (E - kc2 * K)
         Izz = 2.0 / b * (K - 2.0 * (K - E) / k2
                          + ((2.0 + k2) * K - 2.0 * (1.0 + k2) * E) / (3.0 * k2 * k2))
-        moments = (period, Iz, Izz)
-    else:  # NAHM: k^2 = -1 member of case D
-        b4 = b2 * b2
-        p_rows = ((0.0, -18.0 * b4, 9.0 * b4),
-                  (3.0 * b2, -3.0 * b2),
-                  (1.0,))
-        q = (0.0, 108.0 * b4 * b4, 0.0, -21.0 * b4, 0.0, 1.0)
-        rho = (0.0, 2.0, -3.0, 1.0)
-        u = (-6.0 * b2, 6.0 * b2)
-        nu = 0.0
-        # period moments carry the imaginary-modulus integrals K(i), E(i)
-        ki, ei = specfun.ellipk_imag(1.0), specfun.ellipe_imag(1.0)
-        period = 2.0 * ki / b
-        Iz = 2.0 / b * (2.0 * ki - ei)
-        Izz = 2.0 / b * (10.0 / 3.0 * ki - 2.0 * ei)
         moments = (period, Iz, Izz)
 
     return ResolventPolynomial(case=case, b=b, k=k, p_rows=p_rows,

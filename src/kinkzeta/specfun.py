@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import digamma as _sc_digamma
+from scipy.special import ellipkinc
 from scipy.special import gamma as _sc_gamma
 
 from .errors import ConvergenceError, DomainError, PoleError
@@ -312,71 +312,37 @@ def weierstrass_sigma(z: complex, params: WeierstrassParams) -> complex:
             * theta1_dw(w, params.tau, 0) / theta1_dw(0.0, params.tau, 1))
 
 
-def _p_on_ray(params: WeierstrassParams, seg: str, t: float) -> float:
-    """Real value of p on the fundamental-rectangle boundary, by segment."""
-    if seg == "real":
-        z = complex(t, 0.0)
-    elif seg == "right":
-        z = complex(params.omega, t)
-    elif seg == "top":
-        z = complex(t, params.omega_imag)
-    else:  # "imag"
-        z = complex(0.0, t)
-    return weierstrass_p(z, params).real
-
-
-def _expand_down(params, seg, hi, target, factor=0.25):
-    """Shrink the parameter toward the corner pole until p passes the target."""
-    t = hi * 1e-3
-    for _ in range(120):
-        if seg == "real" and _p_on_ray(params, seg, t) > target:
-            return t
-        if seg == "imag" and _p_on_ray(params, seg, t) < target:
-            return t
-        t *= factor
-        if t < 1e-280:
-            break
-    raise ConvergenceError("weierstrass_p_inverse: bracketing failed")
-
-
 def weierstrass_p_inverse(H: float, params: WeierstrassParams) -> complex:
     """Solve p(rho) = H for real H on the fundamental-rectangle boundary.
 
-    p is real and monotone on each boundary segment, so the preimage is
-    found by 1-D bracketing: rho in (0, omega] for H >= e1, on the right
-    edge for e2 <= H <= e1, on the top edge for e3 <= H <= e2, and on the
-    imaginary axis for H <= e3.  Residual |p(rho) - H| <= 1e-10.
+    With r = (H - e3)/(e1 - e3), p = e3 + (e1 - e3)/sn^2 and the imaginary
+    transformations of sn (DLMF 22.6, 23.6(ii)), each boundary segment
+    inverts through the incomplete integral F(phi | m) (DLMF 22.15):
+
+        H >= e1:        rho = F(asin r^{-1/2} | k^2) / scale
+        e2 <= H <= e1:  rho = omega + i F(asin sqrt((1 - r)/k'^2) | k'^2) / scale
+        e3 <= H <= e2:  rho = F(asin(sqrt(r)/k) | k^2) / scale + omega'
+        H <= e3:        rho = i F(atan (-r)^{-1/2} | k'^2) / scale
+
+    Residual |p(rho) - H| <= 1e-10 max(1, |H|), else ConvergenceError.
     """
     H = float(H)
     e1, e2, e3 = params.e1, params.e2, params.e3
-    w, wi = params.omega, params.omega_imag
-    tol = 1e-13
+    k, scale = params.k, params.scale
+    m, m1 = k * k, (1.0 - k) * (1.0 + k)
+    r = (H - e3) / (e1 - e3)
     if H >= e1:
-        if abs(H - e1) < tol * max(1.0, abs(e1)):
-            rho = complex(w, 0.0)
-        else:
-            lo = _expand_down(params, "real", w, H)
-            r = brentq(lambda t: _p_on_ray(params, "real", t) - H, lo, w, xtol=1e-15)
-            rho = complex(r, 0.0)
+        rho = complex(ellipkinc(math.asin(r ** -0.5), m) / scale, 0.0)
     elif H >= e2:
-        f = lambda t: _p_on_ray(params, "right", t) - H
-        y = brentq(f, 1e-12 * wi, wi * (1.0 - 1e-12), xtol=1e-15) \
-            if f(1e-12 * wi) * f(wi * (1.0 - 1e-12)) < 0 else \
-            (0.0 if abs(H - e1) < abs(H - e2) else wi)
-        rho = complex(w, y)
+        phi = math.asin(min(1.0, math.sqrt((1.0 - r) / m1)))
+        rho = complex(params.omega, ellipkinc(phi, m1) / scale)
     elif H >= e3:
-        f = lambda t: _p_on_ray(params, "top", t) - H
-        if f(1e-12 * w) * f(w * (1.0 - 1e-12)) < 0:
-            r = brentq(f, 1e-12 * w, w * (1.0 - 1e-12), xtol=1e-15)
-        else:
-            r = 0.0 if abs(H - e3) < abs(H - e2) else w
-        rho = complex(r, wi)
+        phi = math.asin(min(1.0, math.sqrt(r) / k))
+        rho = complex(ellipkinc(phi, m) / scale, params.omega_imag)
     else:
-        lo = _expand_down(params, "imag", wi, H)
-        y = brentq(lambda t: _p_on_ray(params, "imag", t) - H, lo, wi, xtol=1e-15)
-        rho = complex(0.0, y)
+        rho = complex(0.0, ellipkinc(math.atan((-r) ** -0.5), m1) / scale)
     resid = abs(weierstrass_p(rho, params) - H)
-    if resid > 1e-10 * max(1.0, abs(H)):
+    if not resid <= 1e-10 * max(1.0, abs(H)):
         raise ConvergenceError(f"weierstrass_p_inverse residual {resid:.2e}")
     return rho
 

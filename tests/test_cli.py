@@ -247,7 +247,14 @@ class TestContracts:
         ("solution", "--family", "gl", "--m", "nan", "--kink"),
         ("zeta", "--case", "a", "--b", "nan"),
         ("resolvent", "--case", "a", "--b", "1e200"),
-        ("oracle", "--case", "nahm", "--b", "nan")])
+        ("oracle", "--case", "nahm", "--b", "nan"),
+        ("resolvent", "--case", "a", "--b", "1e-200"),
+        ("resolvent", "--case", "d", "--k", "0.5", "--b", "1e-45"),
+        ("heattrace", "--case", "a", "--b", "1e-200"),
+        ("zeta", "--case", "a", "--b", "1e-200"),
+        ("zeta", "--case", "a", "--method-tol", "nan"),
+        ("zeta", "--case", "a", "--method-tol", "inf"),
+        ("zeta", "--case", "a", "--method-tol=-1")])
     def test_bad_argument_exit_2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2

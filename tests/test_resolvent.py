@@ -83,6 +83,22 @@ class TestCoefficients:
             assert roots[1] == 0.0
             assert roots[2] == pytest.approx(1.0 - k * k, rel=1e-6)
 
+    @pytest.mark.parametrize("case, k, b", [
+        (CaseTag.A, None, 1e-200), (CaseTag.A, None, 1e-160),
+        (CaseTag.B, 0.5, 1e-80), (CaseTag.C, None, 1e-55),
+        (CaseTag.D, 0.5, 1e-45), (CaseTag.NAHM, None, 1e-45)])
+    def test_underflow_is_a_domain_error(self, case, k, b):
+        # the lowest nonzero coefficient of Q is 0 or subnormal there
+        with pytest.raises(DomainError):
+            build_resolvent(case, b, k=k)
+
+    def test_small_b_keeps_its_roots(self):
+        b = 1e-40
+        assert build_resolvent(CaseTag.A, b).roots == (-b * b, 0.0, 0.0)
+        roots = build_resolvent(CaseTag.D, 1e-35, k=0.5).roots
+        want = build_resolvent(CaseTag.D, 1.0, k=0.5).roots
+        assert np.allclose(np.array(roots) / 1e-70, want, rtol=0, atol=1e-12)
+
     def test_input_validation(self):
         with pytest.raises(DomainError):
             build_resolvent(CaseTag.B, 1.0)
@@ -177,14 +193,15 @@ class TestGammaHat:
 
     def test_periodic_moments_against_quadrature(self):
         k, b = 0.7, 1.0
-        rp = build_resolvent(CaseTag.D, b, k=k)
-        period = rp.period
-        iz, _ = quad(lambda x: rp.z_of_x(x), 0.0, period, epsabs=1e-12,
-                     limit=200)
-        izz, _ = quad(lambda x: rp.z_of_x(x) ** 2, 0.0, period, epsabs=1e-12,
-                      limit=200)
-        assert rp.moments[1] == pytest.approx(iz, abs=1e-10)
-        assert rp.moments[2] == pytest.approx(izz, abs=1e-10)
+        for case in (CaseTag.B, CaseTag.D):
+            rp = build_resolvent(case, b, k=k)
+            period = rp.period
+            iz, _ = quad(lambda x: rp.z_of_x(x), 0.0, period, epsabs=1e-12,
+                         limit=200)
+            izz, _ = quad(lambda x: rp.z_of_x(x) ** 2, 0.0, period,
+                          epsabs=1e-12, limit=200)
+            assert rp.moments[1] == pytest.approx(iz, abs=1e-10), case
+            assert rp.moments[2] == pytest.approx(izz, abs=1e-10), case
 
     def test_nahm_moments_against_quadrature(self):
         b = 1.2

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipj
 
@@ -267,6 +269,39 @@ class TestWeierstrass:
             - specfun.weierstrass_zeta(p.omega, p)
         lhs = p.eta * p.omega_p - etap * p.omega
         assert lhs == pytest.approx(1j * math.pi / 2.0, abs=1e-10)
+
+
+def lattice_of_modulus(k: float) -> specfun.WeierstrassParams:
+    """The lattice with e1 - e3 = 1 and (e2 - e3)/(e1 - e3) = k^2."""
+    e3 = -(1.0 + k * k) / 3.0
+    e1, e2 = e3 + 1.0, e3 + k * k
+    return specfun.weierstrass_params(-4.0 * (e1 * e2 + e1 * e3 + e2 * e3),
+                                      4.0 * e1 * e2 * e3)
+
+
+class TestWeierstrassInverseProperty:
+    # segments 0-3 are H >= e1, [e2, e1], [e3, e2], H <= e3; 4-6 are H
+    # exactly e1, e2, e3
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.floats(0.01, 0.99), seg=st.integers(0, 6),
+           t=st.floats(0.0, 1.0))
+    def test_residual_and_segment(self, k, seg, t):
+        p = lattice_of_modulus(k)
+        e1, e2, e3 = p.e1, p.e2, p.e3
+        H = [e1 + 50.0 * t, e2 + t * (e1 - e2), e3 + t * (e2 - e3),
+             e3 - 50.0 * t, e1, e2, e3][seg]
+        rho = specfun.weierstrass_p_inverse(H, p)
+        assert abs(specfun.weierstrass_p(rho, p) - H) <= 1e-13 * max(1.0, abs(H))
+        w, wi, tol = p.omega, p.omega_imag, 1e-13
+        x, y = rho.real, rho.imag
+        if H >= e1:
+            assert y == 0.0 and 0.0 < x <= w * (1 + tol)
+        elif H >= e2:
+            assert x == w and 0.0 <= y <= wi * (1 + tol)
+        elif H >= e3:
+            assert y == wi and 0.0 <= x <= w * (1 + tol)
+        else:
+            assert x == 0.0 and 0.0 < y <= wi * (1 + tol)
 
 
 class TestGammaFamily:
