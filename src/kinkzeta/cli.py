@@ -230,7 +230,7 @@ def _cmd_oracle(args) -> int:
             raise DomainError("edges mode needs a periodic case (b, d, nahm)")
         spec = oracle.LatticeSpec(0.0, rp.period, args.n, "periodic", u)
         edges = oracle.band_edges_lattice(spec, len(rp.roots))
-        rows = [[i, e, -r] for i, (e, r) in
+        rows = [[i, e, 0.0 - r] for i, (e, r) in   # 0.0 - r: no -0.0
                 enumerate(zip(edges, sorted(rp.roots, reverse=True)))]
         _emit(["index", "lattice_edge", "predicted_edge"], rows, args)
         return 0

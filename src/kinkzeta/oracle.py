@@ -8,12 +8,27 @@ u(x) is sampled once per lattice (``LatticeSpec.diagonal``).  Dirichlet
 boxes are symmetric tridiagonal; a Bloch-phased period is a periodic
 tridiagonal ring, solved as a Hermitian matrix of bandwidth 2 after the
 ring is reordered (real at theta = 0 and pi, complex otherwise).
+
+The heat trace needs no complex solve.  The ring's characteristic
+polynomial is affine in cos theta (van Moerbeke, Invent. Math. 37, 1976):
+
+    det(lambda - H_theta) = cos^2(theta/2) det(lambda - H_0)
+                            + sin^2(theta/2) det(lambda - H_pi),
+
+so with a and b the ascending theta = 0 and theta = pi spectra, band j is
+swept from a_j to b_j and holds, at each phase, the one root of
+prod_k (lambda - a_k)/(lambda - b_k) = -tan^2(theta/2).  Bands are kept
+while the bound sum_{j >= m} e^{-t lo_j} on the rest exceeds
+1e-17 e^{-t hi_0} (4 to 30 of 360 bands at t >= 0.25).  Each kept band
+is solved for every phase at once by Newton's method on the phase
+2 atan(|prod|^{1/2}), formed from log|prod|, with a bisection guard.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +37,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "LatticeSpec",
@@ -32,6 +47,9 @@ __all__ = [
     "band_edges_lattice",
     "lattice_heat_trace",
 ]
+
+_TRACE_TAIL = 1e-17   # dropped bands: at most this share of e^{-t hi_0}
+_MAX_NEWTON = 100     # Newton steps per band of lattice_heat_trace
 
 
 @dataclass(frozen=True)
@@ -45,8 +63,8 @@ class LatticeSpec:
     u: Callable[[float], float]
 
     def __post_init__(self):
-        if self.x_max <= self.x_min:
-            raise DomainError("x_max must exceed x_min")
+        if not -math.inf < self.x_min < self.x_max < math.inf:
+            raise DomainError("x_min < x_max must both be finite")
         if self.n < 8:
             raise DomainError("n too small for a meaningful lattice")
         if self.bc not in ("dirichlet", "periodic"):
@@ -106,6 +124,8 @@ def bloch_eigenvalues(spec: LatticeSpec, theta: float,
     """
     if spec.bc != "periodic":
         raise DomainError("bloch_eigenvalues requires a periodic lattice")
+    if not math.isfinite(theta):
+        raise DomainError("bloch_eigenvalues requires a finite theta")
     n = spec.n
     hop = -1.0 / spec.h ** 2
     real = theta % math.pi == 0.0
@@ -152,14 +172,65 @@ def band_edges_lattice(spec: LatticeSpec, n_edges: int) -> np.ndarray:
     return np.sort(lam)[:n_edges]
 
 
+def _band_roots(a: np.ndarray, b: np.ndarray, j: int, theta: np.ndarray,
+                x: np.ndarray) -> np.ndarray:
+    """The eigenvalue in band j at each phase theta, by Newton's method from x.
+
+    With G = log|prod_k (lambda - a_k)/(lambda - b_k)|, the phase
+    2 atan(e^{G/2}) runs from 0 at a_j to pi at b_j; Newton's method is
+    run on it, which is close to linear in the bulk of a band.  A step
+    that leaves the bracket [L, H] (end points included) is replaced by
+    the bracket's midpoint.
+    """
+    rising = b[j] > a[j]
+    L = np.full_like(x, min(a[j], b[j]))
+    H = np.full_like(x, max(a[j], b[j]))
+    tol = 1e-12 * (H[0] - L[0]) + 4e-15 * max(abs(L[0]), abs(H[0]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_NEWTON):
+            r = x[:, None] - a
+            q = x[:, None] - b
+            e = np.exp(0.5 * np.log(np.abs(r / q)).sum(axis=1))
+            miss = 2.0 * np.arctan(e) - theta
+            step = miss * (e + 1.0 / e) / (1.0 / r - 1.0 / q).sum(axis=1)
+            above = (miss < 0.0) == rising
+            L = np.where(above, x, L)
+            H = np.where(above, H, x)
+            if np.all(np.abs(step) <= tol):
+                return np.clip(x - step, L, H)
+            x = x - step
+            x = np.where((x >= L) & (x <= H), x, 0.5 * (L + H))
+    raise ConvergenceError(
+        f"lattice_heat_trace: band {j} not converged in {_MAX_NEWTON} steps")
+
+
 def lattice_heat_trace(spec: LatticeSpec, t: float, n_theta: int = 32) -> float:
     """Per-period heat trace of a periodic operator, averaged over a
-    uniform Bloch-phase grid on (0, pi)."""
+    uniform Bloch-phase grid on (0, pi).
+
+    Only the theta = 0 and theta = pi spectra are solved; the module
+    docstring gives the identity that fixes every other phase from them.
+    The trace is at least e^{-t hi_0}, so the bands dropped change it by at
+    most _TRACE_TAIL relative.
+    """
     if spec.bc != "periodic":
         raise DomainError("lattice_heat_trace requires a periodic lattice")
-    thetas = (np.arange(n_theta) + 0.5) * math.pi / n_theta
+    if not 0.0 < t < math.inf:
+        raise DomainError("lattice_heat_trace requires 0 < t < inf")
+    if not (isinstance(n_theta, numbers.Integral) and n_theta >= 1):
+        raise DomainError("lattice_heat_trace requires an integer n_theta >= 1")
+    a = bloch_eigenvalues(spec, 0.0)
+    b = bloch_eigenvalues(spec, math.pi)
+    # the suffix sums of e^{-t (lo_j - hi_0)}, j >= 1, bound the bands left out
+    rest = np.minimum(a, b)[:0:-1] - max(a[0], b[0])
+    m = 1 + np.count_nonzero(np.cumsum(np.exp(-t * rest)) > _TRACE_TAIL)
+    theta = (np.arange(n_theta) + 0.5) * math.pi / n_theta
+    sin2 = np.sin(0.5 * theta) ** 2
     acc = 0.0
-    for th in thetas:
-        lam = bloch_eigenvalues(spec, th)
-        acc += float(np.sum(np.exp(-lam * t)))
+    with np.errstate(over="ignore"):
+        for j in range(m):
+            lam = _band_roots(a, b, j, theta, a[j] + (b[j] - a[j]) * sin2)
+            acc += float(np.sum(np.exp(-lam * t)))
+    if not math.isfinite(acc):
+        raise ConvergenceError(f"lattice heat trace overflows at t = {t!r}")
     return acc / n_theta

@@ -166,6 +166,16 @@ class TestOracleCommand:
             pred = float(r[header.index("predicted_edge")])
             assert lat == pytest.approx(pred, abs=3e-3)
 
+    def test_edges_print_the_zero_root_as_positive_zero(self, capsys):
+        # Q of case B has a root at p = 0; resolvent prints it as +0.0
+        code, out, _ = run_cli(capsys, "oracle", "--case", "b", "--k", "0.5",
+                               "--mode", "edges")
+        assert code == 0
+        header, rows = parse_csv(out)
+        pred = [r[header.index("predicted_edge")] for r in rows]
+        assert pred[1] == "0.000000000000000e+00"
+        assert "-0.000000000000000e+00" not in pred
+
     def test_trace_smoke(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--case", "a", "--b", "1",
                                "--mode", "trace", "--n", "1500", "--t", "1")

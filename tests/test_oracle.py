@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kinkzeta import oracle
-from kinkzeta.errors import DomainError
+from kinkzeta.errors import ConvergenceError, DomainError
 from kinkzeta.resolvent import CaseTag, build_resolvent
 
 
@@ -48,6 +48,12 @@ class TestEigenvalues:
             oracle.LatticeSpec(1.0, 0.0, 100, "dirichlet", lambda x: 0.0)
         with pytest.raises(DomainError):
             oracle.LatticeSpec(0.0, 1.0, 100, "reflecting", lambda x: 0.0)
+
+    @pytest.mark.parametrize("x_min, x_max", [
+        (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)])
+    def test_bounds_must_be_finite(self, x_min, x_max):
+        with pytest.raises(DomainError):
+            oracle.LatticeSpec(x_min, x_max, 100, "periodic", lambda x: 0.0)
 
 
 class TestRelativeTrace:
@@ -168,6 +174,12 @@ class TestBlochEigenvalues:
         with pytest.raises(DomainError):
             oracle.bloch_eigenvalues(spec, 0.0)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_theta_must_be_finite(self, theta):
+        spec = oracle.LatticeSpec(0.0, 1.0, 16, "periodic", lambda x: 0.0)
+        with pytest.raises(DomainError):
+            oracle.bloch_eigenvalues(spec, theta)
+
 
 class TestLatticeHeatTrace:
     def test_case_d_matches_laplace_inversion(self):
@@ -178,6 +190,70 @@ class TestLatticeHeatTrace:
             want = invert_laplace_gamma(rp, t).total
             got = oracle.lattice_heat_trace(spec, t)
             assert got == pytest.approx(want, rel=5e-3)
+
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize("case, k", [
+        (CaseTag.B, 0.5), (CaseTag.D, 0.6), (CaseTag.D, 0.99),
+        (CaseTag.NAHM, None)])
+    def test_matches_dense_phase_sum(self, case, k, n):
+        # the reference solves every phase in full; the trace solves only
+        # theta = 0 and pi and finds the kept bands' roots in between
+        rp = build_resolvent(case, 1.0, k=k)
+        spec = oracle.LatticeSpec(0.0, rp.period, n, "periodic", rp.u_of_x)
+        thetas = (np.arange(32) + 0.5) * math.pi / 32
+        spectra = [dense_bloch(spec, th) for th in thetas]
+        for t in (0.25, 2.0):
+            want = np.mean([np.sum(np.exp(-lam * t)) for lam in spectra])
+            got = oracle.lattice_heat_trace(spec, t)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("case, k", [(CaseTag.B, 0.9), (CaseTag.D, 0.5)])
+    def test_matches_banded_phase_sum_at_workload_size(self, case, k):
+        rp = build_resolvent(case, 1.0, k=k)
+        spec = oracle.LatticeSpec(0.0, rp.period, 360, "periodic", rp.u_of_x)
+        thetas = (np.arange(32) + 0.5) * math.pi / 32
+        spectra = [oracle.bloch_eigenvalues(spec, th) for th in thetas]
+        for t in (0.25, 2.0):
+            want = np.mean([np.sum(np.exp(-lam * t)) for lam in spectra])
+            got = oracle.lattice_heat_trace(spec, t)
+            assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("n_theta", [1, 7, 32, 200])
+    def test_two_eigensolves_for_any_phase_count(self, monkeypatch, n_theta):
+        rp = build_resolvent(CaseTag.D, 1.0, k=0.5)
+        spec = oracle.LatticeSpec(0.0, rp.period, 64, "periodic", rp.u_of_x)
+        thetas = []
+        solve = oracle.bloch_eigenvalues
+
+        def counted(spec, theta, count=None):
+            thetas.append(theta)
+            return solve(spec, theta, count)
+
+        monkeypatch.setattr(oracle, "bloch_eigenvalues", counted)
+        oracle.lattice_heat_trace(spec, 1.0, n_theta)
+        assert thetas == [0.0, math.pi]
+
+    def test_newton_cap_raises(self, monkeypatch):
+        rp = build_resolvent(CaseTag.B, 1.0, k=0.5)
+        spec = oracle.LatticeSpec(0.0, rp.period, 64, "periodic", rp.u_of_x)
+        monkeypatch.setattr(oracle, "_MAX_NEWTON", 1)
+        with pytest.raises(ConvergenceError):
+            oracle.lattice_heat_trace(spec, 1.0)
+
+    def test_overflow_raises(self):
+        # the lowest band lies below 0, so e^{-lambda t} overflows
+        rp = build_resolvent(CaseTag.B, 1.0, k=0.5)
+        spec = oracle.LatticeSpec(0.0, rp.period, 64, "periodic", rp.u_of_x)
+        with pytest.raises(ConvergenceError):
+            oracle.lattice_heat_trace(spec, 1e4)
+
+    @pytest.mark.parametrize("t, n_theta", [
+        (0.0, 32), (-1.0, 32), (math.nan, 32), (math.inf, 32),
+        (1.0, 0), (1.0, -3), (1.0, 2.5)])
+    def test_bad_arguments(self, t, n_theta):
+        spec = oracle.LatticeSpec(0.0, 1.0, 16, "periodic", lambda x: 0.0)
+        with pytest.raises(DomainError):
+            oracle.lattice_heat_trace(spec, t, n_theta)
 
     def test_samples_potential_once_per_lattice(self):
         rp = build_resolvent(CaseTag.B, 1.0, k=0.5)
