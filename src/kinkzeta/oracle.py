@@ -64,7 +64,7 @@ class LatticeSpec:
 
     def __post_init__(self):
         if not -math.inf < self.x_min < self.x_max < math.inf:
-            raise DomainError("x_min < x_max must both be finite")
+            raise DomainError("the box needs finite x_min < x_max")
         if self.n < 8:
             raise DomainError("n too small for a meaningful lattice")
         if self.bc not in ("dirichlet", "periodic"):
