@@ -82,8 +82,13 @@ def _check_n(n: int) -> None:
 
 def _cmd_solution(args) -> int:
     _check_n(args.n)
+    if (args.x_min is None) != (args.x_max is None):
+        raise DomainError("supply both --x-min and --x-max, or neither")
+    if args.x_min is not None and not (math.isfinite(args.x_min)
+                                       and math.isfinite(args.x_max)):
+        raise DomainError("--x-min and --x-max must be finite")
     sol = _solution_from_args(args)
-    if args.x_min is None or args.x_max is None:
+    if args.x_min is None:
         if sol.kind is models.SolutionKind.PERIODIC:
             x_min, x_max = 0.0, sol.period
         else:
@@ -217,7 +222,7 @@ def _cmd_figure_z(args) -> int:
         m = args.m_min + (args.m_max - args.m_min) * i / (args.n - 1)
         for d in ds:
             dz = zetareg.derivative_at_zero(m, d)
-            rows.append([m, d, dz, -0.5 * dz])
+            rows.append([m, d, dz, zetareg.quantum_correction(m, d)])
     _emit(["m", "d", "dzeta_ds_at_0", "correction"], rows, args)
     return 0
 

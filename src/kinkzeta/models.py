@@ -77,11 +77,16 @@ class ModelSpec:
         if f is Family.NAHM:
             if not 0.0 < self.w < math.inf:
                 raise DomainError("Nahm model requires 0 < w < inf")
+            scale = self.w * self.w * self.w * self.w
             object.__setattr__(self, "g", 2.0)
             object.__setattr__(self, "m", 0.0)
         else:
             if not (0.0 < self.m < math.inf and 0.0 < self.g < math.inf):
                 raise DomainError(f"{f.value} model requires 0 < m, g < inf")
+            scale = self.m * self.m * self.m * self.m / self.g
+        # V, W and the energy density scale as m^4 / g (w^4 for Nahm)
+        if not scale < math.inf:
+            raise DomainError(f"the energy scale of the {f.value} model overflows")
 
     @property
     def field_period(self) -> float:

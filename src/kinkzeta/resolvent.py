@@ -176,63 +176,40 @@ class ResolventPolynomial:
         return self._numerator(pc) / (2.0 * self.sqrt_q(pc))
 
     # -- spectral structure (computed once per instance) ---------------------
-    def cut_segments(self) -> tuple[tuple[float, float], ...]:
-        """Cuts of sqrt(Q) on the real p axis (Q < 0), as (lo, hi) pairs
-        with lo = -inf on the unbounded segment, ordered descending in p."""
-        return self._cuts
-
     def pole_terms(self) -> tuple[tuple[float, float], ...]:
         """(lambda, residue) for the poles of the relative trace at the
         double roots of Q (bound states of the kink operators)."""
-        return self._poles
+        return self._spectrum[1]
 
     def bands(self) -> tuple[tuple[float, float], ...]:
         """Allowed spectral bands in lambda, ascending; the top one is
         half-infinite and returned as (lo, inf)."""
-        return self._bands
+        return self._spectrum[0]
 
     @cached_property
-    def _cuts(self) -> tuple[tuple[float, float], ...]:
-        distinct: list[tuple[float, int]] = []
-        for r in self.roots:
-            if distinct and r == distinct[-1][0]:
-                distinct[-1] = (distinct[-1][0], distinct[-1][1] + 1)
-            else:
-                distinct.append((r, 1))
-        segs = []
-        parity = 0
-        pts = [r for r, _ in distinct]
-        mults = [m for _, m in distinct]
-        for i in range(len(pts) - 1, -1, -1):
-            parity = (parity + mults[i]) % 2
-            lo = pts[i - 1] if i > 0 else -math.inf
-            if parity == 1:
-                segs.append((lo, pts[i]))
-        return tuple(segs)
+    def _spectrum(self):
+        """(bands, poles) from one pass over the roots in ascending p.
 
-    @cached_property
-    def _poles(self) -> tuple[tuple[float, float], ...]:
-        out = []
-        i = 0
+        A double root is a pole.  Q has odd degree, so Q < 0 below its
+        lowest simple root, which is the lower edge of the top band; the
+        simple roots above it pair into the finite bands.
+        """
         roots = self.roots
-        while i < len(roots) - 1:
-            if roots[i] == roots[i + 1]:
-                p0 = roots[i]
-                others = list(roots[:i]) + list(roots[i + 2:])
-                acc = 0.0 + 0.0j
-                for r in others:
-                    acc += cmath.log(complex(p0) - r)
+        edges, poles = [], []
+        i = 0
+        while i < len(roots):
+            p0 = roots[i]
+            if roots[i + 1:i + 2] == (p0,):
+                others = roots[:i] + roots[i + 2:]
+                acc = sum(cmath.log(complex(p0) - r) for r in others)
                 res = self._numerator(p0) / (2.0 * cmath.exp(0.5 * acc))
-                out.append((-p0, res.real))
+                poles.append((-p0, res.real))
                 i += 2
             else:
+                edges.append(-p0)
                 i += 1
-        return tuple(out)
-
-    @cached_property
-    def _bands(self) -> tuple[tuple[float, float], ...]:
-        return tuple(sorted((-hi, math.inf if lo == -math.inf else -lo)
-                            for lo, hi in self._cuts))
+        bands = [(edges[j + 1], edges[j]) for j in range(len(edges) - 2, 0, -2)]
+        return tuple(bands) + ((edges[0], math.inf),), tuple(poles)
 
     def density(self, lam: float) -> float:
         """Spectral density at lambda (per period, or relative for kinks):
@@ -240,7 +217,7 @@ class ResolventPolynomial:
         band_density on the band that holds lambda.  Exactly 0.0 off the
         bands; do not call at band edges."""
         lam = float(lam)
-        for lo, hi in self._bands:
+        for lo, hi in self.bands():
             if lo < lam < hi:
                 return float(self.band_density(lo, hi, lam - lo, hi - lam))
         return 0.0
@@ -290,43 +267,13 @@ class ResolventPolynomial:
         return _polyval(self._trace_coeffs, p) / (2.0 * math.pi * mag) * (2 - above % 4)
 
 
-def _is_double_root(coeffs: tuple[float, ...], lo: float, hi: float) -> bool:
-    """Whether a close pair of roots of Q is one double root split by
-    rounding: Q' vanishes at its midpoint to the rounding level of the
-    evaluation (8 eps of the summed terms, the bound for degree <= 4)."""
-    mid = 0.5 * (lo + hi)
-    terms = [j * c * mid ** (j - 1) for j, c in enumerate(coeffs) if j]
-    return abs(sum(terms)) <= 8.0 * _EPS * sum(abs(t) for t in terms)
-
-
-def _clean_roots(coeffs: tuple[float, ...], b: float) -> tuple[float, ...]:
-    """Roots of the monic Q from its coefficients: deflate the structural
-    zeros, root-solve numerically, merge double roots split by rounding."""
-    c = list(coeffs)
-    zeros = 0
-    while abs(c[0]) == 0.0:
-        c.pop(0)
-        zeros += 1
-    arr = np.roots(list(reversed(c)))
-    scale = max(1.0, float(np.max(np.abs(arr))) if len(arr) else 1.0, b ** 2)
-    if np.max(np.abs(arr.imag), initial=0.0) > 1e-7 * scale:
-        raise ConvergenceError("complex roots in the spectral polynomial")
-    roots = sorted(arr.real.tolist() + [0.0] * zeros)
-    # average pairs split by rounding (double roots of the kink cases); a
-    # split double root opens to about 1.5e-7 * scale, distinct close roots
-    # (periodic edges near k -> 1) fail the Q' test and stay apart
-    for i in range(len(roots) - 1):
-        lo, hi = roots[i], roots[i + 1]
-        if lo != hi and hi - lo < 1e-6 * scale and _is_double_root(coeffs, lo, hi):
-            roots[i] = roots[i + 1] = 0.5 * (lo + hi)
-    return tuple(roots)
-
-
 def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> ResolventPolynomial:
     """Populate P, Q, rho, u and the period moments for one case.
 
     k is required for B and D (0 < k < 1) and ignored for A, C, NAHM.
-    Roots of Q are always obtained numerically from the coefficients.
+    The roots of Q come from its factorization in k^2 and k'^2; they are
+    equal only at k^2 = 1 (the double roots of a kink), and a periodic
+    case with two edges that round to one float raises DomainError.
     """
     case = CaseTag(case)
     if not 0.0 < b < math.inf:
@@ -353,18 +300,24 @@ def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> Resolven
         q = (0.0, -b4 * k2 * kc2, b2 * (2.0 * k2 - 1.0), 1.0)
         u = (b2 * (2.0 * k2 - 1.0), -2.0 * k2 * b2)
         nu = b2  # SG vacuum edge (k -> 1 limit of the top band edge)
+        roots = (-k2 * b2, 0.0, kc2 * b2)   # Q = p (p + k^2 b^2)(p - k'^2 b^2)
     else:  # GL
         p_rows = ((0.0, 9.0 * b4 * k2 * kc2, 9.0 * b4 * k2 * k2),
                   (3.0 * b2, 3.0 * b2 * k2),
                   (1.0,))
         q = (0.0,
              -27.0 * k2 * kc2 ** 2 * b4 * b4,
-             -9.0 * b2 ** 3 * (k2 + 1.0) * (k2 * k2 - 4.0 * k2 + 1.0),
+             -9.0 * (b4 * b2) * (k2 + 1.0) * (k2 * k2 - 4.0 * k2 + 1.0),
              3.0 * (1.0 + 9.0 * k2 + k2 * k2) * b4,
              5.0 * b2 * (1.0 + k2),
              1.0)
         u = (b2 * (5.0 * k2 - 1.0), -6.0 * k2 * b2)
         nu = 4.0 * b2 if kink else 0.0  # periodic: free reference background
+        # Q = p (p + 3k^2 b^2)(p + 3b^2)((p + (1+k^2) b^2)^2 - 4 r^2 b^4) with
+        # r^2 = 1 - k^2 k'^2; the last factor's roots are -w b^2 and
+        # 3 k'^4 b^2 / w, w = 1 + k^2 + 2r, the second free of cancellation
+        w = 1.0 + k2 + 2.0 * math.sqrt(1.0 - k2 * kc2)
+        roots = (0.0, -3.0 * k2 * b2, -3.0 * b2, -w * b2, 3.0 * b2 * kc2 * kc2 / w)
     # the limits leave some products at -0.0; adding 0.0 makes them +0.0
     q = tuple(c + 0.0 for c in q)
     if not all(map(math.isfinite, q)):
@@ -373,6 +326,10 @@ def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> Resolven
     # and q1 otherwise, is the first to underflow as b -> 0
     if not abs(q[2 if kink else 1]) >= np.finfo(float).tiny:
         raise DomainError(f"the coefficients of Q underflow at b = {b}")
+    roots = tuple(sorted(roots))
+    if not kink and len(set(roots)) < len(roots):
+        raise DomainError(f"two band edges of case {case.value} round to one "
+                          f"float at k = {k}")
     rho = (0.0, kc2, 2.0 * k2 - 1.0, -k2)
 
     if kink:
@@ -393,7 +350,7 @@ def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> Resolven
         moments = (period, Iz, Izz)
 
     return ResolventPolynomial(case=case, b=b, k=k, p_rows=p_rows,
-                               q_coeffs=q, roots=_clean_roots(q, b),
+                               q_coeffs=q, roots=roots,
                                rho_coeffs=rho, u_coeffs=u, nu=nu,
                                period=period, moments=moments)
 

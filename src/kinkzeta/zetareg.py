@@ -320,7 +320,10 @@ def _finite_band(rp: ResolventPolynomial, s: complex, lo: float,
                                 -0.5 - s if lo == 0.0 else -0.5,
                                 -0.5 - s if hi == 0.0 else -0.5)
     if hi <= 0.0:
-        phase = cmath.exp(-1j * math.pi * s)
+        # |phase| = e^{pi Im s} overflows to inf at large Im s, and
+        # zeta_contour then raises on the value that is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = complex(np.exp(-1j * np.pi * s))
         return phase * value, abs(phase) * err
     return value, err
 

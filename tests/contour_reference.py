@@ -34,8 +34,8 @@ import mpmath as mp
 
 TABLE = Path(__file__).resolve().with_name("contour_reference.json")
 DPS = 30
-CONFIGS = [(case, k) for case in ("b", "d") for k in (0.05, 0.1, 0.99, 0.999999)]
-CONFIGS.append(("nahm", None))
+CONFIGS = [(case, k) for case in ("b", "d") for k in (0.01, 0.05, 0.1, 0.99, 0.999999)]
+CONFIGS += [("d", 0.001), ("nahm", None)]
 S_VALUES = (-0.45, 0.1, 0.49, complex(0.3, 0.2))
 
 

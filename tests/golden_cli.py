@@ -7,13 +7,16 @@ covers every command whose output a refactor must not move: resolvent for
 each case, zeta on the kink and periodic routes, correction, figure-z,
 solution and energy.  heattrace is checked against mpmath references
 instead, and the LAPACK-backed oracle is left out.  Rebuild the table only
-on purpose, when an output is meant to change:
+on purpose, when an output is meant to change, after reviewing each changed
+cell (argv, line, old, new) that --diff prints without writing:
 
+    PYTHONPATH=src python3 tests/golden_cli.py --diff
     PYTHONPATH=src python3 tests/golden_cli.py
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -51,11 +54,45 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
-def main() -> int:
+def diff(old: dict, new: dict) -> list[str]:
+    """One line per changed cell of an invocation: argv, line number (or
+    'code'), old and new value; CSV lines are compared cell by cell."""
+    argv = " ".join(new["argv"])
+    if old is None:
+        return [f"{argv}: new invocation"]
+    out = []
+    if old["code"] != new["code"]:
+        out.append(f"{argv} | code | {old['code']} -> {new['code']}")
+    a, b = old["stdout"].splitlines(), new["stdout"].splitlines()
+    for n in range(max(len(a), len(b))):
+        la = a[n] if n < len(a) else ""
+        lb = b[n] if n < len(b) else ""
+        if la == lb:
+            continue
+        ca, cb = la.split(","), lb.split(",")
+        if len(ca) == len(cb):
+            head = ca[0] if ca[0] == cb[0] else ""
+            out += [f"{argv} | line {n + 1} {head} col {j} | {x} -> {y}"
+                    for j, (x, y) in enumerate(zip(ca, cb)) if x != y]
+        else:
+            out.append(f"{argv} | line {n + 1} | {la} -> {lb}")
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--diff", action="store_true",
+                    help="print each changed cell against the table; write nothing")
+    args = ap.parse_args(argv)
     rows = []
-    for argv in INVOCATIONS:
-        code, out = run(argv)
-        rows.append({"argv": argv, "code": code, "stdout": out})
+    for inv in INVOCATIONS:
+        code, out = run(inv)
+        rows.append({"argv": inv, "code": code, "stdout": out})
+    if args.diff:
+        old = {tuple(r["argv"]): r for r in json.loads(TABLE.read_text())}
+        lines = [ln for r in rows for ln in diff(old.get(tuple(r["argv"])), r)]
+        print("\n".join(lines) if lines else "no changes")
+        return 0
     TABLE.write_text(json.dumps(rows, indent=1) + "\n")
     return 0
 

@@ -264,7 +264,19 @@ class TestContracts:
         ("zeta", "--case", "a", "--b", "1e-200"),
         ("zeta", "--case", "a", "--method-tol", "nan"),
         ("zeta", "--case", "a", "--method-tol", "inf"),
-        ("zeta", "--case", "a", "--method-tol=-1")])
+        ("zeta", "--case", "a", "--method-tol=-1"),
+        ("resolvent", "--case", "c", "--b", "1e80"),
+        ("resolvent", "--case", "d", "--k", "0.5", "--b", "1e80"),
+        ("resolvent", "--case", "nahm", "--b", "1e80"),
+        ("zeta", "--case", "d", "--k", "0.5", "--b", "1e80"),
+        ("zeta", "--case", "d", "--k", "1e-5"),
+        ("energy", "--family", "sg", "--m", "1e200", "--g", "1", "--kink"),
+        ("energy", "--family", "gl", "--m", "1e200", "--g", "1", "--kink"),
+        ("solution", "--family", "nahm", "--w", "1e200"),
+        ("solution", "--family", "gl", "--kink", "--x-min", "-1"),
+        ("solution", "--family", "gl", "--kink", "--x-max", "1"),
+        ("solution", "--family", "gl", "--kink", "--x-min", "-1", "--x-max", "inf"),
+        ("solution", "--family", "gl", "--kink", "--x-min", "nan", "--x-max", "1")])
     def test_bad_argument_exit_2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2

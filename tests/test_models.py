@@ -293,6 +293,15 @@ class TestEnergies:
                       epsabs=1e-12, epsrel=1e-12, limit=200)
         assert raw == pytest.approx(kin - sol.w_const * sol.period, abs=1e-9)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(family="sg", m=1e200), dict(family="gl", m=1e200),
+        dict(family="gl", m=1e80, g=1e10), dict(family="nahm", w=1e200)])
+    def test_energy_scale_overflow_is_a_domain_error(self, kwargs):
+        # m^4 / g (w^4 for Nahm) is not finite, so V, W and the energy
+        # density would overflow
+        with pytest.raises(DomainError, match="overflows"):
+            ModelSpec(**kwargs)
+
     def test_divergent_and_invalid(self):
         with pytest.raises(EnergyDivergenceError):
             models.classical_energy(models.nahm_solution(NAHM))

@@ -191,6 +191,17 @@ class TestLatticeHeatTrace:
             got = oracle.lattice_heat_trace(spec, t)
             assert got == pytest.approx(want, rel=5e-3)
 
+    def test_case_d_small_k_matches_laplace_inversion(self):
+        # at k = 0.01 the two top edges lie 7.5e-9 apart; the inversion
+        # keeps the narrow gap between them
+        from kinkzeta.resolvent import invert_laplace_gamma
+        rp = build_resolvent(CaseTag.D, 1.0, k=0.01)
+        spec = oracle.LatticeSpec(0.0, rp.period, 1200, "periodic", rp.u_of_x)
+        for t in (0.5, 2.0):
+            want = invert_laplace_gamma(rp, t).total
+            got = oracle.lattice_heat_trace(spec, t)
+            assert got == pytest.approx(want, rel=2e-6)
+
     @pytest.mark.parametrize("n", [64, 65])
     @pytest.mark.parametrize("case, k", [
         (CaseTag.B, 0.5), (CaseTag.D, 0.6), (CaseTag.D, 0.99),

@@ -7,6 +7,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from contour_reference import Periodic
@@ -91,6 +93,38 @@ class TestCoefficients:
         # the lowest nonzero coefficient of Q is 0 or subnormal there
         with pytest.raises(DomainError):
             build_resolvent(case, b, k=k)
+
+    @pytest.mark.parametrize("case, k", [
+        (CaseTag.C, None), (CaseTag.D, 0.5), (CaseTag.NAHM, None)])
+    def test_overflow_is_a_domain_error(self, case, k):
+        # b^6 in q2 of GL must overflow to inf and reach the guard
+        with pytest.raises(DomainError, match="overflow"):
+            build_resolvent(case, 1e80, k=k)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(list(CaseTag)), b=st.floats(1e-3, 1e3),
+           k=st.floats(1e-3, 1.0 - 1e-12))
+    def test_roots_rebuild_q_over_the_domain(self, case, b, k):
+        rp = build_resolvent(case, b, k=k)
+        rec = np.poly(rp.roots)[::-1]
+        scale = max(1.0, float(np.max(np.abs(rp.q_coeffs))))
+        assert np.allclose(rec, rp.q_coeffs, rtol=0.0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("k", [0.01, 0.001])
+    def test_case_d_small_k_edges_match_mpmath(self, k):
+        # the top gap (3 b^2, (3 + 0.75 k^4) b^2) is 7.5e-9 wide at k = 0.01
+        # and 7.5e-13 at k = 0.001; its edges are simple roots, not one double
+        roots = build_resolvent(CaseTag.D, 1.0, k=k).roots
+        with mp.workdps(40):
+            k2 = mp.mpf(k) ** 2
+            w = 1 + k2 + 2 * mp.sqrt(1 - k2 + k2 * k2)
+            want = sorted([-w, -3, -3 * k2, 0, 3 * (1 - k2) ** 2 / w])
+            assert all(abs(r - x) <= 1e-15 * max(1, abs(x)) for r, x in zip(roots, want))
+
+    def test_case_d_edges_that_round_together_are_a_domain_error(self):
+        # the top gap 0.75 k^4 b^2 is under one ulp of 3 b^2 below k ~ 1.3e-4
+        with pytest.raises(DomainError, match="round to one float"):
+            build_resolvent(CaseTag.D, 1.0, k=1e-5)
 
     def test_small_b_keeps_its_roots(self):
         b = 1e-40
@@ -309,7 +343,7 @@ class TestSpectralStructure:
 
     def test_spectral_structure_is_cached_and_immutable(self):
         rp = build_resolvent(CaseTag.D, 1.0, k=0.5)
-        for method in (rp.bands, rp.cut_segments, rp.pole_terms):
+        for method in (rp.bands, rp.pole_terms):
             first = method()
             assert method() is first
             assert isinstance(first, tuple)

@@ -254,6 +254,12 @@ class TestContour:
         ev = zetareg.zeta_contour(rp, s)
         assert abs(ev.value - zetareg.zeta_kink_1d(s, 1.0)) < 1e-6
 
+    def test_phase_overflow_is_a_convergence_error(self):
+        # e^{-i pi s} on the band below 0 overflows at Im s = 400
+        rp = build_resolvent(CaseTag.D, 1.0, k=0.5)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            zetareg.zeta_contour(rp, 0.2 + 400j)
+
     def test_nahm_self_convergence(self):
         rp = build_resolvent(CaseTag.NAHM, 1.0)
         ev = zetareg.zeta_contour(rp, 0.25)
