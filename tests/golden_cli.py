@@ -39,9 +39,13 @@ INVOCATIONS = [
     ["correction", "--m", "1.5", "--d", "2", "--half-convention"],
     ["figure-z", "--n", "5"],
     ["solution", "--family", "gl", "--m", "1.3", "--g", "0.9", "--kink", "--n", "11"],
+    ["solution", "--family", "sg", "--m", "1.3", "--g", "0.9", "--kink", "--n", "11"],
+    ["solution", "--family", "sg", "--m", "1", "--g", "1", "--k", "0.8", "--n", "11"],
+    ["solution", "--family", "gl", "--m", "1", "--g", "1", "--k", "0.8", "--n", "11"],
     ["solution", "--family", "nahm", "--w", "1", "--n", "11"],
     ["--format", "json", "energy", "--family", "sg", "--m", "2", "--g", "1", "--kink"],
     ["energy", "--family", "gl", "--m", "1", "--g", "1", "--k", "0.8"],
+    ["energy", "--family", "sg", "--m", "1", "--g", "1", "--k", "0.999999"],
 ]
 
 
