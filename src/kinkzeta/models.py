@@ -43,6 +43,7 @@ __all__ = [
 
 _K1 = 1.0 / math.sqrt(2.0)  # reduced modulus of the Nahm real form
 _K_NAHM = specfun.ellipk(_K1)  # quarter period of cn(.; _K1)
+_POLE_GAP = 1e-3  # the Nahm solution raises this close to a pole (cn argument)
 
 
 class Family(str, Enum):
@@ -77,16 +78,21 @@ class ModelSpec:
         if f is Family.NAHM:
             if not 0.0 < self.w < math.inf:
                 raise DomainError("Nahm model requires 0 < w < inf")
-            scale = self.w * self.w * self.w * self.w
+            scales = (self.w * self.w * self.w * self.w,)
             object.__setattr__(self, "g", 2.0)
             object.__setattr__(self, "m", 0.0)
         else:
             if not (0.0 < self.m < math.inf and 0.0 < self.g < math.inf):
                 raise DomainError(f"{f.value} model requires 0 < m, g < inf")
-            scale = self.m * self.m * self.m * self.m / self.g
+            # GL V squares phi^2 - m^2/g; SG V takes the cosine of c phi
+            field = self.m * self.m / self.g
+            scales = (self.m * self.m * self.m * self.m / self.g,
+                      field * field if f is Family.GL
+                      else math.sqrt(1.5 * self.g) / self.m)
         # V, W and the energy density scale as m^4 / g (w^4 for Nahm)
-        if not scale < math.inf:
-            raise DomainError(f"the energy scale of the {f.value} model overflows")
+        if not max(scales) < math.inf:
+            raise DomainError(f"the energy or field scale of the {f.value} "
+                              "model overflows")
 
     @property
     def field_period(self) -> float:
@@ -123,6 +129,11 @@ def potential_v(spec: ModelSpec, phi: float, order: int = 0) -> float:
     return 6.0 * phi * phi
 
 
+def _sg_amplitude(spec: ModelSpec) -> float:
+    """The SG solutions are this times an angle: 2 m sqrt(2/(3g)) = 2 / c."""
+    return 2.0 * spec.m * math.sqrt(2.0 / (3.0 * spec.g))
+
+
 def modulus_from_w(spec: ModelSpec, W: float) -> float:
     """Elliptic modulus of the periodic solution carrying first integral W."""
     if spec.family is Family.SG:
@@ -154,7 +165,8 @@ class ClassicalSolution:
 
     period is the period of the associated Schroedinger potential u(x)
     (the field itself is antiperiodic over it for the periodic families);
-    it is None for kinks and constants.
+    it is None for kinks and constants.  k is the elliptic modulus of GL
+    and SG solutions, 1.0 for kinks; None for Nahm and constants.
     """
 
     spec: ModelSpec
@@ -167,75 +179,63 @@ class ClassicalSolution:
     phi_const: float | None = None   # constant solutions only
 
     # -- evaluation ---------------------------------------------------------
+    # GL and SG are written once in (k, b); the kink is the k = 1 member,
+    # where sn, cn, dn are tanh, sech, sech
     def phi(self, x: float) -> float:
-        s, spec = self.branch_sign, self.spec
+        s, spec, b, k = self.branch_sign, self.spec, self.b_or_sigma, self.k
         if self.kind is SolutionKind.CONSTANT:
             return self.phi_const
+        if spec.family is Family.NAHM:
+            # real form: phi = w / cn(sqrt(2) w x; 1/sqrt2), poles at cn = 0
+            return s * spec.w / self._nahm_sn_cn_dn(x)[1]
+        sn, _, dn = specfun.jacobi_sn_cn_dn(b * x, k)
         if spec.family is Family.GL:
-            b = self.b_or_sigma
-            if self.kind is SolutionKind.PERIODIC:
-                sn, _, _ = specfun.jacobi_sn_cn_dn(b * x, self.k)
-                return s * math.sqrt(2.0 / spec.g) * self.k * b * sn
-            return s * math.sqrt(2.0 / spec.g) * b * math.tanh(b * x)
-        if spec.family is Family.SG:
-            m = spec.m
-            amp = 2.0 * m * math.sqrt(2.0 / (3.0 * spec.g))
-            if self.kind is SolutionKind.PERIODIC:
-                sn, _, _ = specfun.jacobi_sn_cn_dn(m * x, self.k)
-                return s * amp * math.asin(self.k * sn)
-            # asin(tanh) = atan(sinh), the latter well conditioned at the tails
-            return s * amp * math.atan(math.sinh(m * x))
-        # Nahm real form: phi = w / cn(sqrt(2) w x; 1/sqrt2), poles at cn = 0
-        w = spec.w
-        _, cn, _ = specfun.jacobi_sn_cn_dn(math.sqrt(2.0) * w * x, _K1)
-        self._nahm_pole_guard(x)
-        return s * w / cn
+            return s * math.sqrt(2.0 / spec.g) * k * b * sn
+        # asin(k sn) as atan2(k sn, dn): no digits lost as k -> 1
+        return s * _sg_amplitude(spec) * math.atan2(k * sn, dn)
 
     def dphi(self, x: float) -> float:
-        s, spec = self.branch_sign, self.spec
+        s, spec, b, k = self.branch_sign, self.spec, self.b_or_sigma, self.k
         if self.kind is SolutionKind.CONSTANT:
             return 0.0
+        if spec.family is Family.NAHM:
+            sn, cn, dn = self._nahm_sn_cn_dn(x)
+            return s * math.sqrt(2.0) * spec.w * spec.w * sn * dn / (cn * cn)
+        _, cn, dn = specfun.jacobi_sn_cn_dn(b * x, k)
         if spec.family is Family.GL:
-            b = self.b_or_sigma
-            if self.kind is SolutionKind.PERIODIC:
-                _, cn, dn = specfun.jacobi_sn_cn_dn(b * x, self.k)
-                return s * math.sqrt(2.0 / spec.g) * self.k * b * b * cn * dn
-            sech = 1.0 / math.cosh(b * x)
-            return s * math.sqrt(2.0 / spec.g) * b * b * sech * sech
-        if spec.family is Family.SG:
-            m = spec.m
-            amp = 2.0 * m * math.sqrt(2.0 / (3.0 * spec.g))
-            if self.kind is SolutionKind.PERIODIC:
-                _, cn, _ = specfun.jacobi_sn_cn_dn(m * x, self.k)
-                return s * amp * m * self.k * cn
-            return s * amp * m / math.cosh(m * x)
-        w = spec.w
-        u = math.sqrt(2.0) * w * x
-        sn, cn, dn = specfun.jacobi_sn_cn_dn(u, _K1)
-        self._nahm_pole_guard(x)
-        return s * math.sqrt(2.0) * w * w * sn * dn / (cn * cn)
+            return s * math.sqrt(2.0 / spec.g) * k * b * b * cn * dn
+        return s * _sg_amplitude(spec) * b * k * cn
 
-    def _nahm_pole_guard(self, x: float) -> None:
-        w = self.spec.w
-        u = math.sqrt(2.0) * w * x
-        # distance (in u) to the nearest zero of cn, at odd multiples of K
+    def _nahm_sn_cn_dn(self, x: float) -> tuple[float, float, float]:
+        """sn, cn, dn of u = sqrt(2) w x at modulus 1/sqrt2; raises within
+        _POLE_GAP of a zero of cn, at the odd multiples of K."""
+        u = math.sqrt(2.0) * self.spec.w * x
         d = abs((u - _K_NAHM) % (2.0 * _K_NAHM))
-        d = min(d, 2.0 * _K_NAHM - d)
-        if d < 1e-3:
+        if min(d, 2.0 * _K_NAHM - d) < _POLE_GAP:
             raise PoleError(f"Nahm solution pole near x = {x}")
+        return specfun.jacobi_sn_cn_dn(u, _K1)
 
 
-def kink_solution(spec: ModelSpec, sign: int = 1) -> ClassicalSolution:
-    """Separatrix (W = 0) kink/antikink of the GL or SG model."""
+def _family_member(spec: ModelSpec, k: float, kind: SolutionKind,
+                   sign: int) -> ClassicalSolution:
+    """The GL or SG solution of modulus k, with one scale rule for all k;
+    the kink is the k = 1 member and has no period."""
     if spec.family is Family.GL:
-        b = spec.m / math.sqrt(2.0)
+        b = spec.m / math.sqrt(1.0 + k * k)   # m / sqrt(2) at k = 1
     elif spec.family is Family.SG:
         b = spec.m
     else:
-        raise UnsupportedFamilyError("Nahm model has no bounded separatrix")
+        raise UnsupportedFamilyError("Nahm has no bounded separatrix; use nahm_solution")
+    period = 2.0 * specfun.ellipk(k) / b if kind is SolutionKind.PERIODIC else None
+    return ClassicalSolution(spec=spec, kind=kind, w_const=w_from_modulus(spec, k),
+                             b_or_sigma=b, branch_sign=1 if sign > 0 else -1,
+                             k=k, period=period)
+
+
+def kink_solution(spec: ModelSpec, sign: int = 1) -> ClassicalSolution:
+    """Separatrix (W = 0) kink/antikink of the GL or SG model: k = 1."""
     kind = SolutionKind.KINK if sign > 0 else SolutionKind.ANTIKINK
-    return ClassicalSolution(spec=spec, kind=kind, w_const=0.0,
-                             b_or_sigma=b, branch_sign=1 if sign > 0 else -1)
+    return _family_member(spec, 1.0, kind, sign)
 
 
 def periodic_solution(spec: ModelSpec, k: float | None = None,
@@ -247,16 +247,7 @@ def periodic_solution(spec: ModelSpec, k: float | None = None,
         k = modulus_from_w(spec, W)
     if not 0.0 < k < 1.0:
         raise DomainError(f"periodic solutions require 0 < k < 1, got {k}")
-    if spec.family is Family.GL:
-        b = spec.m / math.sqrt(1.0 + k * k)
-    elif spec.family is Family.SG:
-        b = spec.m
-    else:
-        raise UnsupportedFamilyError("use nahm_solution for the Nahm family")
-    W = w_from_modulus(spec, k)
-    return ClassicalSolution(spec=spec, kind=SolutionKind.PERIODIC, w_const=W,
-                             b_or_sigma=b, branch_sign=1 if sign > 0 else -1,
-                             k=k, period=2.0 * specfun.ellipk(k) / b)
+    return _family_member(spec, k, SolutionKind.PERIODIC, sign)
 
 
 def nahm_solution(spec: ModelSpec, sign: int = 1) -> ClassicalSolution:
@@ -268,6 +259,10 @@ def nahm_solution(spec: ModelSpec, sign: int = 1) -> ClassicalSolution:
     if spec.family is not Family.NAHM:
         raise UnsupportedFamilyError("nahm_solution requires the Nahm family")
     w = spec.w
+    # V = phi^4/2 and the energy density phi^4 - w^4/2 peak at the pole guard
+    phi_max = w / specfun.jacobi_sn_cn_dn(_K_NAHM - _POLE_GAP, _K1)[1]
+    if not phi_max * phi_max * phi_max * phi_max < math.inf:
+        raise DomainError(f"the Nahm solution overflows next to its poles at w = {w}")
     sigma = w / math.sqrt(2.0)
     period = math.sqrt(2.0) * _K_NAHM / w
     return ClassicalSolution(spec=spec, kind=SolutionKind.PERIODIC,
@@ -305,20 +300,15 @@ def schrodinger_potential(sol: ClassicalSolution, x: float) -> float:
     spec, b = sol.spec, sol.b_or_sigma
     if sol.kind is SolutionKind.CONSTANT:
         return potential_v(spec, sol.phi_const, order=2)
+    if spec.family is Family.NAHM:
+        return 6.0 * sol.phi(x) ** 2  # singular; pole guard applies
+    _, cn, _ = specfun.jacobi_sn_cn_dn(b * x, sol.k)
+    k2 = sol.k ** 2
     if spec.family is Family.GL:
-        if sol.kind is SolutionKind.PERIODIC:
-            _, cn, _ = specfun.jacobi_sn_cn_dn(b * x, sol.k)
-            return (5.0 * sol.k ** 2 - 1.0) * b * b - 6.0 * sol.k ** 2 * b * b * cn * cn
-        sech = 1.0 / math.cosh(b * x)
-        return -6.0 * b * b * sech * sech
-    if spec.family is Family.SG:
-        m = spec.m
-        if sol.kind is SolutionKind.PERIODIC:
-            _, cn, _ = specfun.jacobi_sn_cn_dn(m * x, sol.k)
-            return m * m * (2.0 * sol.k ** 2 - 1.0 - 2.0 * sol.k ** 2 * cn * cn)
-        sech = 1.0 / math.cosh(m * x)
-        return m * m * (1.0 - 2.0 * sech * sech)
-    return 6.0 * sol.phi(x) ** 2  # Nahm, singular; pole guard applies
+        # the kink's shift 4 b^2 is folded into c0, which is 0.0 at k = 1
+        c0 = 5.0 * k2 - 1.0 - (0.0 if sol.kind is SolutionKind.PERIODIC else 4.0)
+        return c0 * b * b - 6.0 * k2 * b * b * cn * cn
+    return b * b * (2.0 * k2 - 1.0 - 2.0 * k2 * cn * cn)
 
 
 def _energy_density(sol: ClassicalSolution, x: float) -> float:
@@ -332,15 +322,11 @@ def classical_energy(sol: ClassicalSolution) -> float:
         raise DomainError("classical_energy requires a kink or periodic solution")
     if sol.spec.family is Family.NAHM:
         raise EnergyDivergenceError("Nahm solution is unbounded; energy diverges")
-    if sol.kind is SolutionKind.PERIODIC:
-        val, err = quad(lambda x: _energy_density(sol, x), 0.0, sol.period,
-                        epsabs=1e-12, epsrel=1e-12, limit=200)
-    else:
-        b = sol.b_or_sigma
-        cut = 40.0 / b  # density decays like exp(-2 b x); tail < 1e-17
-        val, err = quad(lambda x: _energy_density(sol, x), -cut, cut,
-                        epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
+    # a kink's density decays like exp(-2 b x); its tail past 40 / b is < 1e-17
+    cut = 40.0 / sol.b_or_sigma
+    lo, hi = (-cut, cut) if sol.period is None else (0.0, sol.period)
+    return quad(lambda x: _energy_density(sol, x), lo, hi,
+                epsabs=1e-12, epsrel=1e-12, limit=200)[0]
 
 
 def _sg_energy_norm(spec: ModelSpec) -> float:

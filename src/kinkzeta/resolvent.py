@@ -3,10 +3,10 @@
 For each case the Laplace-domain Green-function diagonal is the algebraic
 form G(p, x) = P(p, z(x)) / (2 sqrt(Q(p))) with
 
-    z = sech^2(bx)                         (kinks A, C)
-    z = cn^2(bx; k)                        (periodic B, D; Nahm uses the
-                                            imaginary-modulus real section
-                                            z = cd^2(sqrt2 b x; 1/sqrt2))
+    z = cn^2(bx; k)                 (periodic B, D; the kinks A, C are
+                                     k = 1, where z = sech^2(bx))
+    z = cd^2(sqrt2 b x; 1/sqrt2)    (Nahm: the imaginary-modulus real
+                                     section)
 
 and P, Q polynomial in p.  G satisfies the bilinear identity
 
@@ -82,6 +82,7 @@ class ResolventPolynomial:
 
     p_rows holds the z-polynomials multiplying ascending powers of p, so
     P(p, z) = sum_i p_rows[i](z) * p^i.  q_coeffs are ascending and monic.
+    k is 1.0 for the kinks and None for NAHM.
     roots are sorted ascending; double roots appear twice.
     """
 
@@ -116,12 +117,10 @@ class ResolventPolynomial:
 
     # -- coordinate maps ----------------------------------------------------
     def z_of_x(self, x: float) -> float:
-        if self.is_kink:
-            return 1.0 / math.cosh(self.b * x) ** 2
         if self.case is CaseTag.NAHM:
             _, cn, dn = specfun.jacobi_sn_cn_dn(math.sqrt(2.0) * self.b * x, _K1)
             return (cn / dn) ** 2
-        _, cn, _ = specfun.jacobi_sn_cn_dn(self.b * x, self.k)
+        _, cn, _ = specfun.jacobi_sn_cn_dn(self.b * x, self.k)   # sech(bx) at k = 1
         return cn * cn
 
     def u_of_x(self, x: float) -> float:
@@ -157,13 +156,6 @@ class ResolventPolynomial:
         return tuple(sum(row[j] * weights[j] for j in range(len(row)))
                      for row in self.p_rows)
 
-    def _numerator(self, p: complex) -> complex:
-        """Numerator of the period/relative trace of G at p."""
-        acc = 0.0 + 0.0j
-        for i, coef in enumerate(self._trace_coeffs):
-            acc += coef * complex(p) ** i
-        return acc
-
     def gamma_hat(self, p: complex) -> complex:
         """Laplace-domain trace: per period for B/D/NAHM, the renormalized
         (background-subtracted) kink trace for A/C.
@@ -173,7 +165,7 @@ class ResolventPolynomial:
         pc = complex(p)
         if min(abs(pc - r) for r in self.roots) < 1e-6:
             raise PoleError("gamma_hat within 1e-6 of a branch point")
-        return self._numerator(pc) / (2.0 * self.sqrt_q(pc))
+        return _polyval(self._trace_coeffs, pc) / (2.0 * self.sqrt_q(pc))
 
     # -- spectral structure (computed once per instance) ---------------------
     def pole_terms(self) -> tuple[tuple[float, float], ...]:
@@ -202,7 +194,7 @@ class ResolventPolynomial:
             if roots[i + 1:i + 2] == (p0,):
                 others = roots[:i] + roots[i + 2:]
                 acc = sum(cmath.log(complex(p0) - r) for r in others)
-                res = self._numerator(p0) / (2.0 * cmath.exp(0.5 * acc))
+                res = _polyval(self._trace_coeffs, p0) / (2.0 * cmath.exp(0.5 * acc))
                 poles.append((-p0, res.real))
                 i += 2
             else:
@@ -270,7 +262,8 @@ class ResolventPolynomial:
 def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> ResolventPolynomial:
     """Populate P, Q, rho, u and the period moments for one case.
 
-    k is required for B and D (0 < k < 1) and ignored for A, C, NAHM.
+    k is required for B and D (0 < k < 1) and ignored for A, C (which
+    take k = 1) and NAHM (k = None).
     The roots of Q come from its factorization in k^2 and k'^2; they are
     equal only at k^2 = 1 (the double roots of a kink), and a periodic
     case with two edges that round to one float raises DomainError.
@@ -278,17 +271,15 @@ def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> Resolven
     case = CaseTag(case)
     if not 0.0 < b < math.inf:
         raise DomainError("build_resolvent requires 0 < b < inf")
+    # a kink is the k = 1 member of its family, NAHM the k^2 = -1 member
+    # of GL; kc2 = 1 - k^2, without cancellation as k -> 1
+    kink = case in (CaseTag.A, CaseTag.C)
     if case in (CaseTag.B, CaseTag.D):
         if k is None or not 0.0 < k < 1.0:
             raise DomainError(f"case {case.value} requires 0 < k < 1")
     else:
-        k = None
-    # a kink is the k^2 = 1 member of its family, NAHM the k^2 = -1 member
-    # of GL; kc2 = 1 - k^2, without cancellation as k -> 1
-    kink = case in (CaseTag.A, CaseTag.C)
-    if kink:
-        k2, kc2 = 1.0, 0.0
-    elif case is CaseTag.NAHM:
+        k = 1.0 if kink else None
+    if case is CaseTag.NAHM:
         k2, kc2 = -1.0, 2.0
     else:
         k2, kc2 = k * k, (1.0 - k) * (1.0 + k)

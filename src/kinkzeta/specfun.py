@@ -116,12 +116,20 @@ def jacobi_sn_cn_dn(u: float, k: float) -> tuple[float, float, float]:
 
     Builds the AGM scale ladder a_n, c_n, then recovers the amplitude by
     the backward angle recursion phi_{n-1} = (phi_n + asin(c_n/a_n sin
-    phi_n)) / 2.  Absolute error below 1e-12 for |u| <= 4 K(k).
+    phi_n)) / 2.  Absolute error below 1e-12 for |u| <= 4 K(k).  At k = 1
+    they are tanh u, sech u, sech u (DLMF 22.5.ii), with sech = 0.0 where
+    cosh overflows.
     """
-    if not 0.0 <= k < 1.0:
-        raise DomainError(f"jacobi_sn_cn_dn requires 0 <= k < 1, got {k}")
+    if not 0.0 <= k <= 1.0:
+        raise DomainError(f"jacobi_sn_cn_dn requires 0 <= k <= 1, got {k}")
     if k < 1e-14:
         return math.sin(u), math.cos(u), 1.0
+    if k == 1.0:
+        try:
+            sech = 1.0 / math.cosh(u)
+        except OverflowError:
+            sech = 0.0
+        return math.tanh(u), sech, sech
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     a, b = 1.0, kp
     a_hist = [a]
@@ -190,15 +198,15 @@ def theta3(w: complex, tau: complex) -> complex:
 
 
 def theta1_dw(w: complex, tau: complex, order: int = 0) -> complex:
-    """w-derivative of order 0..3 of theta_1(w | tau).
+    """theta_1(w | tau) (order 0) or its w-derivative (order 1).
 
     theta_1(w) = 2 sum_m (-1)^m q^{(m+1/2)^2} sin((2m+1) pi w), q = e^{i pi tau}.
     """
     tau = complex(tau)
     if tau.imag <= 0.0:
         raise DomainError("theta1 requires Im tau > 0")
-    if order not in (0, 1, 2, 3):
-        raise DomainError("theta1_dw supports order 0..3")
+    if order not in (0, 1):
+        raise DomainError("theta1_dw supports order 0 or 1")
     w = complex(w)
     s = 0.0 + 0.0j
     small_run = 0
@@ -209,12 +217,8 @@ def theta1_dw(w: complex, tau: complex, order: int = 0) -> complex:
         arg = odd * math.pi * w
         if order == 0:
             term = base * cmath.sin(arg)
-        elif order == 1:
-            term = base * amp * cmath.cos(arg)
-        elif order == 2:
-            term = -base * amp ** 2 * cmath.sin(arg)
         else:
-            term = -base * amp ** 3 * cmath.cos(arg)
+            term = base * amp * cmath.cos(arg)
         s += term
         # the envelope |base| e^{(2m+1) pi |Im w|} eventually decays
         # geometrically; two consecutive small terms guard the sin zeros
@@ -276,10 +280,8 @@ def weierstrass_params(g2: float, g3: float) -> WeierstrassParams:
     kp = math.sqrt((e1 - e2) / (e1 - e3))
     omega = ellipk(k) / scale
     omega_imag = ellipk(kp) / scale
-    tau = 1j * omega_imag / omega
-    t1p = theta1_dw(0.0, tau, 1)
-    t1ppp = theta1_dw(0.0, tau, 3)
-    eta = (-t1ppp / (12.0 * omega * t1p)).real
+    # eta = zeta(omega) = sqrt(e1 - e3) E(k) - e1 omega, from the sn form of p
+    eta = scale * ellipe(k) - e1 * omega
     return WeierstrassParams(g2=float(g2), g3=float(g3), e1=e1, e2=e2, e3=e3,
                              omega=omega, omega_imag=omega_imag, eta=eta,
                              k=k, scale=scale)

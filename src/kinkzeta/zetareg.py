@@ -303,14 +303,6 @@ def mellin_zeta(trace: HeatTrace, s: complex) -> ZetaEvaluation:
 # contour route
 # ---------------------------------------------------------------------------
 
-def _lam_weight(lam: float, s: complex) -> complex:
-    """lambda^{-s}, continued to lambda < 0 with the Im p < 0 prescription:
-    (-p)^{-s} = |lambda|^{-s} e^{-i pi s} there."""
-    if lam > 0.0:
-        return cmath.exp(-s * math.log(lam))
-    return cmath.exp(-s * math.log(-lam)) * cmath.exp(-1j * math.pi * s)
-
-
 def _finite_band(rp: ResolventPolynomial, s: complex, lo: float,
                  hi: float) -> tuple[complex, float]:
     """int rho(lam) lam^{-s} over the band (lo, hi); a band below 0 carries
@@ -367,8 +359,10 @@ def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
     elif not (-0.5 + 1e-9 < s.real < 0.5 - 1e-9):
         raise BranchCollisionError(
             "periodic contour zeta requires -1/2 < Re s < 1/2")
-    terms = [res * _lam_weight(lam, s) for lam, res in rp.pole_terms()
-             if abs(lam) > 1e-12]   # the zero mode contributes 0^{-s} == 0
+    # the poles are kink bound states at lambda = 3 b^2 > 0 and the zero mode
+    # at lambda = 0.0 exactly, which contributes 0^{-s} == 0
+    terms = [res * cmath.exp(-s * math.log(lam)) for lam, res in rp.pole_terms()
+             if lam > 0.0]
     err = 0.0
     bands = rp.bands()
     top = bands[-1][0]

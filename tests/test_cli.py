@@ -273,6 +273,13 @@ class TestContracts:
         ("energy", "--family", "sg", "--m", "1e200", "--g", "1", "--kink"),
         ("energy", "--family", "gl", "--m", "1e200", "--g", "1", "--kink"),
         ("solution", "--family", "nahm", "--w", "1e200"),
+        ("energy", "--family", "gl", "--m", "1", "--g", "1e-300", "--kink"),
+        ("solution", "--family", "gl", "--m", "1", "--g", "1e-300", "--kink",
+         "--n", "3"),
+        ("solution", "--family", "nahm", "--w", "1e76", "--n", "201"),
+        ("energy", "--family", "sg", "--m", "1e-300", "--g", "1e20", "--kink"),
+        ("solution", "--family", "sg", "--m", "1e-300", "--g", "1e60", "--kink",
+         "--n", "3"),
         ("solution", "--family", "gl", "--kink", "--x-min", "-1"),
         ("solution", "--family", "gl", "--kink", "--x-max", "1"),
         ("solution", "--family", "gl", "--kink", "--x-min", "-1", "--x-max", "inf"),

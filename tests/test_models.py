@@ -3,8 +3,11 @@ energies.  Oracles are finite differences and independent quadrature."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from kinkzeta import models, specfun
@@ -295,12 +298,27 @@ class TestEnergies:
 
     @pytest.mark.parametrize("kwargs", [
         dict(family="sg", m=1e200), dict(family="gl", m=1e200),
-        dict(family="gl", m=1e80, g=1e10), dict(family="nahm", w=1e200)])
+        dict(family="gl", m=1e80, g=1e10), dict(family="nahm", w=1e200),
+        dict(family="gl", m=1.0, g=1e-300), dict(family="gl", m=1e20, g=1e-150),
+        dict(family="sg", m=1e-300, g=1e20), dict(family="sg", m=1e-300, g=1e60)])
     def test_energy_scale_overflow_is_a_domain_error(self, kwargs):
         # m^4 / g (w^4 for Nahm) is not finite, so V, W and the energy
-        # density would overflow
+        # density would overflow; or GL's (m^2/g)^2 or SG's c = sqrt(3g/2)/m
         with pytest.raises(DomainError, match="overflows"):
             ModelSpec(**kwargs)
+
+    def test_nahm_overflow_next_to_the_poles_is_a_domain_error(self):
+        # w^4 is finite, but phi^4 is not at the edge of the pole guard
+        with pytest.raises(DomainError, match="overflows"):
+            models.nahm_solution(ModelSpec(family="nahm", w=1e76))
+
+    def test_nahm_energy_density_is_finite_up_to_the_pole_guard(self):
+        w = 4e73   # just inside the domain: phi^4 there is about 1e308
+        sol = models.nahm_solution(ModelSpec(family="nahm", w=w))
+        x = (models._K_NAHM - 1.0001 * models._POLE_GAP) / (math.sqrt(2.0) * w)
+        phi = sol.phi(x)
+        e = 0.5 * sol.dphi(x) ** 2 + models.potential_v(sol.spec, phi)
+        assert math.isfinite(e) and e > 1e307
 
     def test_divergent_and_invalid(self):
         with pytest.raises(EnergyDivergenceError):
@@ -323,3 +341,75 @@ class TestConstants:
             -4.0 * SG.m ** 4 / (3.0 * SG.g), rel=1e-12)
         vac = models.constant_solution(SG, "vacuum")
         assert vac.w_const == pytest.approx(0.0, abs=1e-12)
+
+
+def _jacobi_mp(sol, x):
+    """sn, cn, dn of the solution's argument b x in mpmath; tanh, sech,
+    sech for a kink."""
+    u = mp.mpf(sol.b_or_sigma) * mp.mpf(x)
+    if sol.k == 1.0:
+        return mp.tanh(u), mp.sech(u), mp.sech(u)
+    return tuple(mp.ellipfun(f, u, m=mp.mpf(sol.k) ** 2) for f in ("sn", "cn", "dn"))
+
+
+def _reference(sol, x):
+    """phi, phi', u and their scales in mpmath, from the textbook forms:
+    GL phi = sqrt(2/g) k b sn, SG phi = 2 m sqrt(2/(3g)) asin(k sn)."""
+    sn, cn, dn = _jacobi_mp(sol, x)
+    b, k, g = (mp.mpf(v) for v in (sol.b_or_sigma, sol.k, sol.spec.g))
+    if sol.spec.family is Family.GL:
+        a = mp.sqrt(2 / g)
+        shift = 4 if sol.kind is not SolutionKind.PERIODIC else 0
+        return ((a * k * b * sn, a * k * b * b * cn * dn,
+                 (5 * k * k - 1 - shift) * b * b - 6 * k * k * b * b * cn * cn),
+                (a * b, a * b * b, 6 * b * b))
+    a = 2 * mp.mpf(sol.spec.m) * mp.sqrt(2 / (3 * g))
+    return ((a * mp.asin(k * sn), a * b * k * cn,
+             b * b * (2 * k * k - 1 - 2 * k * k * cn * cn)),
+            (a, a * b, 6 * b * b))
+
+
+class TestFamilyProperty:
+    """GL and SG over their family domain, the kink as k = 1, against
+    mpmath and the first integral."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(family=st.sampled_from([Family.GL, Family.SG]),
+           k=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+           m=st.floats(0.1, 10.0), g=st.floats(0.1, 10.0),
+           t=st.floats(0.0, 1.0))
+    def test_solution_against_mpmath(self, family, k, m, g, t):
+        mp.mp.dps = 40
+        spec = ModelSpec(family=family, m=m, g=g)
+        if k == 1.0:
+            sol = models.kink_solution(spec)
+            x = (2.0 * t - 1.0) * 10.0 / sol.b_or_sigma
+        else:
+            sol = models.periodic_solution(spec, k=k)
+            x = t * sol.period
+        got = (sol.phi(x), sol.dphi(x), models.schrodinger_potential(sol, x))
+        ref, scale = _reference(sol, x)
+        # 5e-13: the absolute accuracy of cn and dn as k -> 1 (1e-13 seen
+        # within 1e-14 of k = 1), where SG phi and phi' follow dn and cn
+        for v, r, sc in zip(got, ref, scale):
+            assert abs(v - r) <= 5e-13 * sc
+        W = 0.5 * got[1] ** 2 - models.potential_v(spec, got[0])
+        assert abs(W - sol.w_const) <= 1e-14 * m ** 4 / g
+
+    def test_kink_is_the_k_equals_one_member(self):
+        # one scale rule: b = m / sqrt(1 + k^2) for GL, b = m for SG
+        gl, sg = models.kink_solution(GL), models.kink_solution(SG)
+        assert (gl.k, gl.period, gl.b_or_sigma) == (1.0, None, GL.m / math.sqrt(2.0))
+        assert (sg.k, sg.period, sg.b_or_sigma) == (1.0, None, SG.m)
+
+    @pytest.mark.parametrize("k", [0.5, 0.9, 0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+    def test_sg_phase_keeps_its_digits_as_k_tends_to_one(self, k):
+        # m = g = 1, 400 points of a period: the asin(k sn) form erred by
+        # 1.1e-13 at k = 1 - 1e-6 and 6.3e-11 at k = 1 - 1e-12, and
+        # atan2(k sn, dn) by 6.2e-15 and 4.2e-14
+        mp.mp.dps = 30
+        sol = models.periodic_solution(ModelSpec(family="sg", m=1.0, g=1.0), k=k)
+        amp, m2 = 2 * mp.sqrt(mp.mpf(2) / 3), mp.mpf(k) ** 2
+        worst = max(abs(sol.phi(x) - amp * mp.asin(k * mp.ellipfun("sn", x, m=m2)))
+                    for x in np.linspace(0.0, sol.period, 400))
+        assert worst <= (4e-15 if k <= 0.999 else 5e-14)

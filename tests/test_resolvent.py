@@ -217,6 +217,14 @@ class TestGammaHat:
             assert rp.gamma_hat(p) == pytest.approx(
                 b / (p * cmath.sqrt(p + b * b)), rel=1e-12)
 
+    def test_kink_z_is_cn_squared_at_k_one(self):
+        for case in (CaseTag.A, CaseTag.C):
+            rp = build_resolvent(case, 1.7)
+            assert rp.k == 1.0
+            for x in (-3.0, 0.0, 0.4, 30.0, 1e3):
+                sech = 1.0 / math.cosh(1.7 * x) if x < 400.0 else 0.0
+                assert rp.z_of_x(x) == sech * sech
+
     def test_kink_moments_against_quadrature(self):
         b = 1.7
         rp = build_resolvent(CaseTag.C, b)

@@ -7,9 +7,10 @@ summation, scipy's independent implementations, and finite differences.
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipj
@@ -117,6 +118,23 @@ class TestJacobiFunctions:
             assert sn == pytest.approx(s2, abs=1e-12)
             assert cn == pytest.approx(c2, abs=1e-12)
             assert dn == pytest.approx(d2, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(u=st.one_of(st.floats(-40.0, 40.0), st.floats(-1e6, 1e6)))
+    @example(u=709.0)
+    @example(u=-711.0)
+    def test_separatrix_is_tanh_sech_sech(self, u):
+        # k = 1 (DLMF 22.5.ii); sech is 0.0 where cosh overflows
+        try:
+            sech = 1.0 / math.cosh(u)
+        except OverflowError:
+            sech = 0.0
+        assert specfun.jacobi_sn_cn_dn(u, 1.0) == (math.tanh(u), sech, sech)
+
+    @pytest.mark.parametrize("k", [math.nextafter(1.0, 2.0), math.nan, -1e-300])
+    def test_modulus_outside_unit_interval_raises(self, k):
+        with pytest.raises(DomainError):
+            specfun.jacobi_sn_cn_dn(0.3, k)
 
     def test_complex_reduces_to_real(self):
         sn, cn, dn = specfun.jacobi_sn_cn_dn_complex(1.1 + 0.0j, 0.6)
@@ -261,6 +279,20 @@ class TestWeierstrass:
         p = self.params
         u = 1e-5
         assert specfun.weierstrass_sigma(u, p) == pytest.approx(u, rel=1e-8)
+
+    @pytest.mark.parametrize("k", [0.05, 0.3, 0.7, 0.95])
+    def test_eta_matches_mpmath_theta_series(self, k):
+        # eta = -theta_1^(3)(0) / (12 omega theta_1^(1)(0)) on the lattice's tau
+        mp.mp.dps = 40
+        p = lattice_of_modulus(k)
+        q = mp.exp(-mp.pi * mp.mpf(p.omega_imag) / mp.mpf(p.omega))
+        ref = -(mp.pi ** 2 * mp.jtheta(1, 0, q, 3)
+                / (12 * mp.mpf(p.omega) * mp.jtheta(1, 0, q, 1)))
+        assert abs(p.eta - ref) <= 4e-15 * abs(ref)
+
+    def test_theta1_derivative_orders(self):
+        with pytest.raises(DomainError):
+            specfun.theta1_dw(0.1, 0.8j, 2)
 
     def test_legendre_period_relation(self):
         # eta omega' - eta' omega = i pi / 2

@@ -248,6 +248,14 @@ class TestContour:
             assert con.real == pytest.approx(mel.real, abs=1e-6)
             assert abs(con.imag) < 1e-10
 
+    def test_case_c_bound_state_at_small_b(self):
+        # zeta scales as b^{-2s}; the bound state at lambda = 3 b^2 = 3e-14
+        # is a pole term like any other (it was taken for the zero mode)
+        s = 0.3
+        ref = zetareg.zeta_contour(build_resolvent(CaseTag.C, 1.0), s).value
+        small = zetareg.zeta_contour(build_resolvent(CaseTag.C, 1e-7), s).value
+        assert small == pytest.approx(ref * 1e-7 ** (-2.0 * s), rel=1e-12)
+
     def test_complex_s(self):
         rp = build_resolvent(CaseTag.A, 1.0)
         s = 0.2 + 0.15j
