@@ -155,7 +155,7 @@ def _cmd_heattrace(args) -> int:
     per_len = 1.0 if rp.is_kink else 1.0 / rp.period
     for t in _parse_grid(args.t):
         inv = resolvent.invert_laplace_gamma(rp, t)
-        closed = (specfun.erf(rp.b * math.sqrt(t))
+        closed = (math.erf(rp.b * math.sqrt(t))
                   if rp.case is resolvent.CaseTag.A else None)
         rows.append([t, closed, inv.total, inv.total * per_len,
                      inv.bound_part, inv.continuum_stable,

@@ -31,7 +31,6 @@ __all__ = [
     "kink_solution",
     "periodic_solution",
     "nahm_solution",
-    "constant_solution",
     "schrodinger_potential",
     "potential_shift",
     "classical_energy",
@@ -56,7 +55,6 @@ class SolutionKind(str, Enum):
     KINK = "kink"
     ANTIKINK = "antikink"
     PERIODIC = "periodic"
-    CONSTANT = "constant"
 
 
 @dataclass(frozen=True)
@@ -165,8 +163,8 @@ class ClassicalSolution:
 
     period is the period of the associated Schroedinger potential u(x)
     (the field itself is antiperiodic over it for the periodic families);
-    it is None for kinks and constants.  k is the elliptic modulus of GL
-    and SG solutions, 1.0 for kinks; None for Nahm and constants.
+    it is None for kinks.  k is the elliptic modulus of GL and SG
+    solutions, 1.0 for kinks; None for Nahm.
     """
 
     spec: ModelSpec
@@ -176,15 +174,12 @@ class ClassicalSolution:
     branch_sign: int = 1
     k: float | None = None
     period: float | None = None
-    phi_const: float | None = None   # constant solutions only
 
     # -- evaluation ---------------------------------------------------------
     # GL and SG are written once in (k, b); the kink is the k = 1 member,
     # where sn, cn, dn are tanh, sech, sech
     def phi(self, x: float) -> float:
         s, spec, b, k = self.branch_sign, self.spec, self.b_or_sigma, self.k
-        if self.kind is SolutionKind.CONSTANT:
-            return self.phi_const
         if spec.family is Family.NAHM:
             # real form: phi = w / cn(sqrt(2) w x; 1/sqrt2), poles at cn = 0
             return s * spec.w / self._nahm_sn_cn_dn(x)[1]
@@ -196,8 +191,6 @@ class ClassicalSolution:
 
     def dphi(self, x: float) -> float:
         s, spec, b, k = self.branch_sign, self.spec, self.b_or_sigma, self.k
-        if self.kind is SolutionKind.CONSTANT:
-            return 0.0
         if spec.family is Family.NAHM:
             sn, cn, dn = self._nahm_sn_cn_dn(x)
             return s * math.sqrt(2.0) * spec.w * spec.w * sn * dn / (cn * cn)
@@ -270,19 +263,6 @@ def nahm_solution(spec: ModelSpec, sign: int = 1) -> ClassicalSolution:
                              branch_sign=1 if sign > 0 else -1, period=period)
 
 
-def constant_solution(spec: ModelSpec, which: str = "vacuum") -> ClassicalSolution:
-    """Constant solutions; W is computed directly from the first integral."""
-    if spec.family is Family.GL:
-        phi0 = spec.m / math.sqrt(spec.g) if which == "vacuum" else 0.0
-    elif spec.family is Family.SG:
-        phi0 = 0.5 * spec.field_period if which == "vacuum" else 0.0
-    else:
-        raise UnsupportedFamilyError("Nahm model has no constant solutions")
-    W = -potential_v(spec, phi0)
-    return ClassicalSolution(spec=spec, kind=SolutionKind.CONSTANT, w_const=W,
-                             b_or_sigma=0.0, phi_const=phi0)
-
-
 def potential_shift(sol: ClassicalSolution) -> float:
     """Shift lambda with V''(phi(x)) = lambda + u(x) for this solution's u."""
     if sol.spec.family is Family.GL and sol.kind in (SolutionKind.KINK,
@@ -298,8 +278,6 @@ def schrodinger_potential(sol: ClassicalSolution, x: float) -> float:
     (shift 4 b^2 removed); all other cases return V''(phi(x)) unshifted.
     """
     spec, b = sol.spec, sol.b_or_sigma
-    if sol.kind is SolutionKind.CONSTANT:
-        return potential_v(spec, sol.phi_const, order=2)
     if spec.family is Family.NAHM:
         return 6.0 * sol.phi(x) ** 2  # singular; pole guard applies
     _, cn, _ = specfun.jacobi_sn_cn_dn(b * x, sol.k)
@@ -318,8 +296,6 @@ def _energy_density(sol: ClassicalSolution, x: float) -> float:
 def classical_energy(sol: ClassicalSolution) -> float:
     """Raw energy integral of the density phi'^2/2 + V over R (kinks) or
     one period (periodic solutions); absolute tolerance 1e-9."""
-    if sol.kind is SolutionKind.CONSTANT:
-        raise DomainError("classical_energy requires a kink or periodic solution")
     if sol.spec.family is Family.NAHM:
         raise EnergyDivergenceError("Nahm solution is unbounded; energy diverges")
     # a kink's density decays like exp(-2 b x); its tail past 40 / b is < 1e-17
@@ -346,13 +322,11 @@ def closed_form_energy(sol: ClassicalSolution) -> float | None:
     if spec.family is not Family.SG:
         return None
     m, g = spec.m, spec.g
-    if sol.kind in (SolutionKind.KINK, SolutionKind.ANTIKINK):
+    if sol.kind is not SolutionKind.PERIODIC:
         return 16.0 * m * m / g
-    if sol.kind is SolutionKind.PERIODIC:
-        k = sol.k
-        K, E = specfun.ellipk(k), specfun.ellipe(k)
-        return 8.0 * m * m / g * (2.0 * E - (1.0 - k * k) * K)
-    return None
+    k = sol.k
+    K, E = specfun.ellipk(k), specfun.ellipe(k)
+    return 8.0 * m * m / g * (2.0 * E - (1.0 - k * k) * K)
 
 
 def energy_report(sol: ClassicalSolution) -> dict:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,6 +49,7 @@ __all__ = [
 
 _TRACE_TAIL = 1e-17   # dropped bands: at most this share of e^{-t hi_0}
 _MAX_NEWTON = 100     # Newton steps per band of lattice_heat_trace
+_N_THETA = 32         # Bloch phases of lattice_heat_trace on (0, pi)
 
 
 @dataclass(frozen=True)
@@ -204,9 +204,9 @@ def _band_roots(a: np.ndarray, b: np.ndarray, j: int, theta: np.ndarray,
         f"lattice_heat_trace: band {j} not converged in {_MAX_NEWTON} steps")
 
 
-def lattice_heat_trace(spec: LatticeSpec, t: float, n_theta: int = 32) -> float:
-    """Per-period heat trace of a periodic operator, averaged over a
-    uniform Bloch-phase grid on (0, pi).
+def lattice_heat_trace(spec: LatticeSpec, t: float) -> float:
+    """Per-period heat trace of a periodic operator, averaged over the
+    _N_THETA phases (i + 1/2) pi / _N_THETA of (0, pi).
 
     Only the theta = 0 and theta = pi spectra are solved; the module
     docstring gives the identity that fixes every other phase from them.
@@ -217,14 +217,12 @@ def lattice_heat_trace(spec: LatticeSpec, t: float, n_theta: int = 32) -> float:
         raise DomainError("lattice_heat_trace requires a periodic lattice")
     if not 0.0 < t < math.inf:
         raise DomainError("lattice_heat_trace requires 0 < t < inf")
-    if not (isinstance(n_theta, numbers.Integral) and n_theta >= 1):
-        raise DomainError("lattice_heat_trace requires an integer n_theta >= 1")
     a = bloch_eigenvalues(spec, 0.0)
     b = bloch_eigenvalues(spec, math.pi)
     # the suffix sums of e^{-t (lo_j - hi_0)}, j >= 1, bound the bands left out
     rest = np.minimum(a, b)[:0:-1] - max(a[0], b[0])
     m = 1 + np.count_nonzero(np.cumsum(np.exp(-t * rest)) > _TRACE_TAIL)
-    theta = (np.arange(n_theta) + 0.5) * math.pi / n_theta
+    theta = (np.arange(_N_THETA) + 0.5) * math.pi / _N_THETA
     sin2 = np.sin(0.5 * theta) ** 2
     acc = 0.0
     with np.errstate(over="ignore"):
@@ -233,4 +231,4 @@ def lattice_heat_trace(spec: LatticeSpec, t: float, n_theta: int = 32) -> float:
             acc += float(np.sum(np.exp(-lam * t)))
     if not math.isfinite(acc):
         raise ConvergenceError(f"lattice heat trace overflows at t = {t!r}")
-    return acc / n_theta
+    return acc / _N_THETA

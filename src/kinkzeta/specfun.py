@@ -2,9 +2,9 @@
 
 Complete elliptic integrals K, E by the arithmetic-geometric mean,
 Jacobi elliptic functions sn, cn, dn by the descending Landen (AGM phase)
-recursion, the imaginary-modulus transformation, Jacobi theta series,
-Weierstrass p/zeta/sigma on real rectangular lattices, and thin wrappers
-for Gamma, digamma and erf.
+recursion, the imaginary-modulus transformation, the theta_1 series
+behind Weierstrass p/zeta/sigma on real rectangular lattices, and a
+pole-guarded Gamma.
 
 Everything here is a pure function of its arguments; there is no module
 state, so concurrent use is safe.
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma as _sc_digamma
 from scipy.special import ellipkinc
 from scipy.special import gamma as _sc_gamma
 
@@ -30,8 +29,6 @@ __all__ = [
     "ellipe_imag",
     "jacobi_sn_cn_dn",
     "jacobi_sn_cn_dn_complex",
-    "theta3",
-    "theta1",
     "theta1_dw",
     "WeierstrassParams",
     "weierstrass_params",
@@ -40,8 +37,6 @@ __all__ = [
     "weierstrass_zeta",
     "weierstrass_sigma",
     "gamma_fn",
-    "digamma",
-    "erf",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -174,28 +169,8 @@ def jacobi_sn_cn_dn_complex(u: complex, k: float) -> tuple[complex, complex, com
 
 
 # ---------------------------------------------------------------------------
-# Jacobi theta series
+# Jacobi theta_1
 # ---------------------------------------------------------------------------
-
-def theta3(w: complex, tau: complex) -> complex:
-    """theta(w | tau) = sum_m exp[i pi (m^2 tau + 2 m w)].
-
-    Truncated when both the +m and -m terms drop below 1e-16 of the
-    partial sum; requires Im tau > 0 for convergence.
-    """
-    tau = complex(tau)
-    if tau.imag <= 0.0:
-        raise DomainError("theta3 requires Im tau > 0")
-    w = complex(w)
-    s = 1.0 + 0.0j
-    for m in range(1, 512):
-        tp = cmath.exp(1j * math.pi * (m * m * tau + 2.0 * m * w))
-        tm = cmath.exp(1j * math.pi * (m * m * tau - 2.0 * m * w))
-        s += tp + tm
-        if abs(tp) + abs(tm) < 1e-16 * max(1.0, abs(s)) and m >= 2:
-            return s
-    raise ConvergenceError("theta3 series did not converge in 511 terms")
-
 
 def theta1_dw(w: complex, tau: complex, order: int = 0) -> complex:
     """theta_1(w | tau) (order 0) or its w-derivative (order 1).
@@ -204,7 +179,7 @@ def theta1_dw(w: complex, tau: complex, order: int = 0) -> complex:
     """
     tau = complex(tau)
     if tau.imag <= 0.0:
-        raise DomainError("theta1 requires Im tau > 0")
+        raise DomainError("theta1_dw requires Im tau > 0")
     if order not in (0, 1):
         raise DomainError("theta1_dw supports order 0 or 1")
     w = complex(w)
@@ -226,12 +201,7 @@ def theta1_dw(w: complex, tau: complex, order: int = 0) -> complex:
         small_run = small_run + 1 if env < 1e-17 * max(1.0, abs(s)) else 0
         if small_run >= 2 and m >= 2:
             return s
-    raise ConvergenceError("theta1 series did not converge in 512 terms")
-
-
-def theta1(w: complex, tau: complex) -> complex:
-    """theta_1(w | tau), the odd theta function (vanishes at w = 0)."""
-    return theta1_dw(w, tau, 0)
+    raise ConvergenceError("theta1_dw series did not converge in 512 terms")
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +320,7 @@ def weierstrass_p_inverse(H: float, params: WeierstrassParams) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Gamma family and erf
+# Gamma
 # ---------------------------------------------------------------------------
 
 def _near_nonpositive_integer(s: complex) -> bool:
@@ -365,14 +335,3 @@ def gamma_fn(s: complex) -> complex:
         raise PoleError(f"gamma_fn pole at s = {s}")
     return complex(_sc_gamma(complex(s)))
 
-
-def digamma(s: complex) -> complex:
-    """Digamma psi(s) = Gamma'(s)/Gamma(s) (complex)."""
-    if _near_nonpositive_integer(s):
-        raise PoleError(f"digamma pole at s = {s}")
-    return complex(_sc_digamma(complex(s)))
-
-
-def erf(x: float) -> float:
-    """Error function of a real argument."""
-    return math.erf(x)

@@ -46,7 +46,6 @@ __all__ = [
     "zeta_vacuum",
     "vacuum_heat_trace",
     "erf_heat_trace",
-    "zero_heat_trace",
     "kink_trace_d",
     "zeta_kink_1d",
     "zeta_d_kink",
@@ -105,10 +104,6 @@ def vacuum_heat_trace(nu: float, d: int) -> HeatTrace:
     return HeatTrace(source="closed_form_vacuum",
                      eval=lambda t: pref * t ** (-0.5 * d) * math.exp(-nu * t),
                      renormalized=False, small_t=small, large_t=())
-
-
-def zero_heat_trace() -> HeatTrace:
-    return HeatTrace(source="zero", eval=lambda t: 0.0, renormalized=True)
 
 
 def kink_trace_d(m: float, d: int) -> HeatTrace:

@@ -323,24 +323,6 @@ class TestEnergies:
     def test_divergent_and_invalid(self):
         with pytest.raises(EnergyDivergenceError):
             models.classical_energy(models.nahm_solution(NAHM))
-        with pytest.raises(DomainError):
-            models.classical_energy(models.constant_solution(GL))
-
-
-class TestConstants:
-    def test_gl_constant_w(self):
-        vac = models.constant_solution(GL, "vacuum")
-        assert vac.w_const == pytest.approx(0.0, abs=1e-14)
-        top = models.constant_solution(GL, "origin")
-        assert top.w_const == pytest.approx(-GL.m ** 4 / (4.0 * GL.g), rel=1e-12)
-
-    def test_sg_constant_w(self):
-        # W of phi = 0 from the first integral directly
-        top = models.constant_solution(SG, "origin")
-        assert top.w_const == pytest.approx(
-            -4.0 * SG.m ** 4 / (3.0 * SG.g), rel=1e-12)
-        vac = models.constant_solution(SG, "vacuum")
-        assert vac.w_const == pytest.approx(0.0, abs=1e-12)
 
 
 def _jacobi_mp(sol, x):

@@ -112,7 +112,8 @@ class TestKinkZeta1d:
             zetareg.zeta_kink_1d(-0.5, b)
 
     def test_zero_trace(self):
-        tr = zetareg.zero_heat_trace()
+        tr = zetareg.HeatTrace(source="zero", eval=lambda t: 0.0,
+                               renormalized=True)
         for s in (0.1, 0.5, 1.5):
             assert zetareg.mellin_zeta(tr, s).value == 0.0
 
