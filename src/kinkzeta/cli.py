@@ -18,6 +18,8 @@ from . import models, oracle, resolvent, specfun, zetareg
 from .errors import (DomainError, KinkZetaError, PoleError,
                      UnsupportedFamilyError)
 
+__all__ = ["build_parser", "main"]
+
 _POLE_MARK = "pole"
 
 

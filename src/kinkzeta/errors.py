@@ -1,5 +1,9 @@
 """Semantic exception hierarchy shared across the package."""
 
+__all__ = ["KinkZetaError", "DomainError", "PoleError", "ConvergenceError",
+           "BranchCollisionError", "UnsupportedFamilyError",
+           "EnergyDivergenceError", "WronskianDegeneracyError"]
+
 
 class KinkZetaError(Exception):
     """Base class for all library errors."""

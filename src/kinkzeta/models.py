@@ -101,9 +101,21 @@ class ModelSpec:
 
 
 def potential_v(spec: ModelSpec, phi: float, order: int = 0) -> float:
-    """V(phi) and its first two phi-derivatives (order 0, 1 or 2)."""
+    """V(phi) and its first two phi-derivatives (order 0, 1 or 2); raises
+    DomainError where the value overflows or is not finite."""
     if order not in (0, 1, 2):
         raise DomainError("order must be 0, 1 or 2")
+    try:
+        value = _potential_v(spec, phi, order)
+    except (OverflowError, ValueError):   # math.cos(inf) is a ValueError
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"V (order {order}) of the {spec.family.value} model "
+                          f"is not finite at phi = {phi!r}")
+    return value
+
+
+def _potential_v(spec: ModelSpec, phi: float, order: int) -> float:
     m, g = spec.m, spec.g
     if spec.family is Family.GL:
         if order == 0:
@@ -212,7 +224,9 @@ class ClassicalSolution:
 def _family_member(spec: ModelSpec, k: float, kind: SolutionKind,
                    sign: int) -> ClassicalSolution:
     """The GL or SG solution of modulus k, with one scale rule for all k;
-    the kink is the k = 1 member and has no period."""
+    the kink is the k = 1 member and has no period.  Raises DomainError
+    where the period, or the length 20 / b of the box [-10/b, 10/b] that
+    samples a kink, overflows."""
     if spec.family is Family.GL:
         b = spec.m / math.sqrt(1.0 + k * k)   # m / sqrt(2) at k = 1
     elif spec.family is Family.SG:
@@ -220,6 +234,9 @@ def _family_member(spec: ModelSpec, k: float, kind: SolutionKind,
     else:
         raise UnsupportedFamilyError("Nahm has no bounded separatrix; use nahm_solution")
     period = 2.0 * specfun.ellipk(k) / b if kind is SolutionKind.PERIODIC else None
+    if not max(20.0 / b, period or 0.0) < math.inf:
+        raise DomainError(f"the length scale of the {spec.family.value} solution "
+                          f"overflows at b = {b!r}")
     return ClassicalSolution(spec=spec, kind=kind, w_const=w_from_modulus(spec, k),
                              b_or_sigma=b, branch_sign=1 if sign > 0 else -1,
                              k=k, period=period)
@@ -247,7 +264,8 @@ def nahm_solution(spec: ModelSpec, sign: int = 1) -> ClassicalSolution:
     """Real unbounded solution of phi'^2 = phi^4 - w^4 (W = -w^4/2).
 
     phi(x) = w / cn(sqrt(2) w x; 1/sqrt(2)), with poles at the zeros of cn.
-    Evaluation within 1e-3 (in the cn argument) of a pole raises.
+    Evaluation within 1e-3 (in the cn argument) of a pole raises, and so
+    does a w whose period overflows.
     """
     if spec.family is not Family.NAHM:
         raise UnsupportedFamilyError("nahm_solution requires the Nahm family")
@@ -258,6 +276,8 @@ def nahm_solution(spec: ModelSpec, sign: int = 1) -> ClassicalSolution:
         raise DomainError(f"the Nahm solution overflows next to its poles at w = {w}")
     sigma = w / math.sqrt(2.0)
     period = math.sqrt(2.0) * _K_NAHM / w
+    if not period < math.inf:
+        raise DomainError(f"the Nahm period overflows at w = {w!r}")
     return ClassicalSolution(spec=spec, kind=SolutionKind.PERIODIC,
                              w_const=-0.5 * w ** 4, b_or_sigma=sigma,
                              branch_sign=1 if sign > 0 else -1, period=period)

@@ -141,20 +141,33 @@ def bloch_eigenvalues(spec: LatticeSpec, theta: float,
 
 
 def relative_heat_trace(spec: LatticeSpec, spec0: LatticeSpec, t: float) -> float:
-    """sum_n (e^{-lambda_n t} - e^{-lambda0_n t}) over all lattice modes."""
-    if not 0.0 < t < math.inf:
-        raise DomainError("relative_heat_trace requires 0 < t < inf")
+    """sum_n (e^{-lambda_n t} - e^{-lambda0_n t}) over all lattice modes.
+
+    A box stands in for the line while the heat kernel's spread 2 sqrt(t)
+    is at most half the box, so t past (box length / 4)^2 raises
+    DomainError; past it the box's errors in the lowest modes, the zero
+    mode's above all, grow like e^{|delta lambda| t} (CONVENTIONS item 17).
+    A sum that is not finite raises ConvergenceError.
+    """
+    t_max = (0.25 * (spec.x_max - spec.x_min)) ** 2
+    if not (0.0 < t < math.inf and t <= t_max):
+        raise DomainError(f"relative_heat_trace requires 0 < t <= {t_max!r} "
+                          "(box length / 4)^2")
     if (spec.bc, spec.n, spec.x_min, spec.x_max) != (spec0.bc, spec0.n,
                                                      spec0.x_min, spec0.x_max):
         raise DomainError("both lattices must share the same geometry")
     lam = eigenvalues(spec)
     lam0 = eigenvalues(spec0)
-    terms = np.exp(-lam * t) - np.exp(-lam0 * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(-lam * t) - np.exp(-lam0 * t)
+        total = float(np.sum(terms))
+    if not math.isfinite(total):
+        raise ConvergenceError(f"relative heat trace overflows at t = {t!r}")
     tail = abs(terms[-1])
     if tail > 1e-6:
         warnings.warn(f"relative_heat_trace truncation tail {tail:.2e}",
                       RuntimeWarning, stacklevel=2)
-    return float(np.sum(terms))
+    return total
 
 
 def band_edges_lattice(spec: LatticeSpec, n_edges: int) -> np.ndarray:

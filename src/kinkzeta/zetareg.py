@@ -211,18 +211,31 @@ def derivative_at_zero(m: float, d: int) -> float:
         d = 2:  (2m/pi) (1 - ln m)
         d = 3:  -m^2 / (2 pi)
         d = 4:  -m^3 / (4 pi^2) (5/9 - (2/3) ln m)
+
+    Raises DomainError where the value overflows.
     """
     if d not in (1, 2, 3, 4):
         raise DomainError("d must be 1..4")
     if not 0.0 < m < math.inf:
         raise DomainError("derivative_at_zero requires 0 < m < inf")
-    if d == 1:
-        return 2.0 * math.log(2.0 * m)
-    if d == 2:
-        return 2.0 * m / math.pi * (1.0 - math.log(m))
-    if d == 3:
-        return -m * m / (2.0 * math.pi)
-    return -m ** 3 / (4.0 * math.pi ** 2) * (5.0 / 9.0 - 2.0 / 3.0 * math.log(m))
+    try:
+        if d == 1:
+            value = 2.0 * math.log(2.0 * m)
+        elif d == 2:
+            value = 2.0 * m / math.pi * (1.0 - math.log(m))
+        elif d == 3:
+            value = -m * m / (2.0 * math.pi)
+        else:
+            value = -m ** 3 / (4.0 * math.pi ** 2) * (5.0 / 9.0 - 2.0 / 3.0 * math.log(m))
+    except OverflowError:
+        value = math.inf
+    return _finite(value, f"zeta'(0) at m = {m!r}, d = {d}")
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{what} overflows")
+    return value
 
 
 def quantum_correction(m: float, d: int, hbar: float = 1.0,
@@ -232,11 +245,13 @@ def quantum_correction(m: float, d: int, hbar: float = 1.0,
     The renormalized kink zeta already carries the constant-background
     subtraction, so no separate zeta'_D0 term appears.  half_convention
     applies the alternative normalization with an extra factor 1/2.
+    Raises DomainError where the correction overflows.
     """
     if not (0.0 < hbar < math.inf and 0.0 < m < math.inf):
         raise DomainError("quantum_correction requires finite positive m and hbar")
     ds = -0.5 * hbar * derivative_at_zero(m, d)
-    return 0.5 * ds if half_convention else ds
+    return _finite(0.5 * ds if half_convention else ds,
+                   f"the correction at m = {m!r}, d = {d}, hbar = {hbar!r}")
 
 
 # ---------------------------------------------------------------------------

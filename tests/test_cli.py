@@ -283,7 +283,18 @@ class TestContracts:
         ("solution", "--family", "gl", "--kink", "--x-min", "-1"),
         ("solution", "--family", "gl", "--kink", "--x-max", "1"),
         ("solution", "--family", "gl", "--kink", "--x-min", "-1", "--x-max", "inf"),
-        ("solution", "--family", "gl", "--kink", "--x-min", "nan", "--x-max", "1")])
+        ("solution", "--family", "gl", "--kink", "--x-min", "nan", "--x-max", "1"),
+        # values, periods and traces that overflow
+        ("correction", "--m", "1e200", "--d", "4"),
+        ("correction", "--m", "1e300", "--d", "3"),
+        ("figure-z", "--m-min", "1e-8", "--m-max", "1e300", "--n", "5",
+         "--d", "1,2,3,4"),
+        ("solution", "--family", "nahm", "--w", "5e-324", "--n", "11"),
+        ("solution", "--family", "gl", "--m", "5e-324", "--w", "1e154",
+         "--k", "1e-10", "--n", "2"),
+        ("oracle", "--case", "a", "--mode", "trace", "--n", "120", "--t", "1e5"),
+        ("oracle", "--case", "a", "--mode", "trace", "--n", "120",
+         "--t", "1e300")])
     def test_bad_argument_exit_2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2

@@ -31,6 +31,13 @@ def first_integral(sol, x):
 
 
 class TestPotential:
+    @pytest.mark.parametrize("spec, phi, order", [
+        (GL, 1e100, 0), (NAHM, 1e100, 0), (GL, 1e200, 0), (GL, 1e200, 1),
+        (GL, 1e200, 2), (SG, math.nan, 0), (SG, math.inf, 1)])
+    def test_overflow_is_a_domain_error(self, spec, phi, order):
+        with pytest.raises(DomainError, match="not finite"):
+            models.potential_v(spec, phi, order)
+
     def test_gl_vacua(self):
         phi_v = GL.m / math.sqrt(GL.g)
         assert models.potential_v(GL, phi_v) == pytest.approx(0.0, abs=1e-14)
@@ -174,6 +181,25 @@ class TestPeriodic:
             models.periodic_solution(GL, k=0.5, W=-0.01)
 
 
+class TestLengthScale:
+    def test_overflowing_period_is_a_domain_error(self):
+        # 2 K / b overflows although b = m / sqrt(1 + k^2) is not 0
+        spec = ModelSpec(family="gl", m=5e-324, g=1.0)
+        with pytest.raises(DomainError, match="overflows"):
+            models.periodic_solution(spec, k=1e-10)
+
+    @pytest.mark.parametrize("family", ["gl", "sg"])
+    def test_overflowing_kink_box_is_a_domain_error(self, family):
+        # 10 / b is finite, the box [-10/b, 10/b] is not
+        spec = ModelSpec(family=family, m=1e-307, g=1.0)
+        with pytest.raises(DomainError, match="overflows"):
+            models.kink_solution(spec)
+
+    def test_small_scales_still_build(self):
+        sol = models.kink_solution(ModelSpec(family="gl", m=1e-306, g=1.0))
+        assert math.isfinite(20.0 / sol.b_or_sigma)
+
+
 class TestNahm:
     def test_first_order_equation(self):
         sol = models.nahm_solution(NAHM)
@@ -218,6 +244,10 @@ class TestNahm:
         sol = models.nahm_solution(NAHM)
         assert sol.w_const == pytest.approx(-0.5 * NAHM.w ** 4)
         assert first_integral(sol, 0.3) == pytest.approx(sol.w_const, abs=1e-10)
+
+    def test_overflowing_period_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="period overflows"):
+            models.nahm_solution(ModelSpec(family="nahm", w=5e-324))
 
 
 class TestSchrodingerPotential:

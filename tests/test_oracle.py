@@ -75,6 +75,20 @@ class TestRelativeTrace:
         assert oracle.relative_heat_trace(spec, spec0, 30.0) == pytest.approx(
             1.0, abs=5e-3)
 
+    @pytest.mark.parametrize("t", [100.000001, 1e5, 1e300])
+    def test_time_past_the_box_bound_is_a_domain_error(self, t):
+        # box length 40: the bound is (40 / 4)^2 = 100
+        spec, spec0 = self.make_pair(n=120)
+        assert math.isfinite(oracle.relative_heat_trace(spec, spec0, 100.0))
+        with pytest.raises(DomainError, match="box length"):
+            oracle.relative_heat_trace(spec, spec0, t)
+
+    def test_overflowing_sum_raises(self):
+        well = oracle.LatticeSpec(-20.0, 20.0, 64, "dirichlet", lambda x: -1e4)
+        free = oracle.LatticeSpec(-20.0, 20.0, 64, "dirichlet", lambda x: 0.0)
+        with pytest.raises(ConvergenceError):
+            oracle.relative_heat_trace(well, free, 100.0)
+
     def test_identical_potentials_vanish(self):
         spec, _ = self.make_pair()
         assert oracle.relative_heat_trace(spec, spec, 1.0) == 0.0

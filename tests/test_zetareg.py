@@ -213,6 +213,18 @@ class TestQuantumCorrection:
         b = zetareg.quantum_correction(1.5, 3, half_convention=True)
         assert b == pytest.approx(0.5 * a, rel=1e-12)
 
+    @pytest.mark.parametrize("m, d", [(1e200, 4), (1e300, 3), (1e308, 2)])
+    def test_overflowing_derivative_is_a_domain_error(self, m, d):
+        with pytest.raises(DomainError, match="overflows"):
+            zetareg.derivative_at_zero(m, d)
+        with pytest.raises(DomainError, match="overflows"):
+            zetareg.quantum_correction(m, d)
+
+    def test_overflowing_correction_is_a_domain_error(self):
+        assert math.isfinite(zetareg.derivative_at_zero(1e150, 3))
+        with pytest.raises(DomainError, match="overflows"):
+            zetareg.quantum_correction(1e150, 3, hbar=1e300)
+
 
 class TestContour:
     def test_case_a_matches_closed_form(self):
