@@ -58,10 +58,9 @@ class LameSystem:
 
     k: float
     params: specfun.WeierstrassParams
-    Kp: float     # complete integral at the complementary modulus
 
     def v_of_x(self, x: float) -> complex:
-        return (x - 1j * self.Kp) / _SQRT3
+        return x / _SQRT3 - self.params.omega_p
 
 
 @lru_cache(maxsize=64)
@@ -72,9 +71,7 @@ def lame_system(k: float) -> LameSystem:
     e1, e2, e3 = 2.0 - k2, 2.0 * k2 - 1.0, -(1.0 + k2)
     g2 = -4.0 * (e1 * e2 + e1 * e3 + e2 * e3)
     g3 = 4.0 * e1 * e2 * e3
-    params = specfun.weierstrass_params(g2, g3)
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
-    return LameSystem(k=k, params=params, Kp=specfun.ellipk(kp))
+    return LameSystem(k=k, params=specfun.weierstrass_params(g2, g3))
 
 
 @dataclass(frozen=True)
@@ -92,11 +89,9 @@ class LameSolution:
     wronskian: complex
     psi_plus: Callable[[float], complex]
     psi_minus: Callable[[float], complex]
-    dpsi_plus: Callable[[float], complex]
-    dpsi_minus: Callable[[float], complex]
 
 
-def _psi_factory(sys_: LameSystem, a: complex, sign: int):
+def _psi(sys_: LameSystem, a: complex, sign: int) -> Callable[[float], complex]:
     params = sys_.params
     za = specfun.weierstrass_zeta(a, params)
 
@@ -106,40 +101,36 @@ def _psi_factory(sys_: LameSystem, a: complex, sign: int):
                 / specfun.weierstrass_sigma(v, params)
                 * cmath.exp(-sign * za * v))
 
-    def dpsi(x: float) -> complex:
-        v = sys_.v_of_x(x)
-        log_d = (specfun.weierstrass_zeta(v + sign * a, params)
-                 - specfun.weierstrass_zeta(v, params) - sign * za)
-        return psi(x) * log_d / _SQRT3
-
-    return psi, dpsi
+    return psi
 
 
 def make_lame_solution(h: float, k: float) -> LameSolution:
     """Construct both Bloch solutions and their Wronskian at parameter h.
 
-    Band edges are uniformized by half-periods, where the two solutions
-    coincide; a guard band of 1e-4 around each edge raises the degeneracy
-    error (the p -> a map is quadratic there, so closer h values are not
-    numerically distinguishable from the edge itself).
+    W = psi_+ psi_-' - psi_- psi_+' = -sigma(a)^2 p'(a) / sqrt(3) in
+    closed form (CONVENTIONS item 18), with p'(a) = -2 s^3 cn dn / sn^3
+    at s a, s = sqrt(e1 - e3).  Band edges are uniformized by
+    half-periods, where p'(a) = 0 and the two solutions coincide; a guard
+    band of 1e-4 around each edge raises the degeneracy error (the
+    p -> a map is quadratic there, so closer h values are not numerically
+    distinguishable from the edge itself), as does a W that is zero or
+    not finite.
     """
     if min(abs(h - he) for he in lame_band_edges(k)) < 1e-4:
         raise WronskianDegeneracyError(
             f"h = {h} is within the band-edge guard band")
     sys_ = lame_system(k)
+    params = sys_.params
     H = 3.0 * h - 2.0 * (1.0 + k * k)
-    a = specfun.weierstrass_p_inverse(-H, sys_.params)
-    pp, dpp = _psi_factory(sys_, a, +1)
-    pm, dpm = _psi_factory(sys_, a, -1)
-    x0 = 0.31  # any interior point; the Wronskian is x-independent
-    w = pp(x0) * dpm(x0) - pm(x0) * dpp(x0)
-    scale = abs(pp(x0) * pm(x0)) + 1e-300
-    if abs(w) < 1e-10 * scale:
+    a = specfun.weierstrass_p_inverse(-H, params)
+    sn, cn, dn = specfun.jacobi_sn_cn_dn_complex(params.scale * a, params.k)
+    dp = -2.0 * params.scale ** 3 * cn * dn / sn ** 3
+    w = -specfun.weierstrass_sigma(a, params) ** 2 * dp / _SQRT3
+    if w == 0.0 or not cmath.isfinite(w):
         raise WronskianDegeneracyError(
             f"degenerate Bloch pair at h = {h} (band edge)")
     return LameSolution(h=h, k=k, a=a, system=sys_, wronskian=w,
-                        psi_plus=pp, psi_minus=pm, dpsi_plus=dpp,
-                        dpsi_minus=dpm)
+                        psi_plus=_psi(sys_, a, +1), psi_minus=_psi(sys_, a, -1))
 
 
 def green_diag(x: float, h: float, k: float) -> complex:

@@ -252,8 +252,7 @@ def _cmd_oracle(args) -> int:
         raise DomainError("trace mode needs a kink case (a or c)")
     box = 20.0 / rp.b
     spec = oracle.LatticeSpec(-box, box, args.n, "dirichlet", u)
-    spec0 = oracle.LatticeSpec(-box, box, args.n, "dirichlet", lambda x: rp.nu)
-    rows = [[t, oracle.relative_heat_trace(spec, spec0, t)]
+    rows = [[t, oracle.relative_heat_trace(spec, rp.nu, t)]
             for t in _parse_grid(args.t)]
     _emit(["t", "relative_trace"], rows, args)
     return 0

@@ -100,13 +100,11 @@ def _lowest(count: int | None, size: int) -> dict:
 
 
 def eigenvalues(spec: LatticeSpec, count: int | None = None) -> np.ndarray:
-    """Ascending eigenvalues of the discretized operator.
-
-    Dirichlet: symmetric tridiagonal on the interior points, solved by the
-    LAPACK bisection path.  Periodic: the theta = 0 Bloch reduction.
-    """
-    if spec.bc == "periodic":
-        return bloch_eigenvalues(spec, 0.0, count)
+    """Ascending eigenvalues of a Dirichlet box: symmetric tridiagonal on
+    the interior points, solved by the LAPACK bisection path.  A periodic
+    lattice is solved per Bloch phase by bloch_eigenvalues."""
+    if spec.bc != "dirichlet":
+        raise DomainError("eigenvalues requires a Dirichlet box")
     diag = spec.diagonal
     off = np.full(len(diag) - 1, -1.0 / spec.h ** 2)
     return eigvalsh_tridiagonal(diag, off, **_lowest(count, len(diag)))
@@ -140,24 +138,27 @@ def bloch_eigenvalues(spec: LatticeSpec, theta: float,
     return eig_banded(band, lower=True, eigvals_only=True, **_lowest(count, n))
 
 
-def relative_heat_trace(spec: LatticeSpec, spec0: LatticeSpec, t: float) -> float:
-    """sum_n (e^{-lambda_n t} - e^{-lambda0_n t}) over all lattice modes.
+def relative_heat_trace(spec: LatticeSpec, nu: float, t: float) -> float:
+    """sum_n (e^{-lambda_n t} - e^{-lambda0_n t}) over the modes of a Dirichlet
+    box, lambda0_j = nu + (2/h)^2 sin^2(j pi / (2(n - 1))) the closed-form
+    spectrum of the constant background u = nu on it.
 
     A box stands in for the line while the heat kernel's spread 2 sqrt(t)
     is at most half the box, so t past (box length / 4)^2 raises
     DomainError; past it the box's errors in the lowest modes, the zero
     mode's above all, grow like e^{|delta lambda| t} (CONVENTIONS item 17).
-    A sum that is not finite raises ConvergenceError.
+    A periodic lattice or a nu that is not finite raises DomainError too,
+    and a sum that is not finite ConvergenceError.
     """
+    if not math.isfinite(nu):
+        raise DomainError(f"relative_heat_trace requires a finite nu, got {nu!r}")
     t_max = (0.25 * (spec.x_max - spec.x_min)) ** 2
     if not (0.0 < t < math.inf and t <= t_max):
         raise DomainError(f"relative_heat_trace requires 0 < t <= {t_max!r} "
                           "(box length / 4)^2")
-    if (spec.bc, spec.n, spec.x_min, spec.x_max) != (spec0.bc, spec0.n,
-                                                     spec0.x_min, spec0.x_max):
-        raise DomainError("both lattices must share the same geometry")
     lam = eigenvalues(spec)
-    lam0 = eigenvalues(spec0)
+    j = np.arange(1, spec.n - 1)
+    lam0 = nu + (2.0 / spec.h) ** 2 * np.sin(0.5 * math.pi * j / (spec.n - 1)) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.exp(-lam * t) - np.exp(-lam0 * t)
         total = float(np.sum(terms))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -496,9 +497,12 @@ def _top_band_heat(rp: ResolventPolynomial, t: float) -> tuple[complex, float]:
     at u = -inf, so the smooth factor is analytic about the whole of
     (0, log(1 + 745/(g t))) at any t.  A map linear in lam brings the next
     edge within 1e-4 of a piece's width at t = 1e-10 and loses digits.
+    A t g so small that 745/(t g) overflows raises ConvergenceError.
     """
     lo = rp.bands()[-1][0]
     g = rp.roots[1] - rp.roots[0]
+    if not t * g > 745.0 / sys.float_info.max:
+        raise ConvergenceError(f"top band cut 745/t overflows at t = {t!r}")
     span = math.log1p(745.0 / (t * g))
 
     def F(opx, omx):

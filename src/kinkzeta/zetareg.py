@@ -57,6 +57,9 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=250)   # the Mellin route
+# Re s bound of mellin_zeta and the kink contour: past it the Mellin route's
+# plateau subtraction loses more digits than its estimate (CONVENTIONS item 19)
+_RE_S_MAX = 10.0
 
 
 @dataclass(frozen=True)
@@ -194,14 +197,19 @@ def zeta_d_kink(s: complex, m: float, d: int) -> complex:
                     Gamma(s + 1 - d/2) / ((2s - d + 1) Gamma(s)).
 
     mellin_zeta(kink_trace_d(m, d), s) is the quadrature route to it.
+    Raises DomainError where a factor overflows or the value is not finite.
     """
     if d not in (1, 2, 3, 4):
         raise DomainError("d must be 1..4")
     if not 0.0 < m < math.inf:
         raise DomainError("zeta_d_kink requires 0 < m < inf")
     s = complex(s)
-    return (-(2.0 ** (2 - d)) * math.pi ** (-0.5 * d)
-            * cmath.exp((d - 1.0 - 2.0 * s) * math.log(m)) * _kink_T(s, d))
+    try:
+        value = (-(2.0 ** (2 - d)) * math.pi ** (-0.5 * d)
+                 * cmath.exp((d - 1.0 - 2.0 * s) * math.log(m)) * _kink_T(s, d))
+    except OverflowError:
+        value = math.inf
+    return _finite(value, f"zeta_d_kink at s = {s}, m = {m!r}")
 
 
 def derivative_at_zero(m: float, d: int) -> float:
@@ -232,8 +240,8 @@ def derivative_at_zero(m: float, d: int) -> float:
     return _finite(value, f"zeta'(0) at m = {m!r}, d = {d}")
 
 
-def _finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
+def _finite(value, what: str):
+    if not cmath.isfinite(value):
         raise DomainError(f"{what} overflows")
     return value
 
@@ -275,10 +283,16 @@ def mellin_zeta(trace: HeatTrace, s: complex) -> ZetaEvaluation:
     subtracted on (0, 1) and the large-t terms on (1, inf), with their
     exact Mellin images c/(s+a) and c/(q-s) restored analytically (plateau
     images carry the 1/(s Gamma(s)) = 1/Gamma(s+1) cancellation exactly,
-    so s = 0 is a regular point of the continuation).
+    so s = 0 is a regular point of the continuation).  The (0, 1) integral
+    converges for Re s above minus the largest small-t exponent, and
+    Re s is capped at _RE_S_MAX; past either bound DomainError is raised.
     """
     s = complex(s)
     small, large = trace.small_t, trace.large_t
+    lowest = -max((a for a, _ in small), default=0.0)
+    if not lowest < s.real <= _RE_S_MAX:
+        raise DomainError(f"mellin_zeta requires {lowest:g} < Re s <= "
+                          f"{_RE_S_MAX:g}, got s = {s}")
     for a, _ in small:
         if a != 0.0 and abs(s + a) < 1e-12:
             raise PoleError(f"mellin_zeta pole at s = {s}")
@@ -351,8 +365,9 @@ def _top_band(rp: ResolventPolynomial, s: complex, lo: float,
 def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
     """zeta(s) from the resolvent trace, contour collapsed onto the cuts.
 
-    Kink cases integrate the renormalized density directly.  The periodic
-    cases are renormalized per period against the free background
+    Kink cases integrate the renormalized density directly, for
+    -1/2 < Re s <= _RE_S_MAX.  The periodic cases are renormalized per
+    period against the free background
     c0 / sqrt(lambda), c0 = I0 / (2 pi): on the top band (lo, inf) the
     integrand subtracts c0 / sqrt(lambda - lo), and the whole background,
     gaps and lower bands included, restores one exact term,
@@ -366,6 +381,8 @@ def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
     if rp.is_kink:
         if s.real <= -0.5 + 1e-9:
             raise BranchCollisionError("contour zeta requires Re s > -1/2")
+        if not s.real <= _RE_S_MAX:
+            raise DomainError(f"kink contour zeta requires Re s <= {_RE_S_MAX:g}")
     elif not (-0.5 + 1e-9 < s.real < 0.5 - 1e-9):
         raise BranchCollisionError(
             "periodic contour zeta requires -1/2 < Re s < 1/2")

@@ -73,8 +73,13 @@ class TestLameSolutions:
 
     def test_wronskian_constancy(self):
         sol = ba.make_lame_solution(1.15, 0.6)
-        w_vals = [sol.psi_plus(x) * sol.dpsi_minus(x)
-                  - sol.psi_minus(x) * sol.dpsi_plus(x)
+
+        def d(psi, x, h=1e-3):   # 5-point central stencil
+            return (-psi(x + 2 * h) + 8 * psi(x + h) - 8 * psi(x - h)
+                    + psi(x - 2 * h)) / (12 * h)
+
+        w_vals = [sol.psi_plus(x) * d(sol.psi_minus, x)
+                  - sol.psi_minus(x) * d(sol.psi_plus, x)
                   for x in np.linspace(0.1, 3.4, 9)]
         drift = max(abs(w - sol.wronskian) for w in w_vals)
         assert drift < 1e-9 * abs(sol.wronskian)
@@ -89,6 +94,15 @@ class TestLameSolutions:
               - specfun.weierstrass_p(sol.a - eps, params)) / (2 * eps)
         closed = -specfun.weierstrass_sigma(sol.a, params) ** 2 * dp / math.sqrt(3)
         assert sol.wronskian == pytest.approx(closed, rel=1e-6)
+
+    def test_wronskian_evaluates_no_psi(self, monkeypatch):
+        # the closed form takes sigma at a alone; psi would take it at v, v + a
+        args = []
+        sigma = specfun.weierstrass_sigma
+        monkeypatch.setattr(specfun, "weierstrass_sigma",
+                            lambda z, p: args.append(z) or sigma(z, p))
+        sol = ba.make_lame_solution(1.15, 0.6)
+        assert args == [sol.a]
 
     def test_product_real_in_band_after_phase_fix(self):
         sol = ba.make_lame_solution(0.7, 0.6)

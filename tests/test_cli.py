@@ -218,7 +218,13 @@ class TestContracts:
 
     @pytest.mark.parametrize("argv", [
         ("heattrace", "--case", "b", "--k", "0.5", "--t", "1000"),
-        ("heattrace", "--case", "nahm", "--t", "800")])
+        ("heattrace", "--case", "nahm", "--t", "800"),
+        # a subnormal t: the top band's cut 745/t overflows
+        ("heattrace", "--case", "b", "--k", "0.5", "--t", "5e-324"),
+        ("heattrace", "--case", "d", "--k", "0.5", "--t", "5e-324"),
+        ("heattrace", "--case", "nahm", "--t", "5e-324"),
+        ("heattrace", "--case", "c", "--b", "0.3", "--t", "5e-324"),
+        ("heattrace", "--case", "c", "--b", "1", "--t", "5e-324")])
     def test_heat_trace_overflow_exit_4(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 4
@@ -294,7 +300,12 @@ class TestContracts:
          "--k", "1e-10", "--n", "2"),
         ("oracle", "--case", "a", "--mode", "trace", "--n", "120", "--t", "1e5"),
         ("oracle", "--case", "a", "--mode", "trace", "--n", "120",
-         "--t", "1e300")])
+         "--t", "1e300"),
+        # past the kink zeta routes' Re s bound
+        ("zeta", "--case", "a", "--s", "100"),
+        ("zeta", "--case", "a", "--s", "170"),
+        ("zeta", "--case", "a", "--s", "1e8"),
+        ("zeta", "--case", "c", "--s", "1e4")])
     def test_bad_argument_exit_2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2

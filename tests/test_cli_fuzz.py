@@ -1,0 +1,112 @@
+"""Fuzz of the CLI's failure contract over argv for every subcommand.
+
+Each flag is drawn from typical values, 0, negatives, 1e+-300, 5e-324,
+nan, inf and moduli near 1.  For every draw: the exit code is one of
+0, 2, 3, 4; no exception escapes ``cli.main``; and at exit 0 no nan or
+inf is printed, except in the ``period`` and ``I0`` rows of a kink
+case's ``resolvent`` table, which are documented to be infinite.
+The run is derandomized, so it replays the same examples each time;
+raise ``max_examples`` (or drop ``derandomize``) to search further.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kinkzeta.cli import main
+
+EXTREMES = ["0", "-1", "1e300", "-1e300", "1e-300", "5e-324", "nan", "inf",
+            "-inf"]
+FLOAT = st.sampled_from(["1", "0.5", "1.7", "3"] + EXTREMES)
+MODULUS = st.sampled_from(["0.5", "0.9", "0.999999", "0.9999999999999999",
+                           "1", "1e-8"] + EXTREMES)
+TIME = st.sampled_from(["0.5", "1", "30"] + EXTREMES)
+ZETA_S = st.sampled_from(["0.25", "-0.3", "0.49", "10", "100"] + EXTREMES)
+COUNT = st.sampled_from(["-3", "0", "2", "5"])
+LATTICE_N = st.sampled_from(["-3", "0", "8", "64", "120"])
+
+
+def flag(name, values):
+    """Either no flag or --name=value, the value drawn from values."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+def switch(name):
+    return st.sampled_from([[], [f"--{name}"]])
+
+
+def grid(values):
+    return st.lists(values, min_size=1, max_size=2).map(",".join)
+
+
+def command(name, *parts):
+    return st.tuples(*parts).map(lambda ps: [name] + sum(ps, []))
+
+
+MODEL = (st.sampled_from(["gl", "sg", "nahm"]).map(lambda f: [f"--family={f}"]),
+         flag("m", FLOAT), flag("g", FLOAT), flag("w", FLOAT), switch("kink"),
+         flag("k", MODULUS), flag("W", FLOAT), flag("sign", st.sampled_from(["1", "-1"])))
+CASE = (st.sampled_from(["a", "b", "c", "d", "nahm"]).map(lambda c: [f"--case={c}"]),
+        flag("b", FLOAT), flag("k", MODULUS))
+
+ARGV = st.tuples(
+    st.sampled_from([[], ["--format=json"]]),
+    st.one_of(
+        command("solution", *MODEL, flag("x-min", FLOAT), flag("x-max", FLOAT),
+                flag("n", COUNT)),
+        command("energy", *MODEL),
+        command("resolvent", *CASE),
+        command("heattrace", *CASE, flag("t", grid(TIME))),
+        command("zeta", *CASE, flag("s", grid(ZETA_S)),
+                flag("method-tol", st.sampled_from(["1e-5", "0", "nan"]))),
+        command("correction", FLOAT.map(lambda v: [f"--m={v}"]),
+                flag("d", st.sampled_from(["1", "2", "3", "4"])),
+                flag("hbar", FLOAT), switch("half-convention")),
+        command("figure-z", flag("m-min", FLOAT), flag("m-max", FLOAT),
+                flag("n", COUNT), flag("d", grid(st.sampled_from(["1", "2", "3", "4"])))),
+        command("oracle", *CASE, flag("mode", st.sampled_from(["edges", "eigen", "trace"])),
+                flag("n", LATTICE_N), flag("count", COUNT), flag("t", grid(TIME))),
+    ),
+).map(lambda parts: parts[0] + parts[1])
+
+
+def cells(out: str, json_format: bool):
+    """(row name, cell) for every printed cell; the row name is the first
+    column of its row."""
+    if json_format:
+        data = json.loads(out)["data"]
+        columns = list(data.values())
+        for i in range(len(columns[0])):
+            for col in columns:
+                yield columns[0][i], col[i]
+    else:
+        for line in out.splitlines()[1:]:
+            row = line.split(",")
+            for cell in row:
+                yield row[0], cell
+
+
+def not_finite(cell) -> bool:
+    if isinstance(cell, float):
+        return not math.isfinite(cell)
+    return isinstance(cell, str) and cell.lower() in ("nan", "inf", "-inf")
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(argv=ARGV)
+def test_cli_failure_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if code != 0:
+        return
+    kink_table = "resolvent" in argv and ("--case=a" in argv or "--case=c" in argv)
+    allowed = ("period", "I0") if kink_table else ()
+    bad = [(row, cell) for row, cell in cells(out.getvalue(), "--format=json" in argv)
+           if not_finite(cell) and row not in allowed]
+    assert not bad, (argv, bad)

@@ -31,8 +31,13 @@ class TestEigenvalues:
     def test_free_periodic_spectrum(self):
         spec = oracle.LatticeSpec(0.0, 2.0 * math.pi, 2000, "periodic",
                                   lambda x: 0.0)
-        lam = oracle.eigenvalues(spec, count=5)
+        lam = oracle.bloch_eigenvalues(spec, 0.0, count=5)
         assert np.allclose(lam, [0.0, 1.0, 1.0, 4.0, 4.0], atol=1e-3)
+
+    def test_requires_dirichlet(self):
+        spec = oracle.LatticeSpec(0.0, 1.0, 16, "periodic", lambda x: 0.0)
+        with pytest.raises(DomainError, match="Dirichlet"):
+            oracle.eigenvalues(spec)
 
     def test_richardson_convergence(self):
         # second-order scheme: doubling n cuts the error about fourfold
@@ -59,46 +64,55 @@ class TestEigenvalues:
 class TestRelativeTrace:
     def make_pair(self, b=1.0, n=3000):
         u = lambda x: b * b - 2.0 * b * b * sech2(b * x)
-        u0 = lambda x: b * b
         box = 20.0 / b
-        return (oracle.LatticeSpec(-box, box, n, "dirichlet", u),
-                oracle.LatticeSpec(-box, box, n, "dirichlet", u0))
+        return oracle.LatticeSpec(-box, box, n, "dirichlet", u), b * b
 
     def test_case_a_matches_erf(self):
-        spec, spec0 = self.make_pair()
+        spec, nu = self.make_pair()
         for t in (0.5, 1.0, 2.0):
-            got = oracle.relative_heat_trace(spec, spec0, t)
+            got = oracle.relative_heat_trace(spec, nu, t)
             assert got == pytest.approx(math.erf(math.sqrt(t)), abs=2e-3)
 
     def test_long_time_counts_bound_states(self):
-        spec, spec0 = self.make_pair()
-        assert oracle.relative_heat_trace(spec, spec0, 30.0) == pytest.approx(
+        spec, nu = self.make_pair()
+        assert oracle.relative_heat_trace(spec, nu, 30.0) == pytest.approx(
             1.0, abs=5e-3)
 
     @pytest.mark.parametrize("t", [100.000001, 1e5, 1e300])
     def test_time_past_the_box_bound_is_a_domain_error(self, t):
         # box length 40: the bound is (40 / 4)^2 = 100
-        spec, spec0 = self.make_pair(n=120)
-        assert math.isfinite(oracle.relative_heat_trace(spec, spec0, 100.0))
+        spec, nu = self.make_pair(n=120)
+        assert math.isfinite(oracle.relative_heat_trace(spec, nu, 100.0))
         with pytest.raises(DomainError, match="box length"):
-            oracle.relative_heat_trace(spec, spec0, t)
+            oracle.relative_heat_trace(spec, nu, t)
 
     def test_overflowing_sum_raises(self):
         well = oracle.LatticeSpec(-20.0, 20.0, 64, "dirichlet", lambda x: -1e4)
-        free = oracle.LatticeSpec(-20.0, 20.0, 64, "dirichlet", lambda x: 0.0)
         with pytest.raises(ConvergenceError):
-            oracle.relative_heat_trace(well, free, 100.0)
+            oracle.relative_heat_trace(well, 0.0, 100.0)
 
     def test_identical_potentials_vanish(self):
-        spec, _ = self.make_pair()
-        assert oracle.relative_heat_trace(spec, spec, 1.0) == 0.0
+        # a flat box u = nu against its closed-form spectrum
+        flat = oracle.LatticeSpec(-20.0, 20.0, 3000, "dirichlet", lambda x: 1.0)
+        assert abs(oracle.relative_heat_trace(flat, 1.0, 1.0)) < 1e-9
+
+    def test_requires_dirichlet(self):
+        spec = oracle.LatticeSpec(-20.0, 20.0, 64, "periodic", lambda x: 1.0)
+        with pytest.raises(DomainError, match="Dirichlet"):
+            oracle.relative_heat_trace(spec, 1.0, 1.0)
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_background_must_be_finite(self, nu):
+        spec, _ = self.make_pair(n=64)
+        with pytest.raises(DomainError, match="finite nu"):
+            oracle.relative_heat_trace(spec, nu, 1.0)
 
     def test_matches_laplace_inversion(self):
         from kinkzeta.resolvent import invert_laplace_gamma
         rp = build_resolvent(CaseTag.A, 1.0)
-        spec, spec0 = self.make_pair()
+        spec, nu = self.make_pair()
         for t in (0.5, 1.0, 2.0):
-            lat = oracle.relative_heat_trace(spec, spec0, t)
+            lat = oracle.relative_heat_trace(spec, nu, t)
             inv = invert_laplace_gamma(rp, t).total
             assert lat == pytest.approx(inv, abs=5e-3)
 

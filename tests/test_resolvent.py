@@ -424,6 +424,14 @@ class TestLaplaceInversion:
             return
         assert abs(inv.total - math.erf(1e-6)) <= inv.err_estimate
 
+    @pytest.mark.parametrize("case,k", [(CaseTag.A, None), (CaseTag.B, 0.5),
+                                        (CaseTag.C, None), (CaseTag.D, 0.5),
+                                        (CaseTag.NAHM, None)])
+    def test_subnormal_time_is_a_convergence_error(self, case, k):
+        # t g underflows, so the top band's cut 745/(t g) overflows
+        with pytest.raises(ConvergenceError, match="cut"):
+            invert_laplace_gamma(build_resolvent(case, 1.0, k=k), 5e-324)
+
     @pytest.mark.parametrize("case,k,t", [(CaseTag.B, 0.5, 1000.0),
                                           (CaseTag.NAHM, None, 800.0)])
     def test_overflow_is_a_convergence_error(self, case, k, t):

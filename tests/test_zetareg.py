@@ -111,6 +111,23 @@ class TestKinkZeta1d:
         with pytest.raises(PoleError):
             zetareg.zeta_kink_1d(-0.5, b)
 
+    @pytest.mark.parametrize("s", [1.0, 4.0, 7.0, 10.0])
+    def test_mellin_within_estimate_up_to_the_bound(self, s):
+        ev = zetareg.mellin_zeta(zetareg.erf_heat_trace(1.0), s)
+        assert abs(ev.value - zetareg.zeta_kink_1d(s, 1.0)) <= ev.err_estimate
+
+    @pytest.mark.parametrize("s", [10.000001, 15.0, 50.0, 100.0, 1e8,
+                                   -8.5, -20.0, -1e300, math.nan])
+    def test_mellin_outside_its_bounds_is_a_domain_error(self, s):
+        # Re s <= 10 above; below, minus the largest small-t exponent, 8.5
+        with pytest.raises(DomainError, match="Re s"):
+            zetareg.mellin_zeta(zetareg.erf_heat_trace(1.0), s)
+
+    @pytest.mark.parametrize("s, b", [(200.0, 1.0), (1e300, 0.5)])
+    def test_overflowing_closed_form_is_a_domain_error(self, s, b):
+        with pytest.raises(DomainError, match="overflows"):
+            zetareg.zeta_kink_1d(s, b)
+
     def test_zero_trace(self):
         tr = zetareg.HeatTrace(source="zero", eval=lambda t: 0.0,
                                renormalized=True)
@@ -337,6 +354,14 @@ class TestContour:
         # numerical failure
         assert issubclass(BranchCollisionError, DomainError)
         assert not issubclass(BranchCollisionError, ConvergenceError)
+
+    @pytest.mark.parametrize("case", [CaseTag.A, CaseTag.C])
+    def test_kink_re_s_bound(self, case):
+        rp = build_resolvent(case, 1.0)
+        assert cmath.isfinite(zetareg.zeta_contour(rp, 10.0).value)
+        for s in (10.000001, 100.0, 1e4, math.nan):
+            with pytest.raises(DomainError, match="Re s"):
+                zetareg.zeta_contour(rp, s)
 
     def test_method_triangle_case_a(self):
         rp = build_resolvent(CaseTag.A, 1.0)
