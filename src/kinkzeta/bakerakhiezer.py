@@ -35,7 +35,6 @@ from . import specfun
 from .errors import DomainError, WronskianDegeneracyError
 
 __all__ = [
-    "LameSystem",
     "lame_system",
     "LameSolution",
     "make_lame_solution",
@@ -52,26 +51,12 @@ def lame_band_edges(k: float) -> tuple[float, float, float]:
     return (k * k, 1.0, 1.0 + k * k)
 
 
-@dataclass(frozen=True)
-class LameSystem:
-    """Per-modulus lattice data for the genus-1 spectral problem."""
-
-    k: float
-    params: specfun.WeierstrassParams
-
-    def v_of_x(self, x: float) -> complex:
-        return x / _SQRT3 - self.params.omega_p
-
-
 @lru_cache(maxsize=64)
-def lame_system(k: float) -> LameSystem:
+def lame_system(k: float) -> specfun.WeierstrassParams:
+    """The lattice of modulus k, roots (2 - k^2, 2k^2 - 1, -(1 + k^2))."""
     if not 0.0 < k < 1.0:
         raise DomainError("lame_system requires 0 < k < 1")
-    k2 = k * k
-    e1, e2, e3 = 2.0 - k2, 2.0 * k2 - 1.0, -(1.0 + k2)
-    g2 = -4.0 * (e1 * e2 + e1 * e3 + e2 * e3)
-    g3 = 4.0 * e1 * e2 * e3
-    return LameSystem(k=k, params=specfun.weierstrass_params(g2, g3))
+    return specfun.weierstrass_params(k, 3.0)
 
 
 @dataclass(frozen=True)
@@ -85,18 +70,18 @@ class LameSolution:
     h: float
     k: float
     a: complex
-    system: LameSystem
+    params: specfun.WeierstrassParams
     wronskian: complex
     psi_plus: Callable[[float], complex]
     psi_minus: Callable[[float], complex]
 
 
-def _psi(sys_: LameSystem, a: complex, sign: int) -> Callable[[float], complex]:
-    params = sys_.params
+def _psi(params: specfun.WeierstrassParams, a: complex,
+         sign: int) -> Callable[[float], complex]:
     za = specfun.weierstrass_zeta(a, params)
 
     def psi(x: float) -> complex:
-        v = sys_.v_of_x(x)
+        v = x / _SQRT3 - params.omega_p
         return (specfun.weierstrass_sigma(v + sign * a, params)
                 / specfun.weierstrass_sigma(v, params)
                 * cmath.exp(-sign * za * v))
@@ -116,21 +101,22 @@ def make_lame_solution(h: float, k: float) -> LameSolution:
     distinguishable from the edge itself), as does a W that is zero or
     not finite.
     """
-    if min(abs(h - he) for he in lame_band_edges(k)) < 1e-4:
+    edges = lame_band_edges(k)
+    if min(abs(h - he) for he in edges) < 1e-4:
         raise WronskianDegeneracyError(
             f"h = {h} is within the band-edge guard band")
-    sys_ = lame_system(k)
-    params = sys_.params
-    H = 3.0 * h - 2.0 * (1.0 + k * k)
-    a = specfun.weierstrass_p_inverse(-H, params)
+    params = lame_system(k)
+    # r = (p(a) - e3) / 3 = 1 + k^2 - h without forming the O(1) p(a); the
+    # boundary segment counts the band edges below h (CONVENTIONS item 20)
+    a = specfun._p_preimage((1.0 - h) + edges[0], sum(h > e for e in edges), params)
     sn, cn, dn = specfun.jacobi_sn_cn_dn_complex(params.scale * a, params.k)
     dp = -2.0 * params.scale ** 3 * cn * dn / sn ** 3
     w = -specfun.weierstrass_sigma(a, params) ** 2 * dp / _SQRT3
     if w == 0.0 or not cmath.isfinite(w):
         raise WronskianDegeneracyError(
             f"degenerate Bloch pair at h = {h} (band edge)")
-    return LameSolution(h=h, k=k, a=a, system=sys_, wronskian=w,
-                        psi_plus=_psi(sys_, a, +1), psi_minus=_psi(sys_, a, -1))
+    return LameSolution(h=h, k=k, a=a, params=params, wronskian=w,
+                        psi_plus=_psi(params, a, +1), psi_minus=_psi(params, a, -1))
 
 
 def green_diag(x: float, h: float, k: float) -> complex:

@@ -16,7 +16,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import ellipkinc
 from scipy.special import gamma as _sc_gamma
 
@@ -55,7 +54,12 @@ def ellipk(k: float) -> float:
     """
     if not 0.0 <= k < 1.0:
         raise DomainError(f"ellipk requires 0 <= k < 1, got {k}")
-    a, b = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
+    return _quarter_period(math.sqrt((1.0 - k) * (1.0 + k)))
+
+
+def _quarter_period(kp: float) -> float:
+    """K at the modulus whose complement is kp: pi / (2 agm(1, kp))."""
+    a, b = 1.0, kp
     while abs(a - b) > 4.0 * _EPS * a:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return math.pi / (2.0 * a)
@@ -212,8 +216,9 @@ def theta1_dw(w: complex, tau: complex, order: int = 0) -> complex:
 class WeierstrassParams:
     """Invariants, roots and periods of a real rectangular Weierstrass lattice.
 
-    e1 > e2 > e3 are the real roots of 4 t^3 - g2 t - g3; omega is the real
-    half-period, omega_p = i*omega_imag the imaginary one, eta = zeta(omega).
+    e1 > e2 > e3 are the real roots of 4 t^3 - g2 t - g3 and k the modulus,
+    k^2 = (e2 - e3)/(e1 - e3); omega is the real half-period, omega_p =
+    i*omega_imag the imaginary one, eta = zeta(omega).
     """
 
     g2: float
@@ -236,24 +241,27 @@ class WeierstrassParams:
         return 1j * self.omega_imag / self.omega
 
 
-def weierstrass_params(g2: float, g3: float) -> WeierstrassParams:
-    """Build lattice data from the invariants (three distinct real roots)."""
-    roots = np.roots([4.0, 0.0, -g2, -g3])
-    scale0 = max(1.0, float(np.max(np.abs(roots))))
-    if np.max(np.abs(roots.imag)) > 1e-9 * scale0:
-        raise DomainError("weierstrass_params requires three real roots")
-    e1, e2, e3 = sorted(roots.real, reverse=True)
-    if e1 - e2 < 1e-12 * scale0 or e2 - e3 < 1e-12 * scale0:
-        raise DomainError("degenerate lattice (coincident roots) unsupported")
-    scale = math.sqrt(e1 - e3)
-    k = math.sqrt((e2 - e3) / (e1 - e3))
-    kp = math.sqrt((e1 - e2) / (e1 - e3))
+def weierstrass_params(k: float, spread: float) -> WeierstrassParams:
+    """The real rectangular lattice of modulus k with e1 - e3 = spread.
+
+    e1, e2, e3 = spread (2 - k^2, 2k^2 - 1, -(1 + k^2)) / 3, omega =
+    K(k)/sqrt(spread), omega' = K(k')/sqrt(spread) with K(k') = pi / (2
+    agm(1, k)); g2, g3 follow from the roots (CONVENTIONS item 20).
+    """
+    if not (0.0 < k < 1.0 and 0.0 < spread < math.inf):
+        raise DomainError("weierstrass_params requires 0 < k < 1 and "
+                          f"0 < spread < inf, got {k}, {spread}")
+    k2, c = k * k, spread / 3.0
+    e1, e2, e3 = c * (2.0 - k2), c * (2.0 * k2 - 1.0), -c * (1.0 + k2)
+    g2, g3 = -4.0 * (e1 * e2 + e1 * e3 + e2 * e3), 4.0 * e1 * e2 * e3
+    if not math.isfinite(g2 + g3):
+        raise DomainError(f"weierstrass_params: g2, g3 overflow at spread {spread}")
+    scale = math.sqrt(spread)
     omega = ellipk(k) / scale
-    omega_imag = ellipk(kp) / scale
     # eta = zeta(omega) = sqrt(e1 - e3) E(k) - e1 omega, from the sn form of p
     eta = scale * ellipe(k) - e1 * omega
-    return WeierstrassParams(g2=float(g2), g3=float(g3), e1=e1, e2=e2, e3=e3,
-                             omega=omega, omega_imag=omega_imag, eta=eta,
+    return WeierstrassParams(g2=g2, g3=g3, e1=e1, e2=e2, e3=e3, omega=omega,
+                             omega_imag=_quarter_period(k) / scale, eta=eta,
                              k=k, scale=scale)
 
 
@@ -300,23 +308,28 @@ def weierstrass_p_inverse(H: float, params: WeierstrassParams) -> complex:
     """
     H = float(H)
     e1, e2, e3 = params.e1, params.e2, params.e3
-    k, scale = params.k, params.scale
-    m, m1 = k * k, (1.0 - k) * (1.0 + k)
-    r = (H - e3) / (e1 - e3)
-    if H >= e1:
-        rho = complex(ellipkinc(math.asin(r ** -0.5), m) / scale, 0.0)
-    elif H >= e2:
-        phi = math.asin(min(1.0, math.sqrt((1.0 - r) / m1)))
-        rho = complex(params.omega, ellipkinc(phi, m1) / scale)
-    elif H >= e3:
-        phi = math.asin(min(1.0, math.sqrt(r) / k))
-        rho = complex(ellipkinc(phi, m) / scale, params.omega_imag)
-    else:
-        rho = complex(0.0, ellipkinc(math.atan((-r) ** -0.5), m1) / scale)
+    segment = 0 if H >= e1 else 1 if H >= e2 else 2 if H >= e3 else 3
+    rho = _p_preimage((H - e3) / (e1 - e3), segment, params)
     resid = abs(weierstrass_p(rho, params) - H)
     if not resid <= 1e-10 * max(1.0, abs(H)):
         raise ConvergenceError(f"weierstrass_p_inverse residual {resid:.2e}")
     return rho
+
+
+def _p_preimage(r: float, segment: int, params: WeierstrassParams) -> complex:
+    """The point of boundary segment 0..3 (H >= e1, [e2, e1], [e3, e2],
+    H <= e3) where p = e3 + (e1 - e3) r (CONVENTIONS item 20)."""
+    k, scale = params.k, params.scale
+    m, m1 = k * k, (1.0 - k) * (1.0 + k)
+    if segment == 0:
+        return complex(ellipkinc(math.asin(r ** -0.5), m) / scale, 0.0)
+    if segment == 1:
+        phi = math.asin(min(1.0, math.sqrt((1.0 - r) / m1)))
+        return complex(params.omega, ellipkinc(phi, m1) / scale)
+    if segment == 2:
+        phi = math.asin(min(1.0, math.sqrt(r) / k))
+        return complex(ellipkinc(phi, m) / scale, params.omega_imag)
+    return complex(0.0, ellipkinc(math.atan((-r) ** -0.5), m1) / scale)
 
 
 # ---------------------------------------------------------------------------

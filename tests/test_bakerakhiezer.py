@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinkzeta import bakerakhiezer as ba
 from kinkzeta import specfun
@@ -88,7 +90,7 @@ class TestLameSolutions:
         # W = -sigma(a)^2 p'(a) / sqrt(3), from the sigma product identity
         k, h = 0.6, 1.15
         sol = ba.make_lame_solution(h, k)
-        params = sol.system.params
+        params = sol.params
         eps = 1e-6
         dp = (specfun.weierstrass_p(sol.a + eps, params)
               - specfun.weierstrass_p(sol.a - eps, params)) / (2 * eps)
@@ -151,3 +153,21 @@ class TestGreenDiagonal:
                     g = ba.green_diag(x, h, k)
                     G = rp.green_diag(1.0 - h, x)
                     assert abs(g - G) < 1e-6
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(log_k=st.floats(math.log(0.01), math.log(0.999)),
+           finite_gap=st.booleans(), u=st.floats(0.0, 1.0),
+           x=st.floats(0.0, 3.0))
+    def test_matches_resolvent_over_the_gaps(self, log_k, finite_gap, u, x):
+        # k log-uniform, h in a gap at least the 1e-4 guard band from its
+        # edges (the finite gap (1, 1 + k^2) or below the spectrum)
+        k = math.exp(log_k)
+        k2 = k * k
+        guard = 1.01e-4
+        if finite_gap and k2 > 2.0 * guard:
+            h = 1.0 + guard + u * (k2 - 2.0 * guard)
+        else:
+            h = k2 - guard - u
+        g = ba.green_diag(x, h, k)
+        G = build_resolvent(CaseTag.B, 1.0, k=k).green_diag(1.0 - h, x)
+        assert abs(g - G) <= 1e-10 * abs(G)

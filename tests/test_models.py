@@ -219,7 +219,7 @@ class TestNahm:
         # written below through the half-lattice shifted sn form.
         sol = models.nahm_solution(NAHM)
         w = NAHM.w
-        params = specfun.weierstrass_params(w ** 4, 0.0)
+        params = specfun.weierstrass_params(1.0 / math.sqrt(2.0), w * w)
         K1 = specfun.ellipk(1.0 / math.sqrt(2.0))
         for x in (0.05, 0.21, 0.4):
             lhs = sol.phi(x) ** 2
@@ -229,8 +229,10 @@ class TestNahm:
             assert abs(rhs.imag) < 1e-10
 
     def test_invariant_roots(self):
+        # modulus 1/sqrt 2, spread w^2: g2 = w^4, g3 = 0, roots (w^2/2, 0, -w^2/2)
         w = 1.7
-        p = specfun.weierstrass_params(w ** 4, 0.0)
+        p = specfun.weierstrass_params(1.0 / math.sqrt(2.0), w * w)
+        assert (p.g2, p.g3) == pytest.approx((w ** 4, 0.0), abs=1e-10)
         assert (p.e1, p.e2, p.e3) == pytest.approx(
             (w * w / 2.0, 0.0, -w * w / 2.0), abs=1e-10)
 

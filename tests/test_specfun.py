@@ -201,24 +201,45 @@ class TestTheta:
             -specfun.theta1_dw(w, tau, 0))
 
 
+def lattice_of_invariants(g2: float, g3: float) -> specfun.WeierstrassParams:
+    """The lattice whose roots are those of 4 t^3 - g2 t - g3."""
+    e1, e2, e3 = sorted(np.roots([4.0, 0.0, -g2, -g3]).real, reverse=True)
+    return specfun.weierstrass_params(math.sqrt((e2 - e3) / (e1 - e3)), e1 - e3)
+
+
 class TestWeierstrass:
     def setup_method(self):
-        self.params = specfun.weierstrass_params(3.1, 0.4)
+        self.params = lattice_of_invariants(3.1, 0.4)
 
     def test_roots_sum_and_cubic(self):
-        p = self.params
+        # modulus 1/sqrt 2 and spread w^2: the roots of 4 t^3 - w^4 t
+        w = 1.3
+        p = specfun.weierstrass_params(1.0 / math.sqrt(2.0), w * w)
         assert p.e1 + p.e2 + p.e3 == pytest.approx(0.0, abs=1e-12)
         for e in (p.e1, p.e2, p.e3):
-            assert 4 * e ** 3 - p.g2 * e - p.g3 == pytest.approx(
+            assert 4 * e ** 3 - w ** 4 * e == pytest.approx(
                 0.0, abs=1e-12 * max(1.0, abs(e) ** 3))
 
     def test_nahm_invariants(self):
-        # g2 = w^4, g3 = 0 gives the root triple (w^2/2, 0, -w^2/2)
+        # the lattice of g2 = w^4, g3 = 0 has the roots (w^2/2, 0, -w^2/2)
         w = 1.3
-        p = specfun.weierstrass_params(w ** 4, 0.0)
+        p = specfun.weierstrass_params(1.0 / math.sqrt(2.0), w * w)
+        assert p.g2 == pytest.approx(w ** 4, rel=1e-12)
+        assert p.g3 == pytest.approx(0.0, abs=1e-12)
         assert p.e1 == pytest.approx(w * w / 2.0, rel=1e-12)
         assert p.e2 == pytest.approx(0.0, abs=1e-12)
         assert p.e3 == pytest.approx(-w * w / 2.0, rel=1e-12)
+
+    def test_invariants_from_roots(self):
+        p = self.params
+        assert (p.g2, p.g3) == pytest.approx((3.1, 0.4), rel=1e-13)
+
+    @pytest.mark.parametrize("k, spread", [(0.0, 1.0), (1.0, 1.0), (0.5, 0.0),
+                                           (0.5, math.inf), (math.nan, 1.0),
+                                           (0.5, 1e200)])
+    def test_params_domain(self, k, spread):
+        with pytest.raises(DomainError):
+            specfun.weierstrass_params(k, spread)
 
     def test_half_period_values(self):
         p = self.params
@@ -285,7 +306,7 @@ class TestWeierstrass:
     def test_eta_matches_mpmath_theta_series(self, k):
         # eta = -theta_1^(3)(0) / (12 omega theta_1^(1)(0)) on the lattice's tau
         mp.mp.dps = 40
-        p = lattice_of_modulus(k)
+        p = specfun.weierstrass_params(k, 1.0)
         q = mp.exp(-mp.pi * mp.mpf(p.omega_imag) / mp.mpf(p.omega))
         ref = -(mp.pi ** 2 * mp.jtheta(1, 0, q, 3)
                 / (12 * mp.mpf(p.omega) * mp.jtheta(1, 0, q, 1)))
@@ -304,14 +325,6 @@ class TestWeierstrass:
         assert lhs == pytest.approx(1j * math.pi / 2.0, abs=1e-10)
 
 
-def lattice_of_modulus(k: float) -> specfun.WeierstrassParams:
-    """The lattice with e1 - e3 = 1 and (e2 - e3)/(e1 - e3) = k^2."""
-    e3 = -(1.0 + k * k) / 3.0
-    e1, e2 = e3 + 1.0, e3 + k * k
-    return specfun.weierstrass_params(-4.0 * (e1 * e2 + e1 * e3 + e2 * e3),
-                                      4.0 * e1 * e2 * e3)
-
-
 class TestWeierstrassInverseProperty:
     # segments 0-3 are H >= e1, [e2, e1], [e3, e2], H <= e3; 4-6 are H
     # exactly e1, e2, e3
@@ -319,7 +332,7 @@ class TestWeierstrassInverseProperty:
     @given(k=st.floats(0.01, 0.99), seg=st.integers(0, 6),
            t=st.floats(0.0, 1.0))
     def test_residual_and_segment(self, k, seg, t):
-        p = lattice_of_modulus(k)
+        p = specfun.weierstrass_params(k, 1.0)
         e1, e2, e3 = p.e1, p.e2, p.e3
         H = [e1 + 50.0 * t, e2 + t * (e1 - e2), e3 + t * (e2 - e3),
              e3 - 50.0 * t, e1, e2, e3][seg]
