@@ -497,19 +497,23 @@ def _top_band_heat(rp: ResolventPolynomial, t: float) -> tuple[complex, float]:
     at u = -inf, so the smooth factor is analytic about the whole of
     (0, log(1 + 745/(g t))) at any t.  A map linear in lam brings the next
     edge within 1e-4 of a piece's width at t = 1e-10 and loses digits.
-    A t g so small that 745/(t g) overflows raises ConvergenceError.
+    A t g so small that 745/(t g) overflows raises ConvergenceError.  A
+    periodic density is taken as c0 / sqrt(above) + top_band_excess, whose
+    ratio form does not overflow where prod sqrt|p - r| does (lam ~ 1e205).
     """
     lo = rp.bands()[-1][0]
     g = rp.roots[1] - rp.roots[0]
     if not t * g > 745.0 / sys.float_info.max:
         raise ConvergenceError(f"top band cut 745/t overflows at t = {t!r}")
     span = math.log1p(745.0 / (t * g))
+    c0 = 0.0 if rp.is_kink else rp.moments[0] / (2.0 * math.pi)
 
     def F(opx, omx):
         u = 0.5 * span * opx
         above = g * np.expm1(u)
-        return (rp.band_density(lo, math.inf, above) * np.exp(-t * (lo + above))
-                * (0.5 * span * g * np.exp(u)))
+        rho = (rp.band_density(lo, math.inf, above) if rp.is_kink
+               else c0 / np.sqrt(above) + rp.top_band_excess(above))
+        return rho * np.exp(-t * (lo + above)) * (0.5 * span * g * np.exp(u))
 
     return _product_integral(F, -0.5, 0.0)
 

@@ -74,16 +74,16 @@ class ZetaEvaluation:
 
 @dataclass(frozen=True)
 class HeatTrace:
-    """A heat trace gamma(t) with the asymptotic data used for continuation.
+    """A heat trace on its own time scale T: eval(tau) = gamma(T tau).
 
-    small_t lists (a, c) with gamma(t) ~ sum c t^a as t -> 0; large_t lists
-    (q, c) with gamma(t) ~ sum c t^{-q} as t -> inf (q = 0 is a plateau).
-    renormalized marks background-subtracted traces.
+    small_t lists (a, c) with gamma(T tau) ~ sum c tau^a as tau -> 0;
+    large_t lists (q, c) with gamma(T tau) ~ sum c tau^{-q} as tau -> inf
+    (q = 0 is a plateau).  T is where the trace turns from one form to
+    the other.
     """
 
-    source: str
     eval: Callable[[float], float]
-    renormalized: bool
+    scale: float     # T
     small_t: tuple[tuple[float, float], ...] = ()
     large_t: tuple[tuple[float, float], ...] = ()
 
@@ -98,34 +98,38 @@ def erf_heat_trace(b: float) -> HeatTrace:
 
 
 def vacuum_heat_trace(nu: float, d: int) -> HeatTrace:
-    """Constant-background trace e^{-nu t} / (2 sqrt(pi t))^d per unit volume."""
-    if not 0.0 < nu < math.inf:
-        raise DomainError("vacuum_heat_trace requires 0 < nu < inf")
-    pref = (2.0 * _SQRT_PI) ** (-d)
-    small = tuple((j - 0.5 * d, pref * (-nu) ** j / math.factorial(j))
+    """Constant-background trace e^{-nu t} / (2 sqrt(pi t))^d per unit volume,
+    on the time scale T = 1/nu."""
+    T = 1.0 / nu if 0.0 < nu < math.inf else 0.0
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"vacuum_heat_trace requires 0 < 1/nu < inf, got nu = {nu!r}")
+    # (2 sqrt(pi T))^{-d}; inf where nu^{d/2} overflows, and mellin_zeta raises
+    pref = (2.0 * _SQRT_PI) ** (-d) * math.prod([math.sqrt(nu)] * d)
+    small = tuple((j - 0.5 * d, pref * (-1.0) ** j / math.factorial(j))
                   for j in range(10))
-    return HeatTrace(source="closed_form_vacuum",
-                     eval=lambda t: pref * t ** (-0.5 * d) * math.exp(-nu * t),
-                     renormalized=False, small_t=small, large_t=())
+    return HeatTrace(eval=lambda tau: pref * tau ** (-0.5 * d) * math.exp(-tau),
+                     scale=T, small_t=small)
 
 
 def kink_trace_d(m: float, d: int) -> HeatTrace:
     """Renormalized kink trace times the free transverse factor:
-    erf(m sqrt(t)) (4 pi t)^{-(d-1)/2}, per unit transverse volume."""
+    erf(m sqrt(t)) (4 pi t)^{-(d-1)/2}, per unit transverse volume, on the
+    time scale T = 1/m^2."""
     if d not in (1, 2, 3, 4):
         raise DomainError("d must be 1..4")
+    T = 1.0 / m / m if 0.0 < m < math.inf else 0.0
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"kink_trace_d requires 0 < 1/m^2 < inf, got m = {m!r}")
     q = (d - 1) / 2.0   # the transverse factor decays as t^{-q}
-    pref = (4.0 * math.pi) ** -q
+    # (4 pi T)^{-q}; inf where m^{d-1} overflows, and mellin_zeta raises
+    pref = (4.0 * math.pi) ** -q * math.prod([m] * (d - 1))
     small = tuple(
         (j + 0.5 * (2 - d),
-         pref * 2.0 / _SQRT_PI * (-1.0) ** j * m ** (2 * j + 1)
-         / (math.factorial(j) * (2 * j + 1)))
+         pref * 2.0 / _SQRT_PI * (-1.0) ** j / (math.factorial(j) * (2 * j + 1)))
         for j in range(9)
     )
-    return HeatTrace(
-        source="closed_form_erf",
-        eval=lambda t: math.erf(m * math.sqrt(t)) * pref * t ** -q,
-        renormalized=True, small_t=small, large_t=((q, pref),))
+    return HeatTrace(eval=lambda tau: math.erf(math.sqrt(tau)) * pref * tau ** -q,
+                     scale=T, small_t=small, large_t=((q, pref),))
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +283,21 @@ def _cquad(f, a, b) -> tuple[complex, float]:
 def mellin_zeta(trace: HeatTrace, s: complex) -> ZetaEvaluation:
     """zeta(s) = (1/Gamma(s)) int_0^inf t^{s-1} gamma(t) dt, continued.
 
-    The integral is split at t = 1; the declared small-t terms are
-    subtracted on (0, 1) and the large-t terms on (1, inf), with their
-    exact Mellin images c/(s+a) and c/(q-s) restored analytically (plateau
-    images carry the 1/(s Gamma(s)) = 1/Gamma(s+1) cancellation exactly,
-    so s = 0 is a regular point of the continuation).  The (0, 1) integral
-    converges for Re s above minus the largest small-t exponent, and
-    Re s is capped at _RE_S_MAX; past either bound DomainError is raised.
+    With t = T tau on the trace's time scale T, zeta(s) = T^s (1/Gamma(s))
+    int tau^{s-1} gamma(T tau) dtau, and the tau integral is split at 1;
+    the declared small-t terms are subtracted on (0, 1) and the large-t
+    terms on (1, inf), with their exact Mellin images c/(s+a) and c/(q-s)
+    restored analytically (plateau images carry the 1/(s Gamma(s)) =
+    1/Gamma(s+1) cancellation exactly, so s = 0 is a regular point of the
+    continuation).  The (0, 1) integral converges for Re s above minus the
+    largest small-t exponent, and Re s is capped at _RE_S_MAX; past either
+    bound DomainError is raised, and so where the value overflows.  The
+    error estimate adds to the quadrature's the rounding of the large-t
+    subtraction, eps |c| 35^(Re s - q) / |Gamma(s + 1)| per term
+    (CONVENTIONS item 19).
     """
     s = complex(s)
-    small, large = trace.small_t, trace.large_t
+    small, large, T = trace.small_t, trace.large_t, trace.scale
     lowest = -max((a for a, _ in small), default=0.0)
     if not lowest < s.real <= _RE_S_MAX:
         raise DomainError(f"mellin_zeta requires {lowest:g} < Re s <= "
@@ -300,13 +309,13 @@ def mellin_zeta(trace: HeatTrace, s: complex) -> ZetaEvaluation:
         if q != 0.0 and abs(q - s) < 1e-12:
             raise PoleError(f"mellin_zeta pole at s = {s}")
 
-    def f01(t: float) -> complex:
-        g = trace.eval(t) - sum(c * t ** a for a, c in small)
-        return g * cmath.exp((s - 1.0) * math.log(t))
+    def f01(tau: float) -> complex:
+        g = trace.eval(tau) - sum(c * tau ** a for a, c in small)
+        return g * cmath.exp((s - 1.0) * math.log(tau))
 
-    def f1inf(t: float) -> complex:
-        g = trace.eval(t) - sum(c * t ** (-q) for q, c in large)
-        return g * cmath.exp((s - 1.0) * math.log(t))
+    def f1inf(tau: float) -> complex:
+        g = trace.eval(tau) - sum(c * tau ** (-q) for q, c in large)
+        return g * cmath.exp((s - 1.0) * math.log(tau))
 
     i1, e1 = _cquad(f01, 0.0, 1.0)
     i2, e2 = _cquad(f1inf, 1.0, math.inf)
@@ -319,6 +328,14 @@ def mellin_zeta(trace: HeatTrace, s: complex) -> ZetaEvaluation:
     value += sum(c * rg1 for a, c in small if a == 0.0)
     value -= sum(c * rg1 for q, c in large if q == 0.0)
     err = abs(rg) * (e1 + e2) + 1e-15 * abs(value)
+    # erf-type traces reach their large-t form to rounding near tau = 35
+    err += _EPS * abs(rg1) * sum(abs(c) * 35.0 ** max(s.real - q, 0.0)
+                                 for q, c in large)
+    try:
+        power = cmath.exp(s * math.log(T))
+    except OverflowError:
+        power = math.inf
+    value, err = _finite(power * value, f"mellin_zeta at s = {s}"), abs(power) * err
     return ZetaEvaluation(s=s, value=value, method="mellin_numeric",
                           err_estimate=err)
 

@@ -232,6 +232,18 @@ class TestContracts:
         assert err.startswith("numerical failure:")
         assert err.strip().count("\n") == 0
 
+    @pytest.mark.parametrize("k, t", [("0.5", "1e-300"), ("0.9", "1e-220")])
+    def test_top_band_keeps_its_weyl_term(self, capsys, k, t):
+        # above lambda ~ 1e205 the density's product of sqrt|p - r| would
+        # overflow; the trace per length is the Weyl term 1/sqrt(4 pi t)
+        code, out, _ = run_cli(capsys, "heattrace", "--case", "b", "--k", k,
+                               "--t", t)
+        assert code == 0
+        header, rows = parse_csv(out)
+        per_len = float(rows[0][header.index("total_per_length")])
+        assert per_len == pytest.approx(1.0 / math.sqrt(4.0 * math.pi * float(t)),
+                                        rel=1e-12)
+
     @pytest.mark.parametrize("argv", [
         ("zeta", "--case", "nahm", "--s", "0.49"),
         ("zeta", "--case", "d", "--k", "0.9", "--s", "0.48")])

@@ -116,6 +116,18 @@ class TestKinkZeta1d:
         ev = zetareg.mellin_zeta(zetareg.erf_heat_trace(1.0), s)
         assert abs(ev.value - zetareg.zeta_kink_1d(s, 1.0)) <= ev.err_estimate
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(log_b=st.floats(-3.0, 3.0), s=st.floats(-0.45, 10.0))
+    def test_mellin_within_estimate_over_scales(self, log_b, s):
+        # the closed form -b^{-2s} Gamma(s + 1/2) / (sqrt(pi) Gamma(s + 1))
+        # at 30 digits
+        b = 10.0 ** log_b
+        ev = zetareg.mellin_zeta(zetareg.erf_heat_trace(b), s)
+        with mp.workdps(30):
+            ref = -(mp.mpf(b) ** (-2 * mp.mpf(s)) * mp.gamma(mp.mpf(s) + 0.5)
+                    / (mp.sqrt(mp.pi) * mp.gamma(mp.mpf(s) + 1)))
+            assert abs(ev.value - ref) <= ev.err_estimate
+
     @pytest.mark.parametrize("s", [10.000001, 15.0, 50.0, 100.0, 1e8,
                                    -8.5, -20.0, -1e300, math.nan])
     def test_mellin_outside_its_bounds_is_a_domain_error(self, s):
@@ -129,8 +141,7 @@ class TestKinkZeta1d:
             zetareg.zeta_kink_1d(s, b)
 
     def test_zero_trace(self):
-        tr = zetareg.HeatTrace(source="zero", eval=lambda t: 0.0,
-                               renormalized=True)
+        tr = zetareg.HeatTrace(eval=lambda t: 0.0, scale=1.0)
         for s in (0.1, 0.5, 1.5):
             assert zetareg.mellin_zeta(tr, s).value == 0.0
 
@@ -266,10 +277,9 @@ class TestContour:
         b = 1.0
         rp = build_resolvent(CaseTag.C, b)
         tr = zetareg.HeatTrace(
-            source="closed_form_erf",
             eval=lambda t: math.erf(2 * b * math.sqrt(t))
             + math.exp(-3 * b * b * t) * math.erf(b * math.sqrt(t)),
-            renormalized=True, large_t=((0.0, 1.0),))
+            scale=1.0 / (b * b), large_t=((0.0, 1.0),))
         for s in (0.1, 0.3):
             mel = zetareg.mellin_zeta(tr, s).value
             # the lambda = 3 b^2 bound state enters the Mellin route inside
