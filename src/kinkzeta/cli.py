@@ -197,11 +197,13 @@ def _cmd_zeta(args) -> int:
                          ki - ei if nahm else None])
     _emit(["s", "re", "im", "method", "err", "meta_2Ki", "meta_Ki_minus_Ei"],
           rows, args)
-    worst = max((max(abs(a - b) for a in vs for b in vs) for vs in
-                 spreads.values() if len(vs) > 1), default=0.0)
+    # the routes' spread at each s, relative to max(1, |zeta|)
+    worst = max((max(abs(a - b) for a in vs for b in vs)
+                 / max(1.0, max(abs(v) for v in vs))
+                 for vs in spreads.values() if len(vs) > 1), default=0.0)
     if worst > args.method_tol:
-        print(f"method disagreement {worst:.3e} exceeds {args.method_tol:.3e}",
-              file=sys.stderr)
+        print(f"method disagreement {worst:.3e} exceeds {args.method_tol:.3e} "
+              "(relative to max(1, |zeta|))", file=sys.stderr)
         return 3
     return 0
 
@@ -308,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeta", help="zeta values by all applicable methods")
     _add_case_flags(p)
     p.add_argument("--s", default="0.1,0.2,0.3,0.4")
-    p.add_argument("--method-tol", type=float, default=1e-5)
+    p.add_argument("--method-tol", type=float, default=1e-5,
+                   help="largest spread of the routes at one s, relative "
+                        "to max(1, |zeta|)")
     p.set_defaults(func=_cmd_zeta)
 
     p = sub.add_parser("correction", help="one-loop action correction")

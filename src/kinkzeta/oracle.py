@@ -4,10 +4,11 @@ Second-order central differences on a uniform grid; Dirichlet boxes for
 kink potentials and Bloch-phased single periods for periodic ones.  Used
 to gate every closed-form spectral statement in the package.
 
-u(x) is sampled once per lattice (``LatticeSpec.diagonal``).  Dirichlet
-boxes are symmetric tridiagonal; a Bloch-phased period is a periodic
-tridiagonal ring, solved as a Hermitian matrix of bandwidth 2 after the
-ring is reordered (real at theta = 0 and pi, complex otherwise).
+u(x) is sampled once per lattice, in one call on the array of grid
+points (``LatticeSpec.diagonal``).  Dirichlet boxes are symmetric
+tridiagonal; a Bloch-phased period is a periodic tridiagonal ring, solved
+as a Hermitian matrix of bandwidth 2 after the ring is reordered (real at
+theta = 0 and pi, complex otherwise).
 
 The heat trace needs no complex solve.  The ring's characteristic
 polynomial is affine in cos theta (van Moerbeke, Invent. Math. 37, 1976):
@@ -54,13 +55,18 @@ _N_THETA = 32         # Bloch phases of lattice_heat_trace on (0, pi)
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Discretization request: box, resolution, boundary condition, u(x)."""
+    """Discretization request: box, resolution, boundary condition, u(x).
+
+    u takes the ndarray of grid points and returns an array of the same
+    shape, or one that broadcasts to it (a constant, say); it is called
+    once per lattice (CONVENTIONS item 21).
+    """
 
     x_min: float
     x_max: float
     n: int
     bc: str                       # "dirichlet" or "periodic"
-    u: Callable[[float], float]
+    u: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if not -math.inf < self.x_min < self.x_max < math.inf:
@@ -83,11 +89,19 @@ class LatticeSpec:
     @cached_property
     def diagonal(self) -> np.ndarray:
         """2/h^2 + u on the unknowns: the interior points for Dirichlet,
-        the whole grid for periodic.  u is sampled here and only here."""
+        the whole grid for periodic.  u is sampled here and only here, in
+        one call; a result that does not broadcast to the points raises
+        DomainError."""
         x = self.grid()
         if self.bc == "dirichlet":
             x = x[1:-1]
-        return 2.0 / self.h ** 2 + np.array([self.u(xi) for xi in x])
+        u = np.asarray(self.u(x), dtype=float)
+        try:
+            u = np.broadcast_to(u, x.shape)
+        except ValueError:
+            raise DomainError(f"u returned shape {u.shape} for {x.shape[0]} "
+                              "grid points") from None
+        return 2.0 / self.h ** 2 + u
 
 
 def _lowest(count: int | None, size: int) -> dict:

@@ -117,14 +117,15 @@ class ResolventPolynomial:
         return self.case in (CaseTag.A, CaseTag.C)
 
     # -- coordinate maps ----------------------------------------------------
-    def z_of_x(self, x: float) -> float:
+    # x is a float or an ndarray of points (CONVENTIONS item 21)
+    def z_of_x(self, x):
         if self.case is CaseTag.NAHM:
             _, cn, dn = specfun.jacobi_sn_cn_dn(math.sqrt(2.0) * self.b * x, _K1)
             return (cn / dn) ** 2
         _, cn, _ = specfun.jacobi_sn_cn_dn(self.b * x, self.k)   # sech(bx) at k = 1
         return cn * cn
 
-    def u_of_x(self, x: float) -> float:
+    def u_of_x(self, x):
         return self.u_of_z(self.z_of_x(x))
 
     # -- square-root branch -------------------------------------------------

@@ -1,8 +1,9 @@
 """Self-contained special-function layer.
 
 Complete elliptic integrals K, E by the arithmetic-geometric mean,
-Jacobi elliptic functions sn, cn, dn by the descending Landen (AGM phase)
-recursion, the imaginary-modulus transformation, the theta_1 series
+Jacobi elliptic functions sn, cn, dn of a float or an ndarray by the
+descending Landen (AGM phase) recursion, the imaginary-modulus
+transformation, the theta_1 series
 behind Weierstrass p/zeta/sigma on real rectangular lattices, and a
 pole-guarded Gamma.
 
@@ -16,6 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import ellipkinc
 from scipy.special import gamma as _sc_gamma
 
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+_KP_NEAR_ONE = 1e-5   # k' below which sn, cn, dn take the k = 1 expansion
 
 
 # ---------------------------------------------------------------------------
@@ -110,25 +113,71 @@ def ellipe_imag(kappa: float) -> float:
 # Jacobi elliptic functions
 # ---------------------------------------------------------------------------
 
-def jacobi_sn_cn_dn(u: float, k: float) -> tuple[float, float, float]:
+class _ScalarOps:
+    """The math functions under the numpy names the shared body uses, so a
+    float argument takes the same bits as a body written in math."""
+
+    sin, cos, sinh, cosh = math.sin, math.cos, math.sinh, math.cosh
+    tanh, arcsin, sqrt, rint = math.tanh, math.asin, math.sqrt, round
+
+    @staticmethod
+    def clip(t, lo, hi):
+        return max(lo, min(hi, t))
+
+    @staticmethod
+    def where(cond, a, b):
+        return a if cond else b
+
+    @staticmethod
+    def ones_like(u):
+        return 1.0
+
+    @staticmethod
+    def sech(u):
+        try:
+            return 1.0 / math.cosh(u)
+        except OverflowError:
+            return 0.0
+
+
+class _ArrayOps:
+    """numpy functions for an ndarray argument."""
+
+    sin, cos, sinh, cosh, tanh = np.sin, np.cos, np.sinh, np.cosh, np.tanh
+    arcsin, sqrt, rint, clip, where = np.arcsin, np.sqrt, np.rint, np.clip, np.where
+    ones_like = np.ones_like
+
+    @staticmethod
+    def sech(u):
+        with np.errstate(over="ignore"):
+            return 1.0 / np.cosh(u)
+
+
+def jacobi_sn_cn_dn(u, k: float):
     """sn, cn, dn of real argument by the descending Landen recursion.
+
+    u is a float or an ndarray; an ndarray gives three arrays of its
+    shape, computed by the same body with numpy functions in place of
+    math ones, and so within a few ulps of the float values (CONVENTIONS
+    item 21).  The AGM ladder depends on k alone and is built once.
 
     Builds the AGM scale ladder a_n, c_n, then recovers the amplitude by
     the backward angle recursion phi_{n-1} = (phi_n + asin(c_n/a_n sin
     phi_n)) / 2.  Absolute error below 1e-12 for |u| <= 4 K(k).  At k = 1
     they are tanh u, sech u, sech u (DLMF 22.5.ii), with sech = 0.0 where
-    cosh overflows.
+    cosh overflows.  For 0 < k' < _KP_NEAR_ONE, where c_1/a_1 lies within
+    2k' of 1 and the asin steps lose digits, _near_one takes over.
     """
     if not 0.0 <= k <= 1.0:
         raise DomainError(f"jacobi_sn_cn_dn requires 0 <= k <= 1, got {k}")
+    xp = _ScalarOps
+    if isinstance(u, np.ndarray):
+        xp, u = _ArrayOps, np.asarray(u, dtype=float)
     if k < 1e-14:
-        return math.sin(u), math.cos(u), 1.0
+        return xp.sin(u), xp.cos(u), xp.ones_like(u)
     if k == 1.0:
-        try:
-            sech = 1.0 / math.cosh(u)
-        except OverflowError:
-            sech = 0.0
-        return math.tanh(u), sech, sech
+        sech = xp.sech(u)
+        return xp.tanh(u), sech, sech
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     a, b = 1.0, kp
     a_hist = [a]
@@ -139,14 +188,43 @@ def jacobi_sn_cn_dn(u: float, k: float) -> tuple[float, float, float]:
         a_hist.append(a)
         c_hist.append(c)
         n += 1
+    if kp < _KP_NEAR_ONE:
+        return _near_one(u, kp, math.pi / (2.0 * a), xp)
     phi = (2.0 ** n) * a_hist[n] * u
     for j in range(n, 0, -1):
-        t = c_hist[j] / a_hist[j] * math.sin(phi)
-        t = max(-1.0, min(1.0, t))
-        phi = 0.5 * (phi + math.asin(t))
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    dn = math.sqrt(cn * cn + (kp * sn) ** 2)
+        t = xp.clip(c_hist[j] / a_hist[j] * xp.sin(phi), -1.0, 1.0)
+        phi = 0.5 * (phi + xp.arcsin(t))
+    sn = xp.sin(phi)
+    cn = xp.cos(phi)
+    dn = xp.sqrt(cn * cn + (kp * sn) ** 2)
+    return sn, cn, dn
+
+
+def _near_one(u, kp: float, K: float, xp):
+    """sn, cn, dn at 0 < k' < _KP_NEAR_ONE from their first-order k'^2
+    forms about k = 1 (DLMF 22.10(ii)), K = pi / (2 agm(1, k')).
+
+    u is reduced by the half period 2K to w in [-K, K].  On |w| <= K/2
+    the forms are taken at v = |w|; beyond, at v = K - |w| through
+    sn(K - v) = cd v, cn(K - v) = k' sd v, dn(K - v) = k' nd v (DLMF
+    22.4.iii), so v stays below K/2, where the dropped O(k'^4 e^{3v})
+    terms are at most about k'^{5/2} (CONVENTIONS item 21).
+    """
+    m = xp.rint(u / (2.0 * K))
+    w = u - 2.0 * K * m
+    flip = 1.0 - 2.0 * (m % 2)          # sn, cn change sign every 2K
+    inner = abs(w) <= 0.5 * K
+    v = xp.where(inner, abs(w), K - abs(w))
+    th, se = xp.tanh(v), xp.sech(v)
+    q = 0.25 * kp * kp
+    sc = xp.sinh(v) * xp.cosh(v)
+    s1 = th + q * (sc - v) * se * se
+    c1 = se - q * (sc - v) * th * se
+    d1 = se + q * (sc + v) * th * se
+    sn = xp.where(inner, s1, c1 / d1) * flip
+    sn = xp.where(w < 0.0, -sn, sn)
+    cn = xp.where(inner, c1, kp * s1 / d1) * flip
+    dn = xp.where(inner, d1, kp / d1)
     return sn, cn, dn
 
 

@@ -108,7 +108,7 @@ def test_criterion_05_erf_trace_triangle(capsys):
     rp = build_resolvent(CaseTag.A, b)
     box = 20.0
     lat = oracle.LatticeSpec(-box, box, 4000, "dirichlet",
-                             lambda x: b * b - 2 * b * b / math.cosh(b * x) ** 2)
+                             lambda x: b * b - 2 * b * b / np.cosh(b * x) ** 2)
     ok = True
     for t in (0.5, 1.0, 2.0):
         closed = math.erf(b * math.sqrt(t))

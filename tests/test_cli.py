@@ -111,6 +111,17 @@ class TestZeta:
         assert code == 3
         assert "disagreement" in err
 
+    def test_method_tolerance_scales_with_zeta(self, capsys):
+        # |zeta| = 1.8e56: the routes agree to 3.4e-8 relative, although
+        # they are 6.1e48 apart
+        code, out, err = run_cli(capsys, "zeta", "--case", "a", "--b", "1e-3",
+                                 "--s", "9.5")
+        assert code == 0 and err == ""
+        header, rows = parse_csv(out)
+        assert len(rows) == 3
+        assert float(rows[0][header.index("re")]) == pytest.approx(-1.8066e56,
+                                                                   rel=1e-4)
+
     def test_nahm_metadata_columns(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "--case", "nahm", "--b", "1",
                                "--s", "0.25")

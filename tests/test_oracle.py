@@ -11,7 +11,7 @@ from kinkzeta.resolvent import CaseTag, build_resolvent
 
 
 def sech2(x):
-    return 1.0 / math.cosh(x) ** 2
+    return 1.0 / np.cosh(x) ** 2
 
 
 class TestEigenvalues:
@@ -59,6 +59,36 @@ class TestEigenvalues:
     def test_bounds_must_be_finite(self, x_min, x_max):
         with pytest.raises(DomainError):
             oracle.LatticeSpec(x_min, x_max, 100, "periodic", lambda x: 0.0)
+
+
+class TestSampling:
+    @pytest.mark.parametrize("case, k, bc", [
+        (CaseTag.A, None, "dirichlet"), (CaseTag.C, None, "dirichlet"),
+        (CaseTag.B, 0.5, "periodic"), (CaseTag.D, 0.9, "periodic"),
+        (CaseTag.NAHM, None, "periodic")])
+    def test_diagonal_matches_pointwise_potential(self, case, k, bc):
+        # one array call against per-point scalar calls: a few ulps of u
+        rp = build_resolvent(case, 1.3, k=k)
+        x_max = 20.0 / rp.b if rp.is_kink else rp.period
+        x_min = -x_max if rp.is_kink else 0.0
+        spec = oracle.LatticeSpec(x_min, x_max, 500, bc, rp.u_of_x)
+        x = spec.grid()[1:-1] if bc == "dirichlet" else spec.grid()
+        want = np.array([rp.u_of_x(float(xi)) for xi in x])
+        got = rp.u_of_x(x)
+        assert np.array_equal(spec.diagonal, 2.0 / spec.h ** 2 + got)
+        scale = max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 16.0 * np.finfo(float).eps * scale
+
+    def test_constant_potential_broadcasts(self):
+        spec = oracle.LatticeSpec(0.0, 1.0, 16, "periodic", lambda x: 2.5)
+        assert spec.diagonal.shape == (16,)
+        assert np.all(spec.diagonal == 2.0 / spec.h ** 2 + 2.5)
+
+    @pytest.mark.parametrize("u", [lambda x: x[:-1], lambda x: np.ones((2, 1))])
+    def test_result_off_the_grid_is_a_domain_error(self, u):
+        spec = oracle.LatticeSpec(0.0, 1.0, 16, "periodic", u)
+        with pytest.raises(DomainError, match="grid points"):
+            spec.diagonal
 
 
 class TestRelativeTrace:
@@ -303,9 +333,9 @@ class TestLatticeHeatTrace:
 
         spec = oracle.LatticeSpec(0.0, rp.period, 64, "periodic", u)
         oracle.lattice_heat_trace(spec, 1.0)
-        assert len(calls) == spec.n
+        assert len(calls) == 1 and calls[0].shape == (spec.n,)
         oracle.band_edges_lattice(spec, 3)
-        assert len(calls) == spec.n
+        assert len(calls) == 1
 
     def test_requires_periodic(self):
         spec = oracle.LatticeSpec(0.0, 1.0, 16, "dirichlet", lambda x: 0.0)

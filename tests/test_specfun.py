@@ -131,6 +131,41 @@ class TestJacobiFunctions:
             sech = 0.0
         assert specfun.jacobi_sn_cn_dn(u, 1.0) == (math.tanh(u), sech, sech)
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(k=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-14),
+                       st.floats(1.0 - 1e-9, 1.0), st.just(1.0)),
+           u=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=16))
+    @example(k=1.0 - 2.0 ** -53, u=[0.0, 19.4, 38.8, -58.2])
+    @example(k=1.0, u=[-711.0, 0.0, 709.0])
+    @example(k=1e-15, u=[-3.0, 0.5])
+    def test_array_matches_scalar(self, k, u):
+        # the array route runs the same body on numpy functions: a few ulps
+        x = np.array(u)
+        got = specfun.jacobi_sn_cn_dn(x, k)
+        tol = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(x))
+        for j in range(3):
+            want = np.array([specfun.jacobi_sn_cn_dn(ui, k)[j] for ui in u])
+            assert got[j].shape == x.shape
+            assert np.all(np.abs(got[j] - want) <= tol)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(log_kp=st.floats(math.log10(1.5e-8), math.log10(specfun._KP_NEAR_ONE)),
+           frac=st.floats(-1.0, 1.0))
+    def test_near_one_against_mpmath(self, log_kp, frac):
+        # below _KP_NEAR_ONE the first-order k'^2 forms hold cn and dn to
+        # a few eps |u| over four quarter periods, where the recursion
+        # lost up to 60 eps |u|
+        kp = 10.0 ** log_kp
+        k = math.sqrt((1.0 - kp) * (1.0 + kp))
+        with mp.workdps(40):
+            m = mp.mpf(k) ** 2
+            u = 4.0 * frac * float(mp.ellipk(m))
+            want = [float(mp.ellipfun(name, mp.mpf(u), m=m))
+                    for name in ("sn", "cn", "dn")]
+        got = specfun.jacobi_sn_cn_dn(u, k)
+        for value, ref in zip(got, want):
+            assert abs(value - ref) <= 4.0 * 2.2e-16 * max(1.0, abs(u))
+
     @pytest.mark.parametrize("k", [math.nextafter(1.0, 2.0), math.nan, -1e-300])
     def test_modulus_outside_unit_interval_raises(self, k):
         with pytest.raises(DomainError):
