@@ -4,9 +4,10 @@
 INVOCATIONS, the exit code and the exact stdout; ``test_golden_cli.py``
 replays them in-process and requires both to be byte-identical.  The set
 covers every command whose output a refactor must not move: resolvent for
-each case, zeta on the kink and periodic routes, correction, figure-z,
-solution and energy.  heattrace is checked against mpmath references
-instead, and the LAPACK-backed oracle is left out.  Rebuild the table only
+each case, zeta on the kink and periodic routes (s = 0 takes the top band's
+complex exponent -1/2), heattrace for each case on the deterministic
+product rule, correction, figure-z, solution and energy.  The
+LAPACK-backed oracle is left out.  Rebuild the table only
 on purpose, when an output is meant to change, after reviewing each changed
 cell (argv, line, old, new) that --diff prints without writing:
 
@@ -46,6 +47,12 @@ INVOCATIONS = [
     ["--format", "json", "energy", "--family", "sg", "--m", "2", "--g", "1", "--kink"],
     ["energy", "--family", "gl", "--m", "1", "--g", "1", "--k", "0.8"],
     ["energy", "--family", "sg", "--m", "1", "--g", "1", "--k", "0.999999"],
+    ["heattrace", "--case", "a", "--t", "0.25,1,2"],
+    ["heattrace", "--case", "c", "--t", "0.25,1,2"],
+    ["heattrace", "--case", "b", "--k", "0.5", "--t", "0.25,1,2"],
+    ["heattrace", "--case", "d", "--k", "0.7", "--t", "0.25,1,2"],
+    ["heattrace", "--case", "nahm", "--t", "0.25,1,2"],
+    ["zeta", "--case", "b", "--k", "0.5", "--s", "0"],
 ]
 
 
