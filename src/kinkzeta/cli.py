@@ -101,9 +101,8 @@ def _cmd_solution(args) -> int:
     for i in range(args.n):
         x = x_min + (x_max - x_min) * i / (args.n - 1)
         try:
-            phi = sol.phi(x)
-            u = models.schrodinger_potential(sol, x)
-            e = 0.5 * sol.dphi(x) ** 2 + models.potential_v(sol.spec, phi)
+            phi, dphi, u = sol.fields(x)
+            e = 0.5 * dphi ** 2 + models.potential_v(sol.spec, phi)
             rows.append([x, phi, u, e])
         except PoleError:
             rows.append([x, _POLE_MARK, _POLE_MARK, _POLE_MARK])
@@ -343,10 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parse_args keeps no state between calls, so one parser serves them all
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -190,26 +190,36 @@ class ClassicalSolution:
     # -- evaluation ---------------------------------------------------------
     # GL and SG are written once in (k, b); the kink is the k = 1 member,
     # where sn, cn, dn are tanh, sech, sech
-    def phi(self, x: float) -> float:
+    def fields(self, x: float) -> tuple[float, float, float]:
+        """phi, phi' and u at x from one evaluation of sn, cn, dn.
+
+        u is the potential of schrodinger_potential.  The Nahm solution
+        raises PoleError within _POLE_GAP (in the cn argument) of a pole.
+        """
         s, spec, b, k = self.branch_sign, self.spec, self.b_or_sigma, self.k
         if spec.family is Family.NAHM:
             # real form: phi = w / cn(sqrt(2) w x; 1/sqrt2), poles at cn = 0
-            return s * spec.w / self._nahm_sn_cn_dn(x)[1]
-        sn, _, dn = specfun.jacobi_sn_cn_dn(b * x, k)
+            sn, cn, dn = self._nahm_sn_cn_dn(x)
+            phi = s * spec.w / cn
+            return (phi, s * math.sqrt(2.0) * spec.w * spec.w * sn * dn / (cn * cn),
+                    6.0 * phi ** 2)
+        sn, cn, dn = specfun.jacobi_sn_cn_dn(b * x, k)
+        k2 = k ** 2
         if spec.family is Family.GL:
-            return s * math.sqrt(2.0 / spec.g) * k * b * sn
+            a = s * math.sqrt(2.0 / spec.g) * k * b
+            # the kink's shift 4 b^2 is folded into c0, which is 0.0 at k = 1
+            c0 = 5.0 * k2 - 1.0 - (0.0 if self.kind is SolutionKind.PERIODIC else 4.0)
+            return a * sn, a * b * cn * dn, c0 * b * b - 6.0 * k2 * b * b * cn * cn
+        a = s * _sg_amplitude(spec)
         # asin(k sn) as atan2(k sn, dn): no digits lost as k -> 1
-        return s * _sg_amplitude(spec) * math.atan2(k * sn, dn)
+        return (a * math.atan2(k * sn, dn), a * b * k * cn,
+                b * b * (2.0 * k2 - 1.0 - 2.0 * k2 * cn * cn))
+
+    def phi(self, x: float) -> float:
+        return self.fields(x)[0]
 
     def dphi(self, x: float) -> float:
-        s, spec, b, k = self.branch_sign, self.spec, self.b_or_sigma, self.k
-        if spec.family is Family.NAHM:
-            sn, cn, dn = self._nahm_sn_cn_dn(x)
-            return s * math.sqrt(2.0) * spec.w * spec.w * sn * dn / (cn * cn)
-        _, cn, dn = specfun.jacobi_sn_cn_dn(b * x, k)
-        if spec.family is Family.GL:
-            return s * math.sqrt(2.0 / spec.g) * k * b * b * cn * dn
-        return s * _sg_amplitude(spec) * b * k * cn
+        return self.fields(x)[1]
 
     def _nahm_sn_cn_dn(self, x: float) -> tuple[float, float, float]:
         """sn, cn, dn of u = sqrt(2) w x at modulus 1/sqrt2; raises within
@@ -295,22 +305,15 @@ def schrodinger_potential(sol: ClassicalSolution, x: float) -> float:
     """Potential u(x) of the fluctuation operator -d^2/dx^2 + u(x).
 
     GL kink uses the conventional zero-asymptote form u = -6 b^2 sech^2(bx)
-    (shift 4 b^2 removed); all other cases return V''(phi(x)) unshifted.
+    (shift 4 b^2 removed); all other cases return V''(phi(x)) unshifted,
+    singular at the Nahm poles, where the pole guard applies.
     """
-    spec, b = sol.spec, sol.b_or_sigma
-    if spec.family is Family.NAHM:
-        return 6.0 * sol.phi(x) ** 2  # singular; pole guard applies
-    _, cn, _ = specfun.jacobi_sn_cn_dn(b * x, sol.k)
-    k2 = sol.k ** 2
-    if spec.family is Family.GL:
-        # the kink's shift 4 b^2 is folded into c0, which is 0.0 at k = 1
-        c0 = 5.0 * k2 - 1.0 - (0.0 if sol.kind is SolutionKind.PERIODIC else 4.0)
-        return c0 * b * b - 6.0 * k2 * b * b * cn * cn
-    return b * b * (2.0 * k2 - 1.0 - 2.0 * k2 * cn * cn)
+    return sol.fields(x)[2]
 
 
 def _energy_density(sol: ClassicalSolution, x: float) -> float:
-    return 0.5 * sol.dphi(x) ** 2 + potential_v(sol.spec, sol.phi(x))
+    phi, dphi, _ = sol.fields(x)
+    return 0.5 * dphi ** 2 + potential_v(sol.spec, phi)
 
 
 def classical_energy(sol: ClassicalSolution) -> float:

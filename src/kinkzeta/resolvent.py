@@ -381,11 +381,16 @@ def hermit_residual(rp: ResolventPolynomial, p: complex, x: float,
 # against the modified moments of the weight.  Every piece runs the rules
 # of _ORDER and 2 _ORDER nodes; their difference is the error estimate, and
 # a piece where it exceeds _PIECE_TOL * max(1, |value|) is bisected.
+# The moments of the four weights with float exponents in {0, -1/2} at both
+# ends (every heat-trace piece, and every contour-zeta piece away from
+# lambda = 0 and infinity) come from _FIXED_MOMENTS, built at import; the
+# exponents that carry s are complex and get their moments per call.
 # 64 nodes already resolve every band of the test tables to rounding (worst
-# 4.3e-14 on kzbench/reference.json, under 1 ms a value).  The order is 512
-# because the zeta-sweep benchmark's harness keeps about 0.3 KB for every
-# operation it runs, so its peak-memory bound caps the operation rate; at
-# 64 nodes a 20 s run makes 26.8k operations and exceeds it.
+# 4.3e-14 on kzbench/reference.json, under 1 ms a value).  The order stays
+# 512 because the zeta-sweep benchmark's harness keeps about 0.3 KB for
+# every operation it runs, so its peak-memory bound caps the operation
+# rate; at 64 nodes a 20 s run makes 26.8k operations and exceeds it, and
+# every speed-up of a contour zeta pushes that run's peak memory up.
 _ORDER = 512
 _PIECE_TOL = 1e-11
 _MAX_PIECES = 200        # per band; past it pieces are taken as they are
@@ -423,6 +428,13 @@ def _jacobi_moments(a: complex, b: complex, n: int) -> np.ndarray:
     return np.array(g)
 
 
+# the weights whose exponents do not depend on s, computed once; a complex
+# exponent equal to one of these (the top band's s - 1/2 at s = 0) keeps its
+# own moments, which can differ from these in the last bits
+_FIXED_MOMENTS = {(a, b): _jacobi_moments(a, b, 2 * _ORDER)
+                  for a in (0.0, -0.5) for b in (0.0, -0.5)}
+
+
 def _chebyshev_sum(f: np.ndarray, moments: np.ndarray) -> complex:
     """sum_k c_k G_k, c_k the Chebyshev coefficients of the interpolant of
     f at the first-kind nodes (scipy's DCT-II is 2 sum_j f_j cos(...))."""
@@ -452,7 +464,8 @@ def _product_integral(F, exp_lo: complex, exp_hi: complex) -> tuple[complex, flo
         if a or b:
             f = f * np.exp(-a * _LOG_OMY - b * _LOG_OPY)
         if (a, b) not in moments:
-            moments[a, b] = _jacobi_moments(a, b, 2 * _ORDER)
+            g = _FIXED_MOMENTS.get((a, b)) if type(a) is type(b) is float else None
+            moments[a, b] = _jacobi_moments(a, b, 2 * _ORDER) if g is None else g
         g = moments[a, b]
         coarse = h * _chebyshev_sum(f[:_ORDER], g)
         fine = h * _chebyshev_sum(f[_ORDER:], g)

@@ -366,3 +366,37 @@ class TestContracts:
                                "--kink")
         assert code == 0 and out == ""
         assert target.read_text().startswith("family,kind,")
+
+
+class TestSharedParser:
+    """main parses with one parser built at import; build_parser still
+    returns a fresh one."""
+
+    RUNS = [("solution", "--family", "nahm", "--n", "11"),
+            ("heattrace", "--case", "b", "--k", "0.5", "--t", "0.25,1"),
+            ("--format", "json", "energy", "--family", "sg", "--m", "2",
+             "--kink"),
+            ("zeta", "--case", "a", "--s", "0.1,0.25")]
+    DETOURS = [(2, ("zeta", "--case", "x")),
+               (2, ("solution", "--family", "gl", "--n", "many")),
+               (2, ("--format", "xml", "resolvent", "--case", "a")),
+               (0, ("--help",)),
+               (0, ("heattrace", "--help"))]
+
+    def test_same_bytes_after_errors_and_help(self, capsys):
+        first = [run_cli(capsys, *argv) for argv in self.RUNS]
+        assert all(code == 0 for code, _, _ in first)
+        for want, argv in self.DETOURS:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == want
+            assert (out.startswith("usage: kinkzeta") if want == 0
+                    else out == "" and "usage: kinkzeta" in err)
+            assert [run_cli(capsys, *a) for a in self.RUNS] == first
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        from kinkzeta import cli
+        a, b = cli.build_parser(), cli.build_parser()
+        assert a is not b and cli._PARSER not in (a, b)
+        for argv in self.RUNS:
+            assert vars(a.parse_args(list(argv))) == vars(
+                cli._PARSER.parse_args(list(argv)))

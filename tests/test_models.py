@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from kinkzeta import models, specfun
+from kinkzeta import cli, models, specfun
 from kinkzeta.errors import (DomainError, EnergyDivergenceError, PoleError,
                              UnsupportedFamilyError)
 from kinkzeta.models import Family, ModelSpec, SolutionKind
@@ -393,7 +393,6 @@ class TestFamilyProperty:
            m=st.floats(0.1, 10.0), g=st.floats(0.1, 10.0),
            t=st.floats(0.0, 1.0))
     def test_solution_against_mpmath(self, family, k, m, g, t):
-        mp.mp.dps = 40
         spec = ModelSpec(family=family, m=m, g=g)
         if k == 1.0:
             sol = models.kink_solution(spec)
@@ -402,11 +401,12 @@ class TestFamilyProperty:
             sol = models.periodic_solution(spec, k=k)
             x = t * sol.period
         got = (sol.phi(x), sol.dphi(x), models.schrodinger_potential(sol, x))
-        ref, scale = _reference(sol, x)
-        # 5e-13: the absolute accuracy of cn and dn as k -> 1 (1e-13 seen
-        # within 1e-14 of k = 1), where SG phi and phi' follow dn and cn
-        for v, r, sc in zip(got, ref, scale):
-            assert abs(v - r) <= 5e-13 * sc
+        with mp.workdps(40):
+            ref, scale = _reference(sol, x)
+            # 5e-13: the absolute accuracy of cn and dn as k -> 1 (1e-13 seen
+            # within 1e-14 of k = 1), where SG phi and phi' follow dn and cn
+            for v, r, sc in zip(got, ref, scale):
+                assert abs(v - r) <= 5e-13 * sc
         W = 0.5 * got[1] ** 2 - models.potential_v(spec, got[0])
         assert abs(W - sol.w_const) <= 1e-14 * m ** 4 / g
 
@@ -421,9 +421,128 @@ class TestFamilyProperty:
         # m = g = 1, 400 points of a period: the asin(k sn) form erred by
         # 1.1e-13 at k = 1 - 1e-6 and 6.3e-11 at k = 1 - 1e-12, and
         # atan2(k sn, dn) by 6.2e-15 and 4.2e-14
-        mp.mp.dps = 30
         sol = models.periodic_solution(ModelSpec(family="sg", m=1.0, g=1.0), k=k)
-        amp, m2 = 2 * mp.sqrt(mp.mpf(2) / 3), mp.mpf(k) ** 2
-        worst = max(abs(sol.phi(x) - amp * mp.asin(k * mp.ellipfun("sn", x, m=m2)))
-                    for x in np.linspace(0.0, sol.period, 400))
+        with mp.workdps(30):
+            amp, m2 = 2 * mp.sqrt(mp.mpf(2) / 3), mp.mpf(k) ** 2
+            worst = max(abs(sol.phi(x) - amp * mp.asin(k * mp.ellipfun("sn", x, m=m2)))
+                        for x in np.linspace(0.0, sol.period, 400))
         assert worst <= (4e-15 if k <= 0.999 else 5e-14)
+
+
+def _separate_forms(sol, x):
+    """phi, phi' and u as three separate formulas, each over its own sn, cn,
+    dn: the form that fields() must reproduce bit for bit."""
+    s, spec, b, k = sol.branch_sign, sol.spec, sol.b_or_sigma, sol.k
+    if spec.family is Family.NAHM:
+        phi = s * spec.w / sol._nahm_sn_cn_dn(x)[1]
+        sn, cn, dn = sol._nahm_sn_cn_dn(x)
+        dphi = s * math.sqrt(2.0) * spec.w * spec.w * sn * dn / (cn * cn)
+        u = 6.0 * (s * spec.w / sol._nahm_sn_cn_dn(x)[1]) ** 2
+        return phi, dphi, u
+    sn, _, dn = specfun.jacobi_sn_cn_dn(b * x, k)
+    amp = 2.0 * spec.m * math.sqrt(2.0 / (3.0 * spec.g))
+    if spec.family is Family.GL:
+        phi = s * math.sqrt(2.0 / spec.g) * k * b * sn
+    else:
+        phi = s * amp * math.atan2(k * sn, dn)
+    _, cn, dn = specfun.jacobi_sn_cn_dn(b * x, k)
+    if spec.family is Family.GL:
+        dphi = s * math.sqrt(2.0 / spec.g) * k * b * b * cn * dn
+    else:
+        dphi = s * amp * b * k * cn
+    _, cn, _ = specfun.jacobi_sn_cn_dn(b * x, k)
+    k2 = k ** 2
+    if spec.family is Family.GL:
+        c0 = 5.0 * k2 - 1.0 - (0.0 if sol.kind is SolutionKind.PERIODIC else 4.0)
+        u = c0 * b * b - 6.0 * k2 * b * b * cn * cn
+    else:
+        u = b * b * (2.0 * k2 - 1.0 - 2.0 * k2 * cn * cn)
+    return phi, dphi, u
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+class TestOneTriplePerPoint:
+    """phi, phi' and u share one evaluation of sn, cn, dn per point."""
+
+    def _assert_shared_equals_separate(self, sol, x):
+        try:
+            want = _separate_forms(sol, x)
+        except PoleError:
+            with pytest.raises(PoleError):
+                sol.fields(x)
+            return
+        got = sol.fields(x)
+        assert _bits(got) == _bits(want)
+        assert _bits(got) == _bits((sol.phi(x), sol.dphi(x),
+                                    models.schrodinger_potential(sol, x)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(family=st.sampled_from([Family.GL, Family.SG, Family.NAHM]),
+           k=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+           m=st.floats(0.1, 10.0), g=st.floats(0.1, 10.0),
+           sign=st.sampled_from([1, -1]), t=st.floats(-1.0, 2.0))
+    def test_bit_for_bit_with_the_separate_forms(self, family, k, m, g, sign, t):
+        if family is Family.NAHM:
+            sol = models.nahm_solution(ModelSpec(family=family, w=m), sign=sign)
+            x = t * sol.period
+        elif k == 1.0:
+            sol = models.kink_solution(ModelSpec(family=family, m=m, g=g), sign=sign)
+            x = t * 10.0 / sol.b_or_sigma
+        else:
+            sol = models.periodic_solution(ModelSpec(family=family, m=m, g=g),
+                                           k=k, sign=sign)
+            x = t * sol.period
+        self._assert_shared_equals_separate(sol, x)
+
+    @pytest.mark.parametrize("w", [0.7, 1.0, 3.0])
+    @pytest.mark.parametrize("gap", [0.5, 0.999, 1.0001, 1.01, 2.0, 50.0])
+    def test_rows_next_to_a_nahm_pole(self, w, gap):
+        # poles at odd multiples of K in the cn argument sqrt(2) w x; a gap
+        # below 1 (in units of the pole guard) raises PoleError
+        sol = models.nahm_solution(ModelSpec(family="nahm", w=w))
+        for pole in (models._K_NAHM, 3.0 * models._K_NAHM, -models._K_NAHM):
+            for side in (-1.0, 1.0):
+                arg = pole + side * gap * models._POLE_GAP
+                self._assert_shared_equals_separate(sol, arg / (math.sqrt(2.0) * w))
+
+    @staticmethod
+    def _count_jacobi(monkeypatch):
+        calls = []
+        jacobi = specfun.jacobi_sn_cn_dn
+
+        def counted(u, k):
+            calls.append(u)
+            return jacobi(u, k)
+
+        monkeypatch.setattr(specfun, "jacobi_sn_cn_dn", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "gl", "--kink"], ["--family", "sg", "--kink"],
+        ["--family", "gl", "--k", "0.8"], ["--family", "sg", "--k", "0.8"]])
+    def test_solution_makes_one_call_per_row(self, monkeypatch, capsys, argv):
+        calls = self._count_jacobi(monkeypatch)
+        assert cli.main(["solution", *argv, "--n", "37"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 38
+        assert len(calls) == 37
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "gl", "--kink"], ["--family", "sg", "--k", "0.8"]])
+    def test_energy_makes_one_call_per_quadrature_node(self, monkeypatch, capsys,
+                                                       argv):
+        nodes = []
+
+        def counted_quad(f, *args, **kwargs):
+            def node(x):
+                nodes.append(x)
+                return f(x)
+            return quad(node, *args, **kwargs)
+
+        monkeypatch.setattr(models, "quad", counted_quad)
+        calls = self._count_jacobi(monkeypatch)
+        assert cli.main(["energy", *argv]) == 0
+        capsys.readouterr()
+        assert len(nodes) > 20 and len(calls) == len(nodes)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from contour_reference import Periodic
-from kinkzeta import specfun
+from kinkzeta import resolvent, specfun
 from kinkzeta.errors import ConvergenceError, DomainError, PoleError
 from kinkzeta.resolvent import (CaseTag, build_resolvent, hermit_residual,
                                 invert_laplace_gamma)
@@ -495,3 +495,45 @@ class TestLaplaceInversion:
         for t in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 invert_laplace_gamma(rp, t)
+
+
+class TestFixedMoments:
+    """The Jacobi moments of the four weights that do not depend on s are
+    computed once, at import."""
+
+    def test_table_equals_the_recurrence(self):
+        table = resolvent._FIXED_MOMENTS
+        assert set(table) == {(a, b) for a in (0.0, -0.5) for b in (0.0, -0.5)}
+        for (a, b), g in table.items():
+            assert type(a) is type(b) is float
+            want = resolvent._jacobi_moments(a, b, 2 * resolvent._ORDER)
+            assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _count_moments(monkeypatch):
+        seen = []
+        moments = resolvent._jacobi_moments
+
+        def counted(a, b, n):
+            seen.append((a, b))
+            return moments(a, b, n)
+
+        monkeypatch.setattr(resolvent, "_jacobi_moments", counted)
+        return seen
+
+    def test_float_pairs_come_from_the_table(self, monkeypatch):
+        seen = self._count_moments(monkeypatch)
+        for case, k in ALL_CASES:
+            invert_laplace_gamma(build_resolvent(case, 1.0, k=k), 0.5)
+        assert seen == []
+
+    def test_complex_pairs_compute_their_own(self, monkeypatch):
+        # a pole 1e-4 past x = 1 forces bisection, so the pieces carry the
+        # pairs (c, -1/2), (c, 0), (0, -1/2) and (0, 0) with c = -1/2 + 0j;
+        # complex -1/2 and float -1/2 moments differ in the last bits
+        seen = self._count_moments(monkeypatch)
+        value, _ = resolvent._product_integral(
+            lambda opx, omx: 1.0 / (omx + 1e-4), -0.5, -0.5 + 0j)
+        assert cmath.isfinite(value)
+        assert {type(a) for a, _ in seen} == {complex}
+        assert {b for _, b in seen} == {-0.5, 0.0}

@@ -340,12 +340,12 @@ class TestWeierstrass:
     @pytest.mark.parametrize("k", [0.05, 0.3, 0.7, 0.95])
     def test_eta_matches_mpmath_theta_series(self, k):
         # eta = -theta_1^(3)(0) / (12 omega theta_1^(1)(0)) on the lattice's tau
-        mp.mp.dps = 40
         p = specfun.weierstrass_params(k, 1.0)
-        q = mp.exp(-mp.pi * mp.mpf(p.omega_imag) / mp.mpf(p.omega))
-        ref = -(mp.pi ** 2 * mp.jtheta(1, 0, q, 3)
-                / (12 * mp.mpf(p.omega) * mp.jtheta(1, 0, q, 1)))
-        assert abs(p.eta - ref) <= 4e-15 * abs(ref)
+        with mp.workdps(40):
+            q = mp.exp(-mp.pi * mp.mpf(p.omega_imag) / mp.mpf(p.omega))
+            ref = -(mp.pi ** 2 * mp.jtheta(1, 0, q, 3)
+                    / (12 * mp.mpf(p.omega) * mp.jtheta(1, 0, q, 1)))
+            assert abs(p.eta - ref) <= 4e-15 * abs(ref)
 
     def test_theta1_derivative_orders(self):
         with pytest.raises(DomainError):
