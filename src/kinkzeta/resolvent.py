@@ -382,9 +382,10 @@ def hermit_residual(rp: ResolventPolynomial, p: complex, x: float,
 # of _ORDER and 2 _ORDER nodes; their difference is the error estimate, and
 # a piece where it exceeds _PIECE_TOL * max(1, |value|) is bisected.
 # The moments of the four weights with float exponents in {0, -1/2} at both
-# ends (every heat-trace piece, and every contour-zeta piece away from
-# lambda = 0 and infinity) come from _FIXED_MOMENTS, built at import; the
-# exponents that carry s are complex and get their moments per call.
+# ends (every heat-trace piece, and every contour-zeta piece that touches
+# neither lambda = 0 nor infinity) come from _FIXED_MOMENTS, built at
+# import; the exponents that carry s are complex and get their moments
+# per call.
 # 64 nodes already resolve every band of the test tables to rounding (worst
 # 4.3e-14 on kzbench/reference.json, under 1 ms a value).  The order stays
 # 512 because the zeta-sweep benchmark's harness keeps about 0.3 KB for
@@ -428,9 +429,8 @@ def _jacobi_moments(a: complex, b: complex, n: int) -> np.ndarray:
     return np.array(g)
 
 
-# the weights whose exponents do not depend on s, computed once; a complex
-# exponent equal to one of these (the top band's s - 1/2 at s = 0) keeps its
-# own moments, which can differ from these in the last bits
+# a complex exponent equal to one of these (the top band's s - 1/2 at s = 0)
+# keeps its own moments, which can differ from these in the last bits
 _FIXED_MOMENTS = {(a, b): _jacobi_moments(a, b, 2 * _ORDER)
                   for a in (0.0, -0.5) for b in (0.0, -0.5)}
 
