@@ -76,10 +76,8 @@ class LameSolution:
     psi_minus: Callable[[float], complex]
 
 
-def _psi(params: specfun.WeierstrassParams, a: complex,
+def _psi(params: specfun.WeierstrassParams, a: complex, za: complex,
          sign: int) -> Callable[[float], complex]:
-    za = specfun.weierstrass_zeta(a, params)
-
     def psi(x: float) -> complex:
         v = x / _SQRT3 - params.omega_p
         return (specfun.weierstrass_sigma(v + sign * a, params)
@@ -99,8 +97,10 @@ def make_lame_solution(h: float, k: float) -> LameSolution:
     band of 1e-4 around each edge raises the degeneracy error (the
     p -> a map is quadratic there, so closer h values are not numerically
     distinguishable from the edge itself), as does a W that is zero or
-    not finite.
+    not finite.  zeta(a) is computed once for both solutions.
     """
+    if not math.isfinite(h):
+        raise DomainError(f"make_lame_solution requires a finite h, got {h}")
     edges = lame_band_edges(k)
     if min(abs(h - he) for he in edges) < 1e-4:
         raise WronskianDegeneracyError(
@@ -115,8 +115,10 @@ def make_lame_solution(h: float, k: float) -> LameSolution:
     if w == 0.0 or not cmath.isfinite(w):
         raise WronskianDegeneracyError(
             f"degenerate Bloch pair at h = {h} (band edge)")
+    za = specfun.weierstrass_zeta(a, params)
     return LameSolution(h=h, k=k, a=a, params=params, wronskian=w,
-                        psi_plus=_psi(params, a, +1), psi_minus=_psi(params, a, -1))
+                        psi_plus=_psi(params, a, za, +1),
+                        psi_minus=_psi(params, a, za, -1))
 
 
 def green_diag(x: float, h: float, k: float) -> complex:

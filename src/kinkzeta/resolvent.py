@@ -54,8 +54,6 @@ __all__ = [
     "TraceInversion",
 ]
 
-_EPS = float(np.finfo(float).eps)
-
 
 class CaseTag(str, Enum):
     A = "a"        # SG kink
@@ -584,7 +582,7 @@ def invert_laplace_gamma(rp: ResolventPolynomial, t: float) -> TraceInversion:
             else:
                 unstable += val.real
     total = bound + stable + unstable
-    err += (abs(bound) + abs(stable) + abs(unstable)) * 16.0 * _EPS
+    err += (abs(bound) + abs(stable) + abs(unstable)) * 16.0 * specfun._EPS
     if not (math.isfinite(total) and math.isfinite(err)):
         raise ConvergenceError(f"heat trace is not finite at t = {t}")
     if err > 1e-8 * max(1.0, abs(total)):

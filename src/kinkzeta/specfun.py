@@ -30,7 +30,7 @@ __all__ = [
     "ellipe_imag",
     "jacobi_sn_cn_dn",
     "jacobi_sn_cn_dn_complex",
-    "theta1_dw",
+    "theta1",
     "WeierstrassParams",
     "weierstrass_params",
     "weierstrass_p",
@@ -57,36 +57,45 @@ def ellipk(k: float) -> float:
     """
     if not 0.0 <= k < 1.0:
         raise DomainError(f"ellipk requires 0 <= k < 1, got {k}")
-    return _quarter_period(math.sqrt((1.0 - k) * (1.0 + k)))
+    return _agm(math.sqrt((1.0 - k) * (1.0 + k)))[0]
 
 
-def _quarter_period(kp: float) -> float:
-    """K at the modulus whose complement is kp: pi / (2 agm(1, kp))."""
+def _agm(kp: float) -> tuple[float, list[float], list[float]]:
+    """The AGM ladder of (1, kp) (DLMF 19.8.1), shared by K, K', E, sn, cn, dn.
+
+    a_{n+1}, b_{n+1}, c_{n+1} = (a_n + b_n)/2, sqrt(a_n b_n), (a_n - b_n)/2
+    from 1, kp.  Returns K = pi / (2 a_N) of complement kp, [a_0 .. a_N] and
+    [c_1 .. c_{N+1}]; the first c_{N+1} <= 2 eps a_N, or step 40, ends it.
+    """
     a, b = 1.0, kp
-    while abs(a - b) > 4.0 * _EPS * a:
+    a_s, c_s = [a], []
+    for _ in range(40):
+        c = 0.5 * (a - b)
+        c_s.append(c)
+        if not abs(c) > 2.0 * _EPS * a:
+            break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+        a_s.append(a)
+    return math.pi / (2.0 * a), a_s, c_s
 
 
 def ellipe(k: float) -> float:
     """Complete elliptic integral of the second kind.
 
     E(k) = K(k) (1 - sum_n 2^{n-1} c_n^2) with c_0 = k and c_{n+1} the AGM
-    defect; E(1) = 1 is handled exactly.
+    defects of the ladder behind K; E(1) = 1 is handled exactly.
     """
     if not 0.0 <= k <= 1.0:
         raise DomainError(f"ellipe requires 0 <= k <= 1, got {k}")
     if k == 1.0:
         return 1.0
-    a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
+    K, _, c_s = _agm(math.sqrt((1.0 - k) * (1.0 + k)))
     pow2 = 0.5
-    csum = pow2 * c * c
-    while abs(c) > 2.0 * _EPS * a:
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    csum = pow2 * k * k
+    for c in c_s:
         pow2 *= 2.0
         csum += pow2 * c * c
-    return ellipk(k) * (1.0 - csum)
+    return K * (1.0 - csum)
 
 
 def ellipk_imag(kappa: float) -> float:
@@ -179,20 +188,13 @@ def jacobi_sn_cn_dn(u, k: float):
         sech = xp.sech(u)
         return xp.tanh(u), sech, sech
     kp = math.sqrt((1.0 - k) * (1.0 + k))
-    a, b = 1.0, kp
-    a_hist = [a]
-    c_hist = [k]
-    n = 0
-    while 0.5 * abs(a - b) > 2.0 * _EPS * a and n < 40:
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        a_hist.append(a)
-        c_hist.append(c)
-        n += 1
+    K, a_s, c_s = _agm(kp)
     if kp < _KP_NEAR_ONE:
-        return _near_one(u, kp, math.pi / (2.0 * a), xp)
-    phi = (2.0 ** n) * a_hist[n] * u
+        return _near_one(u, kp, K, xp)
+    n = len(a_s) - 1
+    phi = (2.0 ** n) * a_s[n] * u
     for j in range(n, 0, -1):
-        t = xp.clip(c_hist[j] / a_hist[j] * xp.sin(phi), -1.0, 1.0)
+        t = xp.clip(c_s[j - 1] / a_s[j] * xp.sin(phi), -1.0, 1.0)
         phi = 0.5 * (phi + xp.arcsin(t))
     sn = xp.sin(phi)
     cn = xp.cos(phi)
@@ -235,11 +237,10 @@ def jacobi_sn_cn_dn_complex(u: complex, k: float) -> tuple[complex, complex, com
     k' (imaginary part); reduces to the real routine on the real axis.
     """
     u = complex(u)
+    s, c, d = jacobi_sn_cn_dn(u.real, k)
     if u.imag == 0.0:
-        s, c, d = jacobi_sn_cn_dn(u.real, k)
         return complex(s), complex(c), complex(d)
     kp = math.sqrt((1.0 - k) * (1.0 + k))
-    s, c, d = jacobi_sn_cn_dn(u.real, k)
     s1, c1, d1 = jacobi_sn_cn_dn(u.imag, kp)
     den = c1 * c1 + (k * s * s1) ** 2
     if den == 0.0:
@@ -254,36 +255,34 @@ def jacobi_sn_cn_dn_complex(u: complex, k: float) -> tuple[complex, complex, com
 # Jacobi theta_1
 # ---------------------------------------------------------------------------
 
-def theta1_dw(w: complex, tau: complex, order: int = 0) -> complex:
-    """theta_1(w | tau) (order 0) or its w-derivative (order 1).
+def theta1(w: complex, tau: complex) -> tuple[complex, complex]:
+    """theta_1(w | tau) and its w-derivative theta_1', in one pass.
 
-    theta_1(w) = 2 sum_m (-1)^m q^{(m+1/2)^2} sin((2m+1) pi w), q = e^{i pi tau}.
+    theta_1(w) = 2 sum_m (-1)^m q^{(m+1/2)^2} sin((2m+1) pi w), q = e^{i pi tau};
+    theta_1' has (2m+1) pi cos in place of sin.  Each sum stops (at m >= 2)
+    once its envelope, |2 q^{(m+1/2)^2}| e^{(2m+1) pi |Im w|} times 2 or
+    (2m+1) pi + 1, has been below 1e-17 max(1, |sum|) at two consecutive m.
     """
-    tau = complex(tau)
-    if tau.imag <= 0.0:
-        raise DomainError("theta1_dw requires Im tau > 0")
-    if order not in (0, 1):
-        raise DomainError("theta1_dw supports order 0 or 1")
-    w = complex(w)
-    s = 0.0 + 0.0j
-    small_run = 0
+    tau, w = complex(tau), complex(w)
+    if not (cmath.isfinite(w) and cmath.isfinite(tau) and tau.imag > 0.0):
+        raise DomainError(f"theta1 needs finite w, tau and Im tau > 0: {w}, {tau}")
+    s0 = s1 = 0.0 + 0.0j
+    run0 = run1 = 0
     for m in range(0, 512):
-        odd = 2 * m + 1
-        amp = odd * math.pi
+        amp = (2 * m + 1) * math.pi
         base = 2.0 * (-1.0) ** m * cmath.exp(1j * math.pi * tau * (m + 0.5) ** 2)
-        arg = odd * math.pi * w
-        if order == 0:
-            term = base * cmath.sin(arg)
-        else:
-            term = base * amp * cmath.cos(arg)
-        s += term
-        # the envelope |base| e^{(2m+1) pi |Im w|} eventually decays
-        # geometrically; two consecutive small terms guard the sin zeros
-        env = abs(base) * (amp ** order + 1.0) * math.exp(amp * abs(w.imag))
-        small_run = small_run + 1 if env < 1e-17 * max(1.0, abs(s)) else 0
-        if small_run >= 2 and m >= 2:
-            return s
-    raise ConvergenceError("theta1_dw series did not converge in 512 terms")
+        grow = math.exp(amp * abs(w.imag))
+        if run0 < 2 or m <= 2:
+            s0 += base * cmath.sin(amp * w)
+            small = abs(base) * 2.0 * grow < 1e-17 * max(1.0, abs(s0))
+            run0 = run0 + 1 if small else 0
+        if run1 < 2 or m <= 2:
+            s1 += base * amp * cmath.cos(amp * w)
+            small = abs(base) * (amp + 1.0) * grow < 1e-17 * max(1.0, abs(s1))
+            run1 = run1 + 1 if small else 0
+        if run0 >= 2 and run1 >= 2 and m >= 2:
+            return s0, s1
+    raise ConvergenceError("theta1 series did not converge in 512 terms")
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +295,8 @@ class WeierstrassParams:
 
     e1 > e2 > e3 are the real roots of 4 t^3 - g2 t - g3 and k the modulus,
     k^2 = (e2 - e3)/(e1 - e3); omega is the real half-period, omega_p =
-    i*omega_imag the imaginary one, eta = zeta(omega).
+    i*omega_imag the imaginary one, eta = zeta(omega), and dtheta0 =
+    theta_1'(0 | tau), the lattice constant in sigma.
     """
 
     g2: float
@@ -309,6 +309,7 @@ class WeierstrassParams:
     eta: float
     k: float
     scale: float  # sqrt(e1 - e3)
+    dtheta0: complex
 
     @property
     def omega_p(self) -> complex:
@@ -338,9 +339,10 @@ def weierstrass_params(k: float, spread: float) -> WeierstrassParams:
     omega = ellipk(k) / scale
     # eta = zeta(omega) = sqrt(e1 - e3) E(k) - e1 omega, from the sn form of p
     eta = scale * ellipe(k) - e1 * omega
+    omega_imag = _agm(k)[0] / scale
     return WeierstrassParams(g2=g2, g3=g3, e1=e1, e2=e2, e3=e3, omega=omega,
-                             omega_imag=_quarter_period(k) / scale, eta=eta,
-                             k=k, scale=scale)
+                             omega_imag=omega_imag, eta=eta, k=k, scale=scale,
+                             dtheta0=theta1(0.0, 1j * omega_imag / omega)[1])
 
 
 def weierstrass_p(z: complex, params: WeierstrassParams) -> complex:
@@ -354,20 +356,18 @@ def weierstrass_p(z: complex, params: WeierstrassParams) -> complex:
 def weierstrass_zeta(z: complex, params: WeierstrassParams) -> complex:
     """zeta(z) = eta z / omega + theta_1'(z/2omega) / (2 omega theta_1)."""
     z = complex(z)
-    w = z / (2.0 * params.omega)
-    t1 = theta1_dw(w, params.tau, 0)
-    if abs(t1) < 1e-280:
+    t0, t1 = theta1(z / (2.0 * params.omega), params.tau)
+    if abs(t0) < 1e-280:
         raise PoleError("weierstrass_zeta at a lattice point")
-    return params.eta * z / params.omega + theta1_dw(w, params.tau, 1) / (2.0 * params.omega * t1)
+    return params.eta * z / params.omega + t1 / (2.0 * params.omega * t0)
 
 
 def weierstrass_sigma(z: complex, params: WeierstrassParams) -> complex:
     """sigma(z) = 2 omega e^{eta z^2 / 2 omega} theta_1(z/2omega)/theta_1'(0)."""
     z = complex(z)
-    w = z / (2.0 * params.omega)
     return (2.0 * params.omega
             * cmath.exp(params.eta * z * z / (2.0 * params.omega))
-            * theta1_dw(w, params.tau, 0) / theta1_dw(0.0, params.tau, 1))
+            * theta1(z / (2.0 * params.omega), params.tau)[0] / params.dtheta0)
 
 
 def weierstrass_p_inverse(H: float, params: WeierstrassParams) -> complex:
@@ -385,6 +385,8 @@ def weierstrass_p_inverse(H: float, params: WeierstrassParams) -> complex:
     Residual |p(rho) - H| <= 1e-10 max(1, |H|), else ConvergenceError.
     """
     H = float(H)
+    if not math.isfinite(H):
+        raise DomainError(f"weierstrass_p_inverse requires a finite H, got {H}")
     e1, e2, e3 = params.e1, params.e2, params.e3
     segment = 0 if H >= e1 else 1 if H >= e2 else 2 if H >= e3 else 3
     rho = _p_preimage((H - e3) / (e1 - e3), segment, params)

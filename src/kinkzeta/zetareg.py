@@ -36,9 +36,8 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import loggamma, rgamma
 
 from .errors import BranchCollisionError, ConvergenceError, DomainError, PoleError
-from .resolvent import (_EPS, ResolventPolynomial, _band_integral,
-                        _product_integral)
-from .specfun import _near_nonpositive_integer, gamma_fn
+from .resolvent import ResolventPolynomial, _band_integral, _product_integral
+from .specfun import _EPS, _near_nonpositive_integer, gamma_fn
 
 __all__ = [
     "ZetaEvaluation",
@@ -160,10 +159,9 @@ def zeta_vacuum(s: complex, nu: float, d: int) -> complex:
         return pref * (-1.0) ** n / denom * power
     if _near_nonpositive_integer(s - 0.5 * d):
         raise PoleError(f"zeta_vacuum pole at s = {s}")
-    ratio = cmath.exp(complex(loggamma(s - 0.5 * d)) - complex(loggamma(s))) \
-        if abs(s) > 1e-300 else 0.0
-    if s == 0:
-        ratio = 0.0
+    # 1/Gamma(s) = 0 at s = 0, -1, -2, ...
+    ratio = 0.0 if s.imag == 0.0 and s.real <= 0.0 and s.real.is_integer() \
+        else cmath.exp(complex(loggamma(s - 0.5 * d)) - complex(loggamma(s)))
     return pref * ratio * power
 
 

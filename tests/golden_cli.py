@@ -13,6 +13,9 @@ cell (argv, line, old, new) that --diff prints without writing:
 
     PYTHONPATH=src python3 tests/golden_cli.py --diff
     PYTHONPATH=src python3 tests/golden_cli.py
+
+--diff exits 1 when any cell differs from the table and 0 when it prints
+"no changes", so it can gate a script.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ def diff(old: dict, new: dict) -> list[str]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--diff", action="store_true",
-                    help="print each changed cell against the table; write nothing")
+                    help="print each changed cell against the table; write "
+                         "nothing; exit 1 if any cell changed")
     args = ap.parse_args(argv)
     rows = []
     for inv in INVOCATIONS:
@@ -103,7 +107,7 @@ def main(argv=None) -> int:
         old = {tuple(r["argv"]): r for r in json.loads(TABLE.read_text())}
         lines = [ln for r in rows for ln in diff(old.get(tuple(r["argv"])), r)]
         print("\n".join(lines) if lines else "no changes")
-        return 0
+        return 1 if lines else 0
     TABLE.write_text(json.dumps(rows, indent=1) + "\n")
     return 0
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kinkzeta import bakerakhiezer as ba
 from kinkzeta import specfun
-from kinkzeta.errors import WronskianDegeneracyError
+from kinkzeta.errors import DomainError, WronskianDegeneracyError
 from kinkzeta.resolvent import CaseTag, build_resolvent
 
 
@@ -106,6 +106,27 @@ class TestLameSolutions:
         sol = ba.make_lame_solution(1.15, 0.6)
         assert args == [sol.a]
 
+    def test_zeta_of_a_once_for_both_solutions(self, monkeypatch):
+        args = []
+        zeta = specfun.weierstrass_zeta
+        monkeypatch.setattr(specfun, "weierstrass_zeta",
+                            lambda z, p: args.append(z) or zeta(z, p))
+        sol = ba.make_lame_solution(1.15, 0.6)
+        sol.psi_plus(0.4)
+        sol.psi_minus(0.4)
+        assert args == [sol.a]
+
+    def test_green_diag_sums_six_theta_series(self, monkeypatch):
+        # sigma(a) and zeta(a), then sigma(v + a), sigma(v) for each of psi_+-;
+        # theta_1'(0) is summed once per lattice, which lame_system caches
+        ba.lame_system(0.6)
+        calls = []
+        theta1 = specfun.theta1
+        monkeypatch.setattr(specfun, "theta1",
+                            lambda w, tau: calls.append(w) or theta1(w, tau))
+        ba.green_diag(0.7, 1.15, 0.6)
+        assert len(calls) == 6
+
     def test_product_real_in_band_after_phase_fix(self):
         sol = ba.make_lame_solution(0.7, 0.6)
         r0 = sol.psi_plus(0.0) * sol.psi_minus(0.0)
@@ -171,3 +192,28 @@ class TestGreenDiagonal:
         g = ba.green_diag(x, h, k)
         G = build_resolvent(CaseTag.B, 1.0, k=k).green_diag(1.0 - h, x)
         assert abs(g - G) <= 1e-10 * abs(G)
+
+
+class TestNonFiniteInputs:
+    # a non-finite h, x, H, w or tau raises DomainError instead of a
+    # ZeroDivisionError, a ConvergenceError after 512 terms or a silent NaN
+    @pytest.mark.parametrize("f, args", [
+        (ba.green_diag, (0.3, math.inf, 0.5)),
+        (ba.green_diag, (0.3, -math.inf, 0.5)),
+        (ba.green_diag, (math.nan, 0.2, 0.5)),
+        (ba.green_diag, (math.inf, 1.15, 0.5)),
+        (ba.green_offdiag, (0.3, math.nan, 1.15, 0.5)),
+        (ba.make_lame_solution, (math.nan, 0.5)),
+        (specfun.weierstrass_p_inverse, (math.nan, ba.lame_system(0.5))),
+        (specfun.weierstrass_p_inverse, (-math.inf, ba.lame_system(0.5))),
+        (specfun.weierstrass_sigma, (complex(0.3, math.nan), ba.lame_system(0.5))),
+        (specfun.weierstrass_zeta, (complex(math.inf, 0.3), ba.lame_system(0.5))),
+        (specfun.theta1, (complex(math.nan, 0.0), 0.8j)),
+        (specfun.theta1, (0.1, complex(0.0, math.inf))),
+        (specfun.theta1, (0.1, complex(math.nan, 0.8))),
+    ], ids=["h=inf", "h=-inf", "x=nan", "x=inf", "x0=nan", "lame h=nan",
+            "p_inverse H=nan", "p_inverse H=-inf", "sigma", "zeta",
+            "theta1 w=nan", "theta1 tau=inf", "theta1 tau=nan"])
+    def test_domain_error(self, f, args):
+        with pytest.raises(DomainError):
+            f(*args)

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipj
 
-from kinkzeta import specfun
+from kinkzeta import bakerakhiezer, specfun
 from kinkzeta.errors import DomainError, PoleError
+
+EPS = 2.220446049250313e-16
 
 
 def k_quadrature(k2: float) -> float:
@@ -77,6 +79,30 @@ class TestEllipticIntegrals:
             Kp, Ep = specfun.ellipk(kp), specfun.ellipe(kp)
             assert E * Kp + Ep * K - K * Kp == pytest.approx(math.pi / 2.0,
                                                              abs=1e-12)
+
+
+class TestEllipticIntegralsAgainstMpmath:
+    # K and E from the one AGM ladder, within 4 eps K of 40-digit values;
+    # E = K (1 - csum) loses digits to the cancellation near k = 1, where
+    # E << K, so its bound is taken relative to K
+    @staticmethod
+    def check(k):
+        with mp.workdps(40):
+            m = mp.mpf(k) ** 2
+            K, E = float(mp.ellipk(m)), float(mp.ellipe(m))
+        assert abs(specfun.ellipk(k) - K) <= 4 * EPS * K
+        assert abs(specfun.ellipe(k) - E) <= 4 * EPS * K
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                       st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0 ** e),
+                       st.floats(-300.0, -1.0).map(lambda e: 10.0 ** e)))
+    def test_over_the_modulus(self, k):
+        self.check(k)
+
+    @pytest.mark.parametrize("j", range(1, 16))
+    def test_near_one(self, j):
+        self.check(1.0 - 10.0 ** -j)
 
 
 class TestJacobiFunctions:
@@ -202,7 +228,7 @@ class TestTheta:
         tau, w = 1j, 0.31 + 0.05j
         direct = -1j * sum((-1) ** m * cmath.exp(1j * math.pi * (
             tau * (m + 0.5) ** 2 + (2 * m + 1) * w)) for m in range(-50, 50))
-        assert specfun.theta1_dw(w, tau, 0) == pytest.approx(direct, abs=1e-14)
+        assert specfun.theta1(w, tau)[0] == pytest.approx(direct, abs=1e-14)
 
     def test_period_one(self):
         # theta_1 changes sign under w -> w + 1
@@ -210,8 +236,8 @@ class TestTheta:
         tau = 0.1 + 0.8j
         for _ in range(10):
             w = complex(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3))
-            assert specfun.theta1_dw(w + 1.0, tau, 0) == pytest.approx(
-                -specfun.theta1_dw(w, tau, 0), abs=1e-12)
+            assert specfun.theta1(w + 1.0, tau)[0] == pytest.approx(
+                -specfun.theta1(w, tau)[0], abs=1e-12)
 
     def test_quasi_periodicity(self):
         # theta_1(w + tau) = -exp(-i pi tau - 2 i pi w) theta_1(w)
@@ -219,21 +245,74 @@ class TestTheta:
         tau = 0.93j
         for _ in range(10):
             w = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
-            lhs = specfun.theta1_dw(w + tau, tau, 0)
+            lhs = specfun.theta1(w + tau, tau)[0]
             rhs = -cmath.exp(-1j * math.pi * tau - 2j * math.pi * w) \
-                * specfun.theta1_dw(w, tau, 0)
+                * specfun.theta1(w, tau)[0]
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            specfun.theta1_dw(0.0, -0.5j, 0)
+            specfun.theta1(0.0, -0.5j)
 
     def test_theta1_odd_and_zero(self):
         tau = 0.65j
-        assert abs(specfun.theta1_dw(0.0, tau, 0)) < 1e-15
+        assert abs(specfun.theta1(0.0, tau)[0]) < 1e-15
         w = 0.23
-        assert specfun.theta1_dw(-w, tau, 0) == pytest.approx(
-            -specfun.theta1_dw(w, tau, 0))
+        assert specfun.theta1(-w, tau)[0] == pytest.approx(
+            -specfun.theta1(w, tau)[0])
+
+
+def theta_envelope(w: complex, tau: complex, order: int) -> float:
+    """sum_m 2 |q^{(m+1/2)^2}| e^{(2m+1) pi |Im w|} ((2m+1) pi)^order, which
+    bounds the sum of the moduli of the terms of theta_1^(order)(w | tau)."""
+    return sum(2.0 * math.exp(math.pi * ((2 * m + 1) * abs(w.imag)
+                                         - tau.imag * (m + 0.5) ** 2))
+               * ((2 * m + 1) * math.pi) ** order for m in range(200))
+
+
+class TestThetaPairProperty:
+    # theta_1(w | tau) = jtheta(1, pi w, q) and theta_1' = pi jtheta'(1, pi w, q),
+    # q = e^{i pi tau}, on lame_system(k) lattices with w as sigma and zeta
+    # see it (|Im w| up to Im tau / 2 and beyond); the rounding of the terms
+    # and of their sum stays within 16 eps of the envelope
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.one_of(st.floats(1e-3, 0.999),
+                       st.floats(-12.0, -3.0).map(lambda e: 1.0 - 10.0 ** e)),
+           re=st.floats(-1.0, 1.0), im=st.floats(-0.6, 0.6))
+    def test_pair_against_mpmath(self, k, re, im):
+        tau = bakerakhiezer.lame_system(k).tau
+        w = complex(re, im * tau.imag)
+        got = specfun.theta1(w, tau)
+        with mp.workdps(30):
+            q = mp.exp(-mp.pi * mp.mpf(tau.imag))
+            z = mp.pi * mp.mpc(w.real, w.imag)
+            ref = (complex(mp.jtheta(1, z, q)),
+                   complex(mp.pi * mp.jtheta(1, z, q, 1)))
+        for order in (0, 1):
+            assert abs(got[order] - ref[order]) <= (
+                16 * EPS * theta_envelope(w, tau, order))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(k=st.floats(1e-3, 0.999), spread=st.floats(0.1, 10.0))
+    def test_lattice_dtheta0(self, k, spread):
+        # theta_1'(0 | tau), summed once per lattice for sigma
+        p = specfun.weierstrass_params(k, spread)
+        assert p.dtheta0 == specfun.theta1(0.0, p.tau)[1]
+        with mp.workdps(40):
+            q = mp.exp(-mp.pi * mp.mpf(p.tau.imag))
+            ref = float(mp.pi * mp.jtheta(1, 0, q, 1))
+        assert abs(p.dtheta0 - ref) <= 16 * EPS * theta_envelope(0j, p.tau, 1)
+
+    def test_sigma_and_zeta_sum_one_series_each(self, monkeypatch):
+        p = specfun.weierstrass_params(0.6, 3.0)
+        calls = []
+        theta1 = specfun.theta1
+        monkeypatch.setattr(specfun, "theta1",
+                            lambda w, tau: calls.append(w) or theta1(w, tau))
+        specfun.weierstrass_sigma(0.4 + 0.3j, p)
+        assert len(calls) == 1
+        specfun.weierstrass_zeta(0.4 + 0.3j, p)
+        assert len(calls) == 2
 
 
 def lattice_of_invariants(g2: float, g3: float) -> specfun.WeierstrassParams:
@@ -346,10 +425,6 @@ class TestWeierstrass:
             ref = -(mp.pi ** 2 * mp.jtheta(1, 0, q, 3)
                     / (12 * mp.mpf(p.omega) * mp.jtheta(1, 0, q, 1)))
             assert abs(p.eta - ref) <= 4e-15 * abs(ref)
-
-    def test_theta1_derivative_orders(self):
-        with pytest.raises(DomainError):
-            specfun.theta1_dw(0.1, 0.8j, 2)
 
     def test_legendre_period_relation(self):
         # eta omega' - eta' omega = i pi / 2

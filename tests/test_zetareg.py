@@ -73,6 +73,23 @@ class TestVacuumZeta:
             got = zetareg.zeta_vacuum(s0 + 5e-11, 1.3, d)
             assert cmath.isfinite(got) and abs(got) > 1e8
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("s0", [0.0, -1.0, -2.0, -3.0])
+    def test_odd_d_at_and_near_nonpositive_integers(self, s0, d):
+        # 1/Gamma(s) = 0 at s = 0, -1, -2, ...: the value there is 0 (the
+        # Mellin route agrees), and loggamma keeps it finite 1e-9 away
+        nu = 2.0
+        assert zetareg.zeta_vacuum(s0, nu, d) == 0.0
+        tr = zetareg.vacuum_heat_trace(nu, d)
+        assert zetareg.mellin_zeta(tr, s0).value == 0.0
+        for s in (s0 - 1e-9, s0 + 1e-9):
+            with mp.workdps(30):
+                ref = complex(mp.gamma(s - mp.mpf(d) / 2) * mp.rgamma(s)
+                              * (2 * mp.sqrt(mp.pi)) ** -d
+                              * mp.mpf(nu) ** (mp.mpf(d) / 2 - s))
+            got = zetareg.zeta_vacuum(s, nu, d)
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+
     def test_vacuum_dprime_at_zero_d1(self):
         # zeta'(0) = -sqrt(nu) for -d^2/dx^2 + nu per unit length
         nu = 2.3
