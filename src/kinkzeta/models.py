@@ -348,7 +348,7 @@ def closed_form_energy(sol: ClassicalSolution) -> float | None:
     if sol.kind is not SolutionKind.PERIODIC:
         return 16.0 * m * m / g
     k = sol.k
-    K, E = specfun.ellipk(k), specfun.ellipe(k)
+    K, E = specfun.ellipke(k)
     return 8.0 * m * m / g * (2.0 * E - (1.0 - k * k) * K)
 
 

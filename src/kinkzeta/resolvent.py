@@ -333,7 +333,7 @@ def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> Resolven
         moments = (period, 2.0 / b * (2.0 * ki - ei),
                    2.0 / b * (10.0 / 3.0 * ki - 2.0 * ei))
     else:  # z = cn^2(bx; k) for B and D
-        K, E = specfun.ellipk(k), specfun.ellipe(k)
+        K, E = specfun.ellipke(k)
         period = 2.0 * K / b
         Iz = 2.0 / (b * k2) * (E - kc2 * K)
         Izz = 2.0 / b * (K - 2.0 * (K - E) / k2

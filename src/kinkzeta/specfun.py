@@ -25,6 +25,7 @@ from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
     "ellipk",
+    "ellipke",
     "ellipe",
     "ellipk_imag",
     "ellipe_imag",
@@ -79,23 +80,29 @@ def _agm(kp: float) -> tuple[float, list[float], list[float]]:
     return math.pi / (2.0 * a), a_s, c_s
 
 
-def ellipe(k: float) -> float:
-    """Complete elliptic integral of the second kind.
+def ellipke(k: float) -> tuple[float, float]:
+    """K(k) and E(k) from one walk of the AGM ladder, 0 <= k < 1.
 
     E(k) = K(k) (1 - sum_n 2^{n-1} c_n^2) with c_0 = k and c_{n+1} the AGM
-    defects of the ladder behind K; E(1) = 1 is handled exactly.
+    defects of the ladder behind K; K is ellipk's value bit for bit.
     """
-    if not 0.0 <= k <= 1.0:
-        raise DomainError(f"ellipe requires 0 <= k <= 1, got {k}")
-    if k == 1.0:
-        return 1.0
+    if not 0.0 <= k < 1.0:
+        raise DomainError(f"ellipke requires 0 <= k < 1, got {k}")
     K, _, c_s = _agm(math.sqrt((1.0 - k) * (1.0 + k)))
     pow2 = 0.5
     csum = pow2 * k * k
     for c in c_s:
         pow2 *= 2.0
         csum += pow2 * c * c
-    return K * (1.0 - csum)
+    return K, K * (1.0 - csum)
+
+
+def ellipe(k: float) -> float:
+    """Complete elliptic integral of the second kind, 0 <= k <= 1: the E
+    of ellipke, with E(1) = 1 exactly."""
+    if not 0.0 <= k <= 1.0:
+        raise DomainError(f"ellipe requires 0 <= k <= 1, got {k}")
+    return 1.0 if k == 1.0 else ellipke(k)[1]
 
 
 def ellipk_imag(kappa: float) -> float:
@@ -336,9 +343,10 @@ def weierstrass_params(k: float, spread: float) -> WeierstrassParams:
     if not math.isfinite(g2 + g3):
         raise DomainError(f"weierstrass_params: g2, g3 overflow at spread {spread}")
     scale = math.sqrt(spread)
-    omega = ellipk(k) / scale
+    K, E = ellipke(k)
+    omega = K / scale
     # eta = zeta(omega) = sqrt(e1 - e3) E(k) - e1 omega, from the sn form of p
-    eta = scale * ellipe(k) - e1 * omega
+    eta = scale * E - e1 * omega
     omega_imag = _agm(k)[0] / scale
     return WeierstrassParams(g2=g2, g3=g3, e1=e1, e2=e2, e3=e3, omega=omega,
                              omega_imag=omega_imag, eta=eta, k=k, scale=scale,

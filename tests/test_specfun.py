@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipj
 
-from kinkzeta import bakerakhiezer, specfun
+from kinkzeta import bakerakhiezer, models, resolvent, specfun
 from kinkzeta.errors import DomainError, PoleError
 
 EPS = 2.220446049250313e-16
@@ -79,6 +79,35 @@ class TestEllipticIntegrals:
             Kp, Ep = specfun.ellipk(kp), specfun.ellipe(kp)
             assert E * Kp + Ep * K - K * Kp == pytest.approx(math.pi / 2.0,
                                                              abs=1e-12)
+
+    def test_k_and_e_from_one_ladder(self):
+        for k in (0.0, 1e-300, 0.3, 0.5, 0.8, 0.999999, 1.0 - 2.0 ** -53):
+            K, E = specfun.ellipke(k)
+            assert (K.hex(), E.hex()) == (specfun.ellipk(k).hex(),
+                                          specfun.ellipe(k).hex())
+        with pytest.raises(DomainError):
+            specfun.ellipke(1.0)
+
+    def test_callers_walk_the_ladder_once_for_k_and_e(self, monkeypatch):
+        walks = []
+        agm = specfun._agm
+
+        def counted(kp):
+            walks.append(kp)
+            return agm(kp)
+
+        monkeypatch.setattr(specfun, "_agm", counted)
+        sol = models.periodic_solution(models.ModelSpec("sg", m=1.0, g=1.0), k=0.6)
+        walks.clear()
+        models.closed_form_energy(sol)
+        assert len(walks) == 1
+        walks.clear()
+        for case in (resolvent.CaseTag.B, resolvent.CaseTag.D):
+            resolvent.build_resolvent(case, 1.0, k=0.6)
+        assert len(walks) == 2
+        walks.clear()
+        specfun.weierstrass_params(0.6, 3.0)   # K and E, then K' from (1, k)
+        assert len(walks) == 2
 
 
 class TestEllipticIntegralsAgainstMpmath:
