@@ -15,7 +15,10 @@ cell (argv, line, old, new) that --diff prints without writing:
     PYTHONPATH=src python3 tests/golden_cli.py
 
 --diff exits 1 when any cell differs from the table and 0 when it prints
-"no changes", so it can gate a script.
+"no changes", so it can gate a script.  A moved number in a row that has a
+closed_form cell (heattrace --case a, energy) also shows its old and new
+distance to that cell in ulps, so a rebuild can show that no value moved
+away from its closed form.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -68,28 +72,68 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
+def _table(stdout: str) -> list[list[str]]:
+    """The header and rows of a CSV or JSON table, one list of printed cells
+    per CSV line; a JSON table is laid out as its CSV would be."""
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        return [line.split(",") for line in stdout.splitlines()]
+    cols = doc["columns"]
+    return [cols] + [[json.dumps(v) for v in row]
+                     for row in zip(*(doc["data"][c] for c in cols))]
+
+
+def _number(cell: str) -> float | None:
+    try:
+        v = float(cell)
+    except ValueError:
+        return None
+    return v if math.isfinite(v) else None
+
+
+def _ulps_to_closed_form(header: list[str], ca: list[str], cb: list[str],
+                         j: int) -> str:
+    """' | ulps to closed_form OLD -> NEW' for a moved numeric cell j of a
+    row with a closed_form value, each side against its own closed form;
+    '' otherwise."""
+    if "closed_form" not in header or header.index("closed_form") == j:
+        return ""
+    c = header.index("closed_form")
+    x, y = _number(ca[j]), _number(cb[j])
+    ref_a, ref_b = _number(ca[c]), _number(cb[c])
+    if None in (x, y, ref_a, ref_b):
+        return ""
+    da = abs(x - ref_a) / math.ulp(ref_a)
+    db = abs(y - ref_b) / math.ulp(ref_b)
+    return f" | ulps to closed_form {da:.4g} -> {db:.4g}"
+
+
 def diff(old: dict, new: dict) -> list[str]:
     """One line per changed cell of an invocation: argv, line number (or
-    'code'), old and new value; CSV lines are compared cell by cell."""
+    'code'), old and new value; tables are compared cell by cell, and a
+    moved number in a row with a closed_form cell also shows its old and
+    new distance to it in ulps."""
     argv = " ".join(new["argv"])
     if old is None:
         return [f"{argv}: new invocation"]
     out = []
     if old["code"] != new["code"]:
         out.append(f"{argv} | code | {old['code']} -> {new['code']}")
-    a, b = old["stdout"].splitlines(), new["stdout"].splitlines()
+    a, b = _table(old["stdout"]), _table(new["stdout"])
+    header = b[0] if b and a and a[0] == b[0] else []
     for n in range(max(len(a), len(b))):
-        la = a[n] if n < len(a) else ""
-        lb = b[n] if n < len(b) else ""
-        if la == lb:
+        ca = a[n] if n < len(a) else []
+        cb = b[n] if n < len(b) else []
+        if ca == cb:
             continue
-        ca, cb = la.split(","), lb.split(",")
         if len(ca) == len(cb):
             head = ca[0] if ca[0] == cb[0] else ""
             out += [f"{argv} | line {n + 1} {head} col {j} | {x} -> {y}"
+                    + (_ulps_to_closed_form(header, ca, cb, j) if n else "")
                     for j, (x, y) in enumerate(zip(ca, cb)) if x != y]
         else:
-            out.append(f"{argv} | line {n + 1} | {la} -> {lb}")
+            out.append(f"{argv} | line {n + 1} | {','.join(ca)} -> {','.join(cb)}")
     return out
 
 
