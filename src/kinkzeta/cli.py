@@ -14,6 +14,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import models, oracle, resolvent, specfun, zetareg
 from .errors import (DomainError, KinkZetaError, PoleError,
                      UnsupportedFamilyError)
@@ -24,14 +26,14 @@ _POLE_MARK = "pole"
 
 
 def _fmt(v) -> str:
+    if type(v) is float:   # the common cell, first; NaN prints as "nan"
+        return f"{v:.15e}"
     if v is None:
         return ""
     if isinstance(v, str):
         return v
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, float) and math.isnan(v):
-        return "nan"
     return f"{float(v):.15e}"
 
 
@@ -50,7 +52,7 @@ def _emit(columns: list[str], rows: list[list], args) -> None:
     else:
         lines = [",".join(columns)]
         for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            lines.append(",".join(map(_fmt, row)))
         text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
@@ -97,15 +99,14 @@ def _cmd_solution(args) -> int:
             x_min, x_max = -10.0 / sol.b_or_sigma, 10.0 / sol.b_or_sigma
     else:
         x_min, x_max = args.x_min, args.x_max
-    rows = []
-    for i in range(args.n):
-        x = x_min + (x_max - x_min) * i / (args.n - 1)
-        try:
-            phi, dphi, u = sol.fields(x)
-            e = 0.5 * dphi ** 2 + models.potential_v(sol.spec, phi)
-            rows.append([x, phi, u, e])
-        except PoleError:
-            rows.append([x, _POLE_MARK, _POLE_MARK, _POLE_MARK])
+    xs = x_min + (x_max - x_min) * np.arange(args.n) / (args.n - 1)
+    phi, dphi, u = sol.fields(xs)
+    pole = sol.near_pole(xs)
+    e = 0.5 * dphi ** 2
+    e[~pole] += models.potential_v(sol.spec, phi[~pole])
+    rows = [[x, _POLE_MARK, _POLE_MARK, _POLE_MARK] if p else [x, f, v, d]
+            for x, f, v, d, p in zip(xs.tolist(), phi.tolist(), u.tolist(),
+                                     e.tolist(), pole.tolist())]
     _emit(["x", "phi", "u", "e"], rows, args)
     return 0
 

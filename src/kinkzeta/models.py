@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.integrate import quad
+import numpy as np
 
 from . import specfun
-from .errors import (DomainError, EnergyDivergenceError, PoleError,
-                     UnsupportedFamilyError)
+from .errors import (ConvergenceError, DomainError, EnergyDivergenceError,
+                     PoleError, UnsupportedFamilyError)
 
 __all__ = [
     "Family",
@@ -43,6 +43,8 @@ __all__ = [
 _K1 = 1.0 / math.sqrt(2.0)  # reduced modulus of the Nahm real form
 _K_NAHM = specfun.ellipk(_K1)  # quarter period of cn(.; _K1)
 _POLE_GAP = 1e-3  # the Nahm solution raises this close to a pole (cn argument)
+_ENERGY_TOL = 1e-14        # two trapezoid levels agree this closely, relative
+_ENERGY_MAX_NODES = 2 ** 16
 
 
 class Family(str, Enum):
@@ -100,22 +102,30 @@ class ModelSpec:
         return 2.0 * math.pi * self.m * math.sqrt(2.0 / (3.0 * self.g))
 
 
-def potential_v(spec: ModelSpec, phi: float, order: int = 0) -> float:
-    """V(phi) and its first two phi-derivatives (order 0, 1 or 2); raises
-    DomainError where the value overflows or is not finite."""
+def potential_v(spec: ModelSpec, phi, order: int = 0):
+    """V(phi) and its first two phi-derivatives (order 0, 1 or 2).
+
+    phi is a float or an ndarray, evaluated by one body with math or
+    numpy functions (CONVENTIONS item 22).  Raises DomainError where a
+    value overflows or is not finite.
+    """
     if order not in (0, 1, 2):
         raise DomainError("order must be 0, 1 or 2")
+    xp, phi = specfun._ops(phi)
     try:
-        value = _potential_v(spec, phi, order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _potential_v(spec, phi, order, xp)
     except (OverflowError, ValueError):   # math.cos(inf) is a ValueError
         value = math.inf
-    if not math.isfinite(value):
+    finite = xp.isfinite(value)
+    if not xp.all(finite):
+        at = float(phi[~finite][0]) if xp is specfun._ArrayOps else phi
         raise DomainError(f"V (order {order}) of the {spec.family.value} model "
-                          f"is not finite at phi = {phi!r}")
+                          f"is not finite at phi = {at!r}")
     return value
 
 
-def _potential_v(spec: ModelSpec, phi: float, order: int) -> float:
+def _potential_v(spec: ModelSpec, phi, order: int, xp):
     m, g = spec.m, spec.g
     if spec.family is Family.GL:
         if order == 0:
@@ -127,10 +137,10 @@ def _potential_v(spec: ModelSpec, phi: float, order: int) -> float:
         c = math.sqrt(1.5 * g) / m
         amp = 2.0 * m ** 4 / (3.0 * g)
         if order == 0:
-            return amp * (1.0 + math.cos(c * phi))
+            return amp * (1.0 + xp.cos(c * phi))
         if order == 1:
-            return -(m ** 3) * math.sqrt(2.0 / (3.0 * g)) * math.sin(c * phi)
-        return -(m * m) * math.cos(c * phi)
+            return -(m ** 3) * math.sqrt(2.0 / (3.0 * g)) * xp.sin(c * phi)
+        return -(m * m) * xp.cos(c * phi)
     # Nahm: V = phi^4/2
     if order == 0:
         return 0.5 * phi ** 4
@@ -189,13 +199,18 @@ class ClassicalSolution:
 
     # -- evaluation ---------------------------------------------------------
     # GL and SG are written once in (k, b); the kink is the k = 1 member,
-    # where sn, cn, dn are tanh, sech, sech
-    def fields(self, x: float) -> tuple[float, float, float]:
+    # where sn, cn, dn are tanh, sech, sech.  x is a float or an ndarray,
+    # evaluated by one body with math or numpy functions, as
+    # specfun.jacobi_sn_cn_dn is (CONVENTIONS item 22)
+    def fields(self, x):
         """phi, phi' and u at x from one evaluation of sn, cn, dn.
 
-        u is the potential of schrodinger_potential.  The Nahm solution
-        raises PoleError within _POLE_GAP (in the cn argument) of a pole.
+        u is the potential of schrodinger_potential.  Within _POLE_GAP (in
+        the cn argument) of a pole of the Nahm solution, a float x raises
+        PoleError; an ndarray gives NaN in those rows, which near_pole
+        marks.
         """
+        xp, x = specfun._ops(x)
         s, spec, b, k = self.branch_sign, self.spec, self.b_or_sigma, self.k
         if spec.family is Family.NAHM:
             # real form: phi = w / cn(sqrt(2) w x; 1/sqrt2), poles at cn = 0
@@ -212,21 +227,34 @@ class ClassicalSolution:
             return a * sn, a * b * cn * dn, c0 * b * b - 6.0 * k2 * b * b * cn * cn
         a = s * _sg_amplitude(spec)
         # asin(k sn) as atan2(k sn, dn): no digits lost as k -> 1
-        return (a * math.atan2(k * sn, dn), a * b * k * cn,
+        return (a * xp.arctan2(k * sn, dn), a * b * k * cn,
                 b * b * (2.0 * k2 - 1.0 - 2.0 * k2 * cn * cn))
 
-    def phi(self, x: float) -> float:
+    def phi(self, x):
         return self.fields(x)[0]
 
-    def dphi(self, x: float) -> float:
+    def dphi(self, x):
         return self.fields(x)[1]
 
-    def _nahm_sn_cn_dn(self, x: float) -> tuple[float, float, float]:
-        """sn, cn, dn of u = sqrt(2) w x at modulus 1/sqrt2; raises within
-        _POLE_GAP of a zero of cn, at the odd multiples of K."""
+    def near_pole(self, x):
+        """Whether x lies within _POLE_GAP (in the cn argument) of a pole
+        of the Nahm solution: a bool for a float, a boolean array for an
+        ndarray; never for GL and SG."""
+        if self.spec.family is not Family.NAHM:
+            return np.zeros(x.shape, bool) if isinstance(x, np.ndarray) else False
         u = math.sqrt(2.0) * self.spec.w * x
-        d = abs((u - _K_NAHM) % (2.0 * _K_NAHM))
-        if min(d, 2.0 * _K_NAHM - d) < _POLE_GAP:
+        d = abs((u - _K_NAHM) % (2.0 * _K_NAHM))   # poles at odd multiples of K
+        return (d < _POLE_GAP) | (2.0 * _K_NAHM - d < _POLE_GAP)
+
+    def _nahm_sn_cn_dn(self, x):
+        """sn, cn, dn of u = sqrt(2) w x at modulus 1/sqrt2, guarded by
+        near_pole: a float raises PoleError there, an ndarray takes u =
+        NaN in those rows."""
+        u = math.sqrt(2.0) * self.spec.w * x
+        pole = self.near_pole(x)
+        if isinstance(x, np.ndarray):
+            u = np.where(pole, math.nan, u)
+        elif pole:
             raise PoleError(f"Nahm solution pole near x = {x}")
         return specfun.jacobi_sn_cn_dn(u, _K1)
 
@@ -311,21 +339,45 @@ def schrodinger_potential(sol: ClassicalSolution, x: float) -> float:
     return sol.fields(x)[2]
 
 
-def _energy_density(sol: ClassicalSolution, x: float) -> float:
+def _energy_density(sol: ClassicalSolution, x):
     phi, dphi, _ = sol.fields(x)
     return 0.5 * dphi ** 2 + potential_v(sol.spec, phi)
 
 
 def classical_energy(sol: ClassicalSolution) -> float:
-    """Raw energy integral of the density phi'^2/2 + V over R (kinks) or
-    one period (periodic solutions); absolute tolerance 1e-9."""
+    """Raw energy integral of the density phi'^2/2 + V over one period, or
+    over R for a kink.
+
+    The periodic trapezoid rule on [0, L), or on [-40/b, 40/b) for a kink,
+    whose density there is below 1e-17 of its peak (CONVENTIONS item 22).
+    It starts at 64 nodes and doubles them by midpoints, each level
+    sampled in one array and summed by math.fsum onto the last level's
+    sum, until two levels agree to _ENERGY_TOL relative; past
+    _ENERGY_MAX_NODES nodes it raises ConvergenceError.
+    """
     if sol.spec.family is Family.NAHM:
         raise EnergyDivergenceError("Nahm solution is unbounded; energy diverges")
-    # a kink's density decays like exp(-2 b x); its tail past 40 / b is < 1e-17
-    cut = 40.0 / sol.b_or_sigma
-    lo, hi = (-cut, cut) if sol.period is None else (0.0, sol.period)
-    return quad(lambda x: _energy_density(sol, x), lo, hi,
-                epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+    if sol.period is None:
+        # a kink's density decays like exp(-2 b x)
+        lo, width = -40.0 / sol.b_or_sigma, 80.0 / sol.b_or_sigma
+        if not width < math.inf:
+            raise DomainError("the energy interval [-40/b, 40/b) of the kink "
+                              f"overflows at b = {sol.b_or_sigma!r}")
+    else:
+        lo, width = 0.0, sol.period
+    n = 64
+    total = math.fsum(_energy_density(sol, lo + width / n * np.arange(n)).tolist())
+    value = width / n * total
+    while n < _ENERGY_MAX_NODES:
+        mid = lo + width / n * (np.arange(n) + 0.5)
+        total = math.fsum([total, *_energy_density(sol, mid).tolist()])
+        n *= 2
+        value, last = width / n * total, value
+        if abs(value - last) <= _ENERGY_TOL * abs(value):
+            return value
+    raise ConvergenceError(f"the energy of the {sol.spec.family.value} solution "
+                           f"did not settle to {_ENERGY_TOL:g} in "
+                           f"{_ENERGY_MAX_NODES} nodes")
 
 
 def _sg_energy_norm(spec: ModelSpec) -> float:

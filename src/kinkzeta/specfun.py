@@ -135,6 +135,7 @@ class _ScalarOps:
 
     sin, cos, sinh, cosh = math.sin, math.cos, math.sinh, math.cosh
     tanh, arcsin, sqrt, rint = math.tanh, math.asin, math.sqrt, round
+    arctan2, isfinite, all = math.atan2, math.isfinite, bool
 
     @staticmethod
     def clip(t, lo, hi):
@@ -161,12 +162,20 @@ class _ArrayOps:
 
     sin, cos, sinh, cosh, tanh = np.sin, np.cos, np.sinh, np.cosh, np.tanh
     arcsin, sqrt, rint, clip, where = np.arcsin, np.sqrt, np.rint, np.clip, np.where
-    ones_like = np.ones_like
+    ones_like, arctan2, isfinite, all = np.ones_like, np.arctan2, np.isfinite, np.all
 
     @staticmethod
     def sech(u):
         with np.errstate(over="ignore"):
             return 1.0 / np.cosh(u)
+
+
+def _ops(u):
+    """_ArrayOps and u as a float array for an ndarray u, else _ScalarOps
+    and u: the one body of a float-or-array function reads xp."""
+    if isinstance(u, np.ndarray):
+        return _ArrayOps, np.asarray(u, dtype=float)
+    return _ScalarOps, u
 
 
 def jacobi_sn_cn_dn(u, k: float):
@@ -186,9 +195,7 @@ def jacobi_sn_cn_dn(u, k: float):
     """
     if not 0.0 <= k <= 1.0:
         raise DomainError(f"jacobi_sn_cn_dn requires 0 <= k <= 1, got {k}")
-    xp = _ScalarOps
-    if isinstance(u, np.ndarray):
-        xp, u = _ArrayOps, np.asarray(u, dtype=float)
+    xp, u = _ops(u)
     if k < 1e-14:
         return xp.sin(u), xp.cos(u), xp.ones_like(u)
     if k == 1.0:

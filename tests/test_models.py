@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from kinkzeta import cli, models, specfun
-from kinkzeta.errors import (DomainError, EnergyDivergenceError, PoleError,
+from kinkzeta.errors import (ConvergenceError, DomainError,
+                             EnergyDivergenceError, PoleError,
                              UnsupportedFamilyError)
 from kinkzeta.models import Family, ModelSpec, SolutionKind
 
@@ -523,26 +524,161 @@ class TestOneTriplePerPoint:
     @pytest.mark.parametrize("argv", [
         ["--family", "gl", "--kink"], ["--family", "sg", "--kink"],
         ["--family", "gl", "--k", "0.8"], ["--family", "sg", "--k", "0.8"]])
-    def test_solution_makes_one_call_per_row(self, monkeypatch, capsys, argv):
+    def test_solution_makes_one_call_per_table(self, monkeypatch, capsys, argv):
         calls = self._count_jacobi(monkeypatch)
         assert cli.main(["solution", *argv, "--n", "37"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 38
-        assert len(calls) == 37
+        assert [np.shape(u) for u in calls] == [(37,)]
 
     @pytest.mark.parametrize("argv", [
         ["--family", "gl", "--kink"], ["--family", "sg", "--k", "0.8"]])
-    def test_energy_makes_one_call_per_quadrature_node(self, monkeypatch, capsys,
-                                                       argv):
-        nodes = []
-
-        def counted_quad(f, *args, **kwargs):
-            def node(x):
-                nodes.append(x)
-                return f(x)
-            return quad(node, *args, **kwargs)
-
-        monkeypatch.setattr(models, "quad", counted_quad)
+    def test_energy_makes_one_call_per_doubling_level(self, monkeypatch, capsys,
+                                                     argv):
+        # 64 nodes, then the midpoints of each level: 64, 128, 256, ...
         calls = self._count_jacobi(monkeypatch)
         assert cli.main(["energy", *argv]) == 0
         capsys.readouterr()
-        assert len(nodes) > 20 and len(calls) == len(nodes)
+        sizes = [np.size(u) for u in calls]
+        assert len(sizes) >= 2
+        assert sizes == [64] + [64 * 2 ** j for j in range(len(sizes) - 1)]
+
+
+EPS = np.finfo(float).eps
+
+
+def _pole_neighbours(w):
+    """The points of test_rows_next_to_a_nahm_pole: 0.5 to 50 pole guards
+    from three poles, on both sides."""
+    return [(pole + side * gap * models._POLE_GAP) / (math.sqrt(2.0) * w)
+            for pole in (models._K_NAHM, 3.0 * models._K_NAHM, -models._K_NAHM)
+            for side in (-1.0, 1.0)
+            for gap in (0.5, 0.999, 1.0001, 1.01, 2.0, 50.0)]
+
+
+class TestArrayPath:
+    """fields and potential_v on an ndarray against the float path: within
+    32 eps of the largest |value| of each column, the Nahm pole rows NaN
+    and marked by near_pole exactly where a float raises PoleError."""
+
+    @staticmethod
+    def _assert_array_matches_floats(sol, xs):
+        xs = np.asarray(xs, dtype=float)
+        got, pole = sol.fields(xs), sol.near_pole(xs)
+        assert pole.dtype == bool and pole.shape == xs.shape
+        want, raised = [], []
+        for x in xs.tolist():
+            try:
+                want.append(sol.fields(x))
+                raised.append(False)
+            except PoleError:
+                want.append((math.nan,) * 3)
+                raised.append(True)
+        assert pole.tolist() == raised
+        want = np.array(want).T
+        for g, w in zip(got, want):
+            assert g.shape == xs.shape
+            assert np.isnan(g[pole]).all()
+            assert np.abs(g - w)[~pole].max(initial=0.0) <= 32 * EPS * np.abs(
+                w[~pole]).max(initial=0.0)
+        phi = want[0][~pole]
+        for order in (0, 1, 2):
+            v = models.potential_v(sol.spec, phi, order)
+            ref = np.array([models.potential_v(sol.spec, p, order)
+                            for p in phi.tolist()])
+            assert np.abs(v - ref).max(initial=0.0) <= 32 * EPS * np.abs(
+                ref).max(initial=0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(family=st.sampled_from([Family.GL, Family.SG, Family.NAHM]),
+           k=st.one_of(st.just(1.0), st.floats(0.05, 1.0),
+                       st.floats(-12.0, -5.0).map(lambda e: 1.0 - 10.0 ** e)),
+           m=st.floats(0.1, 10.0), g=st.floats(0.1, 10.0),
+           sign=st.sampled_from([1, -1]),
+           t=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=30))
+    def test_array_matches_floats(self, family, k, m, g, sign, t):
+        if family is Family.NAHM:
+            sol = models.nahm_solution(ModelSpec(family=family, w=m), sign=sign)
+            xs = [ti * sol.period for ti in t] + _pole_neighbours(m)
+        elif k == 1.0:
+            sol = models.kink_solution(ModelSpec(family=family, m=m, g=g), sign=sign)
+            xs = [ti * 10.0 / sol.b_or_sigma for ti in t]
+        else:
+            sol = models.periodic_solution(ModelSpec(family=family, m=m, g=g),
+                                           k=k, sign=sign)
+            xs = [ti * sol.period for ti in t]
+        self._assert_array_matches_floats(sol, xs)
+
+    @pytest.mark.parametrize("w", [0.7, 1.0, 3.0])
+    def test_rows_next_to_a_nahm_pole(self, w):
+        sol = models.nahm_solution(ModelSpec(family="nahm", w=w))
+        xs = _pole_neighbours(w)
+        self._assert_array_matches_floats(sol, xs)
+        # a gap below 1 pole guard is a pole row: 2 of the 6 gaps per side
+        assert sol.near_pole(np.array(xs)).sum() == 12
+
+    def test_potential_overflow_in_an_array_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="not finite at phi = 1e"):
+            models.potential_v(GL, np.array([0.0, 1.0, 1e200]))
+        with pytest.raises(DomainError, match="not finite at phi = nan"):
+            models.potential_v(SG, np.array([0.5, math.nan]))
+
+
+def _gl_periodic_energy_mp(m, g, k):
+    """The GL energy per period from K(k), E(k) (ROADMAP item 4): phi = a
+    sn(bx), S2 = int sn^2, S4 = int sn^4, C = int cn^2 dn^2 over (0, 2K)."""
+    with mp.workdps(60):
+        m, g, k = mp.mpf(m), mp.mpf(g), mp.mpf(k)
+        k2 = k * k
+        K, E = mp.ellipk(k2), mp.ellipe(k2)
+        b = m / mp.sqrt(1 + k2)
+        a2 = 2 * k2 * b * b / g
+        s2 = 2 * (K - E) / k2
+        s4 = 2 * ((2 + k2) * K - 2 * (1 + k2) * E) / (3 * k2 * k2)
+        c = 2 * K - (1 + k2) * s2 + k2 * s4
+        return float((a2 * b * b * c / 2
+                      + g / 4 * (a2 * a2 * s4 - 2 * a2 * m * m / g * s2
+                                 + 2 * K * m ** 4 / g ** 2)) / b)
+
+
+class TestEnergyRule:
+    """The periodic trapezoid rule of classical_energy against the closed
+    forms, to 1e-13 relative."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(family=st.sampled_from([Family.GL, Family.SG]),
+           k=st.one_of(st.just(1.0), st.floats(1e-4, 0.999),
+                       st.floats(-12.0, -3.0).map(lambda e: 1.0 - 10.0 ** e),
+                       st.floats(-4.0, -1.0).map(lambda e: 10.0 ** e)),
+           m=st.floats(0.1, 10.0), g=st.floats(0.1, 10.0))
+    def test_against_the_closed_forms(self, family, k, m, g):
+        spec = ModelSpec(family=family, m=m, g=g)
+        if k == 1.0:
+            sol = models.kink_solution(spec)
+        else:
+            sol = models.periodic_solution(spec, k=k)
+        if family is Family.SG:
+            rep = models.energy_report(sol)
+            got, want = rep["quadrature"], rep["closed_form"]
+        elif k == 1.0:
+            got, want = models.classical_energy(sol), 2.0 * math.sqrt(2.0) / 3.0 * m ** 3 / g
+        else:
+            got, want = models.classical_energy(sol), _gl_periodic_energy_mp(m, g, k)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_an_integrand_that_never_settles_raises(self, monkeypatch, capsys):
+        # noise: no two levels agree (a jump can, where the counts of nodes
+        # on each side happen to double exactly)
+        rng = np.random.default_rng(7)
+        monkeypatch.setattr(models, "_energy_density",
+                            lambda sol, x: rng.random(x.shape))
+        sol = models.periodic_solution(SG, k=0.5)
+        with pytest.raises(ConvergenceError, match="did not settle"):
+            models.classical_energy(sol)
+        assert cli.main(["energy", "--family", "sg", "--k", "0.5"]) == 4
+        assert "did not settle" in capsys.readouterr().err
+
+    def test_kink_interval_overflow_is_a_domain_error(self):
+        # 20 / b, the solution box, is finite; 80 / b is not
+        sol = models.kink_solution(ModelSpec(family="sg", m=2e-307, g=1.0))
+        with pytest.raises(DomainError, match="energy interval"):
+            models.classical_energy(sol)
