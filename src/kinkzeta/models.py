@@ -329,7 +329,7 @@ def potential_shift(sol: ClassicalSolution) -> float:
     return 0.0
 
 
-def schrodinger_potential(sol: ClassicalSolution, x: float) -> float:
+def schrodinger_potential(sol: ClassicalSolution, x):
     """Potential u(x) of the fluctuation operator -d^2/dx^2 + u(x).
 
     GL kink uses the conventional zero-asymptote form u = -6 b^2 sech^2(bx)

@@ -388,8 +388,13 @@ def hermit_residual(rp: ResolventPolynomial, p: complex, x: float,
 # 4.3e-14 on kzbench/reference.json, under 1 ms a value).  The order stays
 # 512 because the zeta-sweep benchmark's harness keeps about 0.3 KB for
 # every operation it runs, so its peak-memory bound caps the operation
-# rate; at 64 nodes a 20 s run makes 26.8k operations and exceeds it, and
-# every speed-up of a contour zeta pushes that run's peak memory up.
+# rate, and every speed-up of a contour zeta pushes that run's peak memory
+# up.  Measured again on a shared 2-vCPU machine (two 20 s seeds): at 64
+# nodes zeta-sweep made 2.8-2.9 times the results per second, 35.6k-39.2k
+# operations, and read 94.6-95.3 MB of peak memory against 87.8-88.3 MB
+# at 512 (+7-9 %, over its 5 % bound; an earlier pair of sets read
+# 100.7-102.2 against 89.6-90.1 MB).  Order 64 waits for a harness that
+# keeps per-class aggregates instead (ROADMAP item 5).
 _ORDER = 512
 _PIECE_TOL = 1e-11
 _MAX_PIECES = 200        # per band; past it pieces are taken as they are
