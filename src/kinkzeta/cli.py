@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import models, oracle, resolvent, specfun, zetareg
+from . import models, oracle, resolvent, zetareg
 from .errors import (DomainError, KinkZetaError, PoleError,
                      UnsupportedFamilyError)
 
@@ -71,11 +71,9 @@ def _model_from_args(args) -> models.ModelSpec:
 def _solution_from_args(args) -> models.ClassicalSolution:
     spec = _model_from_args(args)
     if spec.family is models.Family.NAHM:
-        return models.nahm_solution(spec)
+        return models.nahm_solution(spec, sign=args.sign)
     if args.kink:
         return models.kink_solution(spec, sign=args.sign)
-    if args.k is not None and args.W is not None:
-        raise DomainError("supply exactly one of --k or --W")
     return models.periodic_solution(spec, k=args.k, W=args.W, sign=args.sign)
 
 
@@ -174,8 +172,7 @@ def _cmd_zeta(args) -> int:
     rp = _resolvent_from_args(args)
     is_a = rp.case is resolvent.CaseTag.A
     nahm = rp.case is resolvent.CaseTag.NAHM
-    ki = specfun.ellipk_imag(1.0)
-    ei = specfun.ellipe_imag(1.0)
+    ki, ei = models._KE_IMAG
     rows = []
     spreads: dict[float, list[complex]] = {}
     for sv in _parse_grid(args.s):

@@ -13,6 +13,7 @@ carries the first integral W = phi'^2/2 - V(phi).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,7 +42,11 @@ __all__ = [
 ]
 
 _K1 = 1.0 / math.sqrt(2.0)  # reduced modulus of the Nahm real form
-_K_NAHM = specfun.ellipk(_K1)  # quarter period of cn(.; _K1)
+# K(_K1), the quarter period of cn(.; _K1), and E(_K1) from one AGM walk
+_K_NAHM, _E_NAHM = specfun.ellipke(_K1)
+# the imaginary-modulus pair K(i) = K(_K1) / sqrt2, E(i) = sqrt2 E(_K1)
+# behind the Nahm period moments
+_KE_IMAG = (_K_NAHM / math.sqrt(2.0), math.sqrt(2.0) * _E_NAHM)
 _POLE_GAP = 1e-3  # the Nahm solution raises this close to a pole (cn argument)
 _ENERGY_TOL = 1e-14        # two trapezoid levels agree this closely, relative
 _ENERGY_MAX_NODES = 2 ** 16
@@ -353,7 +358,9 @@ def classical_energy(sol: ClassicalSolution) -> float:
     It starts at 64 nodes and doubles them by midpoints, each level
     sampled in one array and summed by math.fsum onto the last level's
     sum, until two levels agree to _ENERGY_TOL relative; past
-    _ENERGY_MAX_NODES nodes it raises ConvergenceError.
+    _ENERGY_MAX_NODES nodes it raises ConvergenceError.  A density scale
+    m^4/g below the smallest normal float raises DomainError, since the
+    samples would underflow to 0.
     """
     if sol.spec.family is Family.NAHM:
         raise EnergyDivergenceError("Nahm solution is unbounded; energy diverges")
@@ -365,6 +372,13 @@ def classical_energy(sol: ClassicalSolution) -> float:
                               f"overflows at b = {sol.b_or_sigma!r}")
     else:
         lo, width = 0.0, sol.period
+    # the density scales as m^4 / g; m^2 / g first, so that m^4 cannot
+    # underflow on its own
+    m, g = sol.spec.m, sol.spec.g
+    if not m * m / g * m * m >= sys.float_info.min:
+        raise DomainError(f"the energy density scale m^4/g of the "
+                          f"{sol.spec.family.value} model underflows at "
+                          f"m = {m!r}, g = {g!r}")
     n = 64
     total = math.fsum(_energy_density(sol, lo + width / n * np.arange(n)).tolist())
     value = width / n * total

@@ -43,7 +43,7 @@ from scipy.special import rgamma
 
 from . import specfun
 from .errors import ConvergenceError, DomainError, PoleError
-from .models import _K1
+from .models import _K1, _KE_IMAG
 
 __all__ = [
     "CaseTag",
@@ -234,13 +234,17 @@ class ResolventPolynomial:
 
     def top_band_excess(self, above):
         """rho(lo + above) - I0 / (2 pi sqrt(above)) on the top band
-        (lo, inf) of a periodic case, lo = -roots[0]; above is an array.
+        (lo, inf), lo = -roots[0], for a periodic case; a kink's density is
+        already relative to its background and is returned as it is.
+        above is an array.
 
         Both terms fall as lam^{-1/2} and their difference as lam^{-3/2}, so
         the difference is formed from their ratio, which keeps its digits at
         large lam: with N(-lam) = I0 (-lam)^d (1 + eta),
         rho / rho0 = (1 + eta) / prod_{i > 0} sqrt(1 + r_i / lam).
         """
+        if self.is_kink:
+            return self.band_density(-self.roots[0], math.inf, above)
         lam = -self.roots[0] + above
         coeffs = self._trace_coeffs
         t = -1.0 / lam
@@ -328,7 +332,7 @@ def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> Resolven
         moments = (math.inf, 2.0 / b, 4.0 / (3.0 * b))
     elif case is CaseTag.NAHM:
         # period moments carry the imaginary-modulus integrals K(i), E(i)
-        ki, ei = specfun.ellipk_imag(1.0), specfun.ellipe_imag(1.0)
+        ki, ei = _KE_IMAG
         period = 2.0 * ki / b
         moments = (period, 2.0 / b * (2.0 * ki - ei),
                    2.0 / b * (10.0 / 3.0 * ki - 2.0 * ei))
@@ -379,11 +383,11 @@ def hermit_residual(rp: ResolventPolynomial, p: complex, x: float,
 # against the modified moments of the weight.  Every piece runs the rules
 # of _ORDER and 2 _ORDER nodes; their difference is the error estimate, and
 # a piece where it exceeds _PIECE_TOL * max(1, |value|) is bisected.
-# The moments of the four weights with float exponents in {0, -1/2} at both
-# ends (every heat-trace piece, and every contour-zeta piece that touches
-# neither lambda = 0 nor infinity) come from _FIXED_MOMENTS, built at
-# import; the exponents that carry s are complex and get their moments
-# per call.
+# The moments of the four weights with exponents in {0, -1/2} at both ends
+# (every heat-trace piece, every contour-zeta piece that touches neither
+# lambda = 0 nor infinity, and at s = 0 every piece) come from
+# _FIXED_MOMENTS, built at import; the other exponents carry s and get
+# their moments per call.
 # 64 nodes already resolve every band of the test tables to rounding (worst
 # 4.3e-14 on kzbench/reference.json, under 1 ms a value).  The order stays
 # 512 because the zeta-sweep benchmark's harness keeps about 0.3 KB for
@@ -432,8 +436,6 @@ def _jacobi_moments(a: complex, b: complex, n: int) -> np.ndarray:
     return np.array(g)
 
 
-# a complex exponent equal to one of these (the top band's s - 1/2 at s = 0)
-# keeps its own moments, which can differ from these in the last bits
 _FIXED_MOMENTS = {(a, b): _jacobi_moments(a, b, 2 * _ORDER)
                   for a in (0.0, -0.5) for b in (0.0, -0.5)}
 
@@ -467,7 +469,7 @@ def _product_integral(F, exp_lo: complex, exp_hi: complex) -> tuple[complex, flo
         if a or b:
             f = f * np.exp(-a * _LOG_OMY - b * _LOG_OPY)
         if (a, b) not in moments:
-            g = _FIXED_MOMENTS.get((a, b)) if type(a) is type(b) is float else None
+            g = _FIXED_MOMENTS.get((a, b))
             moments[a, b] = _jacobi_moments(a, b, 2 * _ORDER) if g is None else g
         g = moments[a, b]
         coarse = h * _chebyshev_sum(f[:_ORDER], g)
@@ -514,9 +516,10 @@ def _top_band_heat(rp: ResolventPolynomial, t: float) -> tuple[complex, float]:
     at u = -inf, so the smooth factor is analytic about the whole of
     (0, log(1 + 745/(g t))) at any t.  A map linear in lam brings the next
     edge within 1e-4 of a piece's width at t = 1e-10 and loses digits.
-    A t g so small that 745/(t g) overflows raises ConvergenceError.  A
-    periodic density is taken as c0 / sqrt(above) + top_band_excess, whose
-    ratio form does not overflow where prod sqrt|p - r| does (lam ~ 1e205).
+    A t g so small that 745/(t g) overflows raises ConvergenceError.  The
+    density is taken as c0 / sqrt(above) + top_band_excess, c0 = 0 for a
+    kink, whose ratio form does not overflow where prod sqrt|p - r| does
+    (lam ~ 1e205).
     """
     lo = rp.bands()[-1][0]
     g = rp.roots[1] - rp.roots[0]
@@ -528,8 +531,7 @@ def _top_band_heat(rp: ResolventPolynomial, t: float) -> tuple[complex, float]:
     def F(opx, omx):
         u = 0.5 * span * opx
         above = g * np.expm1(u)
-        rho = (rp.band_density(lo, math.inf, above) if rp.is_kink
-               else c0 / np.sqrt(above) + rp.top_band_excess(above))
+        rho = c0 / np.sqrt(above) + rp.top_band_excess(above)
         return rho * np.exp(-t * (lo + above)) * (0.5 * span * g * np.exp(u))
 
     return _product_integral(F, -0.5, 0.0)

@@ -2,9 +2,8 @@
 
 Complete elliptic integrals K, E by the arithmetic-geometric mean,
 Jacobi elliptic functions sn, cn, dn of a float or an ndarray by the
-descending Landen (AGM phase) recursion, the imaginary-modulus
-transformation, the theta_1 series
-behind Weierstrass p/zeta/sigma on real rectangular lattices, and a
+descending Landen (AGM phase) recursion, the theta_1 series behind
+Weierstrass p/zeta/sigma on real rectangular lattices, and a
 pole-guarded Gamma.
 
 Everything here is a pure function of its arguments; there is no module
@@ -26,9 +25,6 @@ from .errors import ConvergenceError, DomainError, PoleError
 __all__ = [
     "ellipk",
     "ellipke",
-    "ellipe",
-    "ellipk_imag",
-    "ellipe_imag",
     "jacobi_sn_cn_dn",
     "jacobi_sn_cn_dn_complex",
     "theta1",
@@ -95,34 +91,6 @@ def ellipke(k: float) -> tuple[float, float]:
         pow2 *= 2.0
         csum += pow2 * c * c
     return K, K * (1.0 - csum)
-
-
-def ellipe(k: float) -> float:
-    """Complete elliptic integral of the second kind, 0 <= k <= 1: the E
-    of ellipke, with E(1) = 1 exactly."""
-    if not 0.0 <= k <= 1.0:
-        raise DomainError(f"ellipe requires 0 <= k <= 1, got {k}")
-    return 1.0 if k == 1.0 else ellipke(k)[1]
-
-
-def ellipk_imag(kappa: float) -> float:
-    """K(i kappa): first-kind integral at imaginary modulus.
-
-    Real for kappa >= 0 by the transformation
-    K(i kappa) = K(kappa / sqrt(1 + kappa^2)) / sqrt(1 + kappa^2).
-    """
-    if kappa < 0.0:
-        raise DomainError("ellipk_imag requires kappa >= 0")
-    r = math.sqrt(1.0 + kappa * kappa)
-    return ellipk(kappa / r) / r
-
-
-def ellipe_imag(kappa: float) -> float:
-    """E(i kappa) = sqrt(1 + kappa^2) E(kappa / sqrt(1 + kappa^2))."""
-    if kappa < 0.0:
-        raise DomainError("ellipe_imag requires kappa >= 0")
-    r = math.sqrt(1.0 + kappa * kappa)
-    return r * ellipe(kappa / r)
 
 
 # ---------------------------------------------------------------------------
@@ -273,28 +241,26 @@ def theta1(w: complex, tau: complex) -> tuple[complex, complex]:
     """theta_1(w | tau) and its w-derivative theta_1', in one pass.
 
     theta_1(w) = 2 sum_m (-1)^m q^{(m+1/2)^2} sin((2m+1) pi w), q = e^{i pi tau};
-    theta_1' has (2m+1) pi cos in place of sin.  Each sum stops (at m >= 2)
-    once its envelope, |2 q^{(m+1/2)^2}| e^{(2m+1) pi |Im w|} times 2 or
-    (2m+1) pi + 1, has been below 1e-17 max(1, |sum|) at two consecutive m.
+    theta_1' has (2m+1) pi cos in place of sin.  Both sums take every term
+    and stop together (at m >= 2) once both envelopes, |2 q^{(m+1/2)^2}|
+    e^{(2m+1) pi |Im w|} times 2 and (2m+1) pi + 1, have been below
+    1e-17 max(1, |sum|) at two consecutive m.
     """
     tau, w = complex(tau), complex(w)
     if not (cmath.isfinite(w) and cmath.isfinite(tau) and tau.imag > 0.0):
         raise DomainError(f"theta1 needs finite w, tau and Im tau > 0: {w}, {tau}")
     s0 = s1 = 0.0 + 0.0j
-    run0 = run1 = 0
+    run = 0
     for m in range(0, 512):
         amp = (2 * m + 1) * math.pi
         base = 2.0 * (-1.0) ** m * cmath.exp(1j * math.pi * tau * (m + 0.5) ** 2)
-        grow = math.exp(amp * abs(w.imag))
-        if run0 < 2 or m <= 2:
-            s0 += base * cmath.sin(amp * w)
-            small = abs(base) * 2.0 * grow < 1e-17 * max(1.0, abs(s0))
-            run0 = run0 + 1 if small else 0
-        if run1 < 2 or m <= 2:
-            s1 += base * amp * cmath.cos(amp * w)
-            small = abs(base) * (amp + 1.0) * grow < 1e-17 * max(1.0, abs(s1))
-            run1 = run1 + 1 if small else 0
-        if run0 >= 2 and run1 >= 2 and m >= 2:
+        s0 += base * cmath.sin(amp * w)
+        s1 += base * amp * cmath.cos(amp * w)
+        size, grow = abs(base), math.exp(amp * abs(w.imag))
+        small = (size * 2.0 * grow < 1e-17 * max(1.0, abs(s0))
+                 and size * (amp + 1.0) * grow < 1e-17 * max(1.0, abs(s1)))
+        run = run + 1 if small else 0
+        if run >= 2 and m >= 2:
             return s0, s1
     raise ConvergenceError("theta1 series did not converge in 512 terms")
 

@@ -268,16 +268,6 @@ def quantum_correction(m: float, d: int, hbar: float = 1.0,
 # numerical Mellin transform
 # ---------------------------------------------------------------------------
 
-def _cquad(f, a, b) -> tuple[complex, float]:
-    with warnings.catch_warnings():
-        # roundoff-limited extrapolation on subtracted tails is expected;
-        # the returned error estimate still reflects it
-        warnings.simplefilter("ignore", IntegrationWarning)
-        re, re_err = quad(lambda t: f(t).real, a, b, **_QUAD_OPTS)
-        im, im_err = quad(lambda t: f(t).imag, a, b, **_QUAD_OPTS)
-    return complex(re, im), re_err + im_err
-
-
 def mellin_zeta(trace: HeatTrace, s: complex) -> ZetaEvaluation:
     """zeta(s) = (1/Gamma(s)) int_0^inf t^{s-1} gamma(t) dt, continued.
 
@@ -315,8 +305,12 @@ def mellin_zeta(trace: HeatTrace, s: complex) -> ZetaEvaluation:
         g = trace.eval(tau) - sum(c * tau ** (-q) for q, c in large)
         return g * cmath.exp((s - 1.0) * math.log(tau))
 
-    i1, e1 = _cquad(f01, 0.0, 1.0)
-    i2, e2 = _cquad(f1inf, 1.0, math.inf)
+    with warnings.catch_warnings():
+        # roundoff-limited extrapolation on subtracted tails is expected;
+        # the returned error estimate still reflects it
+        warnings.simplefilter("ignore", IntegrationWarning)
+        i1, e1 = quad(f01, 0.0, 1.0, complex_func=True, **_QUAD_OPTS)
+        i2, e2 = quad(f1inf, 1.0, math.inf, complex_func=True, **_QUAD_OPTS)
     main = i1 + i2
     main += sum(c / (s + a) for a, c in small if a != 0.0)
     main += sum(c / (q - s) for q, c in large if q != 0.0)
@@ -325,7 +319,9 @@ def mellin_zeta(trace: HeatTrace, s: complex) -> ZetaEvaluation:
     value = rg * main
     value += sum(c * rg1 for a, c in small if a == 0.0)
     value -= sum(c * rg1 for q, c in large if q == 0.0)
-    err = abs(rg) * (e1 + e2) + 1e-15 * abs(value)
+    # quad's complex estimates pair the real and imaginary parts' errors
+    err = abs(rg) * (e1.real + e1.imag + (e2.real + e2.imag))
+    err += 1e-15 * abs(value)
     # erf-type traces reach their large-t form to rounding near tau = 35
     err += _EPS * abs(rg1) * sum(abs(c) * 35.0 ** max(s.real - q, 0.0)
                                  for q, c in large)
@@ -362,16 +358,15 @@ def _finite_band(rp: ResolventPolynomial, s: complex, lo: float,
 def _top_band(rp: ResolventPolynomial, s: complex, lo: float,
               scale: float) -> tuple[complex, float]:
     """int (rho(lam) - c0 / sqrt(lam - lo)) lam^{-s} over (lo, inf), with
-    c0 = I0 / (2 pi) for the periodic cases and 0 for the kinks, mapped by
-    lam = lo + scale (1 + x)/(1 - x); the integrand decays as lam^{-3/2-s},
-    so the exponent at x = 1 is s - 1/2.  Every other edge and 0 lie at
-    most scale below lo, at x <= -1, so the smooth factor is analytic
-    up to x = 1."""
+    c0 = I0 / (2 pi) for the periodic cases and 0 for the kinks (both
+    from top_band_excess), mapped by lam = lo + scale (1 + x)/(1 - x);
+    the integrand decays as lam^{-3/2-s}, so the exponent at x = 1 is
+    s - 1/2.  Every other edge and 0 lie at most scale below lo, at
+    x <= -1, so the smooth factor is analytic up to x = 1."""
     def F(opx, omx):
         above = scale * opx / omx
         lam = lo + above
-        rho = (rp.band_density(lo, math.inf, above) if rp.is_kink
-               else rp.top_band_excess(above))
+        rho = rp.top_band_excess(above)
         return rho * np.exp(-s * np.log(lam)) * (2.0 * scale / (omx * omx))
 
     return _product_integral(F, -0.5, s - 0.5)

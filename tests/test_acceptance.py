@@ -8,6 +8,7 @@ stated tolerance, prints a single PASS/FAIL line (visible under
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,8 +17,6 @@ from kinkzeta import models, oracle, specfun, zetareg
 from kinkzeta.cli import main as cli_main
 from kinkzeta.resolvent import (CaseTag, build_resolvent, hermit_residual,
                                 invert_laplace_gamma)
-
-SQ2 = math.sqrt(2.0)
 
 
 def _report(num: int, desc: str, ok: bool, t0: float, budget: float) -> None:
@@ -183,13 +182,13 @@ def test_criterion_09_nahm_pipeline(capsys):
     ok = bool(np.allclose(rec, rp.q_coeffs, atol=1e-10 * 108.0))
     ev = zetareg.zeta_contour(rp, 0.25)
     ok &= ev.err_estimate < 1e-6
-    k1 = 1.0 / SQ2
-    lhs = 2.0 * specfun.ellipk_imag(1.0)
-    rhs = SQ2 * specfun.ellipk(k1)
-    ok &= abs(lhs - rhs) < 1e-12
+    # K(i), E(i) are the complete integrals at parameter m = k^2 = -1
+    ki, ei = models._KE_IMAG
+    ok &= abs(ki - float(mp.ellipk(-1))) < 1e-12
+    ok &= abs(ei - float(mp.ellipe(-1))) < 1e-12
     with capsys.disabled():
         _report(9, "Nahm: Q from roots 1e-10; contour zeta(0.25) "
-                   "self-converges 1e-6; 2K(i) = sqrt2 K(1/sqrt2) to 1e-12",
+                   "self-converges 1e-6; K(i), E(i) match mpmath to 1e-12",
                 ok, t0, 30.0)
 
 
@@ -199,9 +198,8 @@ def test_criterion_10_special_function_suite(capsys):
     # Legendre relation
     for k in np.arange(0.1, 0.95, 0.1):
         kp = math.sqrt(1 - k * k)
-        lhs = (specfun.ellipe(k) * specfun.ellipk(kp)
-               + specfun.ellipe(kp) * specfun.ellipk(k)
-               - specfun.ellipk(k) * specfun.ellipk(kp))
+        (K, E), (Kp, Ep) = specfun.ellipke(k), specfun.ellipke(kp)
+        lhs = E * Kp + Ep * K - K * Kp
         ok &= abs(lhs - math.pi / 2.0) < 1e-12
     # Jacobi identities
     rng = np.random.default_rng(77)

@@ -57,6 +57,21 @@ class TestSolution:
         clean = [r for r in rows if r[1] != "pole"]
         assert clean, "non-pole rows must be present"
 
+    def test_nahm_sign_negates_phi(self, capsys):
+        argv = ("solution", "--family", "nahm", "--w", "1", "--n", "101")
+        _, plus, _ = run_cli(capsys, *argv)
+        code, minus, _ = run_cli(capsys, *argv, "--sign", "-1")
+        assert code == 0
+        _, rows_p = parse_csv(plus)
+        _, rows_m = parse_csv(minus)
+        assert any(r[1] == "pole" for r in rows_p)
+        for rp, rm in zip(rows_p, rows_m, strict=True):
+            assert (rm[0], rm[2], rm[3]) == (rp[0], rp[2], rp[3])
+            if rp[1] == "pole":
+                assert rm[1] == "pole"
+            else:
+                assert float(rm[1]) == -float(rp[1])
+
     def test_json_mirror(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "solution",
                                "--family", "gl", "--m", "1", "--g", "1",
@@ -328,7 +343,10 @@ class TestContracts:
         ("zeta", "--case", "a", "--s", "100"),
         ("zeta", "--case", "a", "--s", "170"),
         ("zeta", "--case", "a", "--s", "1e8"),
-        ("zeta", "--case", "c", "--s", "1e4")])
+        ("zeta", "--case", "c", "--s", "1e4"),
+        # energy densities that underflow
+        ("energy", "--family", "sg", "--m", "1e-100", "--kink"),
+        ("energy", "--family", "gl", "--m", "1e-80", "--kink")])
     def test_bad_argument_exit_2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2

@@ -682,3 +682,10 @@ class TestEnergyRule:
         sol = models.kink_solution(ModelSpec(family="sg", m=2e-307, g=1.0))
         with pytest.raises(DomainError, match="energy interval"):
             models.classical_energy(sol)
+
+    @pytest.mark.parametrize("family,m,g", [
+        ("sg", 1e-100, 1.0), ("gl", 1e-80, 1.0), ("gl", 1e-10, 1e300)])
+    def test_density_scale_underflow_is_a_domain_error(self, family, m, g):
+        sol = models.kink_solution(ModelSpec(family=family, m=m, g=g))
+        with pytest.raises(DomainError, match="underflows"):
+            models.classical_energy(sol)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from contour_reference import Periodic
-from kinkzeta import resolvent, specfun
+from kinkzeta import models, resolvent, zetareg
 from kinkzeta.errors import ConvergenceError, DomainError, PoleError
 from kinkzeta.resolvent import (CaseTag, build_resolvent, hermit_residual,
                                 invert_laplace_gamma)
@@ -256,11 +256,13 @@ class TestGammaHat:
         assert rp.moments[2] == pytest.approx(izz, abs=1e-10)
 
     def test_nahm_prefactors_are_imag_modulus_integrals(self):
-        # period integrals reduce to K(i), E(i): I0 = 2 K(i)/b and the
-        # z-moment carries K(i) - E(i)
+        # period integrals reduce to K(i), E(i), the integrals at parameter
+        # m = k^2 = -1: I0 = 2 K(i)/b and the z-moment carries K(i) - E(i)
         b = 1.0
         rp = build_resolvent(CaseTag.NAHM, b)
-        ki, ei = specfun.ellipk_imag(1.0), specfun.ellipe_imag(1.0)
+        ki, ei = float(mp.ellipk(-1)), float(mp.ellipe(-1))
+        assert abs(models._KE_IMAG[0] - ki) < 1e-12
+        assert abs(models._KE_IMAG[1] - ei) < 1e-12
         assert rp.moments[0] == pytest.approx(2.0 * ki / b, rel=1e-13)
         assert rp.moments[1] == pytest.approx(2.0 * (2 * ki - ei) / b, rel=1e-13)
 
@@ -527,13 +529,10 @@ class TestFixedMoments:
             invert_laplace_gamma(build_resolvent(case, 1.0, k=k), 0.5)
         assert seen == []
 
-    def test_complex_pairs_compute_their_own(self, monkeypatch):
-        # a pole 1e-4 past x = 1 forces bisection, so the pieces carry the
-        # pairs (c, -1/2), (c, 0), (0, -1/2) and (0, 0) with c = -1/2 + 0j;
-        # complex -1/2 and float -1/2 moments differ in the last bits
+    def test_complex_exponents_at_s_zero_come_from_the_table(self, monkeypatch):
+        # at s = 0 every exponent that carries s is a complex -1/2, looked
+        # up by value
         seen = self._count_moments(monkeypatch)
-        value, _ = resolvent._product_integral(
-            lambda opx, omx: 1.0 / (omx + 1e-4), -0.5, -0.5 + 0j)
-        assert cmath.isfinite(value)
-        assert {type(a) for a, _ in seen} == {complex}
-        assert {b for _, b in seen} == {-0.5, 0.0}
+        ev = zetareg.zeta_contour(build_resolvent(CaseTag.B, 1.0, k=0.5), 0)
+        assert cmath.isfinite(ev.value)
+        assert seen == []
