@@ -110,47 +110,47 @@ class ModelSpec:
 def potential_v(spec: ModelSpec, phi, order: int = 0):
     """V(phi) and its first two phi-derivatives (order 0, 1 or 2).
 
-    phi is a float or an ndarray, evaluated by one body with math or
-    numpy functions (CONVENTIONS item 22).  Raises DomainError where a
-    value overflows or is not finite.
+    phi is a float or an ndarray; a float gives a numpy float64 scalar
+    (CONVENTIONS item 22).  Raises DomainError where a value overflows
+    or is not finite.
     """
     if order not in (0, 1, 2):
         raise DomainError("order must be 0, 1 or 2")
-    xp, phi = specfun._ops(phi)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = _potential_v(spec, phi, order, xp)
-    except (OverflowError, ValueError):   # math.cos(inf) is a ValueError
-        value = math.inf
-    finite = xp.isfinite(value)
-    if not xp.all(finite):
-        at = float(phi[~finite][0]) if xp is specfun._ArrayOps else phi
+    phi = np.asarray(phi, dtype=float)[()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _potential_v(spec, phi, order)
+    finite = np.isfinite(value)
+    if not np.all(finite):
+        at = float(np.asarray(phi)[~finite][0])
         raise DomainError(f"V (order {order}) of the {spec.family.value} model "
                           f"is not finite at phi = {at!r}")
     return value
 
 
-def _potential_v(spec: ModelSpec, phi, order: int, xp):
+# powers of phi are products or np.power, since a float64 scalar's ** is
+# libm's pow, which differs from the ufunc's on a few per cent of arguments
+def _potential_v(spec: ModelSpec, phi, order: int):
     m, g = spec.m, spec.g
     if spec.family is Family.GL:
         if order == 0:
-            return 0.25 * g * (phi * phi - m * m / g) ** 2
+            d = phi * phi - m * m / g
+            return 0.25 * g * (d * d)
         if order == 1:
-            return g * phi ** 3 - m * m * phi
+            return g * np.power(phi, 3) - m * m * phi
         return 3.0 * g * phi * phi - m * m
     if spec.family is Family.SG:
         c = math.sqrt(1.5 * g) / m
         amp = 2.0 * m ** 4 / (3.0 * g)
         if order == 0:
-            return amp * (1.0 + xp.cos(c * phi))
+            return amp * (1.0 + np.cos(c * phi))
         if order == 1:
-            return -(m ** 3) * math.sqrt(2.0 / (3.0 * g)) * xp.sin(c * phi)
-        return -(m * m) * xp.cos(c * phi)
+            return -(m ** 3) * math.sqrt(2.0 / (3.0 * g)) * np.sin(c * phi)
+        return -(m * m) * np.cos(c * phi)
     # Nahm: V = phi^4/2
     if order == 0:
-        return 0.5 * phi ** 4
+        return 0.5 * np.power(phi, 4)
     if order == 1:
-        return 2.0 * phi ** 3
+        return 2.0 * np.power(phi, 3)
     return 6.0 * phi * phi
 
 
@@ -205,24 +205,23 @@ class ClassicalSolution:
     # -- evaluation ---------------------------------------------------------
     # GL and SG are written once in (k, b); the kink is the k = 1 member,
     # where sn, cn, dn are tanh, sech, sech.  x is a float or an ndarray,
-    # evaluated by one body with math or numpy functions, as
-    # specfun.jacobi_sn_cn_dn is (CONVENTIONS item 22)
+    # evaluated by one numpy body, as specfun.jacobi_sn_cn_dn is
+    # (CONVENTIONS item 22)
     def fields(self, x):
         """phi, phi' and u at x from one evaluation of sn, cn, dn.
 
-        u is the potential of schrodinger_potential.  Within _POLE_GAP (in
-        the cn argument) of a pole of the Nahm solution, a float x raises
-        PoleError; an ndarray gives NaN in those rows, which near_pole
-        marks.
+        u is the potential of schrodinger_potential.  A float x gives
+        numpy float64 scalars.  Within _POLE_GAP (in the cn argument) of a
+        pole of the Nahm solution, a float x raises PoleError; an ndarray
+        gives NaN in those rows, which near_pole marks.
         """
-        xp, x = specfun._ops(x)
         s, spec, b, k = self.branch_sign, self.spec, self.b_or_sigma, self.k
         if spec.family is Family.NAHM:
             # real form: phi = w / cn(sqrt(2) w x; 1/sqrt2), poles at cn = 0
             sn, cn, dn = self._nahm_sn_cn_dn(x)
             phi = s * spec.w / cn
             return (phi, s * math.sqrt(2.0) * spec.w * spec.w * sn * dn / (cn * cn),
-                    6.0 * phi ** 2)
+                    6.0 * (phi * phi))
         sn, cn, dn = specfun.jacobi_sn_cn_dn(b * x, k)
         k2 = k ** 2
         if spec.family is Family.GL:
@@ -232,7 +231,7 @@ class ClassicalSolution:
             return a * sn, a * b * cn * dn, c0 * b * b - 6.0 * k2 * b * b * cn * cn
         a = s * _sg_amplitude(spec)
         # asin(k sn) as atan2(k sn, dn): no digits lost as k -> 1
-        return (a * xp.arctan2(k * sn, dn), a * b * k * cn,
+        return (a * np.arctan2(k * sn, dn), a * b * k * cn,
                 b * b * (2.0 * k2 - 1.0 - 2.0 * k2 * cn * cn))
 
     def phi(self, x):
@@ -243,24 +242,22 @@ class ClassicalSolution:
 
     def near_pole(self, x):
         """Whether x lies within _POLE_GAP (in the cn argument) of a pole
-        of the Nahm solution: a bool for a float, a boolean array for an
-        ndarray; never for GL and SG."""
+        of the Nahm solution, as a numpy bool or boolean array of x's
+        shape; never for GL and SG."""
         if self.spec.family is not Family.NAHM:
-            return np.zeros(x.shape, bool) if isinstance(x, np.ndarray) else False
+            return np.zeros(np.shape(x), bool)[()]
         u = math.sqrt(2.0) * self.spec.w * x
-        d = abs((u - _K_NAHM) % (2.0 * _K_NAHM))   # poles at odd multiples of K
+        d = np.abs(np.mod(u - _K_NAHM, 2.0 * _K_NAHM))   # poles at odd multiples of K
         return (d < _POLE_GAP) | (2.0 * _K_NAHM - d < _POLE_GAP)
 
     def _nahm_sn_cn_dn(self, x):
         """sn, cn, dn of u = sqrt(2) w x at modulus 1/sqrt2, guarded by
         near_pole: a float raises PoleError there, an ndarray takes u =
         NaN in those rows."""
-        u = math.sqrt(2.0) * self.spec.w * x
         pole = self.near_pole(x)
-        if isinstance(x, np.ndarray):
-            u = np.where(pole, math.nan, u)
-        elif pole:
+        if not isinstance(x, np.ndarray) and pole:
             raise PoleError(f"Nahm solution pole near x = {x}")
+        u = np.where(pole, math.nan, math.sqrt(2.0) * self.spec.w * x)
         return specfun.jacobi_sn_cn_dn(u, _K1)
 
 
@@ -314,7 +311,7 @@ def nahm_solution(spec: ModelSpec, sign: int = 1) -> ClassicalSolution:
         raise UnsupportedFamilyError("nahm_solution requires the Nahm family")
     w = spec.w
     # V = phi^4/2 and the energy density phi^4 - w^4/2 peak at the pole guard
-    phi_max = w / specfun.jacobi_sn_cn_dn(_K_NAHM - _POLE_GAP, _K1)[1]
+    phi_max = w / float(specfun.jacobi_sn_cn_dn(_K_NAHM - _POLE_GAP, _K1)[1])
     if not phi_max * phi_max * phi_max * phi_max < math.inf:
         raise DomainError(f"the Nahm solution overflows next to its poles at w = {w}")
     sigma = w / math.sqrt(2.0)

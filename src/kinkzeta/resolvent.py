@@ -119,7 +119,8 @@ class ResolventPolynomial:
     def z_of_x(self, x):
         if self.case is CaseTag.NAHM:
             _, cn, dn = specfun.jacobi_sn_cn_dn(math.sqrt(2.0) * self.b * x, _K1)
-            return (cn / dn) ** 2
+            cd = cn / dn
+            return cd * cd
         _, cn, _ = specfun.jacobi_sn_cn_dn(self.b * x, self.k)   # sech(bx) at k = 1
         return cn * cn
 
@@ -141,8 +142,8 @@ class ResolventPolynomial:
         return cmath.exp(0.5 * acc)
 
     def green_diag(self, p: complex, x: float) -> complex:
-        """G(p, x) = P(p, z(x)) / (2 sqrt(Q(p)))."""
-        return self.P(complex(p), self.z_of_x(x)) / (2.0 * self.sqrt_q(p))
+        """G(p, x) = P(p, z(x)) / (2 sqrt(Q(p))) at a float x."""
+        return self.P(complex(p), float(self.z_of_x(x))) / (2.0 * self.sqrt_q(p))
 
     # -- trace numerators ---------------------------------------------------
     @cached_property

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ellipkinc
@@ -57,12 +58,14 @@ def ellipk(k: float) -> float:
     return _agm(math.sqrt((1.0 - k) * (1.0 + k)))[0]
 
 
-def _agm(kp: float) -> tuple[float, list[float], list[float]]:
+@lru_cache(maxsize=256)
+def _agm(kp: float) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     """The AGM ladder of (1, kp) (DLMF 19.8.1), shared by K, K', E, sn, cn, dn.
 
     a_{n+1}, b_{n+1}, c_{n+1} = (a_n + b_n)/2, sqrt(a_n b_n), (a_n - b_n)/2
-    from 1, kp.  Returns K = pi / (2 a_N) of complement kp, [a_0 .. a_N] and
-    [c_1 .. c_{N+1}]; the first c_{N+1} <= 2 eps a_N, or step 40, ends it.
+    from 1, kp.  Returns K = pi / (2 a_N) of complement kp, (a_0 .. a_N) and
+    (c_1 .. c_{N+1}); the first c_{N+1} <= 2 eps a_N, or step 40, ends it.
+    Cached: a float sn, cn, dn call spends a fifth of its time here.
     """
     a, b = 1.0, kp
     a_s, c_s = [a], []
@@ -73,7 +76,7 @@ def _agm(kp: float) -> tuple[float, list[float], list[float]]:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
         a_s.append(a)
-    return math.pi / (2.0 * a), a_s, c_s
+    return math.pi / (2.0 * a), tuple(a_s), tuple(c_s)
 
 
 def ellipke(k: float) -> tuple[float, float]:
@@ -97,94 +100,47 @@ def ellipke(k: float) -> tuple[float, float]:
 # Jacobi elliptic functions
 # ---------------------------------------------------------------------------
 
-class _ScalarOps:
-    """The math functions under the numpy names the shared body uses, so a
-    float argument takes the same bits as a body written in math."""
-
-    sin, cos, sinh, cosh = math.sin, math.cos, math.sinh, math.cosh
-    tanh, arcsin, sqrt, rint = math.tanh, math.asin, math.sqrt, round
-    arctan2, isfinite, all = math.atan2, math.isfinite, bool
-
-    @staticmethod
-    def clip(t, lo, hi):
-        return max(lo, min(hi, t))
-
-    @staticmethod
-    def where(cond, a, b):
-        return a if cond else b
-
-    @staticmethod
-    def ones_like(u):
-        return 1.0
-
-    @staticmethod
-    def sech(u):
-        try:
-            return 1.0 / math.cosh(u)
-        except OverflowError:
-            return 0.0
-
-
-class _ArrayOps:
-    """numpy functions for an ndarray argument."""
-
-    sin, cos, sinh, cosh, tanh = np.sin, np.cos, np.sinh, np.cosh, np.tanh
-    arcsin, sqrt, rint, clip, where = np.arcsin, np.sqrt, np.rint, np.clip, np.where
-    ones_like, arctan2, isfinite, all = np.ones_like, np.arctan2, np.isfinite, np.all
-
-    @staticmethod
-    def sech(u):
-        with np.errstate(over="ignore"):
-            return 1.0 / np.cosh(u)
-
-
-def _ops(u):
-    """_ArrayOps and u as a float array for an ndarray u, else _ScalarOps
-    and u: the one body of a float-or-array function reads xp."""
-    if isinstance(u, np.ndarray):
-        return _ArrayOps, np.asarray(u, dtype=float)
-    return _ScalarOps, u
-
-
 def jacobi_sn_cn_dn(u, k: float):
     """sn, cn, dn of real argument by the descending Landen recursion.
 
-    u is a float or an ndarray; an ndarray gives three arrays of its
-    shape, computed by the same body with numpy functions in place of
-    math ones, and so within a few ulps of the float values (CONVENTIONS
-    item 21).  The AGM ladder depends on k alone and is built once.
+    One numpy body: a float u gives three float64 scalars, an ndarray
+    three arrays of its shape (CONVENTIONS item 21); a non-finite u gives
+    NaN, or the limits +-1, 0, 0 at k = 1.  The AGM ladder depends on k
+    alone and is built once.
 
     Builds the AGM scale ladder a_n, c_n, then recovers the amplitude by
     the backward angle recursion phi_{n-1} = (phi_n + asin(c_n/a_n sin
-    phi_n)) / 2.  Absolute error below 1e-12 for |u| <= 4 K(k).  At k = 1
-    they are tanh u, sech u, sech u (DLMF 22.5.ii), with sech = 0.0 where
-    cosh overflows.  For 0 < k' < _KP_NEAR_ONE, where c_1/a_1 lies within
-    2k' of 1 and the asin steps lose digits, _near_one takes over.
+    phi_n)) / 2, whose asin arguments stay below (1 - k')/(1 + k').
+    Absolute error below 1e-12 for |u| <= 4 K(k).  At k = 1 they are
+    tanh u, sech u, sech u (DLMF 22.5.ii).  For 0 < k' < _KP_NEAR_ONE,
+    where c_1/a_1 lies within 2k' of 1 and the asin steps lose digits,
+    _near_one takes over.
     """
     if not 0.0 <= k <= 1.0:
         raise DomainError(f"jacobi_sn_cn_dn requires 0 <= k <= 1, got {k}")
-    xp, u = _ops(u)
+    u = np.asarray(u, dtype=float)[()]    # a float becomes a float64 scalar
     if k < 1e-14:
-        return xp.sin(u), xp.cos(u), xp.ones_like(u)
+        return np.sin(u), np.cos(u), 1.0 + 0.0 * u     # dn = 1, NaN at u = +-inf
     if k == 1.0:
-        sech = xp.sech(u)
-        return xp.tanh(u), sech, sech
+        with np.errstate(over="ignore"):    # sech = 0.0 where cosh overflows
+            sech = 1.0 / np.cosh(u)
+        return np.tanh(u), sech, sech
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     K, a_s, c_s = _agm(kp)
     if kp < _KP_NEAR_ONE:
-        return _near_one(u, kp, K, xp)
+        return _near_one(u, kp, K)
     n = len(a_s) - 1
     phi = (2.0 ** n) * a_s[n] * u
     for j in range(n, 0, -1):
-        t = xp.clip(c_s[j - 1] / a_s[j] * xp.sin(phi), -1.0, 1.0)
-        phi = 0.5 * (phi + xp.arcsin(t))
-    sn = xp.sin(phi)
-    cn = xp.cos(phi)
-    dn = xp.sqrt(cn * cn + (kp * sn) ** 2)
+        phi = 0.5 * (phi + np.arcsin(c_s[j - 1] / a_s[j] * np.sin(phi)))
+    sn = np.sin(phi)
+    cn = np.cos(phi)
+    ks = kp * sn
+    dn = np.sqrt(cn * cn + ks * ks)
     return sn, cn, dn
 
 
-def _near_one(u, kp: float, K: float, xp):
+def _near_one(u, kp: float, K: float):
     """sn, cn, dn at 0 < k' < _KP_NEAR_ONE from their first-order k'^2
     forms about k = 1 (DLMF 22.10(ii)), K = pi / (2 agm(1, k')).
 
@@ -194,22 +150,22 @@ def _near_one(u, kp: float, K: float, xp):
     22.4.iii), so v stays below K/2, where the dropped O(k'^4 e^{3v})
     terms are at most about k'^{5/2} (CONVENTIONS item 21).
     """
-    m = xp.rint(u / (2.0 * K))
+    m = np.rint(u / (2.0 * K))
     w = u - 2.0 * K * m
     flip = 1.0 - 2.0 * (m % 2)          # sn, cn change sign every 2K
     inner = abs(w) <= 0.5 * K
-    v = xp.where(inner, abs(w), K - abs(w))
-    th, se = xp.tanh(v), xp.sech(v)
+    # K - |w| rounds to at most K/2 exactly where |w| > K/2, so the minimum
+    # is v = |w| inside and K - |w| outside
+    v = np.minimum(abs(w), K - abs(w))
+    ch = np.cosh(v)                     # v <= K/2: no overflow
+    th, se = np.tanh(v), 1.0 / ch
     q = 0.25 * kp * kp
-    sc = xp.sinh(v) * xp.cosh(v)
+    sc = np.sinh(v) * ch
     s1 = th + q * (sc - v) * se * se
     c1 = se - q * (sc - v) * th * se
     d1 = se + q * (sc + v) * th * se
-    sn = xp.where(inner, s1, c1 / d1) * flip
-    sn = xp.where(w < 0.0, -sn, sn)
-    cn = xp.where(inner, c1, kp * s1 / d1) * flip
-    dn = xp.where(inner, d1, kp / d1)
-    return sn, cn, dn
+    sn, cn, dn = np.where(inner, (s1, c1, d1), (c1 / d1, kp * s1 / d1, kp / d1))
+    return sn * flip * (1.0 - 2.0 * (w < 0.0)), cn * flip, dn
 
 
 def jacobi_sn_cn_dn_complex(u: complex, k: float) -> tuple[complex, complex, complex]:
@@ -219,11 +175,11 @@ def jacobi_sn_cn_dn_complex(u: complex, k: float) -> tuple[complex, complex, com
     k' (imaginary part); reduces to the real routine on the real axis.
     """
     u = complex(u)
-    s, c, d = jacobi_sn_cn_dn(u.real, k)
+    s, c, d = map(float, jacobi_sn_cn_dn(u.real, k))
     if u.imag == 0.0:
         return complex(s), complex(c), complex(d)
     kp = math.sqrt((1.0 - k) * (1.0 + k))
-    s1, c1, d1 = jacobi_sn_cn_dn(u.imag, kp)
+    s1, c1, d1 = map(float, jacobi_sn_cn_dn(u.imag, kp))
     den = c1 * c1 + (k * s * s1) ** 2
     if den == 0.0:
         raise PoleError("jacobi_sn_cn_dn_complex: argument at a pole")
