@@ -139,12 +139,14 @@ def _potential_v(spec: ModelSpec, phi, order: int):
             return g * np.power(phi, 3) - m * m * phi
         return 3.0 * g * phi * phi - m * m
     if spec.family is Family.SG:
+        # m^4 / g and m^3 sqrt(2 / 3g) are formed so that no power of m
+        # underflows before g scales it
         c = math.sqrt(1.5 * g) / m
-        amp = 2.0 * m ** 4 / (3.0 * g)
+        amp = 2.0 * m * m / (3.0 * g) * m * m
         if order == 0:
             return amp * (1.0 + np.cos(c * phi))
         if order == 1:
-            return -(m ** 3) * math.sqrt(2.0 / (3.0 * g)) * np.sin(c * phi)
+            return -(m * math.sqrt(2.0 / (3.0 * g))) * m * m * np.sin(c * phi)
         return -(m * m) * np.cos(c * phi)
     # Nahm: V = phi^4/2
     if order == 0:
@@ -211,11 +213,15 @@ class ClassicalSolution:
         """phi, phi' and u at x from one evaluation of sn, cn, dn.
 
         u is the potential of schrodinger_potential.  A float x gives
-        numpy float64 scalars.  Within _POLE_GAP (in the cn argument) of a
-        pole of the Nahm solution, a float x raises PoleError; an ndarray
-        gives NaN in those rows, which near_pole marks.
+        numpy float64 scalars, and raises DomainError if it is not finite.
+        Within _POLE_GAP (in the cn argument) of a pole of the Nahm
+        solution, a float x raises PoleError; an ndarray gives NaN in those
+        rows, which near_pole marks.
         """
         s, spec, b, k = self.branch_sign, self.spec, self.b_or_sigma, self.k
+        if not isinstance(x, np.ndarray) and not math.isfinite(x):
+            raise DomainError(f"the {spec.family.value} solution needs a finite "
+                              f"x, got {x!r}")
         if spec.family is Family.NAHM:
             # real form: phi = w / cn(sqrt(2) w x; 1/sqrt2), poles at cn = 0
             sn, cn, dn = self._nahm_sn_cn_dn(x)

@@ -94,7 +94,6 @@ class ResolventPolynomial:
     rho_coeffs: tuple[float, ...]
     u_coeffs: tuple[float, ...]
     nu: float                     # continuum edge of the constant background
-    period: float                 # inf for kinks
     moments: tuple[float, ...]    # (I0, Iz, Izz); I0 = inf for kinks
 
     # -- polynomial data ----------------------------------------------------
@@ -113,6 +112,12 @@ class ResolventPolynomial:
     @property
     def is_kink(self) -> bool:
         return self.case in (CaseTag.A, CaseTag.C)
+
+    @property
+    def period(self) -> float:
+        """The period of u, which is the moment I0 = int dx over it; inf
+        for a kink."""
+        return self.moments[0]
 
     # -- coordinate maps ----------------------------------------------------
     # x is a float or an ndarray of points (CONVENTIONS item 21)
@@ -329,26 +334,23 @@ def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> Resolven
     rho = (0.0, kc2, 2.0 * k2 - 1.0, -k2)
 
     if kink:
-        period = math.inf
         moments = (math.inf, 2.0 / b, 4.0 / (3.0 * b))
     elif case is CaseTag.NAHM:
         # period moments carry the imaginary-modulus integrals K(i), E(i)
         ki, ei = _KE_IMAG
-        period = 2.0 * ki / b
-        moments = (period, 2.0 / b * (2.0 * ki - ei),
+        moments = (2.0 * ki / b, 2.0 / b * (2.0 * ki - ei),
                    2.0 / b * (10.0 / 3.0 * ki - 2.0 * ei))
     else:  # z = cn^2(bx; k) for B and D
         K, E = specfun.ellipke(k)
-        period = 2.0 * K / b
         Iz = 2.0 / (b * k2) * (E - kc2 * K)
         Izz = 2.0 / b * (K - 2.0 * (K - E) / k2
                          + ((2.0 + k2) * K - 2.0 * (1.0 + k2) * E) / (3.0 * k2 * k2))
-        moments = (period, Iz, Izz)
+        moments = (2.0 * K / b, Iz, Izz)
 
     return ResolventPolynomial(case=case, b=b, k=k, p_rows=p_rows,
                                q_coeffs=q, roots=roots,
                                rho_coeffs=rho, u_coeffs=u, nu=nu,
-                               period=period, moments=moments)
+                               moments=moments)
 
 
 def hermit_residual(rp: ResolventPolynomial, p: complex, x: float,

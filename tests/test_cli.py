@@ -98,6 +98,19 @@ class TestEnergy:
         closed = float(rows[0][header.index("closed_form")])
         assert abs(closed / 64.0 - 1.0) < 0.01
 
+    @pytest.mark.parametrize("argv", [
+        ("--m", "2", "--g", "1", "--kink"),
+        ("--m", "1", "--g", "1", "--k", "0.999999"),
+        # m^4 underflows on its own, m^4 / g does not
+        ("--m", "1e-100", "--g", "1e-300", "--kink")])
+    def test_sg_quadrature_matches_closed_form(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "energy", "--family", "sg", *argv)
+        assert code == 0
+        header, rows = parse_csv(out)
+        closed = float(rows[0][header.index("closed_form")])
+        quadrature = float(rows[0][header.index("quadrature")])
+        assert abs(quadrature - closed) <= 1e-13 * abs(closed)
+
     def test_gl_kink_columns_agree(self, capsys):
         code, out, _ = run_cli(capsys, "energy", "--family", "gl",
                                "--m", "1.3", "--g", "0.9", "--kink")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from contour_reference import Periodic
-from kinkzeta import models, resolvent, zetareg
+from kinkzeta import models, resolvent, specfun, zetareg
 from kinkzeta.errors import ConvergenceError, DomainError, PoleError
 from kinkzeta.resolvent import (CaseTag, build_resolvent, hermit_residual,
                                 invert_laplace_gamma)
@@ -265,6 +265,15 @@ class TestGammaHat:
         assert abs(models._KE_IMAG[1] - ei) < 1e-12
         assert rp.moments[0] == pytest.approx(2.0 * ki / b, rel=1e-13)
         assert rp.moments[1] == pytest.approx(2.0 * (2 * ki - ei) / b, rel=1e-13)
+
+    @pytest.mark.parametrize("case,k", ALL_CASES)
+    def test_period_is_the_first_moment(self, case, k):
+        # inf for a kink, 2K/b for B and D, 2K(i)/b for NAHM
+        b = 1.3
+        rp = build_resolvent(case, b, k=k)
+        K = (math.inf if rp.is_kink else models._KE_IMAG[0]
+             if case is CaseTag.NAHM else specfun.ellipk(k))
+        assert rp.period == rp.moments[0] == 2.0 * K / b
 
     def test_cut_proximity_error(self):
         rp = build_resolvent(CaseTag.B, 1.0, k=0.5)

@@ -192,14 +192,45 @@ class TestJacobiFunctions:
     @example(k=1.0, u=[-711.0, 0.0, 709.0])
     @example(k=1e-15, u=[-3.0, 0.5])
     def test_array_matches_scalar(self, k, u):
-        # the array route runs the same body on numpy functions: a few ulps
+        # a float and an array run one numpy body: bit for bit
         x = np.array(u)
         got = specfun.jacobi_sn_cn_dn(x, k)
-        tol = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(x))
         for j in range(3):
             want = np.array([specfun.jacobi_sn_cn_dn(ui, k)[j] for ui in u])
             assert got[j].shape == x.shape
-            assert np.all(np.abs(got[j] - want) <= tol)
+            assert np.array_equal(got[j], want)
+
+    # one k per branch: k < 1e-14, k = 1, k' < _KP_NEAR_ONE and the recursion
+    BRANCHES = [0.0, 1e-15, 1.0, 1.0 - 1e-12, 0.5]
+
+    @pytest.mark.parametrize("k", BRANCHES)
+    def test_float_gives_numpy_scalars(self, k):
+        for v in specfun.jacobi_sn_cn_dn(0.3, k):
+            assert isinstance(v, np.float64) and np.ndim(v) == 0
+
+    @pytest.mark.parametrize("k", BRANCHES)
+    @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])
+    def test_non_finite_argument(self, k, u):
+        # NaN, as in an array; at k = 1, +-inf takes the limits of tanh, sech
+        with np.errstate(invalid="ignore"):
+            got = specfun.jacobi_sn_cn_dn(u, k)
+            in_array = specfun.jacobi_sn_cn_dn(np.array([u]), k)
+        if k == 1.0 and not math.isnan(u):
+            assert got == (math.copysign(1.0, u), 0.0, 0.0)
+        else:
+            assert all(math.isnan(v) for v in got)
+        assert np.array_equal(np.array(in_array)[:, 0], got, equal_nan=True)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kp=st.one_of(st.floats(specfun._KP_NEAR_ONE, 1.0, exclude_max=True),
+                        st.floats(-5.0, -1.0).map(lambda e: 10.0 ** e)))
+    @example(kp=specfun._KP_NEAR_ONE)
+    def test_ladder_ratios_stay_below_one(self, kp):
+        # the angle recursion takes asin(c_j / a_j sin phi) unclipped: every
+        # ratio is at most the first, (1 - k')/(1 + k') <= 1 - 2e-5
+        _, a_s, c_s = specfun._agm(kp)
+        ratios = [c_s[j - 1] / a_s[j] for j in range(1, len(a_s))]
+        assert max(ratios, default=0.0) <= (1.0 - kp) / (1.0 + kp) < 1.0
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(log_kp=st.floats(math.log10(1.5e-8), math.log10(specfun._KP_NEAR_ONE)),
