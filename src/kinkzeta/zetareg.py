@@ -398,8 +398,8 @@ def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
             "periodic contour zeta requires -1/2 < Re s < 1/2")
     # the poles are kink bound states at lambda = 3 b^2 > 0 and the zero mode
     # at lambda = 0.0 exactly, which contributes 0^{-s} == 0
-    terms = [res * cmath.exp(-s * math.log(lam)) for lam, res in rp.pole_terms()
-             if lam > 0.0]
+    terms = [res * lam ** -s.real * cmath.exp(-1j * s.imag * math.log(lam))
+             for lam, res in rp.pole_terms() if lam > 0.0]
     err = 0.0
     bands = rp.bands()
     top = bands[-1][0]

@@ -414,6 +414,15 @@ class TestDimensionalReduction:
                                             abs=1e-6)
 
 
+def zeta_a_closed(s, b):
+    """Case A closed form -b^{-2s} Gamma(s + 1/2) / (sqrt(pi) Gamma(s + 1)),
+    at 30 digits."""
+    with mp.workdps(30):
+        s, b = mp.mpf(s), mp.mpf(b)
+        return float(-b ** (-2 * s) * mp.gamma(s + 0.5)
+                     / (mp.sqrt(mp.pi) * mp.gamma(s + 1)))
+
+
 def zeta_c_closed(s, b):
     """Case C closed form: the A kink at 2b plus the Mellin image of the
     e^{-3 b^2 t} erf(b sqrt t) bound-state term, at 30 digits."""
@@ -438,3 +447,16 @@ class TestCaseCProperty:
         want = zeta_c_closed(s, b)
         got = zetareg.zeta_contour(rp, s).value
         assert abs(got - want) <= 1e-9 * abs(want)
+
+
+class TestKinkContourEstimate:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=st.sampled_from([CaseTag.A, CaseTag.C]),
+           log_b=st.floats(-3.0, 3.0), s=st.floats(-0.45, 10.0))
+    def test_within_estimate_of_mpmath(self, case, log_b, s):
+        # the product rule's real-exponent moments and the bound state's
+        # lam ** -s keep the kink contour within its estimate over (b, s)
+        b = 10.0 ** log_b
+        want = zeta_a_closed(s, b) if case is CaseTag.A else zeta_c_closed(s, b)
+        ev = zetareg.zeta_contour(build_resolvent(case, b), s)
+        assert abs(ev.value - want) <= ev.err_estimate
