@@ -120,7 +120,7 @@ def potential_v(spec: ModelSpec, phi, order: int = 0):
     with np.errstate(over="ignore", invalid="ignore"):
         value = _potential_v(spec, phi, order)
     finite = np.isfinite(value)
-    if not np.all(finite):
+    if not finite.all():
         at = float(np.asarray(phi)[~finite][0])
         raise DomainError(f"V (order {order}) of the {spec.family.value} model "
                           f"is not finite at phi = {at!r}")
@@ -316,7 +316,8 @@ def nahm_solution(spec: ModelSpec, sign: int = 1) -> ClassicalSolution:
     if spec.family is not Family.NAHM:
         raise UnsupportedFamilyError("nahm_solution requires the Nahm family")
     w = spec.w
-    # V = phi^4/2 and the energy density phi^4 - w^4/2 peak at the pole guard
+    # V = phi^4/2 and the energy density phi^4 - w^4/2 peak at the pole guard;
+    # a Python float, so that the overflow test below raises no warning
     phi_max = w / float(specfun.jacobi_sn_cn_dn(_K_NAHM - _POLE_GAP, _K1)[1])
     if not phi_max * phi_max * phi_max * phi_max < math.inf:
         raise DomainError(f"the Nahm solution overflows next to its poles at w = {w}")

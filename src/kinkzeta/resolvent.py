@@ -432,10 +432,11 @@ def _jacobi_moments(a: complex, b: complex, n: int) -> np.ndarray:
     """
     ab = a + b
     g = [0j] * n
-    if complex(a).imag == 0.0 and complex(b).imag == 0.0:
-        ar, br = complex(a).real, complex(b).real
-        g[0] = (2.0 ** (ar + br + 1.0) * math.gamma(ar + 1.0) * math.gamma(br + 1.0)
-                / math.gamma(ar + br + 2.0))
+    ca, cb = complex(a), complex(b)
+    if ca.imag == 0.0 and cb.imag == 0.0:
+        ra, rb = ca.real, cb.real
+        g[0] = (2.0 ** (ra + rb + 1.0) * math.gamma(ra + 1.0) * math.gamma(rb + 1.0)
+                / math.gamma(ra + rb + 2.0))
     else:
         g[0] = (cmath.exp((ab + 1.0) * math.log(2.0)) * specfun.gamma_fn(a + 1.0)
                 * specfun.gamma_fn(b + 1.0) * complex(rgamma(ab + 2.0)))

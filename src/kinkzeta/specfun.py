@@ -6,8 +6,9 @@ descending Landen (AGM phase) recursion, the theta_1 series behind
 Weierstrass p/zeta/sigma on real rectangular lattices, and a
 pole-guarded Gamma.
 
-Everything here is a pure function of its arguments; there is no module
-state, so concurrent use is safe.
+Everything here is a pure function of its arguments; the only module
+state is a bounded cache of AGM ladders, which lru_cache guards, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -175,6 +176,7 @@ def jacobi_sn_cn_dn_complex(u: complex, k: float) -> tuple[complex, complex, com
     k' (imaginary part); reduces to the real routine on the real axis.
     """
     u = complex(u)
+    # Python floats: complex arithmetic on numpy scalars costs more
     s, c, d = map(float, jacobi_sn_cn_dn(u.real, k))
     if u.imag == 0.0:
         return complex(s), complex(c), complex(d)
