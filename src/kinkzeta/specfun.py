@@ -6,9 +6,8 @@ descending Landen (AGM phase) recursion, the theta_1 series behind
 Weierstrass p/zeta/sigma on real rectangular lattices, and a
 pole-guarded Gamma.
 
-Everything here is a pure function of its arguments; the only module
-state is a bounded cache of AGM ladders, which lru_cache guards, so
-concurrent use is safe.
+Everything here is a pure function of its arguments; there is no module
+state, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ellipkinc
@@ -59,14 +57,12 @@ def ellipk(k: float) -> float:
     return _agm(math.sqrt((1.0 - k) * (1.0 + k)))[0]
 
 
-@lru_cache(maxsize=256)
-def _agm(kp: float) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+def _agm(kp: float) -> tuple[float, list[float], list[float]]:
     """The AGM ladder of (1, kp) (DLMF 19.8.1), shared by K, K', E, sn, cn, dn.
 
     a_{n+1}, b_{n+1}, c_{n+1} = (a_n + b_n)/2, sqrt(a_n b_n), (a_n - b_n)/2
-    from 1, kp.  Returns K = pi / (2 a_N) of complement kp, (a_0 .. a_N) and
-    (c_1 .. c_{N+1}); the first c_{N+1} <= 2 eps a_N, or step 40, ends it.
-    Cached: a float sn, cn, dn call spends a fifth of its time here.
+    from 1, kp.  Returns K = pi / (2 a_N) of complement kp, [a_0 .. a_N] and
+    [c_1 .. c_{N+1}]; the first c_{N+1} <= 2 eps a_N, or step 40, ends it.
     """
     a, b = 1.0, kp
     a_s, c_s = [a], []
@@ -77,7 +73,7 @@ def _agm(kp: float) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
         a_s.append(a)
-    return math.pi / (2.0 * a), tuple(a_s), tuple(c_s)
+    return math.pi / (2.0 * a), a_s, c_s
 
 
 def ellipke(k: float) -> tuple[float, float]:
@@ -119,9 +115,9 @@ def jacobi_sn_cn_dn(u, k: float):
     """
     if not 0.0 <= k <= 1.0:
         raise DomainError(f"jacobi_sn_cn_dn requires 0 <= k <= 1, got {k}")
-    u = np.asarray(u, dtype=float)[()]    # a float becomes a float64 scalar
     if k < 1e-14:
-        return np.sin(u), np.cos(u), 1.0 + 0.0 * u     # dn = 1, NaN at u = +-inf
+        sn = np.sin(u)
+        return sn, np.cos(u), 1.0 + 0.0 * sn     # dn = 1, NaN at u = +-inf
     if k == 1.0:
         with np.errstate(over="ignore"):    # sech = 0.0 where cosh overflows
             sech = 1.0 / np.cosh(u)
