@@ -383,10 +383,11 @@ def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
     gaps and lower bands included, restores one exact term,
     c0 sqrt(pi) Gamma(s - 1/2) / Gamma(s) lo^{1/2 - s}.  Negative bands
     contribute with the e^{-i pi s} phase, and a kink bound state at
-    lambda > 0 as res lambda^{-s}, with lambda ** -Re s taken by pow.  Each band is integrated by
-    product rules against its edge exponents (-1/2 at a band edge,
-    -1/2 - s at lambda = 0); the error estimate sums the differences of
-    the two rule orders over every piece and 16 eps of every term.
+    lambda > 0 as res lambda^{-s}, with lambda ** -Re s taken by pow.
+    Each band is integrated by product rules against its edge exponents
+    (-1/2 at a band edge, -1/2 - s at lambda = 0); the error estimate
+    sums the differences of the two rule orders over every piece and
+    16 eps of every term.
     """
     s = complex(s)
     if rp.is_kink:
@@ -399,12 +400,8 @@ def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
             "periodic contour zeta requires -1/2 < Re s < 1/2")
     # the poles are kink bound states at lambda = 3 b^2 > 0 and the zero mode
     # at lambda = 0.0 exactly, which contributes 0^{-s} == 0
-    try:
-        terms = [res * lam ** -s.real * cmath.exp(-1j * s.imag * math.log(lam))
-                 for lam, res in rp.pole_terms() if lam > 0.0]
-    except OverflowError:
-        raise DomainError(f"the bound-state term of the contour zeta overflows "
-                          f"at s = {s}, b = {rp.b!r}") from None
+    terms = [res * lam ** -s.real * cmath.exp(-1j * s.imag * math.log(lam))
+             for lam, res in rp.pole_terms() if lam > 0.0]
     err = 0.0
     bands = rp.bands()
     top = bands[-1][0]
