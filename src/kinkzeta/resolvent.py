@@ -134,17 +134,17 @@ class ResolventPolynomial:
 
     # -- square-root branch -------------------------------------------------
     def sqrt_q(self, p: complex) -> complex:
-        """sqrt(Q) with per-factor principal logarithms.
+        """sqrt(Q) as the product of the principal roots sqrt(p - r).
 
         Continuous from p -> +inf along any path avoiding the real cuts;
         on the real axis this realizes the Im p -> 0+ boundary value, and
         it is real with the correct alternating sign on the spectral gaps.
         """
         pc = complex(p)
-        acc = 0.0 + 0.0j
+        acc = 1.0 + 0.0j
         for r in self.roots:
-            acc += cmath.log(pc - r)
-        return cmath.exp(0.5 * acc)
+            acc *= cmath.sqrt(pc - r)
+        return acc
 
     def green_diag(self, p: complex, x: float) -> complex:
         """G(p, x) = P(p, z(x)) / (2 sqrt(Q(p))) at a float x."""
@@ -174,9 +174,10 @@ class ResolventPolynomial:
         return _polyval(self._trace_coeffs, pc) / (2.0 * self.sqrt_q(pc))
 
     # -- spectral structure (computed once per instance) ---------------------
-    def pole_terms(self) -> tuple[tuple[float, float], ...]:
-        """(lambda, residue) for the poles of the relative trace at the
-        double roots of Q (bound states of the kink operators)."""
+    def bound_states(self) -> tuple[float, ...]:
+        """lambda = -p0 at each double root p0 of Q: the poles of the
+        relative trace, the bound states of the kink operators.  Each is a
+        simple eigenvalue, so its residue is exactly 1."""
         return self._spectrum[1]
 
     def bands(self) -> tuple[tuple[float, float], ...]:
@@ -186,28 +187,25 @@ class ResolventPolynomial:
 
     @cached_property
     def _spectrum(self):
-        """(bands, poles) from one pass over the roots in ascending p.
+        """(bands, bound states) from one pass over the roots in ascending p.
 
-        A double root is a pole.  Q has odd degree, so Q < 0 below its
-        lowest simple root, which is the lower edge of the top band; the
-        simple roots above it pair into the finite bands.
+        A double root is a bound state; its unit residue is not evaluated.
+        Q has odd degree, so Q < 0 below its lowest simple root, which is
+        the lower edge of the top band; the simple roots above it pair into
+        the finite bands.
         """
         roots = self.roots
-        edges, poles = [], []
+        edges, states = [], []
         i = 0
         while i < len(roots):
-            p0 = roots[i]
-            if roots[i + 1:i + 2] == (p0,):
-                others = roots[:i] + roots[i + 2:]
-                acc = sum(cmath.log(complex(p0) - r) for r in others)
-                res = _polyval(self._trace_coeffs, p0) / (2.0 * cmath.exp(0.5 * acc))
-                poles.append((-p0, res.real))
+            if roots[i + 1:i + 2] == (roots[i],):
+                states.append(-roots[i])
                 i += 2
             else:
-                edges.append(-p0)
+                edges.append(-roots[i])
                 i += 1
         bands = [(edges[j + 1], edges[j]) for j in range(len(edges) - 2, 0, -2)]
-        return tuple(bands) + ((edges[0], math.inf),), tuple(poles)
+        return tuple(bands) + ((edges[0], math.inf),), tuple(states)
 
     def density(self, lam: float) -> float:
         """Spectral density at lambda (per period, or relative for kinks):
@@ -552,7 +550,7 @@ def _top_band_heat(rp: ResolventPolynomial, t: float) -> tuple[complex, float]:
 class TraceInversion:
     """Heat-trace value split into spectral sectors.
 
-    bound_part collects the isolated-eigenvalue residues; continuum_stable
+    bound_part sums e^{-lambda t} over the bound states; continuum_stable
     integrates the bands at lambda >= 0 and continuum_unstable the bands
     at lambda < 0, whose exp(|lambda| t) growth marks an unstable sector.
     """
@@ -575,7 +573,7 @@ class TraceInversion:
 def invert_laplace_gamma(rp: ResolventPolynomial, t: float) -> TraceInversion:
     """gamma(t) by collapsing the inversion contour onto the cuts and poles.
 
-    gamma(t) = sum_poles res e^{-lambda t} + sum_bands int rho(lambda)
+    gamma(t) = sum_bound e^{-lambda t} + sum_bands int rho(lambda)
     e^{-lambda t} d lambda.  Bands at negative lambda are integrated but
     reported separately (unstable sector).  Each band runs the product
     rules of the contour zeta with exponent -1/2 at its edges; the top band
@@ -585,8 +583,8 @@ def invert_laplace_gamma(rp: ResolventPolynomial, t: float) -> TraceInversion:
     """
     if not 0.0 < t < math.inf:
         raise DomainError("invert_laplace_gamma requires 0 < t < inf")
-    # the poles are kink bound states at lambda >= 0, so math.exp stays finite
-    bound = sum(res * math.exp(-lam * t) for lam, res in rp.pole_terms())
+    # the bound states lie at lambda >= 0, so math.exp stays finite
+    bound = sum(math.exp(-lam * t) for lam in rp.bound_states())
     stable = unstable = err = 0.0
     # e^{-lambda t} overflows on a low enough band; the total then is not
     # finite and raises below
