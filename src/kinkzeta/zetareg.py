@@ -400,8 +400,12 @@ def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
             "periodic contour zeta requires -1/2 < Re s < 1/2")
     # the bound states are the kink's at lambda = 3 b^2 > 0 and the zero mode
     # at lambda = 0.0 exactly, which contributes 0^{-s} == 0
-    terms = [lam ** -s.real * cmath.exp(-1j * s.imag * math.log(lam))
-             for lam in rp.bound_states() if lam > 0.0]
+    try:
+        terms = [lam ** -s.real * cmath.exp(-1j * s.imag * math.log(lam))
+                 for lam in rp.bound_states() if lam > 0.0]
+    except OverflowError:
+        raise DomainError(f"the bound-state term of the contour zeta overflows "
+                          f"at s = {s}, b = {rp.b!r}") from None
     err = 0.0
     bands = rp.bands()
     top = bands[-1][0]

@@ -313,6 +313,11 @@ class TestContour:
         small = zetareg.zeta_contour(build_resolvent(CaseTag.C, 1e-7), s).value
         assert small == pytest.approx(ref * 1e-7 ** (-2.0 * s), rel=1e-12)
 
+    def test_bound_state_overflow_is_a_domain_error(self):
+        # (3 b^2)^{-s} = (3e-60)^{-9} passes the largest float
+        with pytest.raises(DomainError, match="bound-state term"):
+            zetareg.zeta_contour(build_resolvent(CaseTag.C, 1e-30), 9.0)
+
     def test_complex_s(self):
         rp = build_resolvent(CaseTag.A, 1.0)
         s = 0.2 + 0.15j
