@@ -86,9 +86,11 @@ def _cmd_solution(args) -> int:
     _check_n(args.n)
     if (args.x_min is None) != (args.x_max is None):
         raise DomainError("supply both --x-min and --x-max, or neither")
-    if args.x_min is not None and not (math.isfinite(args.x_min)
-                                       and math.isfinite(args.x_max)):
-        raise DomainError("--x-min and --x-max must be finite")
+    # the grid's span times n - 1 bounds every product the grid forms
+    if args.x_min is not None and not math.isfinite((args.x_max - args.x_min)
+                                                    * (args.n - 1)):
+        raise DomainError("--x-min and --x-max must be finite, and "
+                          "(x_max - x_min) * (n - 1) too")
     sol = _solution_from_args(args)
     if args.x_min is None:
         if sol.kind is models.SolutionKind.PERIODIC:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -363,6 +364,21 @@ class TestContracts:
     def test_bad_argument_exit_2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
+        assert err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("argv,message", [
+        (("zeta", "--case", "c", "--b", "1e-30", "--s", "9"), "bound-state term"),
+        (("solution", "--family", "sg", "--k", "0.5", "--x-min=-1e308",
+          "--x-max=1e308", "--n", "3"), "--x-min and --x-max")])
+    def test_overflow_names_its_cause_exit_2(self, capsys, argv, message):
+        # an overflowing bound-state term and an overflowing grid span: one
+        # error line that names the cause, and no warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
         assert err.strip().count("\n") == 0
 
     @pytest.mark.parametrize("n", [1, 0, -3])
