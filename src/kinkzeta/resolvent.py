@@ -584,7 +584,7 @@ def invert_laplace_gamma(rp: ResolventPolynomial, t: float) -> TraceInversion:
     if not 0.0 < t < math.inf:
         raise DomainError("invert_laplace_gamma requires 0 < t < inf")
     # the bound states lie at lambda >= 0, so math.exp stays finite
-    bound = sum(math.exp(-lam * t) for lam in rp.bound_states())
+    bound = sum((math.exp(-lam * t) for lam in rp.bound_states()), 0.0)
     stable = unstable = err = 0.0
     # e^{-lambda t} overflows on a low enough band; the total then is not
     # finite and raises below

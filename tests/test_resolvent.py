@@ -487,6 +487,14 @@ class TestLaplaceInversion:
         rp_a = build_resolvent(CaseTag.A, 1.0)
         assert not invert_laplace_gamma(rp_a, 0.7).unstable_sector
 
+    @pytest.mark.parametrize("case,k", ALL_CASES)
+    def test_bound_part_is_a_float(self, case, k):
+        # a periodic case has no bound state; its bound part is 0.0, not the
+        # int 0 of an empty sum, so the CLI prints it with 16 digits
+        inv = invert_laplace_gamma(build_resolvent(case, 1.0, k=k), 0.5)
+        assert type(inv.bound_part) is float
+        assert (inv.bound_part == 0.0) == (case not in (CaseTag.A, CaseTag.C))
+
     def test_laplace_round_trip(self):
         # transforming gamma(t) back recovers gamma_hat(p) for p right of
         # the spectrum; t = v^2 absorbs the 1/sqrt(t) short-time growth and
