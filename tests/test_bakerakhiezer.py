@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinkzeta import bakerakhiezer as ba
@@ -66,9 +66,11 @@ class TestLameSolutions:
             with pytest.raises(WronskianDegeneracyError):
                 ba.make_lame_solution(h_edge, k)
 
-    def test_band_edges_equal_shifted_resolvent_roots(self):
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(k=st.floats(0.01, 0.99))
+    @example(k=0.6)
+    def test_band_edges_equal_shifted_resolvent_roots(self, k):
         # the Q roots of the matching periodic case sit at p = 1 - h
-        k = 0.6
         rp = build_resolvent(CaseTag.B, 1.0, k=k)
         from_q = sorted(1.0 - r for r in rp.roots)
         assert np.allclose(sorted(ba.lame_band_edges(k)), from_q, atol=1e-12)

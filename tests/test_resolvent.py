@@ -7,7 +7,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -165,6 +165,21 @@ class TestHermit:
         p = complex(rng.uniform(-3, 3), rng.uniform(0.5, 2))
         x = rng.uniform(-1, 1)
         assert hermit_residual(rp, p, x) < 1e-9
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(case=st.sampled_from(list(CaseTag)), log_b=st.floats(-2.0, 2.0),
+           k=st.floats(0.01, 0.99), u=st.floats(-6.0, 6.0),
+           v=st.floats(-6.0, 6.0), f=st.floats(0.0, 1.0, exclude_max=True))
+    def test_residual_over_the_domain(self, case, log_b, k, u, v, f):
+        # p = (u + i v) b^2, x over one period, or over [0, 10/b) for a
+        # kink; the defect relative to Q grows as the inverse square of the
+        # distance to a root of Q, so p keeps b^2 / 2 from every root
+        b = 10.0 ** log_b
+        rp = build_resolvent(case, b, k=k)
+        p = complex(u, v) * b * b
+        assume(min(abs(p - r) for r in rp.roots) >= 0.5 * b * b)
+        x = f * (10.0 / b if rp.is_kink else rp.period)
+        assert hermit_residual(rp, p, x) < 1e-12
 
     def test_scaled_green_fails(self):
         # the identity is not scale invariant: G -> 1.01 G breaks it
