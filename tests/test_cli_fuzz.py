@@ -1,7 +1,7 @@
 """Fuzz of the CLI's failure contract over argv for every subcommand.
 
-Each flag is drawn from typical values, 0, negatives, 1e+-300, 5e-324,
-nan, inf and moduli near 1.  For every draw: the exit code is one of
+Each flag is drawn from typical values, 0, negatives, 1e-30, 1e+-300,
+5e-324, nan, inf and moduli near 1.  For every draw: the exit code is one of
 0, 2, 3, 4; no exception escapes ``cli.main``; and at exit 0 no nan or
 inf is printed, except in the ``period`` and ``I0`` rows of a kink
 case's ``resolvent`` table, which are documented to be infinite.
@@ -14,14 +14,14 @@ import io
 import json
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinkzeta.cli import main
 
 EXTREMES = ["0", "-1", "1e300", "-1e300", "1e-300", "5e-324", "nan", "inf",
             "-inf"]
-FLOAT = st.sampled_from(["1", "0.5", "1.7", "3"] + EXTREMES)
+FLOAT = st.sampled_from(["1", "0.5", "1.7", "3", "1e-30"] + EXTREMES)
 MODULUS = st.sampled_from(["0.5", "0.9", "0.999999", "0.9999999999999999",
                            "1", "1e-8"] + EXTREMES)
 TIME = st.sampled_from(["0.5", "1", "30"] + EXTREMES)
@@ -98,6 +98,9 @@ def not_finite(cell) -> bool:
 
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
 @given(argv=ARGV)
+@example(argv=["zeta", "--case=c", "--b=1e-30", "--s=9"])
+@example(argv=["solution", "--family=sg", "--k=0.5", "--x-min=-1e308",
+               "--x-max=1e308", "--n=3"])
 def test_cli_failure_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
