@@ -141,10 +141,7 @@ class ResolventPolynomial:
         it is real with the correct alternating sign on the spectral gaps.
         """
         pc = complex(p)
-        acc = 1.0 + 0.0j
-        for r in self.roots:
-            acc *= cmath.sqrt(pc - r)
-        return acc
+        return math.prod(cmath.sqrt(pc - r) for r in self.roots)
 
     def green_diag(self, p: complex, x: float) -> complex:
         """G(p, x) = P(p, z(x)) / (2 sqrt(Q(p))) at a float x."""
