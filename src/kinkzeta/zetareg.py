@@ -383,11 +383,11 @@ def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
     gaps and lower bands included, restores one exact term,
     c0 sqrt(pi) Gamma(s - 1/2) / Gamma(s) lo^{1/2 - s}.  Negative bands
     contribute with the e^{-i pi s} phase, and a kink bound state at
-    lambda > 0 as lambda^{-s} (unit residue), with lambda ** -Re s taken by pow.
-    Each band is integrated by product rules against its edge exponents
-    (-1/2 at a band edge, -1/2 - s at lambda = 0); the error estimate
-    sums the differences of the two rule orders over every piece and
-    16 eps of every term.
+    lambda > 0, whose residue is 1, as lambda^{-s}, with lambda ** -Re s
+    taken by pow.  Each band is integrated by product rules against its
+    edge exponents (-1/2 at a band edge, -1/2 - s at lambda = 0); the
+    error estimate sums the differences of the two rule orders over every
+    piece and 16 eps of every term.
     """
     s = complex(s)
     if rp.is_kink:
@@ -398,8 +398,8 @@ def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
     elif not (-0.5 + 1e-9 < s.real < 0.5 - 1e-9):
         raise BranchCollisionError(
             "periodic contour zeta requires -1/2 < Re s < 1/2")
-    # the bound states are the kink's at lambda = 3 b^2 > 0 and the zero mode
-    # at lambda = 0.0 exactly, which contributes 0^{-s} == 0
+    # the bound states lie at lambda = 3 b^2 > 0 (case C) and at the zero
+    # mode lambda = 0.0 exactly, which contributes 0^{-s} == 0
     try:
         terms = [lam ** -s.real * cmath.exp(-1j * s.imag * math.log(lam))
                  for lam in rp.bound_states() if lam > 0.0]
