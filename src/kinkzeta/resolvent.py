@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -39,7 +38,7 @@ import numpy as np
 from scipy.fft import dct
 # nothing here calls quad; kzbench/tracing.py wraps resolvent.quad by name
 from scipy.integrate import quad  # noqa: F401
-from scipy.special import rgamma
+from scipy.special import binom, rgamma
 
 from . import specfun
 from .errors import ConvergenceError, DomainError, PoleError
@@ -61,6 +60,14 @@ class CaseTag(str, Enum):
     C = "c"        # GL kink
     D = "d"        # GL periodic
     NAHM = "nahm"  # Nahm (k^2 = -1 member of D)
+
+
+# terms of the heat-kernel series: the contour zeta sums it at |r scale| <=
+# 1/4 (the last below 4^-59 of the first), the heat trace at t R <= 1
+_HEAT_TERMS = 60
+_TERMS = np.arange(_HEAT_TERMS)
+_HALF_BINOMIAL = binom(2 * _TERMS, _TERMS) / 4.0 ** _TERMS
+_RGAMMA_HALF = rgamma(_TERMS + 0.5)
 
 
 def _polyval(coeffs, x):
@@ -221,39 +228,32 @@ class ResolventPolynomial:
         The edge factors of |Q| are taken from the distances, not from the
         rounded lam, so that the density keeps its digits next to an edge,
         also on a band narrower than the rounding of lam (case D as k -> 1).
+        On the top band hi is a cut or inf, not an edge, and lam = lo + d_lo.
 
         On a band sqrt(Q) is i^m prod sqrt|p - r|, m the number of roots
         above p (odd there), so the density is the real
         +-N(p) / (2 pi prod sqrt|p - r|), + for m = 1 mod 4.
         """
         above = sum(r >= -lo for r in self.roots)
-        if math.isinf(hi):
+        if above == len(self.roots):
             return self._band_density(-(lo + d_lo), above, np.sqrt(d_lo), (-lo,))
         p = -np.where(d_lo <= d_hi, lo + d_lo, hi - d_hi)
         return self._band_density(p, above, np.sqrt(d_lo) * np.sqrt(d_hi),
                                   (-lo, -hi))
 
-    def top_band_excess(self, above):
-        """rho(lo + above) - I0 / (2 pi sqrt(above)) on the top band
-        (lo, inf), lo = -roots[0], for a periodic case; a kink's density is
-        already relative to its background and is returned as it is.
-        above is an array.
-
-        Both terms fall as lam^{-1/2} and their difference as lam^{-3/2}, so
-        the difference is formed from their ratio, which keeps its digits at
-        large lam: with N(-lam) = I0 (-lam)^d (1 + eta),
-        rho / rho0 = (1 + eta) / prod_{i > 0} sqrt(1 + r_i / lam).
-        """
-        if self.is_kink:
-            return self.band_density(-self.roots[0], math.inf, above)
-        lam = -self.roots[0] + above
-        coeffs = self._trace_coeffs
-        t = -1.0 / lam
-        eta = 0.0 * t
-        for c in coeffs[:-1]:
-            eta = (eta + c / coeffs[-1]) * t
-        log_ratio = np.log1p(eta) - 0.5 * sum(np.log1p(r / lam) for r in self.roots[1:])
-        return self.moments[0] / (2.0 * math.pi) / np.sqrt(above) * np.expm1(log_ratio)
+    def heat_coeffs(self, scale: float, factor: float = 1.0) -> np.ndarray:
+        """factor g_n scale^n, n < _HEAT_TERMS, with g_n the heat-kernel
+        (Gel'fand-Dikii) coefficients: gamma_hat(p) = sum g_n p^{-n-1/2}
+        for |p| > R = max |r_i|.  g_n is half the reversed trace numerator,
+        N(p)/p^d, times (1 - r/p)^{-1/2} = sum C(2m, m) 4^{-m} (r/p)^m for
+        every root; scale and factor enter before the convolution, so no
+        power of R or 1/R is formed on its own."""
+        n = self._trace_coeffs[::-1]
+        series = np.array(n) * (0.5 * factor) * scale ** np.arange(len(n))
+        for r in self.roots:
+            series = np.convolve(series, _HALF_BINOMIAL * (r * scale) ** _TERMS
+                                 )[:_HEAT_TERMS]
+        return series
 
     def _band_density(self, p, above, mag, known):
         """+-N(p) / (2 pi prod sqrt|p - r|); mag holds the factors of the
@@ -495,10 +495,11 @@ def _product_integral(F, exp_lo: complex, exp_hi: complex) -> tuple[complex, flo
 def _band_integral(rp: ResolventPolynomial, lo: float, hi: float, weight,
                    exp_lo: complex = -0.5, exp_hi: complex = -0.5
                    ) -> tuple[complex, float]:
-    """int rho(lam) weight(lam) d lam over the finite band (lo, hi) by
-    product integration, with the edge exponents exp_lo and exp_hi of the
-    whole integrand.  weight takes an array of lam; lam is taken from the
-    nearer edge, so that it is exact next to an edge at 0."""
+    """int rho(lam) weight(lam) d lam over (lo, hi), a finite band or the
+    top band up to a cut hi, by product integration, with the exponents
+    exp_lo and exp_hi of the whole integrand at the ends.  weight takes an
+    array of lam; lam is taken from the nearer end, so that it is exact
+    next to an edge at 0."""
     w = hi - lo
 
     def F(opx, omx):
@@ -522,23 +523,18 @@ def _top_band_heat(rp: ResolventPolynomial, t: float) -> tuple[complex, float]:
     at u = -inf, so the smooth factor is analytic about the whole of
     (0, log(1 + 745/(g t))) at any t.  A map linear in lam brings the next
     edge within 1e-4 of a piece's width at t = 1e-10 and loses digits.
-    A t g so small that 745/(t g) overflows raises ConvergenceError.  The
-    density is taken as c0 / sqrt(above) + top_band_excess, c0 = 0 for a
-    kink, whose ratio form does not overflow where prod sqrt|p - r| does
-    (lam ~ 1e205).
+    Called only where t R > 1, so the cut lies below lo + 745 R, where
+    band_density's product of sqrt|p - r| stays finite.
     """
     lo = rp.bands()[-1][0]
     g = rp.roots[1] - rp.roots[0]
-    if not t * g > 745.0 / sys.float_info.max:
-        raise ConvergenceError(f"top band cut 745/t overflows at t = {t!r}")
     span = math.log1p(745.0 / (t * g))
-    c0 = 0.0 if rp.is_kink else rp.moments[0] / (2.0 * math.pi)
 
     def F(opx, omx):
         u = 0.5 * span * opx
         above = g * np.expm1(u)
-        rho = c0 / np.sqrt(above) + rp.top_band_excess(above)
-        return rho * np.exp(-t * (lo + above)) * (0.5 * span * g * np.exp(u))
+        return (rp.band_density(lo, math.inf, above) * np.exp(-t * (lo + above))
+                * (0.5 * span * g * np.exp(u)))
 
     return _product_integral(F, -0.5, 0.0)
 
@@ -550,17 +546,16 @@ class TraceInversion:
     bound_part sums e^{-lambda t} over the bound states; continuum_stable
     integrates the bands at lambda >= 0 and continuum_unstable the bands
     at lambda < 0, whose exp(|lambda| t) growth marks an unstable sector.
+    total is stored: where the heat-kernel series gives it, the stable
+    part is what it leaves, and summing the sectors would cancel again.
     """
 
     t: float
+    total: float
     bound_part: float
     continuum_stable: float
     continuum_unstable: float
     err_estimate: float
-
-    @property
-    def total(self) -> float:
-        return self.bound_part + self.continuum_stable + self.continuum_unstable
 
     @property
     def unstable_sector(self) -> bool:
@@ -572,21 +567,26 @@ def invert_laplace_gamma(rp: ResolventPolynomial, t: float) -> TraceInversion:
 
     gamma(t) = sum_bound e^{-lambda t} + sum_bands int rho(lambda)
     e^{-lambda t} d lambda.  Bands at negative lambda are integrated but
-    reported separately (unstable sector).  Each band runs the product
-    rules of the contour zeta with exponent -1/2 at its edges; the top band
-    is cut where e^{-lambda t} underflows (_top_band_heat).  The error
-    estimate sums the rule differences and 16 eps of every term; past 1e-8
-    of the total, or when the total is not finite, the inversion raises.
+    reported separately (unstable sector).  Each finite band runs the
+    product rules of the contour zeta with exponent -1/2 at its edges.
+    Where t R <= 1, R = max |r_i|, the total is the entire heat-kernel
+    series sum g_n t^{n-1/2} / Gamma(n + 1/2), powers taken as
+    g_n t^n / sqrt(t), and the top band is what it leaves; elsewhere the
+    top band is integrated (_top_band_heat).  The error estimate sums the
+    rule differences and 16 eps of every term (of the series, where it
+    gives the total); past 1e-8 of the total, or when the total is not
+    finite, the inversion raises.
     """
     if not 0.0 < t < math.inf:
         raise DomainError("invert_laplace_gamma requires 0 < t < inf")
+    series = t * max(map(abs, rp.roots)) <= 1.0
     # the bound states lie at lambda >= 0, so math.exp stays finite
     bound = sum((math.exp(-lam * t) for lam in rp.bound_states()), 0.0)
     stable = unstable = err = 0.0
     # e^{-lambda t} overflows on a low enough band; the total then is not
     # finite and raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in rp.bands():
+        for lo, hi in rp.bands()[:-1] if series else rp.bands():
             val, e = (_band_integral(rp, lo, hi, lambda lam: np.exp(-t * lam))
                       if hi < math.inf else _top_band_heat(rp, t))
             err += e
@@ -594,11 +594,18 @@ def invert_laplace_gamma(rp: ResolventPolynomial, t: float) -> TraceInversion:
                 stable += val.real
             else:
                 unstable += val.real
-    total = bound + stable + unstable
-    err += (abs(bound) + abs(stable) + abs(unstable)) * 16.0 * specfun._EPS
+    if series:
+        terms = rp.heat_coeffs(t, 1.0 / math.sqrt(t)) * _RGAMMA_HALF
+        total = math.fsum(terms)
+        stable = total - bound - unstable
+        err += float(np.sum(np.abs(terms))) * 16.0 * specfun._EPS
+    else:
+        total = bound + stable + unstable
+        err += (abs(bound) + abs(stable) + abs(unstable)) * 16.0 * specfun._EPS
     if not (math.isfinite(total) and math.isfinite(err)):
         raise ConvergenceError(f"heat trace is not finite at t = {t}")
     if err > 1e-8 * max(1.0, abs(total)):
         raise ConvergenceError(f"heat-trace quadrature error {err:.2e}")
-    return TraceInversion(t=t, bound_part=bound, continuum_stable=stable,
-                          continuum_unstable=unstable, err_estimate=err)
+    return TraceInversion(t=t, total=total, bound_part=bound,
+                          continuum_stable=stable, continuum_unstable=unstable,
+                          err_estimate=err)

@@ -36,7 +36,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import loggamma, rgamma
 
 from .errors import BranchCollisionError, ConvergenceError, DomainError, PoleError
-from .resolvent import ResolventPolynomial, _band_integral, _product_integral
+from .resolvent import ResolventPolynomial, _band_integral
 from .specfun import _EPS, _near_nonpositive_integer, gamma_fn
 
 __all__ = [
@@ -338,56 +338,39 @@ def mellin_zeta(trace: HeatTrace, s: complex) -> ZetaEvaluation:
 # contour route
 # ---------------------------------------------------------------------------
 
-def _finite_band(rp: ResolventPolynomial, s: complex, lo: float,
-                 hi: float) -> tuple[complex, float]:
+def _band(rp: ResolventPolynomial, s: complex, lo: float,
+          hi: float) -> tuple[complex, float]:
     """int rho(lam) lam^{-s} over the band (lo, hi); a band below 0 carries
-    |lam|^{-s} e^{-i pi s}; the exponent at an edge at 0 is -1/2 - s."""
+    |lam|^{-s} e^{-i pi s}; the exponent at an edge at 0 is -1/2 - s.  On
+    the top band hi is the cut L, where the exponent is 0."""
+    top = lo == rp.bands()[-1][0]
     value, err = _band_integral(rp, lo, hi,
                                 lambda lam: np.exp(-s * np.log(np.abs(lam))),
                                 -0.5 - s if lo == 0.0 else -0.5,
-                                -0.5 - s if hi == 0.0 else -0.5)
+                                0.0 if top else -0.5 - s if hi == 0.0 else -0.5)
     if hi <= 0.0:
-        # |phase| = e^{pi Im s} overflows to inf at large Im s, and
-        # zeta_contour then raises on the value that is not finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            phase = complex(np.exp(-1j * np.pi * s))
+        phase = complex(np.exp(-1j * np.pi * s))
         return phase * value, abs(phase) * err
     return value, err
-
-
-def _top_band(rp: ResolventPolynomial, s: complex, lo: float,
-              scale: float) -> tuple[complex, float]:
-    """int (rho(lam) - c0 / sqrt(lam - lo)) lam^{-s} over (lo, inf), with
-    c0 = I0 / (2 pi) for the periodic cases and 0 for the kinks (both
-    from top_band_excess), mapped by lam = lo + scale (1 + x)/(1 - x);
-    the integrand decays as lam^{-3/2-s}, so the exponent at x = 1 is
-    s - 1/2.  Every other edge and 0 lie at most scale below lo, at
-    x <= -1, so the smooth factor is analytic up to x = 1."""
-    def F(opx, omx):
-        above = scale * opx / omx
-        lam = lo + above
-        rho = rp.top_band_excess(above)
-        return rho * np.exp(-s * np.log(lam)) * (2.0 * scale / (omx * omx))
-
-    return _product_integral(F, -0.5, s - 0.5)
 
 
 def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
     """zeta(s) from the resolvent trace, contour collapsed onto the cuts.
 
-    Kink cases integrate the renormalized density directly, for
-    -1/2 < Re s <= _RE_S_MAX.  The periodic cases are renormalized per
-    period against the free background
-    c0 / sqrt(lambda), c0 = I0 / (2 pi): on the top band (lo, inf) the
-    integrand subtracts c0 / sqrt(lambda - lo), and the whole background,
-    gaps and lower bands included, restores one exact term,
-    c0 sqrt(pi) Gamma(s - 1/2) / Gamma(s) lo^{1/2 - s}.  Negative bands
-    contribute with the e^{-i pi s} phase, and a kink bound state at
-    lambda > 0, whose residue is 1, as lambda^{-s}, with lambda ** -Re s
-    taken by pow.  Each band is integrated by product rules against its
-    edge exponents (-1/2 at a band edge, -1/2 - s at lambda = 0); the
-    error estimate sums the differences of the two rule orders over every
-    piece and 16 eps of every term.
+    Kink cases integrate the renormalized density, for -1/2 < Re s <=
+    _RE_S_MAX, the periodic cases the density per period, for -1/2 < Re s
+    < 1/2, whose free background c0 / sqrt(lambda), c0 = I0 / (2 pi), has
+    zeta = 0 by continuation.  Each band is integrated by product rules
+    against its edge exponents (-1/2 at a band edge, -1/2 - s at lambda =
+    0), a band below 0 with the phase e^{-i pi s}; the top band (lo, inf)
+    only up to L = 4R, R = max |r_i|, with exponent 0 there.  Above L its
+    heat-kernel series is integrated term by term in closed form (Gel'fand
+    and Dikii, Russ. Math. Surveys 30:5, 1975, 77); the sum is the
+    continuation in s, with poles at s = 1/2 - n.  A kink bound state at
+    lambda > 0, whose residue is 1, enters as lambda^{-s}, taken as
+    lambda ** -Re s times a phase.  The error estimate sums the
+    differences of the two rule orders over every piece and 16 eps of
+    every term.
     """
     s = complex(s)
     if rp.is_kink:
@@ -406,19 +389,28 @@ def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
     except OverflowError:
         raise DomainError(f"the bound-state term of the contour zeta overflows "
                           f"at s = {s}, b = {rp.b!r}") from None
+    # above L the series sum_n c_n lam^{-n-1/2}, c_n = (-1)^n g_n / pi,
+    # integrates to L^{1/2-s} sum_n (c_n / L^n) / (n + s - 1/2); heat_coeffs
+    # scales the roots by 1/L, since L^{-n} alone overflows at small b.  A
+    # kink's c_0 = 0 (no Weyl term) is left out, so s = 1/2 stays regular.
+    cut = 4.0 * max(map(abs, rp.roots))
+    c = rp.heat_coeffs(-1.0 / cut, 1.0 / math.pi)
+    n = np.flatnonzero(c)
+    try:
+        terms.append(cut ** (0.5 - s.real) * cmath.exp(-1j * s.imag * math.log(cut))
+                     * complex(np.sum(c[n] / (n + s - 0.5))))
+    except OverflowError:
+        raise DomainError(f"the top-band tail of the contour zeta overflows "
+                          f"at s = {s}, b = {rp.b!r}") from None
     err = 0.0
     bands = rp.bands()
-    top = bands[-1][0]
-    for lo, hi in bands[:-1]:
-        v, e = _finite_band(rp, s, lo, hi)
-        terms.append(v)
-        err += e
-    v, e = _top_band(rp, s, top, top - min(bands[0][0], 0.0))
-    terms.append(v)
-    err += e
-    if not rp.is_kink:
-        terms.append(rp.moments[0] / (2.0 * _SQRT_PI) * gamma_fn(s - 0.5)
-                     * complex(rgamma(s)) * cmath.exp((0.5 - s) * math.log(top)))
+    # lambda^{-s} overflows at small lambda and large Re s, and e^{-i pi s}
+    # at large Im s; the value then is not finite and raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in bands[:-1] + ((bands[-1][0], cut),):
+            v, e = _band(rp, s, lo, hi)
+            terms.append(v)
+            err += e
     value = sum(terms)
     err += sum(map(abs, terms)) * 16.0 * _EPS   # rounding of the terms and their sum
     if not (cmath.isfinite(value) and math.isfinite(err)):

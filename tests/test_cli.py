@@ -258,19 +258,37 @@ class TestContracts:
 
     @pytest.mark.parametrize("argv", [
         ("heattrace", "--case", "b", "--k", "0.5", "--t", "1000"),
-        ("heattrace", "--case", "nahm", "--t", "800"),
-        # a subnormal t: the top band's cut 745/t overflows
-        ("heattrace", "--case", "b", "--k", "0.5", "--t", "5e-324"),
-        ("heattrace", "--case", "d", "--k", "0.5", "--t", "5e-324"),
-        ("heattrace", "--case", "nahm", "--t", "5e-324"),
-        ("heattrace", "--case", "c", "--b", "0.3", "--t", "5e-324"),
-        ("heattrace", "--case", "c", "--b", "1", "--t", "5e-324")])
+        ("heattrace", "--case", "nahm", "--t", "800")])
     def test_heat_trace_overflow_exit_4(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 4
         assert out == ""
         assert err.startswith("numerical failure:")
         assert err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("heattrace", "--case", "b", "--k", "0.5", "--t", "5e-324"),
+        ("heattrace", "--case", "d", "--k", "0.5", "--t", "5e-324"),
+        ("heattrace", "--case", "nahm", "--t", "5e-324"),
+        ("heattrace", "--case", "c", "--b", "0.3", "--t", "5e-324"),
+        ("heattrace", "--case", "c", "--b", "1", "--t", "5e-324")])
+    def test_subnormal_time_prints_the_series_value(self, capsys, argv):
+        # the heat-kernel series holds at a subnormal t: per length the
+        # Weyl term 1/sqrt(4 pi t) of a period, the closed form of a kink
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        header, rows = parse_csv(out)
+        t = float(rows[0][header.index("t")])
+        if "c" in argv:
+            b = float(argv[argv.index("--b") + 1])
+            want = (math.erf(2.0 * b * math.sqrt(t))
+                    + math.exp(-3.0 * b * b * t) * math.erf(b * math.sqrt(t)))
+            got = float(rows[0][header.index("total")])
+        else:
+            # 4 pi t would round in the subnormal range; sqrt(t) is exact
+            want = 1.0 / (2.0 * math.sqrt(math.pi) * math.sqrt(t))
+            got = float(rows[0][header.index("total_per_length")])
+        assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("k, t", [("0.5", "1e-300"), ("0.9", "1e-220")])
     def test_top_band_keeps_its_weyl_term(self, capsys, k, t):

@@ -408,24 +408,6 @@ class TestSpectralStructure:
             want = [-rp.gamma_hat(-(lo + d)).imag / math.pi for d in d_lo]
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("case,k", [(CaseTag.B, 0.3), (CaseTag.D, 0.5),
-                                        (CaseTag.NAHM, None)])
-    def test_top_band_excess_keeps_digits(self, case, k):
-        # rho - I0 / (2 pi sqrt(lambda - lo)) falls as lambda^{-3/2} while
-        # both terms fall as lambda^{-1/2}; at 40 digits the difference is
-        # exact, and the float form keeps it to 1e-12 out to 1e9 lo
-        rp = build_resolvent(case, 1.0, k=k)
-        lo = rp.bands()[-1][0]
-        above = lo * np.logspace(-6, 9, 31)
-        got = rp.top_band_excess(above)
-        with mp.workdps(40):
-            ref = Periodic(case.value, k)
-            top = ref.e[-1]
-            want = [ref.rho(top + mp.mpf(a), top, mp.mpf(a))
-                    - ref.c0 / mp.sqrt(a) for a in above]
-        for g, w in zip(got, want):
-            assert abs(g - float(w)) <= 1e-12 * abs(float(w))
-
 
 class TestLaplaceInversion:
     def test_case_a_is_erf(self):
@@ -457,10 +439,22 @@ class TestLaplaceInversion:
     @pytest.mark.parametrize("case,k", [(CaseTag.A, None), (CaseTag.B, 0.5),
                                         (CaseTag.C, None), (CaseTag.D, 0.5),
                                         (CaseTag.NAHM, None)])
-    def test_subnormal_time_is_a_convergence_error(self, case, k):
-        # t g underflows, so the top band's cut 745/(t g) overflows
-        with pytest.raises(ConvergenceError, match="cut"):
-            invert_laplace_gamma(build_resolvent(case, 1.0, k=k), 5e-324)
+    def test_subnormal_time_is_the_series_value(self, case, k):
+        # t R <= 1, so the total is the heat-kernel series: per length the
+        # Weyl term 1/sqrt(4 pi t) of a period, erf of a kink
+        t = 5e-324
+        rp = build_resolvent(case, 1.0, k=k)
+        inv = invert_laplace_gamma(rp, t)
+        if case is CaseTag.A:
+            want = math.erf(math.sqrt(t))
+        elif case is CaseTag.C:
+            want = math.erf(2.0 * math.sqrt(t)) + math.erf(math.sqrt(t))
+        else:
+            # 4 pi t would round in the subnormal range; sqrt(t) is exact
+            weyl = 1.0 / (2.0 * math.sqrt(math.pi) * math.sqrt(t))
+            assert inv.total / rp.period == pytest.approx(weyl, rel=1e-12)
+            return
+        assert abs(inv.total - want) <= inv.err_estimate
 
     @pytest.mark.parametrize("case,k,t", [(CaseTag.B, 0.5, 1000.0),
                                           (CaseTag.NAHM, None, 800.0)])
