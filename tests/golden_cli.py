@@ -4,9 +4,10 @@
 INVOCATIONS, the exit code and the exact stdout; ``test_golden_cli.py``
 replays them in-process and requires both to be byte-identical.  The set
 covers every command whose output a refactor must not move: resolvent for
-each case, zeta on the kink and periodic routes (s = 0 takes the top band's
-complex exponent -1/2), heattrace for each case on the deterministic
-product rule, correction, figure-z, solution and energy.  The
+each case, zeta on the kink and periodic routes (s = 0 included, where
+1/Gamma(s) = 0), heattrace for each case on both sides of the switch
+between the band integrals and the heat-kernel series (t R = 1, R the
+largest |root| of Q), correction, figure-z, solution and energy.  The
 LAPACK-backed oracle is left out.  Rebuild the table only
 on purpose, when an output is meant to change, after reviewing each changed
 cell (argv, line, old, new) that --diff prints without writing:
@@ -17,14 +18,20 @@ cell (argv, line, old, new) that --diff prints without writing:
 --diff exits 1 when any cell differs from the table and 0 when it prints
 "no changes", so it can gate a script.  A moved number in a row that has a
 closed_form cell (heattrace --case a, energy) also shows its old and new
-distance to that cell in ulps, so a rebuild can show that no value moved
-away from its closed form.
+distance to that cell in ulps, and a moved re or im cell of a zeta row its
+old and new distance |zeta - reference| beside the row's printed err: the
+reference is the closed_form row at the same s for case A, and for B, D
+and NAHM at b = 1 the 30-digit mpmath value of contour_reference.py
+(a few seconds a value).  So a rebuild can show that no value moved away
+from its reference.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import importlib.util
 import io
 import json
 import math
@@ -109,17 +116,62 @@ def _ulps_to_closed_form(header: list[str], ca: list[str], cb: list[str],
     return f" | ulps to closed_form {da:.4g} -> {db:.4g}"
 
 
+@functools.lru_cache(maxsize=None)
+def _periodic_zeta(case: str, k: str | None, s: str) -> complex:
+    """zeta(s) of a periodic case at b = 1 from contour_reference.py, at its
+    30 digits; that script never imports kinkzeta."""
+    spec = importlib.util.spec_from_file_location(
+        "contour_reference", TABLE.with_name("contour_reference.py"))
+    ref = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ref)
+    with ref.mp.workdps(ref.DPS):
+        return complex(ref.Periodic(case, None if k is None else float(k))
+                       .zeta(complex(float(s))))
+
+
+def _zeta_reference(argv: list[str], rows: list[list[str]],
+                    s: str) -> complex | None:
+    """The reference of a zeta row at s: the closed_form row at the same s
+    for case A, _periodic_zeta for B, D and NAHM at b = 1; None otherwise."""
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    case = opts.get("--case")
+    if case == "a":
+        return next((complex(float(r[1]), float(r[2])) for r in rows[1:]
+                     if r[0] == s and r[3] == "closed_form"), None)
+    if case in ("b", "d", "nahm") and float(opts.get("--b", "1")) == 1.0:
+        return _periodic_zeta(case, opts.get("--k"), s)
+    return None
+
+
+def _distance_to_reference(argv: list[str], a: list[list[str]],
+                           b: list[list[str]], n: int, j: int) -> str:
+    """' | to reference OLD -> NEW (err ERR)' for a moved re or im cell j of
+    line n of a zeta table, each side against its own reference, ERR the
+    new row's printed err; '' otherwise."""
+    if argv[0] != "zeta" or a[0][1:5] != ["re", "im", "method", "err"] \
+            or j not in (1, 2) or a[n][0] != b[n][0]:
+        return ""
+    ref_a, ref_b = (_zeta_reference(argv, rows, rows[n][0]) for rows in (a, b))
+    if ref_a is None or ref_b is None:
+        return ""
+    da = abs(complex(float(a[n][1]), float(a[n][2])) - ref_a)
+    db = abs(complex(float(b[n][1]), float(b[n][2])) - ref_b)
+    return f" | to reference {da:.3g} -> {db:.3g} (err {float(b[n][4]):.3g})"
+
+
 def diff(old: dict, new: dict) -> list[str]:
     """One line per changed cell of an invocation: argv, line number (or
     'code'), old and new value; tables are compared cell by cell, and a
     moved number in a row with a closed_form cell also shows its old and
-    new distance to it in ulps."""
-    argv = " ".join(new["argv"])
+    new distance to it in ulps, a moved zeta value its distance to its
+    reference."""
+    argv = new["argv"]
+    name = " ".join(argv)
     if old is None:
-        return [f"{argv}: new invocation"]
+        return [f"{name}: new invocation"]
     out = []
     if old["code"] != new["code"]:
-        out.append(f"{argv} | code | {old['code']} -> {new['code']}")
+        out.append(f"{name} | code | {old['code']} -> {new['code']}")
     a, b = _table(old["stdout"]), _table(new["stdout"])
     header = b[0] if b and a and a[0] == b[0] else []
     for n in range(max(len(a), len(b))):
@@ -129,11 +181,12 @@ def diff(old: dict, new: dict) -> list[str]:
             continue
         if len(ca) == len(cb):
             head = ca[0] if ca[0] == cb[0] else ""
-            out += [f"{argv} | line {n + 1} {head} col {j} | {x} -> {y}"
-                    + (_ulps_to_closed_form(header, ca, cb, j) if n else "")
+            out += [f"{name} | line {n + 1} {head} col {j} | {x} -> {y}"
+                    + (_ulps_to_closed_form(header, ca, cb, j)
+                       + _distance_to_reference(argv, a, b, n, j) if n else "")
                     for j, (x, y) in enumerate(zip(ca, cb)) if x != y]
         else:
-            out.append(f"{argv} | line {n + 1} | {','.join(ca)} -> {','.join(cb)}")
+            out.append(f"{name} | line {n + 1} | {','.join(ca)} -> {','.join(cb)}")
     return out
 
 

@@ -52,3 +52,31 @@ def test_diff_shows_ulps_to_the_closed_form():
     old = {"argv": ["z"], "code": 0, "stdout": "t,closed_form,total\n1.0,,2.0\n"}
     new = {"argv": ["z"], "code": 0, "stdout": "t,closed_form,total\n1.0,,3.0\n"}
     assert golden_cli.diff(old, new) == ["z | line 2 1.0 col 2 | 2.0 -> 3.0"]
+
+
+def test_diff_shows_distance_to_the_zeta_reference(monkeypatch):
+    # a moved re or im cell of a zeta row: |zeta - reference| on each side,
+    # case A against its own closed_form row, beside the new printed err
+    head = "s,re,im,method,err,meta_2Ki,meta_Ki_minus_Ei\n"
+    row = "0.25,{v},0.0,{m},{e},,\n"
+    closed = row.format(v=-0.5, m="closed_form", e=0.0)
+    argv = ["zeta", "--case", "a", "--s", "0.25"]
+    old = {"argv": argv, "code": 0,
+           "stdout": head + closed + row.format(v=-0.5 + 2 ** -53, m="contour", e=1e-15)}
+    new = {"argv": argv, "code": 0,
+           "stdout": head + closed + row.format(v=-0.5, m="contour", e=1e-15)}
+    assert golden_cli.diff(old, new) == [
+        "zeta --case a --s 0.25 | line 3 0.25 col 1 | -0.4999999999999999 -> -0.5"
+        " | to reference 1.11e-16 -> 0 (err 1e-15)"]
+    # B, D and NAHM at b = 1 take the mpmath value of contour_reference.py;
+    # a moved err cell alone shows no distance
+    monkeypatch.setattr(golden_cli, "_periodic_zeta", lambda case, k, s: -0.5 + 0j)
+    argv = ["zeta", "--case", "b", "--k", "0.5", "--s", "0.25"]
+    old = {"argv": argv, "code": 0,
+           "stdout": head + row.format(v=-0.5 + 2 ** -53, m="contour", e=1e-15)}
+    new = {"argv": argv, "code": 0,
+           "stdout": head + row.format(v=-0.5, m="contour", e=2e-15)}
+    assert golden_cli.diff(old, new) == [
+        "zeta --case b --k 0.5 --s 0.25 | line 2 0.25 col 1 | -0.4999999999999999 -> -0.5"
+        " | to reference 1.11e-16 -> 0 (err 2e-15)",
+        "zeta --case b --k 0.5 --s 0.25 | line 2 0.25 col 4 | 1e-15 -> 2e-15"]
