@@ -66,6 +66,8 @@ INVOCATIONS = [
     ["heattrace", "--case", "b", "--k", "0.5", "--t", "0.25,1,2"],
     ["heattrace", "--case", "d", "--k", "0.7", "--t", "0.25,1,2"],
     ["heattrace", "--case", "nahm", "--t", "0.25,1,2"],
+    ["heattrace", "--case", "a", "--t", "1e-100,1e-29"],
+    ["heattrace", "--case", "c", "--t", "1e-100"],
     ["zeta", "--case", "b", "--k", "0.5", "--s", "0"],
 ]
 
