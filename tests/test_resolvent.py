@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from contour_reference import Periodic
 from kinkzeta import models, resolvent, specfun, zetareg
 from kinkzeta.errors import ConvergenceError, DomainError, PoleError
 from kinkzeta.resolvent import (CaseTag, build_resolvent, hermit_residual,
@@ -407,6 +406,31 @@ class TestSpectralStructure:
                 got = rp.band_density(lo, hi, d_lo, (hi - lo) - d_lo)
             want = [-rp.gamma_hat(-(lo + d)).imag / math.pi for d in d_lo]
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+class TestHeatCoefficients:
+    @pytest.mark.parametrize("case,b,k", [(CaseTag.B, 1.0, 0.5), (CaseTag.B, 1.3, 0.9),
+                                          (CaseTag.D, 1.0, 0.7), (CaseTag.NAHM, 1.0, None),
+                                          (CaseTag.A, 1.0, None), (CaseTag.C, 0.8, None)])
+    def test_first_three_are_the_moments_of_u(self, case, b, k):
+        # gamma(t) = (4 pi t)^{-1/2} sum a_n t^n with a_0 = int 1,
+        # a_1 = -int u, a_2 = (1/2) int u^2, so g_n = a_n Gamma(n + 1/2) /
+        # (2 sqrt pi): g_0 = I0/2, g_1 = -int u/4, g_2 = (3/16) int u^2 over
+        # a period; a kink is relative to u = nu, so a_0 = 0, u - nu
+        # replaces u and u^2 - nu^2 = w (w + 2 nu) replaces u^2
+        rp = build_resolvent(case, b, k=k)
+        if rp.is_kink:
+            # w falls as e^{-2 b |x|}, below 1e-15 at b |x| = 18
+            x, h = np.linspace(-18.0 / b, 18.0 / b, 2001, retstep=True)
+            w = rp.u_of_x(x) - rp.nu
+            moments = (0.0, np.sum(w) * h, np.sum(w * (w + 2.0 * rp.nu)) * h)
+        else:
+            # the trapezoid rule over a period of the analytic u
+            u = rp.u_of_x(rp.period * np.arange(512) / 512)
+            moments = (rp.period, np.mean(u) * rp.period, np.mean(u * u) * rp.period)
+        want = (moments[0] / 2.0, -moments[1] / 4.0, 3.0 * moments[2] / 16.0)
+        for got, w in zip(rp.heat_coeffs(1.0)[:3], want):
+            assert abs(got - w) <= 1e-13 * max(1.0, abs(w))
 
 
 class TestLaplaceInversion:
