@@ -12,7 +12,8 @@ continued.  Three routes are implemented and cross-checked:
 * numerical Mellin transforms with the continuation performed by exact
   subtraction of the small-t and large-t asymptotic terms;
 * contour evaluation -int_l gamma_hat(p) (-p)^{-s} dp collapsed onto the
-  branch cuts and poles of the diagonal-resolvent trace.
+  branch cuts and poles of the diagonal-resolvent trace, the top band
+  above a cut taken from its heat-kernel series in closed form.
 
 (-p)^{-s} carries its cut along the positive real p axis with the lower
 half-plane prescription, so negative-lambda (unstable) bands contribute
@@ -208,7 +209,8 @@ def zeta_d_kink(s: complex, m: float, d: int) -> complex:
     s = complex(s)
     try:
         value = (-(2.0 ** (2 - d)) * math.pi ** (-0.5 * d)
-                 * cmath.exp((d - 1.0 - 2.0 * s) * math.log(m)) * _kink_T(s, d))
+                 * m ** (d - 1.0 - 2.0 * s.real) * cmath.exp(-2j * s.imag * math.log(m))
+                 * _kink_T(s, d))
     except OverflowError:
         value = math.inf
     return _finite(value, f"zeta_d_kink at s = {s}, m = {m!r}")
@@ -358,19 +360,16 @@ def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
     """zeta(s) from the resolvent trace, contour collapsed onto the cuts.
 
     Kink cases integrate the renormalized density, for -1/2 < Re s <=
-    _RE_S_MAX, the periodic cases the density per period, for -1/2 < Re s
-    < 1/2, whose free background c0 / sqrt(lambda), c0 = I0 / (2 pi), has
-    zeta = 0 by continuation.  Each band is integrated by product rules
-    against its edge exponents (-1/2 at a band edge, -1/2 - s at lambda =
-    0), a band below 0 with the phase e^{-i pi s}; the top band (lo, inf)
-    only up to L = 4R, R = max |r_i|, with exponent 0 there.  Above L its
-    heat-kernel series is integrated term by term in closed form (Gel'fand
-    and Dikii, Russ. Math. Surveys 30:5, 1975, 77); the sum is the
-    continuation in s, with poles at s = 1/2 - n.  A kink bound state at
-    lambda > 0, whose residue is 1, enters as lambda^{-s}, taken as
-    lambda ** -Re s times a phase.  The error estimate sums the
-    differences of the two rule orders over every piece and 16 eps of
-    every term.
+    _RE_S_MAX, the periodic cases the density per period, for |Re s| <
+    1/2.  Each band is integrated by product rules against its edge
+    exponents (-1/2 at a band edge, -1/2 - s at lambda = 0), a band below
+    0 with the phase e^{-i pi s}, the top band (lo, inf) only up to
+    L = 4R, R = max |r_i|, with exponent 0 there.  Above L its heat-kernel
+    series is integrated term by term; the sum continues in s, with poles
+    at s = 1/2 - n, and gives the free background c0 / sqrt(lambda) of a
+    period zeta = 0.  A kink bound state at lambda > 0 (residue 1) enters
+    as lambda ** -Re s times a phase.  The error estimate sums the two
+    rule orders' differences over every piece and 16 eps of every term.
     """
     s = complex(s)
     if rp.is_kink:
