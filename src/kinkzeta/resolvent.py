@@ -17,10 +17,11 @@ b^2 (rho (2 P P'' - P'^2) + rho' P P') - (p + u) P^2 + Q = 0 with
 rho = z^2(1-z) for kinks and z(1-z)(1-k^2+k^2 z) for the periodic cases.
 
 The module also assembles the per-period trace of G (gamma_hat), the
-relative spectral density along the branch cuts of sqrt(Q), and its
-inverse Laplace transform (the relative heat trace).  The band
-integrator, product rules against Jacobi weights, lives here; the heat
-trace and the contour zeta both run it.
+relative spectral density along the branch cuts of sqrt(Q), its inverse
+Laplace transform (the relative heat trace) and the heat-kernel
+coefficients of gamma_hat at large p, which give the heat trace at small
+t and the top band above a cut.  The band integrator, product rules
+against Jacobi weights, lives here; both traces' routes run it.
 
 Case tags: A = SG kink, B = SG periodic, C = GL kink, D = GL periodic,
 NAHM = the k^2 = -1 continuation of D.
