@@ -468,7 +468,7 @@ class TestKinkContourEstimate:
 
 
 class TestKinkThreeRoutes:
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=50, deadline=None, derandomize=True)
     @given(case=st.sampled_from([CaseTag.A, CaseTag.C]),
            log_b=st.floats(-3.0, 3.0), s=st.floats(-0.45, 10.0))
     def test_routes_agree_within_their_estimates(self, case, log_b, s):
