@@ -417,14 +417,16 @@ _LOG_OPY, _LOG_OMY = np.log(_OPY), np.log(_OMY)
 
 
 def _jacobi_moments(a: complex, b: complex, n: int) -> np.ndarray:
-    """G_k = int_{-1}^{1} (1 - x)^a (1 + x)^b T_k(x) dx for k < n.
+    """G_k = int_{-1}^{1} (1 - x)^a (1 + x)^b T_k(x) dx for k < n, complex
+    a, b with real parts above -1, from G_0 = 2^{a+b+1} B(a+1, b+1).
 
-    Forward recurrence (a+b+k+2) G_{k+1} + 2(a-b) G_k + (a+b-k+2) G_{k-1} = 0
-    from G_0 = 2^{a+b+1} B(a+1, b+1) and G_1 = G_0 (b-a)/(a+b+2), for
-    complex a, b with real parts above -1 (Piessens & Branders, BIT 13,
-    1973, the moments of QUADPACK's QAWS).  Where both exponents are real,
-    G_0 comes from math.gamma and 2.0 **, which hold it to a few eps,
-    against up to 35 eps through the complex Gamma.
+    At b = -1/2 the moments are the product G_{k+1} = G_k (k - a - 1/2) /
+    (k + a + 3/2) (GR 3.631.8 at x = cos theta); a = -1/2 mirrors it with
+    alternating signs.  Other pairs take the forward recurrence
+    (a+b+k+2) G_{k+1} + 2(a-b) G_k + (a+b-k+2) G_{k-1} = 0 from
+    G_1 = G_0 (b-a)/(a+b+2) (Piessens & Branders, BIT 13, 1973, the
+    moments of QUADPACK's QAWS).  Where both exponents are real, G_0 comes
+    from math.gamma and 2.0 **, a few eps against 35 via the complex Gamma.
     """
     ab = a + b
     g = [0j] * n
@@ -436,6 +438,10 @@ def _jacobi_moments(a: complex, b: complex, n: int) -> np.ndarray:
     else:
         g[0] = (cmath.exp((ab + 1.0) * math.log(2.0)) * specfun.gamma_fn(a + 1.0)
                 * specfun.gamma_fn(b + 1.0) * complex(rgamma(ab + 2.0)))
+    if -0.5 in (a, b):
+        e, sign = (a, 1.0) if b == -0.5 else (b, -1.0)
+        k = np.arange(n - 1)
+        return g[0] * np.cumprod(np.r_[1.0, sign * (k - e - 0.5) / (k + e + 1.5)])
     g[1] = g[0] * (b - a) / (ab + 2.0)
     amb2 = 2.0 * (a - b)
     for k in range(1, n - 1):
