@@ -171,12 +171,23 @@ def zeta_kink_1d(s: complex, b: float) -> complex:
     return zeta_d_kink(s, b, 1)
 
 
+def _gamma_ratio(x: complex, y: complex) -> complex:
+    """Gamma(x) / Gamma(y); math.gamma where real (a few eps, the complex
+    Gamma up to 32), unless Gamma(y) overflows or has a pole."""
+    if x.imag == 0.0:
+        try:
+            return math.gamma(x.real) / math.gamma(y.real)
+        except (OverflowError, ValueError):
+            pass
+    return gamma_fn(x) * complex(rgamma(y))
+
+
 def _kink_T(s: complex, d: int) -> complex:
     """Gamma(s + 1 - d/2) / ((2s - d + 1) Gamma(s)), pole-safe per d."""
     if d == 1:
         if _near_nonpositive_integer(s + 0.5):
             raise PoleError(f"kink zeta pole at s = {s}")
-        return gamma_fn(s + 0.5) * complex(rgamma(s + 1.0)) / 2.0
+        return _gamma_ratio(s + 0.5, s + 1.0) / 2.0
     if d == 2:
         if abs(2.0 * s - 1.0) < 1e-12:
             raise PoleError("kink zeta pole at s = 1/2 (d = 2)")
@@ -184,7 +195,7 @@ def _kink_T(s: complex, d: int) -> complex:
     if d == 3:
         if _near_nonpositive_integer(s - 0.5) or abs(s - 1.0) < 1e-12:
             raise PoleError(f"kink zeta pole at s = {s} (d = 3)")
-        return gamma_fn(s - 0.5) * complex(rgamma(s)) / (2.0 * s - 2.0)
+        return _gamma_ratio(s - 0.5, s) / (2.0 * s - 2.0)
     if abs(s - 1.0) < 1e-12 or abs(2.0 * s - 3.0) < 1e-12:
         raise PoleError(f"kink zeta pole at s = {s} (d = 4)")
     return 1.0 / ((2.0 * s - 3.0) * (s - 1.0))
