@@ -336,7 +336,10 @@ def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> Resolven
         ki, ei = _KE_IMAG
         moments = (2.0 * ki / b, 2.0 / b * (2.0 * ki - ei),
                    2.0 / b * (10.0 / 3.0 * ki - 2.0 * ei))
-    else:  # z = cn^2(bx; k) for B and D
+    else:  # z = cn^2(bx; k) for B and D; Izz cancels to about eps / k^4
+        if k2 * k2 < specfun._EPS:
+            raise DomainError(f"the period moments of case {case.value} "
+                              f"cancel to no digit at k = {k}")
         K, E = specfun.ellipke(k)
         Iz = 2.0 / (b * k2) * (E - kc2 * K)
         Izz = 2.0 / b * (K - 2.0 * (K - E) / k2
