@@ -338,8 +338,7 @@ def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> Resolven
                    2.0 / b * (10.0 / 3.0 * ki - 2.0 * ei))
     else:  # z = cn^2(bx; k) for B and D; Izz cancels to about eps / k^4
         if k2 * k2 < specfun._EPS:
-            raise DomainError(f"the period moments of case {case.value} "
-                              f"cancel to no digit at k = {k}")
+            raise DomainError(f"case {case.value} moments cancel at k = {k}")
         K, E = specfun.ellipke(k)
         Iz = 2.0 / (b * k2) * (E - kc2 * K)
         Izz = 2.0 / b * (K - 2.0 * (K - E) / k2
@@ -421,31 +420,33 @@ _LOG_OPY, _LOG_OMY = np.log(_OPY), np.log(_OMY)
 
 def _jacobi_moments(a: complex, b: complex, n: int) -> np.ndarray:
     """G_k = int_{-1}^{1} (1 - x)^a (1 + x)^b T_k(x) dx for k < n, complex
-    a, b with real parts above -1, from G_0 = 2^{a+b+1} B(a+1, b+1).
-
-    At b = -1/2 the moments are the product G_{k+1} = G_k (k - a - 1/2) /
-    (k + a + 3/2) (GR 3.631.8 at x = cos theta); a = -1/2 mirrors it with
-    alternating signs.  Other pairs take the forward recurrence
-    (a+b+k+2) G_{k+1} + 2(a-b) G_k + (a+b-k+2) G_{k-1} = 0 from
-    G_1 = G_0 (b-a)/(a+b+2) (Piessens & Branders, BIT 13, 1973, the
-    moments of QUADPACK's QAWS).  Where both exponents are real, G_0 comes
-    from math.gamma and 2.0 **, a few eps against 35 via the complex Gamma.
+    a, b with real parts above -1, from G_0 = 2^{a+b+1} B(a+1, b+1): at
+    b = -1/2 the product G_{k+1} = G_k (k - a - 1/2) / (k + a + 3/2) (GR
+    3.631.8 at x = cos theta), mirrored with alternating signs at a = -1/2;
+    other pairs take _moment_recurrence.  Where both exponents are real, G_0
+    comes from math.gamma and 2.0 **, a few eps against 35 via complex Gamma.
     """
-    ab = a + b
-    g = [0j] * n
     ca, cb = complex(a), complex(b)
     if ca.imag == 0.0 and cb.imag == 0.0:
         ra, rb = ca.real, cb.real
-        g[0] = (2.0 ** (ra + rb + 1.0) * math.gamma(ra + 1.0) * math.gamma(rb + 1.0)
-                / math.gamma(ra + rb + 2.0))
+        g0 = (2.0 ** (ra + rb + 1.0) * math.gamma(ra + 1.0) * math.gamma(rb + 1.0)
+              / math.gamma(ra + rb + 2.0))
     else:
-        g[0] = (cmath.exp((ab + 1.0) * math.log(2.0)) * specfun.gamma_fn(a + 1.0)
-                * specfun.gamma_fn(b + 1.0) * complex(rgamma(ab + 2.0)))
+        g0 = (cmath.exp((a + b + 1.0) * math.log(2.0)) * specfun.gamma_fn(a + 1.0)
+              * specfun.gamma_fn(b + 1.0) * complex(rgamma(a + b + 2.0)))
     if -0.5 in (a, b):
         e, sign = (a, 1.0) if b == -0.5 else (b, -1.0)
         k = np.arange(n - 1)
-        return g[0] * np.cumprod(np.r_[1.0, sign * (k - e - 0.5) / (k + e + 1.5)])
-    g[1] = g[0] * (b - a) / (ab + 2.0)
+        return g0 * np.cumprod(np.r_[1.0, sign * (k - e - 0.5) / (k + e + 1.5)])
+    return _moment_recurrence(g0, a, b, n)
+
+
+def _moment_recurrence(g0: complex, a: complex, b: complex, n: int) -> np.ndarray:
+    """The forward recurrence (a+b+k+2) G_{k+1} + 2(a-b) G_k + (a+b-k+2)
+    G_{k-1} = 0 from G_1 = G_0 (b-a)/(a+b+2) (Piessens & Branders, BIT 13,
+    1973, the moments of QUADPACK's QAWS)."""
+    ab = a + b
+    g = [g0, g0 * (b - a) / (ab + 2.0)] + [0j] * (n - 2)
     amb2 = 2.0 * (a - b)
     for k in range(1, n - 1):
         g[k + 1] = -(amb2 * g[k] + (ab - k + 2.0) * g[k - 1]) / (ab + k + 2.0)
