@@ -384,22 +384,18 @@ def hermit_residual(rp: ResolventPolynomial, p: complex, x: float,
 # against the modified moments of the weight.  Every piece runs the rules
 # of _ORDER and 2 _ORDER nodes; their difference is the error estimate, and
 # a piece where it exceeds _PIECE_TOL * max(1, |value|) is bisected.
-# The moments of the four weights with exponents in {0, -1/2} at both ends
-# (every heat-trace piece, every contour-zeta piece that touches neither
-# lambda = 0 nor infinity, and at s = 0 every piece) come from
-# _FIXED_MOMENTS, built at import; the other exponents carry s and get
-# their moments per call.
+# The four weights with exponents in {0, -1/2} at both ends (every
+# heat-trace piece, every contour-zeta piece off lambda = 0, and at s = 0
+# every piece) take _FIXED_MOMENTS, built at import; a piece at lambda = 0
+# carries -1/2 - s and gets its moments per call.
 # 64 nodes already resolve every band of the test tables to rounding (worst
-# 4.3e-14 on kzbench/reference.json, under 1 ms a value).  The order stays
-# 512 because the zeta-sweep benchmark's harness keeps about 0.3 KB for
-# every operation it runs, so its peak-memory bound caps the operation
-# rate, and every speed-up of a contour zeta pushes that run's peak memory
-# up.  Measured again on a shared 2-vCPU machine (two 20 s seeds): at 64
-# nodes zeta-sweep made 2.8-2.9 times the results per second, 35.6k-39.2k
-# operations, and read 94.6-95.3 MB of peak memory against 87.8-88.3 MB
-# at 512 (+7-9 %, over its 5 % bound; an earlier pair of sets read
-# 100.7-102.2 against 89.6-90.1 MB).  Order 64 waits for a harness that
-# keeps per-class aggregates instead (ROADMAP item 5).
+# 4.3e-14 on kzbench/reference.json).  The order stays 512 because the
+# zeta-sweep harness keeps about 0.28 KB per operation, so its 5 % bound on
+# peak memory caps the operation rate.  With the closed-form moments a
+# periodic zeta value takes about 0.6 ms, and zeta-sweep read 97.6 MB of
+# peak memory against 93.1 MB before them (medians of ten 20 s seeds on 2
+# shared vCPUs, +4.8 %, 1.1-6.5 % seed by seed).  Order 64 waits for a
+# harness that keeps per-class aggregates (ROADMAP item 5).
 _ORDER = 512
 _PIECE_TOL = 1e-11
 _MAX_PIECES = 200        # per band; past it pieces are taken as they are
@@ -428,9 +424,8 @@ def _jacobi_moments(a: complex, b: complex, n: int) -> np.ndarray:
     """
     ca, cb = complex(a), complex(b)
     if ca.imag == 0.0 and cb.imag == 0.0:
-        ra, rb = ca.real, cb.real
-        g0 = (2.0 ** (ra + rb + 1.0) * math.gamma(ra + 1.0) * math.gamma(rb + 1.0)
-              / math.gamma(ra + rb + 2.0))
+        g0 = (2.0 ** (ca.real + cb.real + 1.0) * math.gamma(ca.real + 1.0)
+              * math.gamma(cb.real + 1.0) / math.gamma(ca.real + cb.real + 2.0))
     else:
         g0 = (cmath.exp((a + b + 1.0) * math.log(2.0)) * specfun.gamma_fn(a + 1.0)
               * specfun.gamma_fn(b + 1.0) * complex(rgamma(a + b + 2.0)))
@@ -442,9 +437,8 @@ def _jacobi_moments(a: complex, b: complex, n: int) -> np.ndarray:
 
 
 def _moment_recurrence(g0: complex, a: complex, b: complex, n: int) -> np.ndarray:
-    """The forward recurrence (a+b+k+2) G_{k+1} + 2(a-b) G_k + (a+b-k+2)
-    G_{k-1} = 0 from G_1 = G_0 (b-a)/(a+b+2) (Piessens & Branders, BIT 13,
-    1973, the moments of QUADPACK's QAWS)."""
+    """(a+b+k+2) G_{k+1} + 2(a-b) G_k + (a+b-k+2) G_{k-1} = 0 from G_1 = G_0 (b-a)
+    / (a+b+2) (Piessens & Branders, BIT 13, 1973; QUADPACK's QAWS moments)."""
     ab = a + b
     g = [g0, g0 * (b - a) / (ab + 2.0)] + [0j] * (n - 2)
     amb2 = 2.0 * (a - b)
