@@ -173,7 +173,7 @@ def zeta_kink_1d(s: complex, b: float) -> complex:
 
 def _gamma_ratio(x: complex, y: complex) -> complex:
     """Gamma(x) / Gamma(y); math.gamma where real (a few eps, the complex
-    Gamma up to 32), unless Gamma(y) overflows or has a pole."""
+    route up to 36), unless Gamma(y) overflows or has a pole."""
     if x.imag == 0.0:
         try:
             return math.gamma(x.real) / math.gamma(y.real)

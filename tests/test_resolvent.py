@@ -560,16 +560,16 @@ class TestLaplaceInversion:
                 invert_laplace_gamma(rp, t)
 
 
-def _count_moments(monkeypatch):
-    """Record the exponent pair (a, b) of every _jacobi_moments call."""
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call of resolvent.<name>."""
     seen = []
-    moments = resolvent._jacobi_moments
+    func = getattr(resolvent, name)
 
-    def counted(a, b, n):
-        seen.append((a, b))
-        return moments(a, b, n)
+    def counted(*args):
+        seen.append(args)
+        return func(*args)
 
-    monkeypatch.setattr(resolvent, "_jacobi_moments", counted)
+    monkeypatch.setattr(resolvent, name, counted)
     return seen
 
 
@@ -586,7 +586,7 @@ class TestFixedMoments:
             assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
 
     def test_float_pairs_come_from_the_table(self, monkeypatch):
-        seen = _count_moments(monkeypatch)
+        seen = _count_calls(monkeypatch, "_jacobi_moments")
         for case, k in ALL_CASES:
             invert_laplace_gamma(build_resolvent(case, 1.0, k=k), 0.5)
         assert seen == []
@@ -594,7 +594,7 @@ class TestFixedMoments:
     def test_complex_exponents_at_s_zero_come_from_the_table(self, monkeypatch):
         # at s = 0 every exponent that carries s is a complex -1/2, looked
         # up by value
-        seen = _count_moments(monkeypatch)
+        seen = _count_calls(monkeypatch, "_jacobi_moments")
         ev = zetareg.zeta_contour(build_resolvent(CaseTag.B, 1.0, k=0.5), 0)
         assert cmath.isfinite(ev.value)
         assert seen == []
@@ -647,15 +647,8 @@ class TestClosedFormMoments:
         # NAHM, over real s in the strip, build one moment array per value
         # (none at s = 0, whose exponents are in the fixed table), and none
         # of them reaches the recurrence
-        seen = _count_moments(monkeypatch)
-        recurrences = []
-        recurrence = resolvent._moment_recurrence
-
-        def counted(g0, a, b, n):
-            recurrences.append((a, b))
-            return recurrence(g0, a, b, n)
-
-        monkeypatch.setattr(resolvent, "_moment_recurrence", counted)
+        seen = _count_calls(monkeypatch, "_jacobi_moments")
+        recurrences = _count_calls(monkeypatch, "_moment_recurrence")
         grid = (-0.45, -0.3, -0.1, 0.0, 0.1, 0.25, 0.4, 0.45, 0.48, 0.49)
         configs = [(case, k) for case in (CaseTag.B, CaseTag.D)
                    for k in (0.3, 0.5, 0.7, 0.9)] + [(CaseTag.NAHM, None)]
