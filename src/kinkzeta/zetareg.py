@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -172,13 +173,13 @@ def zeta_kink_1d(s: complex, b: float) -> complex:
 
 
 def _gamma_ratio(x: complex, y: complex) -> complex:
-    """Gamma(x) / Gamma(y); math.gamma where real (a few eps, the complex
-    route up to 36), unless Gamma(y) overflows or has a pole."""
-    if x.imag == 0.0:
-        try:
-            return math.gamma(x.real) / math.gamma(y.real)
-        except (OverflowError, ValueError):
-            pass
+    """Gamma(x) / Gamma(y), by math.gamma where real and normal, else complex Gamma."""
+    try:
+        gx, gy = math.gamma(x.real), math.gamma(y.real)
+    except (OverflowError, ValueError):
+        gx = gy = 0.0
+    if x.imag == 0.0 and min(abs(gx), abs(gy)) >= sys.float_info.min:
+        return gx / gy
     return gamma_fn(x) * complex(rgamma(y))
 
 

@@ -100,6 +100,7 @@ def not_finite(cell) -> bool:
 @given(argv=ARGV)
 @example(argv=["zeta", "--case=c", "--b=1e-30", "--s=9"])
 @example(argv=["resolvent", "--case=b", "--k=1e-150"])
+@example(argv=["zeta", "--case=a", "--s=-250.3"])
 @example(argv=["solution", "--family=sg", "--k=0.5", "--x-min=-1e308",
                "--x-max=1e308", "--n=3"])
 def test_cli_failure_contract(argv):

@@ -246,13 +246,23 @@ class TestKinkZetaD:
         assert got.imag == 0.0
         assert abs(got.real - ref) <= 16.0 * specfun._EPS * abs(ref)
 
-    @pytest.mark.parametrize("d, s", [(1, 170.6), (3, 171.5), (3, 1e-310)])
+    @pytest.mark.parametrize("d, s", [(1, 170.6), (3, 171.5), (3, 1e-310),
+                                      (1, -171.3), (3, -170.3)])
     def test_real_s_where_a_gamma_overflows(self, d, s):
-        # where math.gamma overflows (past 171.6, or 1/s at a subnormal s)
-        # the ratio takes the complex Gamma, which keeps the value finite
+        # where math.gamma overflows (past 171.6, or 1/s at a subnormal s) or
+        # leaves the normal floats (a subnormal Gamma near s = -171), the
+        # ratio takes the complex Gamma, which keeps the value finite
         with mp.workdps(40):
             ref = _zeta_d_mp(mp.mpf(s), mp.mpf(1), d)
         assert abs(zetareg.zeta_d_kink(s, 1.0, d) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("s", [-175.3, -250.3])
+    def test_real_s_where_both_gamma_routes_fail_is_a_domain_error(self, d, s):
+        # math.gamma is subnormal or 0.0 there, and the complex route's
+        # Gamma and 1/Gamma reach 0 and inf
+        with pytest.raises(DomainError):
+            zetareg.zeta_d_kink(s, 1.0, d)
 
     def test_d4_smooth_at_zero(self):
         v = zetareg.zeta_d_kink(0.0, 1.0, 4)
