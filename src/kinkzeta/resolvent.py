@@ -337,8 +337,8 @@ def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> Resolven
         moments = (2.0 * ki / b, 2.0 / b * (2.0 * ki - ei),
                    2.0 / b * (10.0 / 3.0 * ki - 2.0 * ei))
     else:  # z = cn^2(bx; k) for B and D; Izz cancels to about eps / k^4
-        if k2 * k2 < specfun._EPS:
-            raise DomainError(f"case {case.value} moments cancel at k = {k}")
+        if 3.0 * k2 * k2 == 0.0:
+            raise DomainError(f"case {case.value} moments underflow at k = {k}")
         K, E = specfun.ellipke(k)
         Iz = 2.0 / (b * k2) * (E - kc2 * K)
         Izz = 2.0 / b * (K - 2.0 * (K - E) / k2
@@ -420,8 +420,7 @@ def _jacobi_moments(a: complex, b: complex, n: int) -> np.ndarray:
     b = -1/2 the product G_{k+1} = G_k (k - a - 1/2) / (k + a + 3/2) (GR
     3.631.8 at x = cos theta), mirrored with alternating signs at a = -1/2;
     other pairs take _moment_recurrence.  Where both exponents are real, G_0
-    comes from math.gamma and 2.0 **, a few eps against 35 via complex Gamma.
-    """
+    comes from math.gamma and 2.0 **, a few eps against 35 via complex Gamma."""
     ca, cb = complex(a), complex(b)
     if ca.imag == 0.0 and cb.imag == 0.0:
         g0 = (2.0 ** (ca.real + cb.real + 1.0) * math.gamma(ca.real + 1.0)

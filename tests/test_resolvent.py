@@ -125,12 +125,10 @@ class TestCoefficients:
         with pytest.raises(DomainError, match="round to one float"):
             build_resolvent(CaseTag.D, 1.0, k=1e-5)
 
-    @pytest.mark.parametrize("k", [1e-150, 1e-5])
-    def test_case_b_moments_that_cancel_are_a_domain_error(self, k):
-        # Izz cancels to about eps / k^4, which is no digit below k ~ 1.2e-4;
-        # below k ~ 1.2e-81 its 3 k^2 k^2 underflows to a division by zero
-        with pytest.raises(DomainError, match="cancel"):
-            build_resolvent(CaseTag.B, 1.0, k=k)
+    def test_case_b_moments_that_underflow_are_a_domain_error(self):
+        # below k ~ 1.2e-81 the 3 k^2 k^2 under Izz underflows to a zero divisor
+        with pytest.raises(DomainError, match="underflow"):
+            build_resolvent(CaseTag.B, 1.0, k=1e-150)
 
     def test_small_b_keeps_its_roots(self):
         b = 1e-40
