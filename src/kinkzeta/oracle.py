@@ -10,6 +10,12 @@ tridiagonal; a Bloch-phased period is a periodic tridiagonal ring, solved
 as a Hermitian matrix of bandwidth 2 after the ring is reordered (real at
 theta = 0 and pi, complex otherwise).
 
+The band edges need no eigensolve of the ring.  With site 0 removed it is
+a Dirichlet chain T', whose eigenvalues mu_j interlace those of the ring
+at theta = 0 and pi, and each edge is the one root in its interlacing
+bracket of the Schur complement of T' (Golub, SIAM Rev. 15, 1973, 318):
+one bisection for the mu_j, then a few O(n) tridiagonal solves an edge.
+
 The heat trace needs no complex solve.  The ring's characteristic
 polynomial is affine in cos theta (van Moerbeke, Invent. Math. 37, 1976):
 
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eig_banded, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError, DomainError
 
@@ -51,6 +59,8 @@ __all__ = [
 _TRACE_TAIL = 1e-17   # dropped bands: at most this share of e^{-t hi_0}
 _MAX_NEWTON = 100     # Newton steps per band of lattice_heat_trace
 _N_THETA = 32         # Bloch phases of lattice_heat_trace on (0, pi)
+_EDGE_TOL = 8.0       # edge bracket width, in eps (4/h^2 + max|u|)
+_MAX_EDGE_SOLVES = 100  # Schur-complement solves per band edge
 
 
 @dataclass(frozen=True)
@@ -71,6 +81,10 @@ class LatticeSpec:
     def __post_init__(self):
         if not -math.inf < self.x_min < self.x_max < math.inf:
             raise DomainError("the box needs finite x_min < x_max")
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise DomainError(f"n must be an integer, got {self.n!r}") from None
         if self.n < 8:
             raise DomainError("n too small for a meaningful lattice")
         if self.bc not in ("dirichlet", "periodic"):
@@ -186,18 +200,130 @@ def relative_heat_trace(spec: LatticeSpec, nu: float, t: float) -> float:
 
 
 def band_edges_lattice(spec: LatticeSpec, n_edges: int) -> np.ndarray:
-    """Band edges from the Bloch problem at theta = 0 and theta = pi.
+    """The lowest n_edges band edges of a periodic lattice, ascending.
 
-    The edges alternate 1, 2, 2, 2, ... between the periodic and
-    antiperiodic reductions, so the lowest n_edges of their union, sorted,
-    are the edges.  Each solve asks for n_edges // 2 + 3 eigenvalues, two
-    more than needed: another count changes LAPACK's selection and with it
-    the last bits of the edges.
+    T', the ring without site 0, is a Dirichlet chain on the sites
+    1..n-1; one LAPACK bisection gives its lowest ceil(n_edges / 2)
+    eigenvalues mu_j.  By Cauchy interlacing, eigenvalue j of the ring at
+    theta = 0 or pi lies in [mu_{j-1}, mu_j], mu_{-1} = min u (Gerschgorin),
+    where it is the one root of the Schur complement
+
+        S(lambda) = d_0 - lambda - h^-4 w^T (T' - lambda)^-1 w,
+        w = e_first + cos(theta) e_last,
+
+    strictly decreasing between its poles.  Band j runs from theta = 0 to
+    theta = pi for even j and back for odd j, so edge i is eigenvalue i // 2
+    at theta = pi when (i + 1) // 2 is odd and at theta = 0 otherwise;
+    only those roots are solved, by _secular_root.  n_edges outside
+    [1, n] raises DomainError.  CONVENTIONS item 23 gives the accuracy and
+    the cost.
     """
-    count = n_edges // 2 + 3
-    lam = np.concatenate([bloch_eigenvalues(spec, 0.0, count),
-                          bloch_eigenvalues(spec, math.pi, count)])
-    return np.sort(lam)[:n_edges]
+    if spec.bc != "periodic":
+        raise DomainError("band_edges_lattice requires a periodic lattice")
+    try:
+        n_edges = operator.index(n_edges)
+    except TypeError:
+        raise DomainError(f"n_edges must be an integer, got {n_edges!r}") from None
+    if not 1 <= n_edges <= spec.n:
+        raise DomainError(f"n_edges must be in [1, {spec.n}], got {n_edges}")
+    hop2 = spec.h ** -2
+    diag = spec.diagonal
+    chain = diag[1:]
+    off = np.full(spec.n - 2, -hop2)
+    mu = eigvalsh_tridiagonal(chain, off, select="i",
+                              select_range=(0, (n_edges - 1) // 2))
+    u = diag - 2.0 * hop2
+    tol = _EDGE_TOL * np.finfo(float).eps * (4.0 * hop2 + float(np.max(np.abs(u))))
+    edges = np.empty(n_edges)
+    for i in range(n_edges):
+        j = i // 2
+        w = np.zeros(spec.n - 1)
+        w[0] = 1.0
+        w[-1] = -1.0 if (i + 1) // 2 % 2 else 1.0      # cos theta
+
+        def schur(lam, w=w):
+            """S(lambda) and S'(lambda) = -1 - h^-4 |(T' - lambda)^-1 w|^2."""
+            *_, y, info = dgtsv(off, chain - lam, off, w)
+            if info:
+                raise ConvergenceError(f"band_edges_lattice: T' - {lam!r} is singular")
+            return (diag[0] - lam - hop2 * hop2 * (y[0] + w[-1] * y[-1]),
+                    -1.0 - hop2 * hop2 * float(y @ y))
+
+        lo = float(mu[j - 1]) if j else float(np.min(u)) - tol   # mu_{-1} = min u
+        edges[i] = _secular_root(schur, lo, float(mu[j]), i % 2 == 1 or i == 0, tol)
+    return edges
+
+
+def _pole_step(x: float, f: float, fp: float, p: float, r: float) -> float:
+    """Root of g + g' (lambda - x) - r / (p - lambda) on x's side of p, the
+    model of S with the pole p of residue r taken out of the value f and
+    slope fp at x (g = f + r/(p - x), g' = fp + r/(p - x)^2 <= -1)."""
+    dist = p - x
+    if dist == 0.0:
+        return x - f / fp
+    g = f + r / dist
+    gp = min(fp + r / (dist * dist), -1.0)
+    a = g + gp * dist
+    disc = math.sqrt(a * a - 4.0 * gp * r)
+    if dist > 0.0:
+        back = 2.0 * r / (a + disc) if a >= 0.0 else (a - disc) / (2.0 * gp)
+    else:
+        back = (a + disc) / (2.0 * gp) if a >= 0.0 else 2.0 * r / (a - disc)
+    return p - back
+
+
+def _secular_root(schur, lo: float, hi: float, near_hi: bool, tol: float) -> float:
+    """The root in [lo, hi] of the decreasing schur(lambda) -> (S, S').
+
+    An edge sits next to one end of its bracket, the near end (hi for an
+    upper edge or the lowest one, lo for a lower edge).  The first solve is
+    tol inside it.  If S changes sign there, the root is within tol of the
+    end: the end's Dirichlet eigenvector has no weight on the ends of T'
+    to rounding, its pole is removable, and the end itself is returned
+    (deflation, as in divide and conquer).  Otherwise S and S' there fix a
+    pole p = lambda + S/S' of residue S^2/|S'|, the pole at the near end
+    or the next one past it, and each step is the root of the model with
+    that pole (_pole_step); a step that leaves the bracket is replaced by
+    Newton's, and one that leaves it too or is not half the step before
+    last by bisection.  A step shorter than tol/2 is lengthened to tol/2 so
+    that the bracket closes from both sides.  The solve stops when the
+    bracket is at most tol wide; past _MAX_EDGE_SOLVES solves it raises
+    ConvergenceError.
+    """
+    if hi - lo <= 2.0 * tol:
+        return 0.5 * (lo + hi)
+    x = hi - tol if near_hi else lo + tol
+    f, fp = schur(x)
+    if f == 0.0:
+        return x
+    if (f > 0.0) == near_hi:
+        return hi if near_hi else lo
+    lo, hi = (x, hi) if f > 0.0 else (lo, x)
+    step = f / fp
+    p, r = x + step, -f * step
+    if abs(step) > 2.0 * tol and lo < x - step < hi:
+        x -= step                 # the near end is no pole: a Newton step
+    else:
+        x = 0.5 * (lo + hi)
+    dx_old = dx = hi - lo
+    for _ in range(_MAX_EDGE_SOLVES - 1):
+        f, fp = schur(x)
+        if f == 0.0:
+            return x
+        lo, hi = (x, hi) if f > 0.0 else (lo, x)
+        new = _pole_step(x, f, fp, p, r)
+        if not lo <= new <= hi:
+            new = x - f / fp
+        if hi - lo <= tol:
+            return min(max(new, lo), hi)
+        if abs(new - x) < 0.5 * tol:
+            new = x + math.copysign(0.5 * tol, f)
+        elif not lo < new < hi or abs(new - x) > 0.5 * abs(dx_old):
+            new = 0.5 * (lo + hi)
+        dx_old, dx = dx, new - x
+        x = new
+    raise ConvergenceError(
+        f"band_edges_lattice: edge not converged in {_MAX_EDGE_SOLVES} solves")
 
 
 def _band_roots(a: np.ndarray, b: np.ndarray, j: int, theta: np.ndarray,

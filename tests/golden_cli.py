@@ -20,10 +20,11 @@ cell (argv, line, old, new) that --diff prints without writing:
 closed_form cell (heattrace --case a, energy) also shows its old and new
 distance to that cell in ulps, and a moved re or im cell of a zeta row its
 old and new distance |zeta - reference| beside the row's printed err: the
-reference is the closed_form row at the same s for case A, and for B, D
-and NAHM at b = 1 the 30-digit mpmath value of contour_reference.py
-(a few seconds a value).  So a rebuild can show that no value moved away
-from its reference.
+reference is, for case A, its closed form -b^{-2s} Gamma(s + 1/2) /
+(sqrt(pi) Gamma(s + 1)) in mpmath at 40 digits, so a moved closed_form
+cell shows its distance too, and for B, D and NAHM at b = 1 the 30-digit
+mpmath value of contour_reference.py (a few seconds a value).  So a
+rebuild can show that no value moved away from its reference.
 """
 
 from __future__ import annotations
@@ -131,15 +132,24 @@ def _periodic_zeta(case: str, k: str | None, s: str) -> complex:
                        .zeta(complex(float(s))))
 
 
-def _zeta_reference(argv: list[str], rows: list[list[str]],
-                    s: str) -> complex | None:
-    """The reference of a zeta row at s: the closed_form row at the same s
-    for case A, _periodic_zeta for B, D and NAHM at b = 1; None otherwise."""
+@functools.lru_cache(maxsize=None)
+def _kink_zeta(b: str, s: str) -> complex:
+    """zeta(s) of case A, -b^{-2s} Gamma(s + 1/2) / (sqrt(pi) Gamma(s + 1)),
+    in mpmath at 40 digits from the doubles the CLI read."""
+    import mpmath as mp
+    with mp.workdps(40):
+        s = mp.mpf(float(s))
+        return complex(-mp.mpf(float(b)) ** (-2 * s) * mp.gamma(s + 0.5)
+                       * mp.rgamma(s + 1) / mp.sqrt(mp.pi))
+
+
+def _zeta_reference(argv: list[str], s: str) -> complex | None:
+    """The reference of a zeta row at s: _kink_zeta for case A,
+    _periodic_zeta for B, D and NAHM at b = 1; None otherwise."""
     opts = dict(zip(argv[1::2], argv[2::2]))
     case = opts.get("--case")
     if case == "a":
-        return next((complex(float(r[1]), float(r[2])) for r in rows[1:]
-                     if r[0] == s and r[3] == "closed_form"), None)
+        return _kink_zeta(opts.get("--b", "1"), s)
     if case in ("b", "d", "nahm") and float(opts.get("--b", "1")) == 1.0:
         return _periodic_zeta(case, opts.get("--k"), s)
     return None
@@ -148,16 +158,16 @@ def _zeta_reference(argv: list[str], rows: list[list[str]],
 def _distance_to_reference(argv: list[str], a: list[list[str]],
                            b: list[list[str]], n: int, j: int) -> str:
     """' | to reference OLD -> NEW (err ERR)' for a moved re or im cell j of
-    line n of a zeta table, each side against its own reference, ERR the
-    new row's printed err; '' otherwise."""
+    line n of a zeta table, both sides against the reference at its s, ERR
+    the new row's printed err; '' otherwise."""
     if argv[0] != "zeta" or a[0][1:5] != ["re", "im", "method", "err"] \
             or j not in (1, 2) or a[n][0] != b[n][0]:
         return ""
-    ref_a, ref_b = (_zeta_reference(argv, rows, rows[n][0]) for rows in (a, b))
-    if ref_a is None or ref_b is None:
+    ref = _zeta_reference(argv, b[n][0])
+    if ref is None:
         return ""
-    da = abs(complex(float(a[n][1]), float(a[n][2])) - ref_a)
-    db = abs(complex(float(b[n][1]), float(b[n][2])) - ref_b)
+    da = abs(complex(float(a[n][1]), float(a[n][2])) - ref)
+    db = abs(complex(float(b[n][1]), float(b[n][2])) - ref)
     return f" | to reference {da:.3g} -> {db:.3g} (err {float(b[n][4]):.3g})"
 
 

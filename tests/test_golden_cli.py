@@ -1,6 +1,7 @@
 """CLI stdout and exit codes against the golden table of golden_cli.py."""
 
 import json
+import math
 
 import pytest
 
@@ -56,18 +57,25 @@ def test_diff_shows_ulps_to_the_closed_form():
 
 def test_diff_shows_distance_to_the_zeta_reference(monkeypatch):
     # a moved re or im cell of a zeta row: |zeta - reference| on each side,
-    # case A against its own closed_form row, beside the new printed err
+    # beside the new printed err; case A against its closed form in mpmath,
+    # so a moved closed_form cell shows its distance too, and an unmoved
+    # row, whose distance cannot change, shows nothing
     head = "s,re,im,method,err,meta_2Ki,meta_Ki_minus_Ei\n"
-    row = "0.25,{v},0.0,{m},{e},,\n"
-    closed = row.format(v=-0.5, m="closed_form", e=0.0)
+    row = "0.25,{v!r},0.0,{m},{e},,\n"
+    ref = golden_cli._kink_zeta("1", "0.25")
+    assert ref == pytest.approx(
+        -math.gamma(0.75) / (math.sqrt(math.pi) * math.gamma(1.25)), rel=1e-15)
+    z = ref.real
+    moved = z + 4 * math.ulp(z)
+    contour = row.format(v=z - math.ulp(z), m="contour", e=1e-15)
     argv = ["zeta", "--case", "a", "--s", "0.25"]
     old = {"argv": argv, "code": 0,
-           "stdout": head + closed + row.format(v=-0.5 + 2 ** -53, m="contour", e=1e-15)}
+           "stdout": head + row.format(v=moved, m="closed_form", e=0.0) + contour}
     new = {"argv": argv, "code": 0,
-           "stdout": head + closed + row.format(v=-0.5, m="contour", e=1e-15)}
+           "stdout": head + row.format(v=z, m="closed_form", e=0.0) + contour}
     assert golden_cli.diff(old, new) == [
-        "zeta --case a --s 0.25 | line 3 0.25 col 1 | -0.4999999999999999 -> -0.5"
-        " | to reference 1.11e-16 -> 0 (err 1e-15)"]
+        f"zeta --case a --s 0.25 | line 2 0.25 col 1 | {moved!r} -> {z!r}"
+        f" | to reference {4 * math.ulp(z):.3g} -> 0 (err 0)"]
     # B, D and NAHM at b = 1 take the mpmath value of contour_reference.py;
     # a moved err cell alone shows no distance
     monkeypatch.setattr(golden_cli, "_periodic_zeta", lambda case, k, s: -0.5 + 0j)

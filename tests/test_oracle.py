@@ -1,5 +1,6 @@
 """Lattice spectral oracle: reference wells, Bloch edges, heat traces."""
 
+import functools
 import math
 
 import numpy as np
@@ -59,6 +60,16 @@ class TestEigenvalues:
     def test_bounds_must_be_finite(self, x_min, x_max):
         with pytest.raises(DomainError):
             oracle.LatticeSpec(x_min, x_max, 100, "periodic", lambda x: 0.0)
+
+    @pytest.mark.parametrize("n", [900.0, 64.5, "64"])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(DomainError, match="integer"):
+            oracle.LatticeSpec(0.0, 7.0, n, "periodic", lambda x: 0.0)
+
+    def test_numpy_integer_n(self):
+        spec = oracle.LatticeSpec(0.0, 7.0, np.int64(64), "periodic", lambda x: 0.0)
+        assert type(spec.n) is int and spec.n == 64
+        assert len(oracle.band_edges_lattice(spec, 3)) == 3
 
 
 class TestSampling:
@@ -193,6 +204,92 @@ class TestBandEdges:
                        (2 * math.pi / L) ** 2 + c0,
                        (2 * math.pi / L) ** 2 + c0])
         assert np.allclose(edges, free, atol=2e-3)
+
+    @pytest.mark.parametrize("n", [64, 65, 900])
+    @pytest.mark.parametrize("c", [0.0, 2.5, -3.0])
+    def test_closed_gaps_of_a_constant_potential(self, n, c):
+        # every gap is closed: each edge is an end of its bracket (deflation)
+        spec = oracle.LatticeSpec(0.0, 3.7, n, "periodic", lambda x: c)
+        j = np.arange(n)
+        four = 4.0 / spec.h ** 2
+        want = np.sort(np.concatenate([c + four * np.sin(math.pi * j / n) ** 2,
+                                       c + four * np.sin(math.pi * (j + 0.5) / n) ** 2]))
+        got = oracle.band_edges_lattice(spec, 9)
+        assert np.max(np.abs(got - want[:9])) <= 1e-13 * (four + abs(c))
+
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize("n_edges", [None, 7])
+    @pytest.mark.parametrize("case, k", [
+        (CaseTag.B, 0.02), (CaseTag.B, 0.5), (CaseTag.B, 0.99),
+        (CaseTag.D, 0.02), (CaseTag.D, 0.3), (CaseTag.D, 0.99),
+        (CaseTag.NAHM, None)])
+    def test_matches_dense_rings(self, case, k, n, n_edges):
+        spec, ref = dense_edges(case, k, n)
+        m = len(build_resolvent(case, 1.0, k=k).roots) if n_edges is None else n_edges
+        got = oracle.band_edges_lattice(spec, m)
+        scale = 4.0 / spec.h ** 2 + np.max(np.abs(spec.diagonal - 2.0 / spec.h ** 2))
+        assert np.max(np.abs(got - ref[:m])) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("case, k", [(CaseTag.B, 0.3), (CaseTag.NAHM, None)])
+    def test_matches_dense_rings_at_workload_size(self, case, k):
+        # the two banded eigensolves were 6.0e-9 off here
+        spec, ref = dense_edges(case, k, 900)
+        m = len(build_resolvent(case, 1.0, k=k).roots)
+        assert np.max(np.abs(oracle.band_edges_lattice(spec, m) - ref[:m])) <= 1e-9
+
+    @pytest.mark.parametrize("n", [8, 65])
+    def test_every_edge(self, n):
+        spec, ref = dense_edges(CaseTag.D, 0.99, n)
+        scale = 4.0 / spec.h ** 2 + np.max(np.abs(spec.diagonal - 2.0 / spec.h ** 2))
+        assert np.max(np.abs(oracle.band_edges_lattice(spec, n) - ref[:n])) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n_edges", [-1, 0, 65, 2.5])
+    def test_edge_count_outside_the_lattice(self, n_edges):
+        spec = oracle.LatticeSpec(0.0, 1.0, 64, "periodic", lambda x: 0.0)
+        with pytest.raises(DomainError, match="n_edges"):
+            oracle.band_edges_lattice(spec, n_edges)
+
+    def test_requires_periodic(self):
+        spec = oracle.LatticeSpec(0.0, 1.0, 16, "dirichlet", lambda x: 0.0)
+        with pytest.raises(DomainError, match="periodic"):
+            oracle.band_edges_lattice(spec, 3)
+
+    def test_no_bloch_eigensolve(self, monkeypatch):
+        rp = build_resolvent(CaseTag.D, 1.0, k=0.5)
+        spec = oracle.LatticeSpec(0.0, rp.period, 64, "periodic", rp.u_of_x)
+        thetas = []
+        solve = oracle.bloch_eigenvalues
+
+        def counted(spec, theta, count=None):
+            thetas.append(theta)
+            return solve(spec, theta, count)
+
+        monkeypatch.setattr(oracle, "bloch_eigenvalues", counted)
+        oracle.band_edges_lattice(spec, len(rp.roots))
+        assert thetas == []
+
+    def test_solve_cap_raises(self, monkeypatch):
+        rp = build_resolvent(CaseTag.B, 1.0, k=0.5)
+        spec = oracle.LatticeSpec(0.0, rp.period, 64, "periodic", rp.u_of_x)
+        monkeypatch.setattr(oracle, "_MAX_EDGE_SOLVES", 2)
+        with pytest.raises(ConvergenceError, match="not converged"):
+            oracle.band_edges_lattice(spec, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def dense_edges(case, k, n):
+    """A period of the case at b = 1 and its reference edges: the theta = 0
+    and pi rings solved densely as real symmetric matrices, both spectra
+    sorted together."""
+    rp = build_resolvent(case, 1.0, k=k)
+    spec = oracle.LatticeSpec(0.0, rp.period, n, "periodic", rp.u_of_x)
+    hop = -1.0 / spec.h ** 2
+    spectra = []
+    for cos_theta in (1.0, -1.0):
+        H = np.diag(spec.diagonal) + hop * (np.eye(n, k=1) + np.eye(n, k=-1))
+        H[0, n - 1] = H[n - 1, 0] = cos_theta * hop
+        spectra.append(np.linalg.eigvalsh(H))
+    return spec, np.sort(np.concatenate(spectra))
 
 
 def dense_bloch(spec, theta):
