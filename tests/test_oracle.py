@@ -1,6 +1,5 @@
 """Lattice spectral oracle: reference wells, Bloch edges, heat traces."""
 
-import functools
 import math
 
 import numpy as np
@@ -13,6 +12,30 @@ from kinkzeta.resolvent import CaseTag, build_resolvent
 
 def sech2(x):
     return 1.0 / np.cosh(x) ** 2
+
+
+def period_spec(case, k, n):
+    """One period of the case at b = 1 on n points, and its number of edges."""
+    rp = build_resolvent(case, 1.0, k=k)
+    return oracle.LatticeSpec(0.0, rp.period, n, "periodic", rp.u_of_x), len(rp.roots)
+
+
+def dense_edges(spec):
+    """Reference edges: the theta = 0 and pi rings solved densely as real
+    symmetric matrices, both spectra sorted together."""
+    n = spec.n
+    hop = -1.0 / spec.h ** 2
+    spectra = []
+    for cos_theta in (1.0, -1.0):
+        H = np.diag(spec.diagonal) + hop * (np.eye(n, k=1) + np.eye(n, k=-1))
+        H[0, n - 1] = H[n - 1, 0] = cos_theta * hop
+        spectra.append(np.linalg.eigvalsh(H))
+    return np.sort(np.concatenate(spectra))
+
+
+def edge_bar(spec):
+    """1e-13 (4/h^2 + max|u|), the accuracy asked of every edge."""
+    return 1e-13 * (4.0 / spec.h ** 2 + np.max(np.abs(spec.diagonal - 2.0 / spec.h ** 2)))
 
 
 class TestEigenvalues:
@@ -215,7 +238,7 @@ class TestBandEdges:
         want = np.sort(np.concatenate([c + four * np.sin(math.pi * j / n) ** 2,
                                        c + four * np.sin(math.pi * (j + 0.5) / n) ** 2]))
         got = oracle.band_edges_lattice(spec, 9)
-        assert np.max(np.abs(got - want[:9])) <= 1e-13 * (four + abs(c))
+        assert np.max(np.abs(got - want[:9])) <= edge_bar(spec)
 
     @pytest.mark.parametrize("n", [64, 65])
     @pytest.mark.parametrize("n_edges", [None, 7])
@@ -224,24 +247,27 @@ class TestBandEdges:
         (CaseTag.D, 0.02), (CaseTag.D, 0.3), (CaseTag.D, 0.99),
         (CaseTag.NAHM, None)])
     def test_matches_dense_rings(self, case, k, n, n_edges):
-        spec, ref = dense_edges(case, k, n)
-        m = len(build_resolvent(case, 1.0, k=k).roots) if n_edges is None else n_edges
+        spec, n_roots = period_spec(case, k, n)
+        m = n_roots if n_edges is None else n_edges
         got = oracle.band_edges_lattice(spec, m)
-        scale = 4.0 / spec.h ** 2 + np.max(np.abs(spec.diagonal - 2.0 / spec.h ** 2))
-        assert np.max(np.abs(got - ref[:m])) <= 1e-13 * scale
+        assert np.max(np.abs(got - dense_edges(spec)[:m])) <= edge_bar(spec)
 
     @pytest.mark.parametrize("case, k", [(CaseTag.B, 0.3), (CaseTag.NAHM, None)])
     def test_matches_dense_rings_at_workload_size(self, case, k):
         # the two banded eigensolves were 6.0e-9 off here
-        spec, ref = dense_edges(case, k, 900)
-        m = len(build_resolvent(case, 1.0, k=k).roots)
-        assert np.max(np.abs(oracle.band_edges_lattice(spec, m) - ref[:m])) <= 1e-9
+        spec, m = period_spec(case, k, 900)
+        got = oracle.band_edges_lattice(spec, m)
+        assert np.max(np.abs(got - dense_edges(spec)[:m])) <= 1e-9
 
-    @pytest.mark.parametrize("n", [8, 65])
-    def test_every_edge(self, n):
-        spec, ref = dense_edges(CaseTag.D, 0.99, n)
-        scale = 4.0 / spec.h ** 2 + np.max(np.abs(spec.diagonal - 2.0 / spec.h ** 2))
-        assert np.max(np.abs(oracle.band_edges_lattice(spec, n) - ref[:n])) <= 1e-13 * scale
+    @pytest.mark.parametrize("spec", [
+        period_spec(CaseTag.D, 0.99, 8)[0], period_spec(CaseTag.D, 0.99, 65)[0],
+        # bands 1e-12 wide: brackets narrower than the tolerance
+        oracle.LatticeSpec(0.0, 4.0, 64, "periodic",
+                           lambda x: 1e4 * np.cos(math.pi * x) ** 2)],
+        ids=["d-0.99-8", "d-0.99-65", "barriers-64"])
+    def test_every_edge(self, spec):
+        got = oracle.band_edges_lattice(spec, spec.n)
+        assert np.max(np.abs(got - dense_edges(spec)[:spec.n])) <= edge_bar(spec)
 
     @pytest.mark.parametrize("n_edges", [-1, 0, 65, 2.5])
     def test_edge_count_outside_the_lattice(self, n_edges):
@@ -268,28 +294,28 @@ class TestBandEdges:
         oracle.band_edges_lattice(spec, len(rp.roots))
         assert thetas == []
 
+    def test_closed_gap_edge_takes_one_solve(self, monkeypatch):
+        # every edge but the lowest is an end of its bracket (deflation)
+        spec = oracle.LatticeSpec(0.0, 3.7, 64, "periodic", lambda x: 2.5)
+        solves = []
+        solve = oracle.dgtsv
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(oracle, "dgtsv", counted)
+        oracle.band_edges_lattice(spec, 1)
+        lowest = len(solves)
+        oracle.band_edges_lattice(spec, 9)
+        assert len(solves) - 2 * lowest == 8
+
     def test_solve_cap_raises(self, monkeypatch):
         rp = build_resolvent(CaseTag.B, 1.0, k=0.5)
         spec = oracle.LatticeSpec(0.0, rp.period, 64, "periodic", rp.u_of_x)
         monkeypatch.setattr(oracle, "_MAX_EDGE_SOLVES", 2)
         with pytest.raises(ConvergenceError, match="not converged"):
             oracle.band_edges_lattice(spec, 3)
-
-
-@functools.lru_cache(maxsize=None)
-def dense_edges(case, k, n):
-    """A period of the case at b = 1 and its reference edges: the theta = 0
-    and pi rings solved densely as real symmetric matrices, both spectra
-    sorted together."""
-    rp = build_resolvent(case, 1.0, k=k)
-    spec = oracle.LatticeSpec(0.0, rp.period, n, "periodic", rp.u_of_x)
-    hop = -1.0 / spec.h ** 2
-    spectra = []
-    for cos_theta in (1.0, -1.0):
-        H = np.diag(spec.diagonal) + hop * (np.eye(n, k=1) + np.eye(n, k=-1))
-        H[0, n - 1] = H[n - 1, 0] = cos_theta * hop
-        spectra.append(np.linalg.eigvalsh(H))
-    return spec, np.sort(np.concatenate(spectra))
 
 
 def dense_bloch(spec, theta):
