@@ -39,6 +39,8 @@ import math
 import sys
 from pathlib import Path
 
+import mpmath as mp
+
 TABLE = Path(__file__).resolve().with_name("golden_cli.json")
 
 INVOCATIONS = [
@@ -136,7 +138,6 @@ def _periodic_zeta(case: str, k: str | None, s: str) -> complex:
 def _kink_zeta(b: str, s: str) -> complex:
     """zeta(s) of case A, -b^{-2s} Gamma(s + 1/2) / (sqrt(pi) Gamma(s + 1)),
     in mpmath at 40 digits from the doubles the CLI read."""
-    import mpmath as mp
     with mp.workdps(40):
         s = mp.mpf(float(s))
         return complex(-mp.mpf(float(b)) ** (-2 * s) * mp.gamma(s + 0.5)
