@@ -214,9 +214,9 @@ def band_edges_lattice(spec: LatticeSpec, n_edges: int) -> np.ndarray:
     strictly decreasing between its poles.  Band j runs from theta = 0 to
     theta = pi for even j and back for odd j, so edge i is eigenvalue i // 2
     at theta = pi when (i + 1) // 2 is odd and at theta = 0 otherwise;
-    only those roots are solved, by _secular_root.  n_edges outside
-    [1, n] raises DomainError.  CONVENTIONS item 23 gives the accuracy and
-    the cost.
+    only those roots are solved, by _secular_root.  An n_edges that is
+    not an integer in [1, n] raises DomainError.  CONVENTIONS item 23 gives
+    the accuracy and the cost.
     """
     if spec.bc != "periodic":
         raise DomainError("band_edges_lattice requires a periodic lattice")
