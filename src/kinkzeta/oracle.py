@@ -118,28 +118,26 @@ class LatticeSpec:
         return 2.0 / self.h ** 2 + u
 
 
-def _lowest(count: int | None, size: int) -> dict:
-    """LAPACK selection keywords for the lowest count of size eigenvalues."""
-    if count is None or count >= size:
-        return {}
-    if count < 1:
-        raise DomainError("count must be at least 1")
-    return dict(select="i", select_range=(0, count - 1))
-
-
 def eigenvalues(spec: LatticeSpec, count: int | None = None) -> np.ndarray:
-    """Ascending eigenvalues of a Dirichlet box: symmetric tridiagonal on
-    the interior points, solved by the LAPACK bisection path.  A periodic
-    lattice is solved per Bloch phase by bloch_eigenvalues."""
+    """Ascending eigenvalues of a Dirichlet box, all or the lowest count (an
+    integer >= 1, else DomainError), by LAPACK on the symmetric tridiagonal
+    of the interior points; a periodic lattice takes bloch_eigenvalues."""
     if spec.bc != "dirichlet":
         raise DomainError("eigenvalues requires a Dirichlet box")
     diag = spec.diagonal
     off = np.full(len(diag) - 1, -1.0 / spec.h ** 2)
-    return eigvalsh_tridiagonal(diag, off, **_lowest(count, len(diag)))
+    try:
+        lowest = len(diag) if count is None else operator.index(count)
+    except TypeError:
+        lowest = 0
+    if lowest < 1:
+        raise DomainError(f"count must be an integer of at least 1, got {count!r}")
+    if lowest >= len(diag):
+        return eigvalsh_tridiagonal(diag, off)
+    return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, lowest - 1))
 
 
-def bloch_eigenvalues(spec: LatticeSpec, theta: float,
-                      count: int | None = None) -> np.ndarray:
+def bloch_eigenvalues(spec: LatticeSpec, theta: float) -> np.ndarray:
     """Eigenvalues at Bloch phase theta on one period (psi(x+L) = e^{i theta} psi).
 
     The ring is reordered as 0, n-1, 1, n-2, ...; every neighbour pair is
@@ -163,7 +161,7 @@ def bloch_eigenvalues(spec: LatticeSpec, theta: float,
     band[1, 0] = hop * (math.cos(theta) if real else cmath.exp(1j * theta))
     band[1, n - 2] = hop
     band[2, :n - 2] = hop
-    return eig_banded(band, lower=True, eigvals_only=True, **_lowest(count, n))
+    return eig_banded(band, lower=True, eigvals_only=True)
 
 
 def relative_heat_trace(spec: LatticeSpec, nu: float, t: float) -> float:

@@ -351,9 +351,8 @@ def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> Resolven
                                moments=moments)
 
 
-def hermit_residual(rp: ResolventPolynomial, p: complex, x: float,
-                    scale: float = 1.0) -> float:
-    """Magnitude of the bilinear-identity defect for G = scale * P/(2 sqrt Q).
+def hermit_residual(rp: ResolventPolynomial, p: complex, x: float) -> float:
+    """Magnitude of the bilinear-identity defect for G = P/(2 sqrt Q).
 
     Computed from exact z-polynomial derivatives and the chain rule
     z_x^2 = 4 b^2 rho(z), z_xx = 2 b^2 rho'(z); for the true G the value
@@ -368,9 +367,8 @@ def hermit_residual(rp: ResolventPolynomial, p: complex, x: float,
               for i, row in enumerate(rows))
     rho = rp.rho(z)
     rho_z = _polyval(_polyder(rp.rho_coeffs), z)
-    s2 = scale * scale
-    R = (rp.b ** 2 * (rho * (2.0 * P * Pzz - Pz * Pz) + rho_z * P * Pz) * s2
-         - (pc + rp.u_of_z(z)) * P * P * s2 + rp.Q(pc))
+    R = (rp.b ** 2 * (rho * (2.0 * P * Pzz - Pz * Pz) + rho_z * P * Pz)
+         - (pc + rp.u_of_z(z)) * P * P + rp.Q(pc))
     return abs(R / rp.Q(pc))
 
 
@@ -574,12 +572,12 @@ def invert_laplace_gamma(rp: ResolventPolynomial, t: float) -> TraceInversion:
     reported separately (unstable sector).  Each finite band runs the
     product rules of the contour zeta with exponent -1/2 at its edges.
     Where t R <= 1, R = max |r_i|, the total is the entire heat-kernel
-    series sum g_n t^{n-1/2} / Gamma(n + 1/2), powers taken as
-    g_n t^n / sqrt(t), and the top band is what it leaves; elsewhere the
-    top band is integrated (_top_band_heat).  The error estimate sums the
-    rule differences and 16 eps of every term (of the series, where it
-    gives the total); past 1e-8 of the total, or when the total is not
-    finite, the inversion raises.
+    series sum g_n t^{n-1/2} / Gamma(n + 1/2), powers g_n t^n / sqrt(t),
+    only the bands below 0 are integrated and the stable part is what is
+    left; elsewhere each band is, the top one by _top_band_heat.  The error
+    estimate sums the rule differences and 16 eps of every term (of the
+    series, where it gives the total); past 1e-8 of the total, or when the
+    total is not finite, the inversion raises.
     """
     if not 0.0 < t < math.inf:
         raise DomainError("invert_laplace_gamma requires 0 < t < inf")
@@ -587,10 +585,11 @@ def invert_laplace_gamma(rp: ResolventPolynomial, t: float) -> TraceInversion:
     # the bound states lie at lambda >= 0, so math.exp stays finite
     bound = sum((math.exp(-lam * t) for lam in rp.bound_states()), 0.0)
     stable = unstable = err = 0.0
+    bands = [b for b in rp.bands() if b[0] < 0.0] if series else rp.bands()
     # e^{-lambda t} overflows on a low enough band; the total then is not
     # finite and raises below
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in rp.bands()[:-1] if series else rp.bands():
+        for lo, hi in bands:
             val, e = (_band_integral(rp, lo, hi, lambda lam: np.exp(-t * lam))
                       if hi < math.inf else _top_band_heat(rp, t))
             err += e

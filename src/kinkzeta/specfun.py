@@ -31,7 +31,6 @@ __all__ = [
     "WeierstrassParams",
     "weierstrass_params",
     "weierstrass_p",
-    "weierstrass_p_inverse",
     "weierstrass_zeta",
     "weierstrass_sigma",
     "gamma_fn",
@@ -303,32 +302,6 @@ def weierstrass_sigma(z: complex, params: WeierstrassParams) -> complex:
     return (2.0 * params.omega
             * cmath.exp(params.eta * z * z / (2.0 * params.omega))
             * theta1(z / (2.0 * params.omega), params.tau)[0] / params.dtheta0)
-
-
-def weierstrass_p_inverse(H: float, params: WeierstrassParams) -> complex:
-    """Solve p(rho) = H for real H on the fundamental-rectangle boundary.
-
-    With r = (H - e3)/(e1 - e3), p = e3 + (e1 - e3)/sn^2 and the imaginary
-    transformations of sn (DLMF 22.6, 23.6(ii)), each boundary segment
-    inverts through the incomplete integral F(phi | m) (DLMF 22.15):
-
-        H >= e1:        rho = F(asin r^{-1/2} | k^2) / scale
-        e2 <= H <= e1:  rho = omega + i F(asin sqrt((1 - r)/k'^2) | k'^2) / scale
-        e3 <= H <= e2:  rho = F(asin(sqrt(r)/k) | k^2) / scale + omega'
-        H <= e3:        rho = i F(atan (-r)^{-1/2} | k'^2) / scale
-
-    Residual |p(rho) - H| <= 1e-10 max(1, |H|), else ConvergenceError.
-    """
-    H = float(H)
-    if not math.isfinite(H):
-        raise DomainError(f"weierstrass_p_inverse requires a finite H, got {H}")
-    e1, e2, e3 = params.e1, params.e2, params.e3
-    segment = 0 if H >= e1 else 1 if H >= e2 else 2 if H >= e3 else 3
-    rho = _p_preimage((H - e3) / (e1 - e3), segment, params)
-    resid = abs(weierstrass_p(rho, params) - H)
-    if not resid <= 1e-10 * max(1.0, abs(H)):
-        raise ConvergenceError(f"weierstrass_p_inverse residual {resid:.2e}")
-    return rho
 
 
 def _p_preimage(r: float, segment: int, params: WeierstrassParams) -> complex:

@@ -197,7 +197,7 @@ class TestGreenDiagonal:
 
 
 class TestNonFiniteInputs:
-    # a non-finite h, x, H, w or tau raises DomainError instead of a
+    # a non-finite h, x, w or tau raises DomainError instead of a
     # ZeroDivisionError, a ConvergenceError after 512 terms or a silent NaN
     @pytest.mark.parametrize("f, args", [
         (ba.green_diag, (0.3, math.inf, 0.5)),
@@ -206,16 +206,13 @@ class TestNonFiniteInputs:
         (ba.green_diag, (math.inf, 1.15, 0.5)),
         (ba.green_offdiag, (0.3, math.nan, 1.15, 0.5)),
         (ba.make_lame_solution, (math.nan, 0.5)),
-        (specfun.weierstrass_p_inverse, (math.nan, ba.lame_system(0.5))),
-        (specfun.weierstrass_p_inverse, (-math.inf, ba.lame_system(0.5))),
         (specfun.weierstrass_sigma, (complex(0.3, math.nan), ba.lame_system(0.5))),
         (specfun.weierstrass_zeta, (complex(math.inf, 0.3), ba.lame_system(0.5))),
         (specfun.theta1, (complex(math.nan, 0.0), 0.8j)),
         (specfun.theta1, (0.1, complex(0.0, math.inf))),
         (specfun.theta1, (0.1, complex(math.nan, 0.8))),
     ], ids=["h=inf", "h=-inf", "x=nan", "x=inf", "x0=nan", "lame h=nan",
-            "p_inverse H=nan", "p_inverse H=-inf", "sigma", "zeta",
-            "theta1 w=nan", "theta1 tau=inf", "theta1 tau=nan"])
+            "sigma", "zeta", "theta1 w=nan", "theta1 tau=inf", "theta1 tau=nan"])
     def test_domain_error(self, f, args):
         with pytest.raises(DomainError):
             f(*args)

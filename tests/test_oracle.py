@@ -55,13 +55,26 @@ class TestEigenvalues:
     def test_free_periodic_spectrum(self):
         spec = oracle.LatticeSpec(0.0, 2.0 * math.pi, 2000, "periodic",
                                   lambda x: 0.0)
-        lam = oracle.bloch_eigenvalues(spec, 0.0, count=5)
+        lam = oracle.bloch_eigenvalues(spec, 0.0)[:5]
         assert np.allclose(lam, [0.0, 1.0, 1.0, 4.0, 4.0], atol=1e-3)
 
     def test_requires_dirichlet(self):
         spec = oracle.LatticeSpec(0.0, 1.0, 16, "periodic", lambda x: 0.0)
         with pytest.raises(DomainError, match="Dirichlet"):
             oracle.eigenvalues(spec)
+
+    @pytest.mark.parametrize("count", [0, -3, 2.5, "4"])
+    def test_count_must_be_a_positive_integer(self, count):
+        spec = oracle.LatticeSpec(-1.0, 1.0, 16, "dirichlet", lambda x: 0.0)
+        with pytest.raises(DomainError, match="count"):
+            oracle.eigenvalues(spec, count)
+
+    def test_count_selects_the_lowest(self):
+        spec = oracle.LatticeSpec(-5.0, 5.0, 64, "dirichlet", sech2)
+        full = oracle.eigenvalues(spec)
+        assert np.allclose(oracle.eigenvalues(spec, 3), full[:3], rtol=0, atol=1e-12)
+        assert np.array_equal(oracle.eigenvalues(spec, 62), full)
+        assert np.array_equal(oracle.eigenvalues(spec, np.int64(100)), full)
 
     def test_richardson_convergence(self):
         # second-order scheme: doubling n cuts the error about fourfold
@@ -286,9 +299,9 @@ class TestBandEdges:
         thetas = []
         solve = oracle.bloch_eigenvalues
 
-        def counted(spec, theta, count=None):
+        def counted(spec, theta):
             thetas.append(theta)
-            return solve(spec, theta, count)
+            return solve(spec, theta)
 
         monkeypatch.setattr(oracle, "bloch_eigenvalues", counted)
         oracle.band_edges_lattice(spec, len(rp.roots))
@@ -343,12 +356,6 @@ class TestBlochEigenvalues:
         full = oracle.bloch_eigenvalues(spec, theta)
         assert full.shape == (n,)
         assert np.max(np.abs(full - ref)) < tol
-        low = oracle.bloch_eigenvalues(spec, theta, count=6)
-        assert np.max(np.abs(low - ref[:6])) < tol
-
-    def test_count_beyond_size_returns_all(self):
-        spec = oracle.LatticeSpec(0.0, 1.0, 16, "periodic", lambda x: 0.0)
-        assert len(oracle.bloch_eigenvalues(spec, 0.3, count=40)) == 16
 
     def test_requires_periodic(self):
         spec = oracle.LatticeSpec(0.0, 1.0, 16, "dirichlet", lambda x: 0.0)
@@ -417,9 +424,9 @@ class TestLatticeHeatTrace:
         thetas = []
         solve = oracle.bloch_eigenvalues
 
-        def counted(spec, theta, count=None):
+        def counted(spec, theta):
             thetas.append(theta)
-            return solve(spec, theta, count)
+            return solve(spec, theta)
 
         monkeypatch.setattr(oracle, "bloch_eigenvalues", counted)
         monkeypatch.setattr(oracle, "_N_THETA", n_theta)

@@ -2,6 +2,7 @@
 trace assembly, and the inverse Laplace transform of the trace."""
 
 import cmath
+import dataclasses
 import math
 
 import mpmath as mp
@@ -186,10 +187,13 @@ class TestHermit:
         assert hermit_residual(rp, p, x) < 1e-12
 
     def test_scaled_green_fails(self):
-        # the identity is not scale invariant: G -> 1.01 G breaks it
+        # the identity is not scale invariant: P -> 1.01 P, so G -> 1.01 G,
+        # breaks it
         for case, k in [(CaseTag.A, None), (CaseTag.D, 0.6), (CaseTag.NAHM, None)]:
             rp = build_resolvent(case, 1.0, k=k)
-            assert hermit_residual(rp, 1.0 + 1.0j, 0.4, scale=1.01) > 1e-3
+            scaled = dataclasses.replace(rp, p_rows=tuple(
+                tuple(1.01 * c for c in row) for row in rp.p_rows))
+            assert hermit_residual(scaled, 1.0 + 1.0j, 0.4) > 1e-3
 
 
 class TestBandEdges:

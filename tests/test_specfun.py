@@ -447,18 +447,19 @@ class TestWeierstrass:
             specfun.weierstrass_p(1e-12, self.params)
 
     def test_inverse_half_periods(self):
+        # r = (H - e3)/(e1 - e3): H = e1 is r = 1 on segment 0, H = e3 is
+        # r = 0 on segment 2
         p = self.params
-        assert specfun.weierstrass_p_inverse(p.e1, p) == pytest.approx(
-            p.omega, abs=1e-9)
-        rho3 = specfun.weierstrass_p_inverse(p.e3, p)
-        assert rho3 == pytest.approx(p.omega_p, abs=1e-9)
+        assert specfun._p_preimage(1.0, 0, p) == pytest.approx(p.omega, abs=1e-9)
+        assert specfun._p_preimage(0.0, 2, p) == pytest.approx(p.omega_p, abs=1e-9)
 
-    def test_inverse_round_trip(self):
+    @pytest.mark.parametrize("segment", [0, 1, 2, 3])
+    def test_inverse_round_trip(self, segment):
         p = self.params
+        lo, hi = [(p.e1, 8.0), (p.e2, p.e1), (p.e3, p.e2), (-8.0, p.e3)][segment]
         rng = np.random.default_rng(23)
-        for _ in range(20):
-            H = rng.uniform(-8.0, 8.0)
-            rho = specfun.weierstrass_p_inverse(H, p)
+        for H in rng.uniform(lo, hi, 5):
+            rho = specfun._p_preimage((H - p.e3) / (p.e1 - p.e3), segment, p)
             assert abs(specfun.weierstrass_p(rho, p) - H) < 1e-10 * max(1, abs(H))
 
     def test_zeta_derivative_is_minus_p(self):
@@ -494,8 +495,8 @@ class TestWeierstrass:
 
 
 class TestWeierstrassInverseProperty:
-    # segments 0-3 are H >= e1, [e2, e1], [e3, e2], H <= e3; 4-6 are H
-    # exactly e1, e2, e3
+    # segments 0-3 are H >= e1, [e2, e1), [e3, e2), H < e3; the draws 4-6
+    # are H exactly e1, e2, e3
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(k=st.floats(0.01, 0.99), seg=st.integers(0, 6),
            t=st.floats(0.0, 1.0))
@@ -504,15 +505,16 @@ class TestWeierstrassInverseProperty:
         e1, e2, e3 = p.e1, p.e2, p.e3
         H = [e1 + 50.0 * t, e2 + t * (e1 - e2), e3 + t * (e2 - e3),
              e3 - 50.0 * t, e1, e2, e3][seg]
-        rho = specfun.weierstrass_p_inverse(H, p)
+        segment = 0 if H >= e1 else 1 if H >= e2 else 2 if H >= e3 else 3
+        rho = specfun._p_preimage((H - e3) / (e1 - e3), segment, p)
         assert abs(specfun.weierstrass_p(rho, p) - H) <= 1e-13 * max(1.0, abs(H))
         w, wi, tol = p.omega, p.omega_imag, 1e-13
         x, y = rho.real, rho.imag
-        if H >= e1:
+        if segment == 0:
             assert y == 0.0 and 0.0 < x <= w * (1 + tol)
-        elif H >= e2:
+        elif segment == 1:
             assert x == w and 0.0 <= y <= wi * (1 + tol)
-        elif H >= e3:
+        elif segment == 2:
             assert y == wi and 0.0 <= x <= w * (1 + tol)
         else:
             assert x == 0.0 and 0.0 < y <= wi * (1 + tol)
