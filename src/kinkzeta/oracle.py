@@ -104,8 +104,8 @@ class LatticeSpec:
     def diagonal(self) -> np.ndarray:
         """2/h^2 + u on the unknowns: the interior points for Dirichlet,
         the whole grid for periodic.  u is sampled here and only here, in
-        one call; a result that does not broadcast to the points raises
-        DomainError."""
+        one call; a result that does not broadcast to the points, or is
+        not finite at one, raises DomainError."""
         x = self.grid()
         if self.bc == "dirichlet":
             x = x[1:-1]
@@ -115,6 +115,8 @@ class LatticeSpec:
         except ValueError:
             raise DomainError(f"u returned shape {u.shape} for {x.shape[0]} "
                               "grid points") from None
+        if not np.all(np.isfinite(u)):
+            raise DomainError("u is not finite at every grid point")
         return 2.0 / self.h ** 2 + u
 
 

@@ -137,6 +137,21 @@ class TestSampling:
         with pytest.raises(DomainError, match="grid points"):
             spec.diagonal
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bc, solve", [
+        ("periodic", lambda spec: oracle.band_edges_lattice(spec, 3)),
+        ("dirichlet", oracle.eigenvalues),
+        ("periodic", lambda spec: oracle.lattice_heat_trace(spec, 1.0)),
+        ("dirichlet", lambda spec: oracle.relative_heat_trace(spec, 1.0, 1.0))],
+        ids=["band_edges_lattice", "eigenvalues", "lattice_heat_trace",
+             "relative_heat_trace"])
+    def test_sample_not_finite_is_a_domain_error(self, bc, solve, bad):
+        # one bad sample in the middle of the grid, where every solve reads it
+        spec = oracle.LatticeSpec(-4.0, 4.0, 64, bc,
+                                  lambda x: np.where(np.abs(x) < 0.07, bad, 0.0))
+        with pytest.raises(DomainError, match="not finite"):
+            solve(spec)
+
 
 class TestRelativeTrace:
     def make_pair(self, b=1.0, n=3000):
