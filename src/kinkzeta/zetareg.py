@@ -101,6 +101,8 @@ def erf_heat_trace(b: float) -> HeatTrace:
 def vacuum_heat_trace(nu: float, d: int) -> HeatTrace:
     """Constant-background trace e^{-nu t} / (2 sqrt(pi t))^d per unit volume,
     on the time scale T = 1/nu."""
+    if d not in (1, 2, 3, 4):
+        raise DomainError("d must be 1..4")
     T = 1.0 / nu if 0.0 < nu < math.inf else 0.0
     if not 0.0 < T < math.inf:
         raise DomainError(f"vacuum_heat_trace requires 0 < 1/nu < inf, got nu = {nu!r}")
@@ -142,15 +144,18 @@ def zeta_vacuum(s: complex, nu: float, d: int) -> complex:
 
     Gamma(s - d/2)/Gamma(s) (2 sqrt(pi))^{-d} nu^{d/2 - s}; the Gamma ratio
     is reduced to a rational function for even d, so the spurious poles
-    cancelled by 1/Gamma(s) never appear numerically.
-    """
+    cancelled by 1/Gamma(s) never appear numerically.  A value that is not
+    finite raises DomainError."""
     if d not in (1, 2, 3, 4):
         raise DomainError("d must be 1..4")
     if not 0.0 < nu < math.inf:
         raise DomainError("zeta_vacuum requires 0 < nu < inf")
     s = complex(s)
     pref = (2.0 * _SQRT_PI) ** (-d)
-    power = cmath.exp((0.5 * d - s) * math.log(nu))
+    try:
+        power = cmath.exp((0.5 * d - s) * math.log(nu))
+    except OverflowError:
+        power = math.inf
     if d % 2 == 0:
         n = d // 2
         denom = 1.0 + 0.0j
@@ -158,13 +163,13 @@ def zeta_vacuum(s: complex, nu: float, d: int) -> complex:
             denom *= (j - s)
         if abs(denom) < 1e-12:
             raise PoleError(f"zeta_vacuum pole at s = {s}")
-        return pref * (-1.0) ** n / denom * power
+        return _finite(pref * (-1.0) ** n / denom * power, f"zeta_vacuum at s = {s}")
     if _near_nonpositive_integer(s - 0.5 * d):
         raise PoleError(f"zeta_vacuum pole at s = {s}")
     # 1/Gamma(s) = 0 at s = 0, -1, -2, ...
     ratio = 0.0 if s.imag == 0.0 and s.real <= 0.0 and s.real.is_integer() \
         else cmath.exp(complex(loggamma(s - 0.5 * d)) - complex(loggamma(s)))
-    return pref * ratio * power
+    return _finite(pref * ratio * power, f"zeta_vacuum at s = {s}")
 
 
 def zeta_kink_1d(s: complex, b: float) -> complex:
@@ -417,11 +422,14 @@ def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
     bands = rp.bands()
     # lambda^{-s} overflows at small lambda and large Re s, and e^{-i pi s}
     # at large Im s; the value then is not finite and raises below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in bands[:-1] + ((bands[-1][0], cut),):
-            v, e = _band(rp, s, lo, hi)
-            terms.append(v)
-            err += e
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi in bands[:-1] + ((bands[-1][0], cut),):
+                v, e = _band(rp, s, lo, hi)
+                terms.append(v)
+                err += e
+    except OverflowError:       # the modulus of a piece's value, at large Im s
+        raise ConvergenceError(f"contour zeta is not finite at s = {s}") from None
     value = sum(terms)
     err += sum(map(abs, terms)) * 16.0 * _EPS   # rounding of the terms and their sum
     if not (cmath.isfinite(value) and math.isfinite(err)):

@@ -90,6 +90,19 @@ class TestVacuumZeta:
             got = zetareg.zeta_vacuum(s, nu, d)
             assert abs(got - ref) <= 1e-13 * abs(ref)
 
+    @pytest.mark.parametrize("s, nu, d", [
+        (-300.0, 1e300, 1), (-300.5, 1e300, 2), (300.0, 1e-300, 3),
+        (math.nan, 2.0, 1), (math.nan, 2.0, 2), (complex(0.3, math.nan), 2.0, 3)])
+    def test_value_not_finite_is_a_domain_error(self, s, nu, d):
+        # nu^{d/2 - s} overflows in cmath.exp, or s = nan gives nan
+        with pytest.raises(DomainError, match="zeta_vacuum"):
+            zetareg.zeta_vacuum(s, nu, d)
+
+    @pytest.mark.parametrize("d", [0, -1, 5])
+    def test_heat_trace_dimension(self, d):
+        with pytest.raises(DomainError, match="d must be"):
+            zetareg.vacuum_heat_trace(1.0, d)
+
     def test_vacuum_dprime_at_zero_d1(self):
         # zeta'(0) = -sqrt(nu) for -d^2/dx^2 + nu per unit length
         nu = 2.3
@@ -368,6 +381,15 @@ class TestContour:
         rp = build_resolvent(CaseTag.D, 1.0, k=0.5)
         with pytest.raises(ConvergenceError, match="not finite"):
             zetareg.zeta_contour(rp, 0.2 + 400j)
+
+    @pytest.mark.parametrize("case, k", [(CaseTag.B, 0.5), (CaseTag.D, 0.5),
+                                         (CaseTag.NAHM, None)])
+    def test_modulus_overflow_is_a_convergence_error(self, case, k):
+        # at Im s = 1e300 the modulus of a piece's complex value passes the
+        # largest float inside the band integral
+        rp = build_resolvent(case, 1.0, k=k)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            zetareg.zeta_contour(rp, 0.1 + 1e300j)
 
     def test_nahm_self_convergence(self):
         rp = build_resolvent(CaseTag.NAHM, 1.0)
