@@ -80,9 +80,15 @@ def _psi(params: specfun.WeierstrassParams, a: complex, za: complex,
          sign: int) -> Callable[[float], complex]:
     def psi(x: float) -> complex:
         v = x / _SQRT3 - params.omega_p
-        return (specfun.weierstrass_sigma(v + sign * a, params)
-                / specfun.weierstrass_sigma(v, params)
-                * cmath.exp(-sign * za * v))
+        try:
+            value = (specfun.weierstrass_sigma(v + sign * a, params)
+                     / specfun.weierstrass_sigma(v, params)
+                     * cmath.exp(-sign * za * v))
+        except OverflowError:
+            value = cmath.inf
+        if not cmath.isfinite(value):
+            raise DomainError(f"psi is not finite at x = {x!r}")
+        return value
 
     return psi
 

@@ -216,3 +216,14 @@ class TestNonFiniteInputs:
     def test_domain_error(self, f, args):
         with pytest.raises(DomainError):
             f(*args)
+
+    @pytest.mark.parametrize("f, args", [
+        (ba.green_diag, (1e300, 0.2, 0.5)),
+        (ba.green_diag, (-1e300, 1.1, 0.5)),
+        (ba.green_offdiag, (1e300, 0.0, 0.2, 0.5)),
+        (ba.green_offdiag, (0.3, -1e300, 0.2, 0.5))],
+        ids=["diag gap", "diag finite gap", "offdiag x", "offdiag x0"])
+    def test_psi_overflow_is_a_domain_error(self, f, args):
+        # e^{-zeta(a) v} or a sigma overflows far from the origin
+        with pytest.raises(DomainError, match="not finite"):
+            f(*args)
