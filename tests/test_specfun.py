@@ -453,14 +453,14 @@ class TestWeierstrass:
         assert specfun._p_preimage(1.0, 0, p) == pytest.approx(p.omega, abs=1e-9)
         assert specfun._p_preimage(0.0, 2, p) == pytest.approx(p.omega_p, abs=1e-9)
 
-    @pytest.mark.parametrize("segment", [0, 1, 2, 3])
-    def test_inverse_round_trip(self, segment):
+    def test_inverse_round_trip(self):
         p = self.params
-        lo, hi = [(p.e1, 8.0), (p.e2, p.e1), (p.e3, p.e2), (-8.0, p.e3)][segment]
         rng = np.random.default_rng(23)
-        for H in rng.uniform(lo, hi, 5):
-            rho = specfun._p_preimage((H - p.e3) / (p.e1 - p.e3), segment, p)
-            assert abs(specfun.weierstrass_p(rho, p) - H) < 1e-10 * max(1, abs(H))
+        ranges = [(p.e1, 8.0), (p.e2, p.e1), (p.e3, p.e2), (-8.0, p.e3)]
+        for segment, (lo, hi) in enumerate(ranges):
+            for H in rng.uniform(lo, hi, 5):
+                rho = specfun._p_preimage((H - p.e3) / (p.e1 - p.e3), segment, p)
+                assert abs(specfun.weierstrass_p(rho, p) - H) < 1e-10 * max(1, abs(H))
 
     def test_zeta_derivative_is_minus_p(self):
         p = self.params
