@@ -131,9 +131,9 @@ def eigenvalues(spec: LatticeSpec, count: int | None = None) -> np.ndarray:
     try:
         lowest = len(diag) if count is None else operator.index(count)
     except TypeError:
-        lowest = 0
+        raise DomainError(f"count must be an integer, got {count!r}") from None
     if lowest < 1:
-        raise DomainError(f"count must be an integer of at least 1, got {count!r}")
+        raise DomainError(f"count must be at least 1, got {count!r}")
     if lowest >= len(diag):
         return eigvalsh_tridiagonal(diag, off)
     return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, lowest - 1))
