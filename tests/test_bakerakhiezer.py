@@ -217,6 +217,11 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError):
             f(*args)
 
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    def test_modulus_outside_the_open_interval(self, k):
+        with pytest.raises(DomainError, match="0 < k < 1"):
+            ba.lame_system(k)
+
     @pytest.mark.parametrize("f, args", [
         (ba.green_diag, (1e300, 0.2, 0.5)),
         (ba.green_diag, (-1e300, 1.1, 0.5)),

@@ -58,6 +58,13 @@ class TestSolution:
         clean = [r for r in rows if r[1] != "pole"]
         assert clean, "non-pole rows must be present"
 
+    def test_explicit_range(self, capsys):
+        code, out, _ = run_cli(capsys, "solution", "--family", "gl", "--kink",
+                               "--x-min", "-1", "--x-max", "1", "--n", "5")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [float(r[0]) for r in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+
     def test_nahm_sign_negates_phi(self, capsys):
         argv = ("solution", "--family", "nahm", "--w", "1", "--n", "101")
         _, plus, _ = run_cli(capsys, *argv)
@@ -215,6 +222,25 @@ class TestOracleCommand:
         pred = [r[header.index("predicted_edge")] for r in rows]
         assert pred[1] == "0.000000000000000e+00"
         assert "-0.000000000000000e+00" not in pred
+
+    @pytest.mark.parametrize("case, levels, nu", [("a", [0.0], 1.0),
+                                                  ("c", [0.0, 3.0], 4.0)])
+    def test_eigen_smoke(self, capsys, case, levels, nu):
+        # the kink's bound states, then the box's continuum above nu
+        code, out, _ = run_cli(capsys, "oracle", "--case", case, "--mode", "eigen")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["index", "lambda"]
+        lam = [float(r[1]) for r in rows]
+        assert len(lam) == 8
+        assert lam[:len(levels)] == pytest.approx(levels, abs=1e-3)
+        assert min(lam[len(levels):]) > nu
+
+    def test_trace_needs_a_kink_case_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--case", "b", "--k", "0.5",
+                                 "--mode", "trace")
+        assert code == 2 and out == ""
+        assert "kink case" in err
 
     def test_trace_smoke(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--case", "a", "--b", "1",

@@ -39,6 +39,10 @@ class TestPotential:
         with pytest.raises(DomainError, match="not finite"):
             models.potential_v(spec, phi, order)
 
+    def test_order_above_two_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="order"):
+            models.potential_v(GL, 0.3, order=3)
+
     def test_gl_vacua(self):
         phi_v = GL.m / math.sqrt(GL.g)
         assert models.potential_v(GL, phi_v) == pytest.approx(0.0, abs=1e-14)
@@ -199,6 +203,19 @@ class TestLengthScale:
     def test_small_scales_still_build(self):
         sol = models.kink_solution(ModelSpec(family="gl", m=1e-306, g=1.0))
         assert math.isfinite(20.0 / sol.b_or_sigma)
+
+
+class TestUnsupportedFamily:
+    @pytest.mark.parametrize("call", [
+        lambda: GL.field_period,
+        lambda: models.modulus_from_w(NAHM, -0.1),
+        lambda: models.w_from_modulus(NAHM, 0.5),
+        lambda: models.nahm_solution(GL)],
+        ids=["field_period GL", "modulus_from_w Nahm", "w_from_modulus Nahm",
+             "nahm_solution GL"])
+    def test_raises(self, call):
+        with pytest.raises(UnsupportedFamilyError):
+            call()
 
 
 class TestNahm:

@@ -126,6 +126,10 @@ class TestSampling:
         scale = max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= 16.0 * np.finfo(float).eps * scale
 
+    def test_fewer_than_eight_points_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="n too small"):
+            oracle.LatticeSpec(-1.0, 1.0, 7, "dirichlet", lambda x: 0.0)
+
     def test_constant_potential_broadcasts(self):
         spec = oracle.LatticeSpec(0.0, 1.0, 16, "periodic", lambda x: 2.5)
         assert spec.diagonal.shape == (16,)

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from scipy.special import ellipj
 
 from kinkzeta import bakerakhiezer, models, resolvent, specfun
-from kinkzeta.errors import DomainError, PoleError
+from kinkzeta.errors import ConvergenceError, DomainError, PoleError
 
 EPS = 2.220446049250313e-16
 
@@ -281,6 +281,11 @@ class TestJacobiFunctions:
 
 
 class TestTheta:
+    def test_nome_near_one_is_a_convergence_error(self):
+        # Im tau = 1e-7 leaves the series unconverged after 512 terms
+        with pytest.raises(ConvergenceError, match="512 terms"):
+            specfun.theta1(0.1, 1e-7j)
+
     def test_direct_summation_oracle(self):
         # theta_1(w) = -i sum_m (-1)^m q^{(m+1/2)^2} e^{(2m+1) i pi w}
         tau, w = 1j, 0.31 + 0.05j
@@ -382,6 +387,10 @@ def lattice_of_invariants(g2: float, g3: float) -> specfun.WeierstrassParams:
 class TestWeierstrass:
     def setup_method(self):
         self.params = lattice_of_invariants(3.1, 0.4)
+
+    def test_zeta_at_a_lattice_point_is_a_pole_error(self):
+        with pytest.raises(PoleError, match="lattice point"):
+            specfun.weierstrass_zeta(0.0, bakerakhiezer.lame_system(0.5))
 
     def test_roots_sum_and_cubic(self):
         # modulus 1/sqrt 2 and spread w^2: the roots of 4 t^3 - w^4 t

@@ -550,3 +550,30 @@ class TestKinkThreeRoutes:
         assert abs(contour.value - closed) <= contour.err_estimate + rounding
         assert abs(mellin.value - contour.value) <= (mellin.err_estimate
                                                      + contour.err_estimate)
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("trace, s", [
+        (lambda: zetareg.vacuum_heat_trace(1.0, 2), 1.0),   # small-t term tau^-1
+        (lambda: zetareg.kink_trace_d(1.0, 2), 0.5)],       # large-t term tau^-1/2
+        ids=["small-t", "large-t"])
+    def test_mellin_pole(self, trace, s):
+        with pytest.raises(PoleError, match="mellin_zeta pole at s"):
+            zetareg.mellin_zeta(trace(), s)
+
+    @pytest.mark.parametrize("f, args", [
+        (zetareg.zeta_vacuum, (1.0, 1.0, 2)), (zetareg.zeta_d_kink, (1.0, 1.0, 4))],
+        ids=["vacuum d=2", "kink d=4"])
+    def test_closed_form_pole(self, f, args):
+        with pytest.raises(PoleError):
+            f(*args)
+
+    @pytest.mark.parametrize("f, args", [
+        (zetareg.zeta_vacuum, (0.5, 0.0, 1)), (zetareg.zeta_vacuum, (0.5, 1.0, 5)),
+        (zetareg.zeta_d_kink, (0.5, 0.0, 1)), (zetareg.kink_trace_d, (1.0, 5)),
+        (zetareg.kink_trace_d, (0.0, 1)), (zetareg.vacuum_heat_trace, (0.0, 1))],
+        ids=["vacuum nu=0", "vacuum d=5", "kink m=0", "kink trace d=5",
+             "kink trace m=0", "vacuum trace nu=0"])
+    def test_domain_error(self, f, args):
+        with pytest.raises(DomainError):
+            f(*args)
