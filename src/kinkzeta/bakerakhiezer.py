@@ -129,8 +129,7 @@ def make_lame_solution(h: float, k: float) -> LameSolution:
 
 def green_diag(x: float, h: float, k: float) -> complex:
     """Green-function diagonal psi_+ psi_- / W (derivative jump -1)."""
-    sol = make_lame_solution(h, k)
-    return sol.psi_plus(x) * sol.psi_minus(x) / sol.wronskian
+    return green_offdiag(x, x, h, k)
 
 
 def green_offdiag(x: float, x0: float, h: float, k: float) -> complex:

@@ -242,17 +242,15 @@ def _cmd_oracle(args) -> int:
                 enumerate(zip(edges, sorted(rp.roots, reverse=True)))]
         _emit(["index", "lattice_edge", "predicted_edge"], rows, args)
         return 0
+    if args.mode == "trace" and not rp.is_kink:
+        raise DomainError("trace mode needs a kink case (a or c)")
+    box = 20.0 / rp.b
+    spec = oracle.LatticeSpec(-box, box, args.n, "dirichlet", u)
     if args.mode == "eigen":
-        box = 20.0 / rp.b
-        spec = oracle.LatticeSpec(-box, box, args.n, "dirichlet", u)
         lam = oracle.eigenvalues(spec, count=args.count)
         _emit(["index", "lambda"], [[i, v] for i, v in enumerate(lam)], args)
         return 0
     # mode == trace: vacuum-subtracted box trace for the kink cases
-    if not rp.is_kink:
-        raise DomainError("trace mode needs a kink case (a or c)")
-    box = 20.0 / rp.b
-    spec = oracle.LatticeSpec(-box, box, args.n, "dirichlet", u)
     rows = [[t, oracle.relative_heat_trace(spec, rp.nu, t)]
             for t in _parse_grid(args.t)]
     _emit(["t", "relative_trace"], rows, args)

@@ -464,7 +464,7 @@ def _product_integral(F, exp_lo: complex, exp_hi: complex) -> tuple[complex, flo
     end's exponent in its weight, an inner piece the weight 1.  Returns
     the value of the finer rule and the summed rule differences.
     """
-    moments: dict[tuple[complex, complex], np.ndarray] = {}
+    moments = dict(_FIXED_MOMENTS)
     value, err = 0j, 0.0
     pieces = [(-1.0, 1.0)]
     done = 0
@@ -473,12 +473,10 @@ def _product_integral(F, exp_lo: complex, exp_hi: complex) -> tuple[complex, flo
         h = 0.5 * (v - u)
         b = exp_lo if u == -1.0 else 0.0
         a = exp_hi if v == 1.0 else 0.0
-        f = F((1.0 + u) + h * _OPY, (1.0 - v) + h * _OMY)
-        if a or b:
-            f = f * np.exp(-a * _LOG_OMY - b * _LOG_OPY)
+        f = F((1.0 + u) + h * _OPY, (1.0 - v) + h * _OMY) * np.exp(
+            -a * _LOG_OMY - b * _LOG_OPY)
         if (a, b) not in moments:
-            g = _FIXED_MOMENTS.get((a, b))
-            moments[a, b] = _jacobi_moments(a, b, 2 * _ORDER) if g is None else g
+            moments[a, b] = _jacobi_moments(a, b, 2 * _ORDER)
         g = moments[a, b]
         coarse = h * _chebyshev_sum(f[:_ORDER], g)
         fine = h * _chebyshev_sum(f[_ORDER:], g)

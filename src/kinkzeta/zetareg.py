@@ -309,27 +309,20 @@ def mellin_zeta(trace: HeatTrace, s: complex) -> ZetaEvaluation:
     if not lowest < s.real <= _RE_S_MAX:
         raise DomainError(f"mellin_zeta requires {lowest:g} < Re s <= "
                           f"{_RE_S_MAX:g}, got s = {s}")
-    for a, _ in small:
-        if a != 0.0 and abs(s + a) < 1e-12:
-            raise PoleError(f"mellin_zeta pole at s = {s}")
-    for q, _ in large:
-        if q != 0.0 and abs(q - s) < 1e-12:
-            raise PoleError(f"mellin_zeta pole at s = {s}")
+    tail = tuple((-q, c) for q, c in large)   # the large-t terms as tau^a
+    if any(a != 0.0 and abs(s + a) < 1e-12 for a, _ in small + tail):
+        raise PoleError(f"mellin_zeta pole at s = {s}")
 
-    def f01(tau: float) -> complex:
-        g = trace.eval(tau) - sum(c * tau ** a for a, c in small)
-        return g * cmath.exp((s - 1.0) * math.log(tau))
-
-    def f1inf(tau: float) -> complex:
-        g = trace.eval(tau) - sum(c * tau ** (-q) for q, c in large)
+    def f(tau: float, terms) -> complex:
+        g = trace.eval(tau) - sum(c * tau ** a for a, c in terms)
         return g * cmath.exp((s - 1.0) * math.log(tau))
 
     with warnings.catch_warnings():
         # roundoff-limited extrapolation on subtracted tails is expected;
         # the returned error estimate still reflects it
         warnings.simplefilter("ignore", IntegrationWarning)
-        i1, e1 = quad(f01, 0.0, 1.0, complex_func=True, **_QUAD_OPTS)
-        i2, e2 = quad(f1inf, 1.0, math.inf, complex_func=True, **_QUAD_OPTS)
+        i1, e1 = quad(f, 0.0, 1.0, (small,), complex_func=True, **_QUAD_OPTS)
+        i2, e2 = quad(f, 1.0, math.inf, (tail,), complex_func=True, **_QUAD_OPTS)
     main = i1 + i2
     main += sum(c / (s + a) for a, c in small if a != 0.0)
     main += sum(c / (q - s) for q, c in large if q != 0.0)
