@@ -178,6 +178,9 @@ def _cmd_zeta(args) -> int:
     rows = []
     spreads: dict[float, list[complex]] = {}
     for sv in _parse_grid(args.s):
+        # the contour route first: its strip check reports an s left of the
+        # strip as bad input before the Mellin route meets a pole there
+        contour = zetareg.zeta_contour(rp, sv)
         vals = []
         if is_a:
             try:
@@ -187,8 +190,7 @@ def _cmd_zeta(args) -> int:
                 pass
             ev = zetareg.mellin_zeta(zetareg.erf_heat_trace(rp.b), sv)
             vals.append(("mellin_numeric", ev.value, ev.err_estimate))
-        ev = zetareg.zeta_contour(rp, sv)
-        vals.append(("contour", ev.value, ev.err_estimate))
+        vals.append(("contour", contour.value, contour.err_estimate))
         spreads[sv] = [v for _, v, _ in vals]
         for method, v, err in vals:
             rows.append([sv, v.real, v.imag, method, err,

@@ -347,6 +347,14 @@ class TestContracts:
         assert err.startswith("error:")
         assert err.strip().count("\n") == 0
 
+    @pytest.mark.parametrize("s", ["-0.5", "-1.5", "-2.5"])
+    def test_kink_zeta_at_a_mellin_pole_left_of_the_strip_exit_2(self, capsys, s):
+        # the contour's strip check runs before the Mellin route meets its
+        # pole at s = -1/2 - n, so these are bad input, not a numerical failure
+        code, out, err = run_cli(capsys, "zeta", "--case", "a", f"--s={s}")
+        assert (code, out) == (2, "")
+        assert err == "error: contour zeta requires Re s > -1/2\n"
+
     @pytest.mark.parametrize("argv", [
         ("zeta", "--case", "a", "--s", "0.1,zz"),
         ("figure-z", "--n", "3", "--d", "1,x"),
