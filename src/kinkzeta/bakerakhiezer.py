@@ -133,7 +133,13 @@ def green_diag(x: float, h: float, k: float) -> complex:
 
 
 def green_offdiag(x: float, x0: float, h: float, k: float) -> complex:
-    """Off-diagonal Green function (psi_+ at the larger argument)."""
+    """Off-diagonal Green function (psi_+ at the larger argument).
+
+    Moving both points by the period 2K = 2 sqrt(3) omega leaves it
+    unchanged, so they move by whole periods until lo lies in [0, 2K); past
+    |lo| / 2K = 2^52 a float no longer resolves the phase, and they stay."""
     sol = make_lame_solution(h, k)
     hi, lo = (x, x0) if x >= x0 else (x0, x)
-    return sol.psi_plus(hi) * sol.psi_minus(lo) / sol.wronskian
+    period = 2.0 * _SQRT3 * sol.params.omega
+    shift = math.floor(lo / period) * period if abs(lo / period) < 2.0 ** 52 else 0.0
+    return sol.psi_plus(hi - shift) * sol.psi_minus(lo - shift) / sol.wronskian

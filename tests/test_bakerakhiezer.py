@@ -154,6 +154,19 @@ class TestGreenDiagonal:
         assert jump.real == pytest.approx(-1.0, abs=1e-6)
         assert abs(jump.imag) < 1e-8
 
+    @pytest.mark.parametrize("h", [0.2, 1.15])
+    @pytest.mark.parametrize("periods", [50, -50])
+    def test_periodic_in_x(self, h, periods):
+        # fifty periods 2K out (|x| = 169), where a psi alone is not finite,
+        # both functions take their values at the unshifted points
+        k = 0.5
+        shift = periods * 2.0 * specfun.ellipk(k)
+        want = ba.green_diag(0.3, h, k)
+        assert abs(ba.green_diag(0.3 + shift, h, k) - want) <= 1e-12 * abs(want)
+        want = ba.green_offdiag(0.9, 0.3, h, k)
+        got = ba.green_offdiag(0.9 + shift, 0.3 + shift, h, k)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_matches_resolvent_case_b(self):
         # the central cross-module identity: g_h(x, x) = P/(2 sqrt Q) at
         # p = 1 - h, for ten (x, h) pairs in both spectral gaps
