@@ -135,9 +135,8 @@ def green_diag(x: float, h: float, k: float) -> complex:
 def green_offdiag(x: float, x0: float, h: float, k: float) -> complex:
     """Off-diagonal Green function (psi_+ at the larger argument).
 
-    Moving both points by the period 2K = 2 sqrt(3) omega leaves it
-    unchanged, so they move by whole periods until lo lies in [0, 2K); past
-    |lo| / 2K = 2^52 a float no longer resolves the phase, and they stay."""
+    It has the period 2K = 2 sqrt(3) omega in both points together, so they
+    move by whole periods until lo lies in [0, 2K), while |lo| / 2K < 2^52."""
     sol = make_lame_solution(h, k)
     hi, lo = (x, x0) if x >= x0 else (x0, x)
     period = 2.0 * _SQRT3 * sol.params.omega

@@ -178,8 +178,7 @@ def _cmd_zeta(args) -> int:
     rows = []
     spreads: dict[float, list[complex]] = {}
     for sv in _parse_grid(args.s):
-        # the contour route first: its strip check reports an s left of the
-        # strip as bad input before the Mellin route meets a pole there
+        # the contour first: its strip check precedes the Mellin route's poles
         contour = zetareg.zeta_contour(rp, sv)
         vals = []
         if is_a:

@@ -521,10 +521,13 @@ def _top_band_heat(rp: ResolventPolynomial, t: float) -> tuple[complex, float]:
     The band is mapped by lam = lo + g (e^u - 1), g the distance from lo
     down to the next edge: every other edge then lies on Im u = +-pi, or
     at u = -inf, so the smooth factor is analytic about the whole of
-    (0, log(1 + 745/(g t))) at any t.  A map linear in lam brings the next
-    edge within 1e-4 of a piece's width at t = 1e-10 and loses digits.
-    Called only where t R > 1, so the cut lies below lo + 745 R, where
-    band_density's product of sqrt|p - r| stays finite.
+    (0, log(1 + 745/(g t))) at any t.  A map linear in lam over the same
+    cut bisects (b = 1, t R from 1.01 to 3) to 7-11 pieces for B and 25-29
+    for D at k = 0.05, 7-11 for D at k = 0.3, where this map keeps 1; for
+    D at k = 0.05 and t R = 10 it is 2.5e-8 off a 30-digit mpmath
+    quadrature, this map 1.2e-14.  Called only where t R > 1, so the cut
+    lies below lo + 745 R, where band_density's product of sqrt|p - r|
+    stays finite.
     """
     lo = rp.bands()[-1][0]
     g = rp.roots[1] - rp.roots[0]
