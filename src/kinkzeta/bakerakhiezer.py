@@ -64,33 +64,37 @@ class LameSolution:
     """The pair of Bloch solutions at spectral parameter h.
 
     a is the uniformization point with p(a) = 2(1 + k^2) - 3h; the two
-    solutions correspond to the two signs of a.
+    solutions correspond to the two signs of a.  zeta_a = zeta(a).
     """
 
     h: float
     k: float
     a: complex
+    zeta_a: complex
     params: specfun.WeierstrassParams
     wronskian: complex
     psi_plus: Callable[[float], complex]
     psi_minus: Callable[[float], complex]
 
 
+def _psi_values(params: specfun.WeierstrassParams, a: complex, za: complex,
+                x: float, signs: tuple[int, ...]) -> list[complex]:
+    """psi_s(x) for each s in signs, with sigma(v) summed once for all."""
+    v = x / _SQRT3 - params.omega_p
+    try:
+        sigma_v = specfun.weierstrass_sigma(v, params)
+        values = [specfun.weierstrass_sigma(v + sign * a, params) / sigma_v
+                  * cmath.exp(-sign * za * v) for sign in signs]
+    except OverflowError:
+        values = [cmath.inf]
+    if not all(cmath.isfinite(value) for value in values):
+        raise DomainError(f"psi is not finite at x = {x!r}")
+    return values
+
+
 def _psi(params: specfun.WeierstrassParams, a: complex, za: complex,
          sign: int) -> Callable[[float], complex]:
-    def psi(x: float) -> complex:
-        v = x / _SQRT3 - params.omega_p
-        try:
-            value = (specfun.weierstrass_sigma(v + sign * a, params)
-                     / specfun.weierstrass_sigma(v, params)
-                     * cmath.exp(-sign * za * v))
-        except OverflowError:
-            value = cmath.inf
-        if not cmath.isfinite(value):
-            raise DomainError(f"psi is not finite at x = {x!r}")
-        return value
-
-    return psi
+    return lambda x: _psi_values(params, a, za, x, (sign,))[0]
 
 
 def make_lame_solution(h: float, k: float) -> LameSolution:
@@ -103,7 +107,8 @@ def make_lame_solution(h: float, k: float) -> LameSolution:
     band of 1e-4 around each edge raises the degeneracy error (the
     p -> a map is quadratic there, so closer h values are not numerically
     distinguishable from the edge itself), as does a W that is zero or
-    not finite.  zeta(a) is computed once for both solutions.
+    not finite.  sigma(a) and zeta(a) come from one theta_1 pass, and
+    zeta(a) serves both solutions.
     """
     if not math.isfinite(h):
         raise DomainError(f"make_lame_solution requires a finite h, got {h}")
@@ -117,28 +122,36 @@ def make_lame_solution(h: float, k: float) -> LameSolution:
     a = specfun._p_preimage((1.0 - h) + edges[0], sum(h > e for e in edges), params)
     sn, cn, dn = specfun.jacobi_sn_cn_dn_complex(params.scale * a, params.k)
     dp = -2.0 * params.scale ** 3 * cn * dn / sn ** 3
-    w = -specfun.weierstrass_sigma(a, params) ** 2 * dp / _SQRT3
+    sa, za = specfun._sigma_zeta(a, params)
+    w = -sa ** 2 * dp / _SQRT3
     if w == 0.0 or not cmath.isfinite(w):
         raise WronskianDegeneracyError(
             f"degenerate Bloch pair at h = {h} (band edge)")
-    za = specfun.weierstrass_zeta(a, params)
-    return LameSolution(h=h, k=k, a=a, params=params, wronskian=w,
+    return LameSolution(h=h, k=k, a=a, zeta_a=za, params=params, wronskian=w,
                         psi_plus=_psi(params, a, za, +1),
                         psi_minus=_psi(params, a, za, -1))
 
 
 def green_diag(x: float, h: float, k: float) -> complex:
-    """Green-function diagonal psi_+ psi_- / W (derivative jump -1)."""
-    return green_offdiag(x, x, h, k)
+    """Green-function diagonal psi_+ psi_- / W (derivative jump -1), the
+    value of green_offdiag(x, x, h, k), with sigma(v) summed once for both."""
+    sol = make_lame_solution(h, k)
+    x -= _period_shift(x, sol.params)
+    plus, minus = _psi_values(sol.params, sol.a, sol.zeta_a, x, (+1, -1))
+    return plus * minus / sol.wronskian
 
 
 def green_offdiag(x: float, x0: float, h: float, k: float) -> complex:
-    """Off-diagonal Green function (psi_+ at the larger argument).
-
-    It has the period 2K = 2 sqrt(3) omega in both points together, so they
-    move by whole periods until lo lies in [0, 2K), while |lo| / 2K < 2^52."""
+    """Off-diagonal Green function (psi_+ at the larger argument)."""
     sol = make_lame_solution(h, k)
     hi, lo = (x, x0) if x >= x0 else (x0, x)
-    period = 2.0 * _SQRT3 * sol.params.omega
-    shift = math.floor(lo / period) * period if abs(lo / period) < 2.0 ** 52 else 0.0
+    shift = _period_shift(lo, sol.params)
     return sol.psi_plus(hi - shift) * sol.psi_minus(lo - shift) / sol.wronskian
+
+
+def _period_shift(lo: float, params: specfun.WeierstrassParams) -> float:
+    """The Green functions have the period 2K = 2 sqrt(3) omega in both
+    points together, so both move by the whole periods that take lo into
+    [0, 2K), while |lo| / 2K < 2^52."""
+    period = 2.0 * _SQRT3 * params.omega
+    return math.floor(lo / period) * period if abs(lo / period) < 2.0 ** 52 else 0.0

@@ -26,9 +26,16 @@ so with a and b the ascending theta = 0 and theta = pi spectra, band j is
 swept from a_j to b_j and holds, at each phase, the one root of
 prod_k (lambda - a_k)/(lambda - b_k) = -tan^2(theta/2).  Bands are kept
 while the bound sum_{j >= m} e^{-t lo_j} on the rest exceeds
-1e-17 e^{-t hi_0} (4 to 30 of 360 bands at t >= 0.25).  Each kept band
-is solved for every phase at once by Newton's method on the phase
-2 atan(|prod|^{1/2}), formed from log|prod|, with a bisection guard.
+1e-17 e^{-t hi_0} (4 to 30 of 360 bands at t >= 0.25).  All kept bands
+are solved for every phase in one vectorized Newton loop on the phase
+2 atan(|prod|^{1/2}), formed from G = log|prod|, with a bisection guard;
+a band leaves the loop once its steps are within its tolerance.  Over the
+kept bands, with c and rho the centre and half-width of [lo_0, hi_{m-1}],
+G takes exact terms for k < K, K the first index with lo_k - c >= 4 rho
+and at least m, and a Taylor series in lambda - c for the rest, whose
+coefficients are summed once per call and cut after P terms, P the least
+for which the dropped tail is bounded below 1e-17.  On a small lattice
+K reaches n and the series is empty.
 """
 
 from __future__ import annotations
@@ -57,7 +64,8 @@ __all__ = [
 ]
 
 _TRACE_TAIL = 1e-17   # dropped bands: at most this share of e^{-t hi_0}
-_MAX_NEWTON = 100     # Newton steps per band of lattice_heat_trace
+_MAX_NEWTON = 100     # Newton steps of lattice_heat_trace
+_NEAR_SPAN = 4.0      # exact terms of lattice_heat_trace out to 4 band half-widths
 _N_THETA = 32         # Bloch phases of lattice_heat_trace on (0, pi)
 _EDGE_TOL = 8.0       # edge bracket width, in eps (4/h^2 + max|u|)
 _MAX_EDGE_SOLVES = 100  # Schur-complement solves per band edge
@@ -326,36 +334,95 @@ def _secular_root(schur, lo: float, hi: float, near_hi: bool, tol: float) -> flo
         f"band_edges_lattice: edge not converged in {_MAX_EDGE_SOLVES} solves")
 
 
-def _band_roots(a: np.ndarray, b: np.ndarray, j: int, theta: np.ndarray,
-                x: np.ndarray) -> np.ndarray:
-    """The eigenvalue in band j at each phase theta, by Newton's method from x.
+def _far_series(da: np.ndarray, db: np.ndarray, rho: float) -> tuple[float, np.ndarray]:
+    """The far terms of G = log|prod_k (lambda - a_k)/(lambda - b_k)| as a
+    Taylor series in x = lambda - c, for da = a_k - c and db = b_k - c:
 
-    With G = log|prod_k (lambda - a_k)/(lambda - b_k)|, the phase
-    2 atan(e^{G/2}) runs from 0 at a_j to pi at b_j; Newton's method is
-    run on it, which is close to linear in the bulk of a band.  A step
-    that leaves the bracket [L, H] (end points included) is replaced by
-    the bracket's midpoint.
+        G_far = c0 + sum_{p=1..P} x^p / p coef_p,
+        c0 = sum_k log(da_k / db_k),  coef_p = sum_k (db_k^-p - da_k^-p).
+
+    With r_k = rho / min(da_k, db_k) <= 1/4 and |x| <= rho, |da_k^-p -
+    db_k^-p| <= (r_k / rho)^p, so the terms past P add at most
+    sum_k r_k^{P+1} / ((P + 1)(1 - r_k)); P is the least count for which
+    that bound is below _TRACE_TAIL.  Returns c0 and coef_1..coef_P.
     """
-    rising = b[j] > a[j]
-    L = np.full_like(x, min(a[j], b[j]))
-    H = np.full_like(x, max(a[j], b[j]))
-    tol = 1e-12 * (H[0] - L[0]) + 4e-15 * max(abs(L[0]), abs(H[0]))
+    ia, ib = 1.0 / da, 1.0 / db
+    r = rho * np.maximum(ia, ib)
+    # r_k <= 1/4 puts the bound below _TRACE_TAIL by P = cap at the latest
+    cap = math.ceil(math.log(max(r.size, 1) * 4.0 / 3.0 / _TRACE_TAIL, 4.0))
+    pa, pb, pr = _powers(np.stack([ia, ib, r]), cap + 1)[1:].transpose(1, 0, 2)
+    tail = pr @ (1.0 / (1.0 - r)) / np.arange(1, cap + 1)
+    P = np.count_nonzero(tail >= _TRACE_TAIL)
+    return float(np.sum(np.log(da / db))), (pb[:P] - pa[:P]).sum(axis=1)
+
+
+def _powers(base: np.ndarray, count: int) -> np.ndarray:
+    """base^0 .. base^(count - 1) along a new first axis, by doubling: with
+    powers 0..d-1 known, powers d..2d-2 are powers 1..d-1 times base^(d-1)."""
+    out = np.empty((count,) + base.shape)
+    out[:1] = 1.0
+    out[1:2] = base
+    done = 2
+    while done < count:
+        step = min(done - 1, count - done)
+        np.multiply(out[1:step + 1], out[done - 1], out=out[done:done + step])
+        done += step
+    return out
+
+
+def _phase_roots(a: np.ndarray, b: np.ndarray, m: int, theta: np.ndarray) -> np.ndarray:
+    """The root of bands 0..m-1 at each phase theta, shape (m, theta.size).
+
+    Band j runs from a_j to b_j; its phase 2 atan(e^{G/2}) runs from 0 to pi,
+    and Newton's method is run on it for every band and phase at once.  G
+    takes exact terms for k < K and _far_series for the rest, about the
+    centre c of [lo_0, hi_{m-1}] and with its half-width rho: K is the
+    first index with lo_k - c >= _NEAR_SPAN rho, and at least m.  A step
+    that leaves the bracket [L, H] (end points included) is replaced by the
+    bracket's midpoint; a band whose steps are all within its tolerance
+    takes its last step, clipped to the bracket, and leaves the loop.
+    """
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    c, rho = 0.5 * (lo[0] + hi[m - 1]), 0.5 * (hi[m - 1] - lo[0])
+    K = max(m, np.count_nonzero(lo - c < _NEAR_SPAN * rho))
+    c0, coef = _far_series(a[K:] - c, b[K:] - c, rho)
+    P = coef.size
+    series = np.stack([coef / np.arange(1, P + 1), coef])   # value / (x - c), slope
+    an, bn = a[:K], b[:K]
+    rows = np.arange(m)
+    rising = (b[:m] > a[:m])[:, None]
+    L = np.repeat(lo[:m, None], theta.size, axis=1)
+    H = np.repeat(hi[:m, None], theta.size, axis=1)
+    tol = (1e-12 * (hi[:m] - lo[:m])
+           + 4e-15 * np.maximum(np.abs(lo[:m]), np.abs(hi[:m])))[:, None]
+    x = a[:m, None] + (b[:m] - a[:m])[:, None] * np.sin(0.5 * theta) ** 2
+    roots = np.empty_like(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_NEWTON):
-            r = x[:, None] - a
-            q = x[:, None] - b
-            e = np.exp(0.5 * np.log(np.abs(r / q)).sum(axis=1))
+            r = x[..., None] - an
+            ratio = r / (x[..., None] - bn)
+            xc = x - c
+            far, dfar = series @ _powers(xc, P).reshape(P, x.size)
+            g = np.log(np.abs(ratio)).sum(axis=-1) + c0 + xc * far.reshape(x.shape)
+            e = np.exp(0.5 * g)
             miss = 2.0 * np.arctan(e) - theta
-            step = miss * (e + 1.0 / e) / (1.0 / r - 1.0 / q).sum(axis=1)
+            # d/dlambda log|r/q| = 1/r - 1/q = (1 - r/q)/r
+            step = miss * (e + 1.0 / e) / (((1.0 - ratio) / r).sum(axis=-1)
+                                           + dfar.reshape(x.shape))
             above = (miss < 0.0) == rising
             L = np.where(above, x, L)
             H = np.where(above, H, x)
-            if np.all(np.abs(step) <= tol):
-                return np.clip(x - step, L, H)
+            done = np.all(np.abs(step) <= tol, axis=1)
+            if done.any():
+                roots[rows[done]] = np.clip(x[done] - step[done], L[done], H[done])
+                if done.all():
+                    return roots
+                rows, x, step, L, H, tol, rising = (
+                    v[~done] for v in (rows, x, step, L, H, tol, rising))
             x = x - step
             x = np.where((x >= L) & (x <= H), x, 0.5 * (L + H))
     raise ConvergenceError(
-        f"lattice_heat_trace: band {j} not converged in {_MAX_NEWTON} steps")
+        f"lattice_heat_trace: band {rows[0]} not converged in {_MAX_NEWTON} steps")
 
 
 def lattice_heat_trace(spec: LatticeSpec, t: float) -> float:
@@ -377,12 +444,11 @@ def lattice_heat_trace(spec: LatticeSpec, t: float) -> float:
     rest = np.minimum(a, b)[:0:-1] - max(a[0], b[0])
     m = 1 + np.count_nonzero(np.cumsum(np.exp(-t * rest)) > _TRACE_TAIL)
     theta = (np.arange(_N_THETA) + 0.5) * math.pi / _N_THETA
-    sin2 = np.sin(0.5 * theta) ** 2
+    lam = _phase_roots(a, b, m, theta)
     acc = 0.0
     with np.errstate(over="ignore"):
-        for j in range(m):
-            lam = _band_roots(a, b, j, theta, a[j] + (b[j] - a[j]) * sin2)
-            acc += float(np.sum(np.exp(-lam * t)))
+        for band in np.exp(-lam * t).sum(axis=1).tolist():
+            acc += band
     if not math.isfinite(acc):
         raise ConvergenceError(f"lattice heat trace overflows at t = {t!r}")
     return acc / _N_THETA

@@ -393,7 +393,7 @@ def hermit_residual(rp: ResolventPolynomial, p: complex, x: float) -> float:
 # periodic zeta value takes about 0.6 ms, and zeta-sweep read 97.6 MB of
 # peak memory against 93.1 MB before them (medians of ten 20 s seeds on 2
 # shared vCPUs, +4.8 %, 1.1-6.5 % seed by seed).  Order 64 waits for a
-# harness that keeps per-class aggregates (ROADMAP item 5).
+# harness that keeps per-class aggregates (ROADMAP item 2).
 _ORDER = 512
 _PIECE_TOL = 1e-11
 _MAX_PIECES = 200        # per band; past it pieces are taken as they are

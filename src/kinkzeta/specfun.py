@@ -289,19 +289,30 @@ def weierstrass_p(z: complex, params: WeierstrassParams) -> complex:
 
 def weierstrass_zeta(z: complex, params: WeierstrassParams) -> complex:
     """zeta(z) = eta z / omega + theta_1'(z/2omega) / (2 omega theta_1)."""
-    z = complex(z)
-    t0, t1 = theta1(z / (2.0 * params.omega), params.tau)
-    if abs(t0) < 1e-280:
-        raise PoleError("weierstrass_zeta at a lattice point")
-    return params.eta * z / params.omega + t1 / (2.0 * params.omega * t0)
+    return _sigma_zeta(z, params)[1]
 
 
 def weierstrass_sigma(z: complex, params: WeierstrassParams) -> complex:
     """sigma(z) = 2 omega e^{eta z^2 / 2 omega} theta_1(z/2omega)/theta_1'(0)."""
     z = complex(z)
+    return _sigma(z, theta1(z / (2.0 * params.omega), params.tau)[0], params)
+
+
+def _sigma(z: complex, t0: complex, params: WeierstrassParams) -> complex:
+    """sigma(z) from t0 = theta_1(z/2omega)."""
     return (2.0 * params.omega
             * cmath.exp(params.eta * z * z / (2.0 * params.omega))
-            * theta1(z / (2.0 * params.omega), params.tau)[0] / params.dtheta0)
+            * t0 / params.dtheta0)
+
+
+def _sigma_zeta(z: complex, params: WeierstrassParams) -> tuple[complex, complex]:
+    """sigma(z) and zeta(z) from one theta_1 pass; PoleError at a lattice point."""
+    z = complex(z)
+    t0, t1 = theta1(z / (2.0 * params.omega), params.tau)
+    if abs(t0) < 1e-280:
+        raise PoleError("weierstrass_zeta at a lattice point")
+    return (_sigma(z, t0, params),
+            params.eta * z / params.omega + t1 / (2.0 * params.omega * t0))
 
 
 def _p_preimage(r: float, segment: int, params: WeierstrassParams) -> complex:

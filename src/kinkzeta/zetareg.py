@@ -178,14 +178,39 @@ def zeta_kink_1d(s: complex, b: float) -> complex:
 
 
 def _gamma_ratio(x: complex, y: complex) -> complex:
-    """Gamma(x) / Gamma(y), by math.gamma where real and normal, else complex Gamma."""
+    """Gamma(x) / Gamma(y), y = x + 1/2, by math.gamma where real and normal.
+
+    Past that range a real x with |x| >= 100 takes the Stirling series of
+    ln Gamma(x + h) with Bernoulli polynomials at h = 0 and 1/2 (DLMF
+    5.11(i)), cut after four terms, where the next is under 2e-21 relative:
+
+        Gamma(x) / Gamma(x + 1/2) = x^{-1/2} exp(1/(8x) - 1/(192x^3)
+                                     + 1/(640x^5) - 17/(14336x^7)),
+
+    for x < 0 after the reflection Gamma(x)/Gamma(x + 1/2) = -tan(pi y)
+    Gamma(z)/Gamma(z + 1/2), z = 1 - y.  The tangent takes y, reduced by
+    its nearest integer first: for x < 0 the callers' y (s, or s + 1) is
+    exact where x = s - 1/2 may be rounded, and the tangent is sensitive
+    to its argument where Gamma(z)/Gamma(z + 1/2) is not.  Everything else
+    takes the complex Gamma.
+    """
     try:
         gx, gy = math.gamma(x.real), math.gamma(y.real)
     except (OverflowError, ValueError):
         gx = gy = 0.0
     if x.imag == 0.0 and min(abs(gx), abs(gy)) >= sys.float_info.min:
         return gx / gy
-    return gamma_fn(x) * complex(rgamma(y))
+    if x.imag != 0.0 or abs(x.real) < 100.0:
+        return gamma_fn(x) * complex(rgamma(y))
+    z, trig = x.real, 1.0
+    if z < 0.0:
+        f = y.real - round(y.real)           # exact; |f| < 1/2 off the poles of Gamma(x)
+        trig = -math.copysign(math.sin(math.pi * abs(f))
+                              / math.sin(math.pi * (0.5 - abs(f))), f)
+        z = 1.0 - y.real
+    w = 1.0 / (z * z)
+    series = (1.0 - w * (1.0 / 24.0 - w * (1.0 / 80.0 - w * (17.0 / 1792.0)))) / (8.0 * z)
+    return complex(trig * z ** -0.5 * math.exp(series))
 
 
 def _kink_T(s: complex, d: int) -> complex:

@@ -99,35 +99,38 @@ class TestLameSolutions:
         closed = -specfun.weierstrass_sigma(sol.a, params) ** 2 * dp / math.sqrt(3)
         assert sol.wronskian == pytest.approx(closed, rel=1e-6)
 
-    def test_wronskian_evaluates_no_psi(self, monkeypatch):
-        # the closed form takes sigma at a alone; psi would take it at v, v + a
-        args = []
-        sigma = specfun.weierstrass_sigma
-        monkeypatch.setattr(specfun, "weierstrass_sigma",
-                            lambda z, p: args.append(z) or sigma(z, p))
-        sol = ba.make_lame_solution(1.15, 0.6)
-        assert args == [sol.a]
-
-    def test_zeta_of_a_once_for_both_solutions(self, monkeypatch):
-        args = []
-        zeta = specfun.weierstrass_zeta
-        monkeypatch.setattr(specfun, "weierstrass_zeta",
-                            lambda z, p: args.append(z) or zeta(z, p))
-        sol = ba.make_lame_solution(1.15, 0.6)
-        sol.psi_plus(0.4)
-        sol.psi_minus(0.4)
-        assert args == [sol.a]
-
-    def test_green_diag_sums_six_theta_series(self, monkeypatch):
-        # sigma(a) and zeta(a), then sigma(v + a), sigma(v) for each of psi_+-;
-        # theta_1'(0) is summed once per lattice, which lame_system caches
+    @staticmethod
+    def theta_args(monkeypatch):
+        """Record the argument w of every theta_1 sum; theta_1'(0) is summed
+        once per lattice, which lame_system caches."""
         ba.lame_system(0.6)
         calls = []
         theta1 = specfun.theta1
         monkeypatch.setattr(specfun, "theta1",
                             lambda w, tau: calls.append(w) or theta1(w, tau))
+        return calls
+
+    def test_wronskian_evaluates_no_psi(self, monkeypatch):
+        # the closed form takes sigma at a alone, in the one theta_1 pass
+        # at a / (2 omega) that also gives zeta(a); psi would take it at v, v + a
+        calls = self.theta_args(monkeypatch)
+        sol = ba.make_lame_solution(1.15, 0.6)
+        assert calls == [sol.a / (2.0 * sol.params.omega)]
+
+    def test_zeta_of_a_once_for_both_solutions(self, monkeypatch):
+        calls = self.theta_args(monkeypatch)
+        sol = ba.make_lame_solution(1.15, 0.6)
+        sol.psi_plus(0.4)
+        sol.psi_minus(0.4)
+        assert calls.count(sol.a / (2.0 * sol.params.omega)) == 1
+        assert len(calls) == 5
+
+    def test_green_diag_sums_four_theta_series(self, monkeypatch):
+        # sigma(a) and zeta(a) in one pass, then sigma(v + a), sigma(v - a)
+        # and sigma(v) once for both of psi_+-
+        calls = self.theta_args(monkeypatch)
         ba.green_diag(0.7, 1.15, 0.6)
-        assert len(calls) == 6
+        assert len(calls) == 4
 
     def test_product_real_in_band_after_phase_fix(self):
         sol = ba.make_lame_solution(0.7, 0.6)

@@ -364,6 +364,64 @@ def dense_bloch(spec, theta):
     return np.linalg.eigvalsh(H)
 
 
+def full_product_band_roots(a, b, j, theta, x):
+    """Reference: band j's root at each phase by Newton's method from x on
+    the phase 2 atan(e^{G/2}) of the full product, G = log|prod_k (lambda -
+    a_k)/(lambda - b_k)| over every k, one band at a time, with the bracket
+    guard and stopping test of lattice_heat_trace."""
+    rising = b[j] > a[j]
+    L = np.full_like(x, min(a[j], b[j]))
+    H = np.full_like(x, max(a[j], b[j]))
+    tol = 1e-12 * (H[0] - L[0]) + 4e-15 * max(abs(L[0]), abs(H[0]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(100):
+            r = x[:, None] - a
+            q = x[:, None] - b
+            e = np.exp(0.5 * np.log(np.abs(r / q)).sum(axis=1))
+            miss = 2.0 * np.arctan(e) - theta
+            step = miss * (e + 1.0 / e) / (1.0 / r - 1.0 / q).sum(axis=1)
+            above = (miss < 0.0) == rising
+            L = np.where(above, x, L)
+            H = np.where(above, H, x)
+            if np.all(np.abs(step) <= tol):
+                return np.clip(x - step, L, H)
+            x = x - step
+            x = np.where((x >= L) & (x <= H), x, 0.5 * (L + H))
+    raise AssertionError(f"reference band {j} not converged")
+
+
+def full_product_trace(a, b, m, theta, t):
+    """Reference: the phase-averaged trace of bands 0..m-1, band by band on
+    the full product."""
+    sin2 = np.sin(0.5 * theta) ** 2
+    acc = 0.0
+    for j in range(m):
+        lam = full_product_band_roots(a, b, j, theta, a[j] + (b[j] - a[j]) * sin2)
+        acc += float(np.sum(np.exp(-lam * t)))
+    return acc / theta.size
+
+
+def full_phase(a, b, lam):
+    """2 atan(|prod_k (lambda - a_k)/(lambda - b_k)|^{1/2}) over every k."""
+    with np.errstate(divide="ignore"):
+        g = np.log(np.abs((lam[..., None] - a) / (lam[..., None] - b))).sum(axis=-1)
+    return 2.0 * np.arctan(np.exp(0.5 * g))
+
+
+def record_roots(monkeypatch):
+    """Record the (a, b, m, theta) and the roots of every joint solve."""
+    calls = []
+    solve = oracle._phase_roots
+
+    def recorded(a, b, m, theta):
+        roots = solve(a, b, m, theta)
+        calls.append((a, b, m, theta, roots))
+        return roots
+
+    monkeypatch.setattr(oracle, "_phase_roots", recorded)
+    return calls
+
+
 class TestBlochEigenvalues:
     @pytest.mark.parametrize("n", [64, 65])
     @pytest.mark.parametrize("theta", [0.0, math.pi, 0.7, 2.9])
@@ -490,3 +548,74 @@ class TestLatticeHeatTrace:
         spec = oracle.LatticeSpec(0.0, 1.0, 16, "dirichlet", lambda x: 0.0)
         with pytest.raises(DomainError):
             oracle.lattice_heat_trace(spec, 1.0)
+
+
+def phase_sum(spectra, t):
+    return np.mean([np.sum(np.exp(-lam * t)) for lam in spectra])
+
+
+THETAS = (np.arange(32) + 0.5) * math.pi / 32
+WORKLOAD_TRACES = [(case, k, t) for case, k in
+                   [(c, k) for c in (CaseTag.B, CaseTag.D) for k in (0.3, 0.5, 0.7, 0.9)]
+                   + [(CaseTag.NAHM, None)]
+                   for t in (0.25, 0.5, 1.0, 2.0)]
+
+
+class TestNearFarSplit:
+    """The exact near terms and the far Taylor series of the joint solve."""
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_empty_series_where_the_near_terms_reach_n(self, monkeypatch, n):
+        # at t = 0.01 every band but a few is kept, and K = n
+        far = []
+        series = oracle._far_series
+        monkeypatch.setattr(oracle, "_far_series",
+                            lambda da, db, rho: far.append(da.size) or series(da, db, rho))
+        spec, _ = period_spec(CaseTag.B, 0.5, n)
+        want = phase_sum([dense_bloch(spec, th) for th in THETAS], 0.01)
+        assert oracle.lattice_heat_trace(spec, 0.01) == pytest.approx(want, rel=1e-12)
+        assert far == [0]
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_band_below_zero_puts_the_centre_below_zero(self, monkeypatch, n):
+        # case B at k = 0.3: band 0 lies below 0, and at t = 450 it is the
+        # only band kept, so the series is centred at c < 0.  A dense
+        # eigenvalue is good to about eps (4/h^2 + max|u|), which e^{-lambda t}
+        # turns into t times that relative; on the trace's own two spectra
+        # the per-band full-product solve agrees to 8 eps
+        calls = record_roots(monkeypatch)
+        spec, _ = period_spec(CaseTag.B, 0.3, n)
+        t = 450.0
+        got = oracle.lattice_heat_trace(spec, t)
+        [(a, b, m, theta, _)] = calls
+        assert m == 1 and 0.5 * (a[0] + b[0]) < 0.0
+        eps = np.finfo(float).eps
+        norm = 4.0 / spec.h ** 2 + np.max(np.abs(spec.diagonal - 2.0 / spec.h ** 2))
+        want = phase_sum([dense_bloch(spec, th) for th in THETAS], t)
+        assert got == pytest.approx(want, rel=1e-12 + 4.0 * eps * norm * t)
+        assert abs(got - full_product_trace(a, b, m, theta, t)) <= 8.0 * eps * got
+
+    @pytest.mark.parametrize("t", [0.25, 2.0])
+    def test_case_d_near_one_at_workload_size(self, t):
+        spec, _ = period_spec(CaseTag.D, 0.999, 360)
+        want = phase_sum([oracle.bloch_eigenvalues(spec, th) for th in THETAS], t)
+        assert oracle.lattice_heat_trace(spec, t) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("case, k, t", WORKLOAD_TRACES)
+    def test_workload_roots_solve_the_full_product(self, monkeypatch, case, k, t):
+        # each root lies within its band's Newton tolerance of the root of
+        # the full 360-term phase equation, and the trace is within 8 eps
+        # of the per-band full-product solve on the same two spectra
+        calls = record_roots(monkeypatch)
+        spec, _ = period_spec(case, k, 360)
+        got = oracle.lattice_heat_trace(spec, t)
+        [(a, b, m, theta, roots)] = calls
+        lo, hi = np.minimum(a, b)[:m, None], np.maximum(a, b)[:m, None]
+        tol = 1e-12 * (hi - lo) + 4e-15 * np.maximum(np.abs(lo), np.abs(hi))
+        below = full_phase(a, b, np.maximum(roots - tol, lo)) - theta
+        above = full_phase(a, b, np.minimum(roots + tol, hi)) - theta
+        rising = (b[:m] > a[:m])[:, None]
+        assert np.all(np.where(rising, below <= 0.0, below >= 0.0))
+        assert np.all(np.where(rising, above >= 0.0, above <= 0.0))
+        want = full_product_trace(a, b, m, theta, t)
+        assert abs(got - want) <= 8.0 * np.finfo(float).eps * want

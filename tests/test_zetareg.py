@@ -165,8 +165,10 @@ class TestKinkZeta1d:
         with pytest.raises(DomainError, match="Re s"):
             zetareg.mellin_zeta(zetareg.erf_heat_trace(1.0), s)
 
-    @pytest.mark.parametrize("s, b", [(200.0, 1.0), (1e300, 0.5)])
+    @pytest.mark.parametrize("s, b", [(200.0, 0.01), (1e300, 0.5)])
     def test_overflowing_closed_form_is_a_domain_error(self, s, b):
+        # b^{-2s} = 1e800 and 2^{2e300}; at b = 1 the value stays finite
+        # past s = 171 (test_real_s_past_the_gamma_range_against_mpmath)
         with pytest.raises(DomainError, match="overflows"):
             zetareg.zeta_kink_1d(s, b)
 
@@ -264,18 +266,31 @@ class TestKinkZetaD:
     def test_real_s_where_a_gamma_overflows(self, d, s):
         # where math.gamma overflows (past 171.6, or 1/s at a subnormal s) or
         # leaves the normal floats (a subnormal Gamma near s = -171), the
-        # ratio takes the complex Gamma, which keeps the value finite
+        # ratio takes the Stirling series at |s| >= 100 and the complex
+        # Gamma elsewhere, which keep the value finite
         with mp.workdps(40):
             ref = _zeta_d_mp(mp.mpf(s), mp.mpf(1), d)
         assert abs(zetareg.zeta_d_kink(s, 1.0, d) - ref) <= 1e-12 * abs(ref)
 
+    def test_real_s_past_the_gamma_range_against_mpmath(self):
+        # |s| log-spaced over [170, 1e4], both signs, and the two points
+        # where both earlier routes failed: Gamma(x)/Gamma(x + 1/2) from the
+        # Stirling series, after the reflection for s < 0; up to 2.5 eps on
+        # 8,000 such points
+        grid = np.logspace(math.log10(170.0), 4.0, 40)
+        for d in (1, 3):
+            for s in [-175.3, -250.3] + [float(v) for v in np.concatenate([grid, -grid])]:
+                with mp.workdps(40):
+                    ref = _zeta_d_mp(mp.mpf(s), mp.mpf(1), d)
+                got = zetareg.zeta_d_kink(s, 1.0, d)
+                assert got.imag == 0.0
+                assert abs(got.real - ref) <= 16.0 * specfun._EPS * abs(ref), (d, s)
+
     @pytest.mark.parametrize("d", [1, 3])
-    @pytest.mark.parametrize("s", [-175.3, -250.3])
-    def test_real_s_where_both_gamma_routes_fail_is_a_domain_error(self, d, s):
-        # math.gamma is subnormal or 0.0 there, and the complex route's
-        # Gamma and 1/Gamma reach 0 and inf
+    def test_real_s_where_the_closed_form_overflows_is_a_domain_error(self, d):
+        # m^{d - 1 - 2s} = 2^{2e4} at s = -1e4
         with pytest.raises(DomainError):
-            zetareg.zeta_d_kink(s, 1.0, d)
+            zetareg.zeta_d_kink(-1e4 - 0.3, 2.0, d)
 
     def test_d4_smooth_at_zero(self):
         v = zetareg.zeta_d_kink(0.0, 1.0, 4)
