@@ -3,6 +3,7 @@ derivative at zero, and the one-loop correction."""
 
 import cmath
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -273,18 +274,34 @@ class TestKinkZetaD:
         assert abs(zetareg.zeta_d_kink(s, 1.0, d) - ref) <= 1e-12 * abs(ref)
 
     def test_real_s_past_the_gamma_range_against_mpmath(self):
-        # |s| log-spaced over [170, 1e4], both signs, and the two points
-        # where both earlier routes failed: Gamma(x)/Gamma(x + 1/2) from the
-        # Stirling series, after the reflection for s < 0; up to 2.5 eps on
-        # 8,000 such points
+        # |s| log-spaced over [170, 1e4], both signs: Gamma(x)/Gamma(x + 1/2)
+        # from the Stirling series, after the reflection for s < 0; up to
+        # 2.5 eps on 8,000 such points
         grid = np.logspace(math.log10(170.0), 4.0, 40)
         for d in (1, 3):
-            for s in [-175.3, -250.3] + [float(v) for v in np.concatenate([grid, -grid])]:
+            for s in [float(v) for v in np.concatenate([grid, -grid])]:
                 with mp.workdps(40):
                     ref = _zeta_d_mp(mp.mpf(s), mp.mpf(1), d)
                 got = zetareg.zeta_d_kink(s, 1.0, d)
                 assert got.imag == 0.0
                 assert abs(got.real - ref) <= 16.0 * specfun._EPS * abs(ref), (d, s)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("s", [-175.3, -250.3])
+    def test_real_s_where_both_gamma_routes_fail_is_a_domain_error(self, d, s):
+        # math.gamma is subnormal or 0.0 there, and the complex route's
+        # Gamma and 1/Gamma reach 0 and inf.  Both points raised DomainError
+        # before the Stirling route, whence the name; now they return the
+        # closed form within 16 eps of mpmath
+        x, y = (s + 0.5, s + 1.0) if d == 1 else (s - 0.5, s)
+        assert abs(math.gamma(x)) < sys.float_info.min
+        assert abs(specfun.gamma_fn(complex(x))) < sys.float_info.min
+        assert not cmath.isfinite(complex(zetareg.rgamma(complex(y))))
+        with mp.workdps(40):
+            ref = _zeta_d_mp(mp.mpf(s), mp.mpf(1), d)
+        got = zetareg.zeta_d_kink(s, 1.0, d)
+        assert got.imag == 0.0
+        assert abs(got.real - ref) <= 16.0 * specfun._EPS * abs(ref)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_real_s_where_the_closed_form_overflows_is_a_domain_error(self, d):
