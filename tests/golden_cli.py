@@ -72,6 +72,7 @@ INVOCATIONS = [
     ["heattrace", "--case", "a", "--t", "1e-100,1e-29"],
     ["heattrace", "--case", "c", "--t", "1e-100"],
     ["zeta", "--case", "b", "--k", "0.5", "--s", "0"],
+    ["zeta", "--case", "a", "--b", "1.3", "--s=-0.4,0.1,0.45"],
 ]
 
 
