@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import loggamma, rgamma
+from scipy.special import rgamma
 
 from .errors import BranchCollisionError, ConvergenceError, DomainError, PoleError
 from .resolvent import ResolventPolynomial, _band_integral
@@ -139,37 +138,86 @@ def kink_trace_d(m: float, d: int) -> HeatTrace:
 # closed forms
 # ---------------------------------------------------------------------------
 
+def _check_s(s: complex, name: str, poles=(), shift: float | None = None) -> None:
+    """The one test of s before a closed form or mellin_zeta: DomainError
+    where s is not finite, PoleError within 1e-12 of a point of poles or,
+    given shift, of a pole of Gamma(s + shift)."""
+    if not cmath.isfinite(s):
+        raise DomainError(f"{name} requires a finite s, got s = {s}")
+    if any(abs(s - p) < 1e-12 for p in poles) or (
+            shift is not None and _near_nonpositive_integer(s + shift)):
+        raise PoleError(f"{name} pole at s = {s}")
+
+
+def _power(base: float, p: complex, what: str) -> complex:
+    """base^p = base^{Re p} e^{i Im p ln base} for 0 < base < inf; DomainError
+    ("<what> overflows") where it does not stay finite."""
+    try:
+        return base ** p.real * cmath.exp(1j * p.imag * math.log(base))
+    except (OverflowError, ValueError):     # ValueError: Im p ln base = inf
+        raise DomainError(f"{what} overflows") from None
+
+
+def _gamma_ratio(x: complex, y: complex) -> complex:
+    """Gamma(x) / Gamma(y), y = x + 1/2, with the callers' y exact where x
+    may be rounded.  Complex x takes the complex Gamma.
+
+    Real x < 0 reflects (DLMF 5.5.3) to -tan(pi y) Gamma(1 + w) /
+    Gamma(3/2 + w), w = -y, the tangent from y less its nearest integer (so
+    the zeros at y = 0, -1, ... are exact), and for w >= 1 to the exact
+    arguments w and w - 1/2 through Gamma(1 + w) / Gamma(3/2 + w) =
+    w / ((w + 1/2)(w - 1/2)) Gamma(w) / Gamma(w - 1/2).  Real x >= 0 takes
+    math.gamma; a rounded y >= 16 (y - x != 1/2) the exact pair x - 1/2, x
+    of Gamma(x) / Gamma(x + 1/2) = 1 / ((x - 1/2) Gamma(x - 1/2) / Gamma(x))
+    (below 16 its rounding costs at most psi(16) ulp(8) / 2, 11 eps); and
+    past the overflow of math.gamma (x > 171) the Stirling series of
+    ln Gamma(x + h), h = 0 and 1/2 (DLMF 5.11(i)), cut where the next term
+    is under 2e-21 relative at x >= 100:
+
+        Gamma(x) / Gamma(x + 1/2) = x^{-1/2} exp(1/(8x) - 1/(192x^3)
+                                     + 1/(640x^5) - 17/(14336x^7)).
+    """
+    if x.imag != 0.0:
+        return gamma_fn(x) * complex(rgamma(y))
+    x, y = x.real, y.real
+    if x < 0.0:
+        f = y - round(y)           # exact; |f| < 1/2 off the poles of Gamma(x)
+        trig = -math.copysign(math.sin(math.pi * abs(f))
+                              / math.sin(math.pi * (0.5 - abs(f))), f)
+        w = -y
+        if w < 1.0:
+            return trig * _gamma_ratio(1.0 + w, 1.5 + w)
+        return trig * w / ((w + 0.5) * (w - 0.5) * _gamma_ratio(w - 0.5, w))
+    try:
+        gx, gy = math.gamma(x), math.gamma(y)
+    except OverflowError:
+        w = 1.0 / (x * x)
+        series = (1.0 - w * (1.0 / 24.0 - w * (1.0 / 80.0 - w * (17.0 / 1792.0)))) / (8.0 * x)
+        return x ** -0.5 * math.exp(series)
+    if y >= 16.0 and y - x != 0.5:
+        return 1.0 / ((x - 0.5) * _gamma_ratio(x - 0.5, x))
+    return gx / gy
+
+
 def zeta_vacuum(s: complex, nu: float, d: int) -> complex:
     """zeta of -Delta + nu in d dimensions, per unit volume.
 
     Gamma(s - d/2)/Gamma(s) (2 sqrt(pi))^{-d} nu^{d/2 - s}; the Gamma ratio
-    is reduced to a rational function for even d, so the spurious poles
-    cancelled by 1/Gamma(s) never appear numerically.  A value that is not
-    finite raises DomainError."""
+    is _gamma_ratio(s - 1/2, s) for odd d, 1 for even d, over the factors
+    (s - d/2 + j), j < d // 2, so the poles of Gamma(s - d/2) that 1/Gamma(s)
+    cancels never appear numerically, and the zeros of 1/Gamma(s) at s = 0,
+    -1, ... are exact zeros.  A value that is not finite raises DomainError."""
     if d not in (1, 2, 3, 4):
         raise DomainError("d must be 1..4")
     if not 0.0 < nu < math.inf:
         raise DomainError("zeta_vacuum requires 0 < nu < inf")
     s = complex(s)
-    pref = (2.0 * _SQRT_PI) ** (-d)
-    try:
-        power = cmath.exp((0.5 * d - s) * math.log(nu))
-    except OverflowError:
-        power = math.inf
-    if d % 2 == 0:
-        n = d // 2
-        denom = 1.0 + 0.0j
-        for j in range(1, n + 1):
-            denom *= (j - s)
-        if abs(denom) < 1e-12:
-            raise PoleError(f"zeta_vacuum pole at s = {s}")
-        return _finite(pref * (-1.0) ** n / denom * power, f"zeta_vacuum at s = {s}")
-    if _near_nonpositive_integer(s - 0.5 * d):
-        raise PoleError(f"zeta_vacuum pole at s = {s}")
-    # 1/Gamma(s) = 0 at s = 0, -1, -2, ...
-    ratio = 0.0 if s.imag == 0.0 and s.real <= 0.0 and s.real.is_integer() \
-        else cmath.exp(complex(loggamma(s - 0.5 * d)) - complex(loggamma(s)))
-    return _finite(pref * ratio * power, f"zeta_vacuum at s = {s}")
+    _check_s(s, "zeta_vacuum", [0.5 * d - j for j in range(d // 2)],
+             -0.5 if d % 2 else None)
+    ratio = _gamma_ratio(s - 0.5, s) if d % 2 else 1.0
+    ratio /= math.prod(s - 0.5 * d + j for j in range(d // 2))
+    what = f"zeta_vacuum at s = {s}"
+    return _finite((2.0 * _SQRT_PI) ** (-d) * ratio * _power(nu, 0.5 * d - s, what), what)
 
 
 def zeta_kink_1d(s: complex, b: float) -> complex:
@@ -177,58 +225,18 @@ def zeta_kink_1d(s: complex, b: float) -> complex:
     return zeta_d_kink(s, b, 1)
 
 
-def _gamma_ratio(x: complex, y: complex) -> complex:
-    """Gamma(x) / Gamma(y), y = x + 1/2, by math.gamma where real and normal.
-
-    Past that range a real x with |x| >= 100 takes the Stirling series of
-    ln Gamma(x + h) with Bernoulli polynomials at h = 0 and 1/2 (DLMF
-    5.11(i)), cut after four terms, where the next is under 2e-21 relative:
-
-        Gamma(x) / Gamma(x + 1/2) = x^{-1/2} exp(1/(8x) - 1/(192x^3)
-                                     + 1/(640x^5) - 17/(14336x^7)),
-
-    for x < 0 after the reflection Gamma(x)/Gamma(x + 1/2) = -tan(pi y)
-    Gamma(z)/Gamma(z + 1/2), z = 1 - y.  The tangent takes y, reduced by
-    its nearest integer first: for x < 0 the callers' y (s, or s + 1) is
-    exact where x = s - 1/2 may be rounded, and the tangent is sensitive
-    to its argument where Gamma(z)/Gamma(z + 1/2) is not.  Everything else
-    takes the complex Gamma.
-    """
-    try:
-        gx, gy = math.gamma(x.real), math.gamma(y.real)
-    except (OverflowError, ValueError):
-        gx = gy = 0.0
-    if x.imag == 0.0 and min(abs(gx), abs(gy)) >= sys.float_info.min:
-        return gx / gy
-    if x.imag != 0.0 or abs(x.real) < 100.0:
-        return gamma_fn(x) * complex(rgamma(y))
-    z, trig = x.real, 1.0
-    if z < 0.0:
-        f = y.real - round(y.real)           # exact; |f| < 1/2 off the poles of Gamma(x)
-        trig = -math.copysign(math.sin(math.pi * abs(f))
-                              / math.sin(math.pi * (0.5 - abs(f))), f)
-        z = 1.0 - y.real
-    w = 1.0 / (z * z)
-    series = (1.0 - w * (1.0 / 24.0 - w * (1.0 / 80.0 - w * (17.0 / 1792.0)))) / (8.0 * z)
-    return complex(trig * z ** -0.5 * math.exp(series))
-
-
 def _kink_T(s: complex, d: int) -> complex:
     """Gamma(s + 1 - d/2) / ((2s - d + 1) Gamma(s)), pole-safe per d."""
     if d == 1:
-        if _near_nonpositive_integer(s + 0.5):
-            raise PoleError(f"kink zeta pole at s = {s}")
+        _check_s(s, "zeta_d_kink", shift=0.5)
         return _gamma_ratio(s + 0.5, s + 1.0) / 2.0
     if d == 2:
-        if abs(2.0 * s - 1.0) < 1e-12:
-            raise PoleError("kink zeta pole at s = 1/2 (d = 2)")
+        _check_s(s, "zeta_d_kink", (0.5,))
         return 1.0 / (2.0 * s - 1.0)
     if d == 3:
-        if _near_nonpositive_integer(s - 0.5) or abs(s - 1.0) < 1e-12:
-            raise PoleError(f"kink zeta pole at s = {s} (d = 3)")
+        _check_s(s, "zeta_d_kink", (1.0,), -0.5)
         return _gamma_ratio(s - 0.5, s) / (2.0 * s - 2.0)
-    if abs(s - 1.0) < 1e-12 or abs(2.0 * s - 3.0) < 1e-12:
-        raise PoleError(f"kink zeta pole at s = {s} (d = 4)")
+    _check_s(s, "zeta_d_kink", (1.0, 1.5))
     return 1.0 / ((2.0 * s - 3.0) * (s - 1.0))
 
 
@@ -249,13 +257,10 @@ def zeta_d_kink(s: complex, m: float, d: int) -> complex:
     if not 0.0 < m < math.inf:
         raise DomainError("zeta_d_kink requires 0 < m < inf")
     s = complex(s)
-    try:
-        value = (-(2.0 ** (2 - d)) * math.pi ** (-0.5 * d)
-                 * m ** (d - 1.0 - 2.0 * s.real) * cmath.exp(-2j * s.imag * math.log(m))
-                 * _kink_T(s, d))
-    except OverflowError:
-        value = math.inf
-    return _finite(value, f"zeta_d_kink at s = {s}, m = {m!r}")
+    t = _kink_T(s, d)
+    what = f"zeta_d_kink at s = {s}, m = {m!r}"
+    return _finite(-(2.0 ** (2 - d)) * math.pi ** (-0.5 * d)
+                   * _power(m, d - 1.0 - 2.0 * s, what) * t, what)
 
 
 def derivative_at_zero(m: float, d: int) -> float:
@@ -335,8 +340,7 @@ def mellin_zeta(trace: HeatTrace, s: complex) -> ZetaEvaluation:
         raise DomainError(f"mellin_zeta requires {lowest:g} < Re s <= "
                           f"{_RE_S_MAX:g}, got s = {s}")
     tail = tuple((-q, c) for q, c in large)   # the large-t terms as tau^a
-    if any(a != 0.0 and abs(s + a) < 1e-12 for a, _ in small + tail):
-        raise PoleError(f"mellin_zeta pole at s = {s}")
+    _check_s(s, "mellin_zeta", [-a for a, _ in small + tail if a != 0.0])
 
     def f(tau: float, terms) -> complex:
         g = trace.eval(tau) - sum(c * tau ** a for a, c in terms)
@@ -362,11 +366,9 @@ def mellin_zeta(trace: HeatTrace, s: complex) -> ZetaEvaluation:
     # erf-type traces reach their large-t form to rounding near tau = 35
     err += _EPS * abs(rg1) * sum(abs(c) * 35.0 ** max(s.real - q, 0.0)
                                  for q, c in large)
-    try:
-        power = cmath.exp(s * math.log(T))
-    except OverflowError:
-        power = math.inf
-    value, err = _finite(power * value, f"mellin_zeta at s = {s}"), abs(power) * err
+    what = f"mellin_zeta at s = {s}"
+    power = _power(T, s, what)
+    value, err = _finite(power * value, what), abs(power) * err
     return ZetaEvaluation(s=s, value=value, method="mellin_numeric",
                           err_estimate=err)
 
@@ -417,12 +419,9 @@ def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
             "periodic contour zeta requires -1/2 < Re s < 1/2")
     # the bound states lie at lambda = 3 b^2 > 0 (case C) and at the zero
     # mode lambda = 0.0 exactly, which contributes 0^{-s} == 0
-    try:
-        terms = [lam ** -s.real * cmath.exp(-1j * s.imag * math.log(lam))
-                 for lam in rp.bound_states() if lam > 0.0]
-    except OverflowError:
-        raise DomainError(f"the bound-state term of the contour zeta overflows "
-                          f"at s = {s}, b = {rp.b!r}") from None
+    at = f"of the contour zeta at s = {s}, b = {rp.b!r}"
+    terms = [_power(lam, -s, f"the bound-state term {at}")
+             for lam in rp.bound_states() if lam > 0.0]
     # above L the series sum_n c_n lam^{-n-1/2}, c_n = (-1)^n g_n / pi,
     # integrates to L^{1/2-s} sum_n (c_n / L^n) / (n + s - 1/2); heat_coeffs
     # scales the roots by 1/L, since L^{-n} alone overflows at small b.  A
@@ -430,12 +429,8 @@ def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
     cut = 4.0 * max(map(abs, rp.roots))
     c = rp.heat_coeffs(-1.0 / cut, 1.0 / math.pi)
     n = np.flatnonzero(c)
-    try:
-        terms.append(cut ** (0.5 - s.real) * cmath.exp(-1j * s.imag * math.log(cut))
-                     * complex(np.sum(c[n] / (n + s - 0.5))))
-    except OverflowError:
-        raise DomainError(f"the top-band tail of the contour zeta overflows "
-                          f"at s = {s}, b = {rp.b!r}") from None
+    terms.append(_power(cut, 0.5 - s, f"the top-band tail {at}")
+                 * complex(np.sum(c[n] / (n + s - 0.5))))
     err = 0.0
     bands = rp.bands()
     # lambda^{-s} overflows at small lambda and large Re s, and e^{-i pi s}

@@ -609,3 +609,96 @@ class TestTypedErrors:
     def test_domain_error(self, f, args):
         with pytest.raises(DomainError):
             f(*args)
+
+
+def _vacuum_mp(s, nu, d):
+    """The vacuum closed form Gamma(s - d/2)/Gamma(s) (2 sqrt(pi))^{-d}
+    nu^{d/2 - s} in mpmath."""
+    return (mp.gamma(s - mp.mpf(d) / 2) * mp.rgamma(s) * (2 * mp.sqrt(mp.pi)) ** -d
+            * mp.mpf(nu) ** (mp.mpf(d) / 2 - s))
+
+
+def _sweep_s():
+    """Real s over [-300, 300], derandomized: 200 uniform draws plus 40 in
+    each window (-2^k, -2^k + 3/2] and its mirror [2^k - 3/2, 2^k), k = 1..8,
+    where s -/+ 1/2 and s + 1 cross a power of two.  None lies within 1e-6
+    of a pole of the closed forms (half-integers, and 1 and 2)."""
+    rng = np.random.default_rng(27)
+    draws = [rng.uniform(-300.0, 300.0, 200)]
+    for k in range(1, 9):
+        draws.append(-(2.0 ** k) + 1.5 * (1.0 - rng.random(40)))
+        draws.append(2.0 ** k - 1.5 * (1.0 - rng.random(40)))
+    s = np.concatenate(draws)
+    assert np.all(np.abs(2.0 * s - np.round(2.0 * s)) > 2e-6)
+    return [float(v) for v in s]
+
+
+class TestClosedFormsAgainstMpmath:
+    # every Gamma(x)/Gamma(x + 1/2) of the closed forms comes from one
+    # routine with exact Gamma arguments; the parent's loggamma ratio (vacuum)
+    # and math.gamma at a rounded s - 1/2 (kink, d = 3) were 3,682 and 2,352
+    # eps off on draws of this kind
+    S = _sweep_s()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_kink_real_s_within_16_eps(self, d):
+        worst = 0.0
+        for s in self.S:
+            with mp.workdps(40):
+                ref = _zeta_d_mp(mp.mpf(s), mp.mpf(1), d)
+            got = zetareg.zeta_d_kink(s, 1.0, d)
+            assert got.imag == 0.0
+            worst = max(worst, abs(got.real - ref) / (specfun._EPS * abs(ref)))
+        assert worst <= 16.0, worst
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_vacuum_real_s_within_16_eps(self, d):
+        worst = 0.0
+        for s in self.S:
+            with mp.workdps(40):
+                ref = _vacuum_mp(mp.mpf(s), 1, d)
+            got = zetareg.zeta_vacuum(s, 1.0, d)
+            assert got.imag == 0.0
+            worst = max(worst, abs(got.real - ref) / (specfun._EPS * abs(ref)))
+        assert worst <= 16.0, worst
+
+    @pytest.mark.parametrize("s", [-63.501, -127.516])
+    def test_kink_d3_where_s_minus_half_rounds(self, s):
+        # s - 1/2 crosses a power of two and rounds next to a pole of
+        # Gamma(s - 1/2): 32,141 and 4,310 eps through math.gamma there
+        with mp.workdps(40):
+            ref = _zeta_d_mp(mp.mpf(s), mp.mpf(1), 3)
+        got = zetareg.zeta_d_kink(s, 1.0, 3)
+        assert abs(got.real - ref) <= 16.0 * specfun._EPS * abs(ref)
+
+    def test_complex_s_no_worse_than_the_complex_gamma(self):
+        # complex s keeps the complex Gamma; on these draws the closed forms
+        # before the single ratio were at worst 134.8 eps (kink) and 120.4
+        # eps (vacuum, its loggamma difference) off 40-digit mpmath
+        rng = np.random.default_rng(11)
+        draws = [complex(a, b) for a, b in
+                 zip(rng.uniform(-30.0, 30.0, 60), rng.uniform(-4.0, 4.0, 60))]
+        for d in (1, 2, 3, 4):
+            for s in draws:
+                with mp.workdps(40):
+                    kink = complex(_zeta_d_mp(mp.mpc(s), mp.mpf(1.7), d))
+                    vac = complex(_vacuum_mp(mp.mpc(s), 1.7, d))
+                assert abs(zetareg.zeta_d_kink(s, 1.7, d) - kink) <= 135.0 * specfun._EPS * abs(kink)
+                assert abs(zetareg.zeta_vacuum(s, 1.7, d) - vac) <= 121.0 * specfun._EPS * abs(vac)
+
+    @pytest.mark.parametrize("f, args", [
+        (zetareg.zeta_d_kink, (math.nan, 1.0, 1)),
+        (zetareg.zeta_d_kink, (math.nan, 1.0, 3)),
+        (zetareg.zeta_d_kink, (complex(0.3, math.nan), 1.0, 2)),
+        (zetareg.zeta_d_kink, (-math.inf, 1.0, 3)),
+        (zetareg.zeta_kink_1d, (complex(0.3, math.inf), 1.0)),
+        (zetareg.zeta_vacuum, (-math.inf, 2.0, 1)),
+        (lambda s: zetareg.mellin_zeta(zetareg.erf_heat_trace(1.0), s),
+         (complex(0.3, math.nan),)),
+        (lambda s: zetareg.mellin_zeta(zetareg.kink_trace_d(1.0, 3), s),
+         (complex(0.3, -math.inf),))],
+        ids=["kink d=1 nan", "kink d=3 nan", "kink d=2 nan im", "kink d=3 -inf",
+             "kink 1d inf im", "vacuum -inf", "mellin nan im", "mellin -inf im"])
+    def test_non_finite_s_is_a_domain_error(self, f, args):
+        with pytest.raises(DomainError, match="requires a finite s"):
+            f(*args)
