@@ -136,22 +136,32 @@ def green_diag(x: float, h: float, k: float) -> complex:
     """Green-function diagonal psi_+ psi_- / W (derivative jump -1), the
     value of green_offdiag(x, x, h, k), with sigma(v) summed once for both."""
     sol = make_lame_solution(h, k)
-    x -= _period_shift(x, sol.params)
+    _, x = _periods(x, sol.params)
     plus, minus = _psi_values(sol.params, sol.a, sol.zeta_a, x, (+1, -1))
     return plus * minus / sol.wronskian
 
 
 def green_offdiag(x: float, x0: float, h: float, k: float) -> complex:
-    """Off-diagonal Green function (psi_+ at the larger argument)."""
+    """Off-diagonal Green function (psi_+ at the larger argument).
+
+    Each point is reduced by its own whole periods 2K, and the Bloch
+    multipliers psi_+-(x + 2K n) = mu^{+-n} psi_+-(x), log mu = 2(eta a -
+    zeta(a) omega), enter once as exp((n_hi - n_lo) log mu), so the value
+    stays finite where psi_+(hi) alone would not."""
     sol = make_lame_solution(h, k)
     hi, lo = (x, x0) if x >= x0 else (x0, x)
-    shift = _period_shift(lo, sol.params)
-    return sol.psi_plus(hi - shift) * sol.psi_minus(lo - shift) / sol.wronskian
+    n_hi, hi = _periods(hi, sol.params)
+    n_lo, lo = _periods(lo, sol.params)
+    value = sol.psi_plus(hi) * sol.psi_minus(lo) / sol.wronskian
+    if n_hi != n_lo:
+        p = sol.params
+        value *= cmath.exp((n_hi - n_lo) * 2.0 * (p.eta * sol.a - sol.zeta_a * p.omega))
+    return value
 
 
-def _period_shift(lo: float, params: specfun.WeierstrassParams) -> float:
-    """The Green functions have the period 2K = 2 sqrt(3) omega in both
-    points together, so both move by the whole periods that take lo into
-    [0, 2K), while |lo| / 2K < 2^52."""
+def _periods(x: float, params: specfun.WeierstrassParams) -> tuple[int, float]:
+    """(n, x - 2K n), n = floor(x / 2K) the whole periods 2K = 2 sqrt(3) omega
+    of the Green functions in x, while |x| / 2K < 2^52 (n = 0 past that)."""
     period = 2.0 * _SQRT3 * params.omega
-    return math.floor(lo / period) * period if abs(lo / period) < 2.0 ** 52 else 0.0
+    n = math.floor(x / period) if abs(x / period) < 2.0 ** 52 else 0
+    return n, x - n * period

@@ -1,5 +1,6 @@
 """Genus-1 Bloch solutions and the Green-diagonal cross-module identity."""
 
+import cmath
 import math
 
 import numpy as np
@@ -169,6 +170,29 @@ class TestGreenDiagonal:
         want = ba.green_offdiag(0.9, 0.3, h, k)
         got = ba.green_offdiag(0.9 + shift, 0.3 + shift, h, k)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("h", [0.2, 0.5, 1.1, 3.0])
+    def test_far_apart_points_take_the_bloch_multiplier(self, h):
+        # psi_+(hi) alone overflows far from psi_-(lo); each point is reduced
+        # by its own periods and the multiplier mu = psi_+(x + 2K) / psi_+(x),
+        # taken here from two psi values, enters as mu^n (h = 0.2, 1.1 in
+        # the gaps, 0.5, 3.0 in the bands)
+        k, x0 = 0.5, 0.3
+        period = 2.0 * specfun.ellipk(k)
+        sol = ba.make_lame_solution(h, k)
+        mu = sol.psi_plus(0.7 + period) / sol.psi_plus(0.7)
+        near = ba.green_offdiag(0.7 + period, x0, h, k)
+        for n in (10, 35, 118):
+            got = ba.green_offdiag(0.7 + (n + 1) * period, x0, h, k)
+            assert cmath.isfinite(got)
+            assert abs(got - near * mu ** n) <= 1e-11 * abs(near * mu ** n)
+
+    @pytest.mark.parametrize("x, want", [(120.0, 4.58e-12), (400.0, 2.19e-39)])
+    def test_far_apart_in_the_gap_is_small_and_finite(self, x, want):
+        # green_offdiag(x, 0.3, 0.2, 0.5) raised DomainError at both points
+        got = ba.green_offdiag(x, 0.3, 0.2, 0.5)
+        assert got.real == pytest.approx(want, rel=1e-3)
+        assert abs(got.imag) <= 1e-14 * got.real
 
     def test_matches_resolvent_case_b(self):
         # the central cross-module identity: g_h(x, x) = P/(2 sqrt Q) at
