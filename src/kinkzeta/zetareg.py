@@ -139,9 +139,9 @@ def kink_trace_d(m: float, d: int) -> HeatTrace:
 # ---------------------------------------------------------------------------
 
 def _check_s(s: complex, name: str, poles=(), shift: float | None = None) -> None:
-    """The one test of s before a closed form or mellin_zeta: DomainError
-    where s is not finite, PoleError within 1e-12 of a point of poles or,
-    given shift, of a pole of Gamma(s + shift)."""
+    """The one test of s on every zeta route: DomainError where s is not
+    finite, PoleError within 1e-12 of a point of poles or, given shift, of a
+    pole of Gamma(s + shift)."""
     if not cmath.isfinite(s):
         raise DomainError(f"{name} requires a finite s, got s = {s}")
     if any(abs(s - p) < 1e-12 for p in poles) or (
@@ -417,6 +417,7 @@ def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
     elif not (-0.5 + 1e-9 < s.real < 0.5 - 1e-9):
         raise BranchCollisionError(
             "periodic contour zeta requires -1/2 < Re s < 1/2")
+    _check_s(s, "zeta_contour")
     # the bound states lie at lambda = 3 b^2 > 0 (case C) and at the zero
     # mode lambda = 0.0 exactly, which contributes 0^{-s} == 0
     at = f"of the contour zeta at s = {s}, b = {rp.b!r}"
