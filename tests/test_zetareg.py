@@ -635,9 +635,9 @@ def _sweep_s():
 
 class TestClosedFormsAgainstMpmath:
     # every Gamma(x)/Gamma(x + 1/2) of the closed forms comes from one
-    # routine with exact Gamma arguments; the parent's loggamma ratio (vacuum)
-    # and math.gamma at a rounded s - 1/2 (kink, d = 3) were 3,682 and 2,352
-    # eps off on draws of this kind
+    # routine with exact Gamma arguments; the former loggamma ratio (vacuum)
+    # and math.gamma at a rounded s - 1/2 (kink, d = 3) were 23,955 and
+    # 1,404 eps off on these draws
     S = _sweep_s()
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
