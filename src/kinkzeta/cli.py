@@ -17,8 +17,7 @@ import sys
 import numpy as np
 
 from . import models, oracle, resolvent, zetareg
-from .errors import (DomainError, KinkZetaError, PoleError,
-                     UnsupportedFamilyError)
+from .errors import DomainError, KinkZetaError, UnsupportedFamilyError
 
 __all__ = ["build_parser", "main"]
 
@@ -178,15 +177,12 @@ def _cmd_zeta(args) -> int:
     rows = []
     spreads: dict[float, list[complex]] = {}
     for sv in _parse_grid(args.s):
-        # the contour first: its strip check precedes the Mellin route's poles
+        # the contour first: its strip check, Re s > -1/2, precedes the poles
+        # of the closed form and the Mellin route (s = -1/2 - n)
         contour = zetareg.zeta_contour(rp, sv)
         vals = []
         if is_a:
-            try:
-                zc = zetareg.zeta_kink_1d(sv, rp.b)
-                vals.append(("closed_form", zc, 0.0))
-            except PoleError:
-                pass
+            vals.append(("closed_form", zetareg.zeta_kink_1d(sv, rp.b), 0.0))
             ev = zetareg.mellin_zeta(zetareg.erf_heat_trace(rp.b), sv)
             vals.append(("mellin_numeric", ev.value, ev.err_estimate))
         vals.append(("contour", contour.value, contour.err_estimate))

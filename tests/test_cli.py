@@ -141,6 +141,16 @@ class TestZeta:
         val = float(closed[0][header.index("re")])
         assert val == pytest.approx(-0.7627597635, abs=1e-8)
 
+    @pytest.mark.parametrize("s", ["-0.499999998", "-0.499999"])
+    def test_closed_form_row_next_to_its_pole(self, capsys, s):
+        # the contour's strip check keeps s off the closed form's poles
+        code, out, _ = run_cli(capsys, "zeta", "--case", "a", "--b", "1",
+                               f"--s={s}")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert [r[header.index("method")] for r in rows] == [
+            "closed_form", "mellin_numeric", "contour"]
+
     def test_method_disagreement_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "zeta", "--case", "a", "--b", "1",
                                "--s", "0.25", "--method-tol", "1e-18")

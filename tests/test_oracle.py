@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -350,6 +351,67 @@ class TestBandEdges:
             oracle.band_edges_lattice(spec, 3)
 
 
+def model_roots(x, f, fp, p, r):
+    """The two roots lambda of the pole step's model g + g' (lambda - x) -
+    r / (p - lambda), g and g' as _pole_step forms them, at 40 digits."""
+    with mp.workdps(40):
+        x, f, fp, p, r = map(mp.mpf, (x, f, fp, p, r))
+        dist = p - x
+        g = f + r / dist
+        gp = min(fp + r / dist ** 2, mp.mpf(-1))
+        a = g + gp * dist
+        # y = p - lambda solves g' y^2 - a y + r = 0
+        disc = mp.sqrt(a * a - 4 * gp * r)
+        return [p - (a + sign * disc) / (2 * gp) for sign in (1, -1)], a
+
+
+# (x, f, fp, p, r) and the sign of the model's a, by the signs of dist =
+# p - x and of a; a = -0.0 cannot arise, as g' dist is never zero
+POLE_STEPS = {
+    "dist+a+": (0.0, 3.0, -2.0, 1.0, 0.5, 1),
+    "dist+a-": (0.0, -1.0, -2.0, 1.0, 0.5, -1),
+    "dist-a+": (2.0, 2.0, -2.0, 1.0, 0.5, 1),
+    "dist-a-": (2.0, -3.0, -2.0, 1.0, 0.5, -1),
+    "dist+a0": (0.0, 1.0, -3.0, 1.0, 1.0, 0),
+    "dist-a0": (0.0, -1.0, -3.0, -1.0, 1.0, 0),
+    "slope-clamped": (0.0, 0.3, -1.0, 1.0, 0.5, -1),
+    "distant-pole": (-3.7, 1e-9, -1.25, 40.0, 1e-7, -1),
+}
+
+
+class TestPoleStep:
+    """_pole_step against the model's two roots: the one on x's side of p."""
+
+    @pytest.mark.parametrize("x, f, fp, p, r, sign", POLE_STEPS.values(), ids=POLE_STEPS)
+    def test_root_on_the_side_of_x(self, x, f, fp, p, r, sign):
+        roots, a = model_roots(x, f, fp, p, r)
+        assert mp.sign(a) == sign
+        [want] = [lam for lam in roots if (lam < p) == (x < p)]
+        got = oracle._pole_step(x, f, fp, p, r)
+        assert (got < p) == (x < p)
+        assert abs(got - want) <= 4.0 * np.finfo(float).eps * (abs(p) + abs(p - want))
+
+    def test_sample_of_the_four_sign_cases(self):
+        rng = np.random.default_rng(7)
+        cases = set()
+        for _ in range(400):
+            x = rng.uniform(-50.0, 50.0)
+            p = x + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 1.0)
+            fp = -(10.0 ** rng.uniform(0.0, 4.0))
+            r = 10.0 ** rng.uniform(-8.0, 2.0)
+            f = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, 3.0)
+            roots, a = model_roots(x, f, fp, p, r)
+            [want] = [lam for lam in roots if (lam < p) == (x < p)]
+            got = oracle._pole_step(x, f, fp, p, r)
+            cases.add((p > x, a >= 0))
+            assert abs(got - want) <= 4.0 * np.finfo(float).eps * (abs(p) + abs(p - want))
+        assert len(cases) == 4
+
+    def test_pole_at_x_takes_newton(self):
+        # dist == 0: no model is fitted, x - f/f' is returned
+        assert oracle._pole_step(1.5, 2.0, -4.0, 1.5, 0.25) == 2.0
+
+
 def dense_bloch(spec, theta):
     """Reference: the full complex Hermitian Bloch matrix on the natural
     ring order, solved densely."""
@@ -570,7 +632,7 @@ class TestNearFarSplit:
         far = []
         series = oracle._far_series
         monkeypatch.setattr(oracle, "_far_series",
-                            lambda da, db, rho: far.append(da.size) or series(da, db, rho))
+                            lambda da, db: far.append(da.size) or series(da, db))
         spec, _ = period_spec(CaseTag.B, 0.5, n)
         want = phase_sum([dense_bloch(spec, th) for th in THETAS], 0.01)
         assert oracle.lattice_heat_trace(spec, 0.01) == pytest.approx(want, rel=1e-12)

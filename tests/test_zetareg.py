@@ -78,7 +78,8 @@ class TestVacuumZeta:
     @pytest.mark.parametrize("s0", [0.0, -1.0, -2.0, -3.0])
     def test_odd_d_at_and_near_nonpositive_integers(self, s0, d):
         # 1/Gamma(s) = 0 at s = 0, -1, -2, ...: the value there is 0 (the
-        # Mellin route agrees), and loggamma keeps it finite 1e-9 away
+        # Mellin route agrees), and 1e-9 away the reflection's tangent, taken
+        # from s less its nearest integer, keeps it finite and accurate
         nu = 2.0
         assert zetareg.zeta_vacuum(s0, nu, d) == 0.0
         tr = zetareg.vacuum_heat_trace(nu, d)
@@ -141,6 +142,18 @@ class TestKinkZeta1d:
             assert zetareg.mellin_zeta(tr, s).value == zetareg.zeta_kink_1d(s, b)
         with pytest.raises(PoleError):
             zetareg.zeta_kink_1d(-0.5, b)
+
+    @pytest.mark.parametrize("s", [-0.5 + 2e-9, -0.5 + 1e-6])
+    def test_no_pole_just_inside_the_contour_strip(self, s):
+        # zeta_contour takes a kink's Re s > -1/2 + 1e-9, and the closed
+        # form's poles are at s = -1/2 - n: the first lies outside the strip
+        assert cmath.isfinite(zetareg.zeta_kink_1d(s, 1.0))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(re=st.floats(-0.5 + 1e-9, 10.0, exclude_min=True),
+           im=st.floats(-20.0, 20.0), log_b=st.floats(-3.0, 3.0))
+    def test_no_pole_on_the_kink_contour_strip(self, re, im, log_b):
+        assert cmath.isfinite(zetareg.zeta_kink_1d(complex(re, im), 10.0 ** log_b))
 
     @pytest.mark.parametrize("s", [1.0, 4.0, 7.0, 10.0])
     def test_mellin_within_estimate_up_to_the_bound(self, s):
@@ -265,10 +278,12 @@ class TestKinkZetaD:
     @pytest.mark.parametrize("d, s", [(1, 170.6), (3, 171.5), (3, 1e-310),
                                       (1, -171.3), (3, -170.3)])
     def test_real_s_where_a_gamma_overflows(self, d, s):
-        # where math.gamma overflows (past 171.6, or 1/s at a subnormal s) or
-        # leaves the normal floats (a subnormal Gamma near s = -171), the
-        # ratio takes the Stirling series at |s| >= 100 and the complex
-        # Gamma elsewhere, which keep the value finite
+        # at the edges of math.gamma's range (it overflows past 171.62, and
+        # Gamma(s) is subnormal near s = -171 and about 1/s at a subnormal s)
+        # the ratio Gamma(x) / Gamma(x + 1/2) stays finite: math.gamma's
+        # quotient at s = 170.6 and 171.5, and for x < 0 the reflection, its
+        # tangent from x + 1/2 less the nearest integer, then math.gamma at
+        # the exact pair 169.8, 170.3 for s = -171.3 and -170.3
         with mp.workdps(40):
             ref = _zeta_d_mp(mp.mpf(s), mp.mpf(1), d)
         assert abs(zetareg.zeta_d_kink(s, 1.0, d) - ref) <= 1e-12 * abs(ref)
