@@ -366,7 +366,8 @@ def model_roots(x, f, fp, p, r):
 
 
 # (x, f, fp, p, r) and the sign of the model's a, by the signs of dist =
-# p - x and of a; a = -0.0 cannot arise, as g' dist is never zero
+# p - x and of a.  a = g + g' dist is -0.0 only if both terms are, and
+# g' dist is never zero, so a = +0.0 is the only zero
 POLE_STEPS = {
     "dist+a+": (0.0, 3.0, -2.0, 1.0, 0.5, 1),
     "dist+a-": (0.0, -1.0, -2.0, 1.0, 0.5, -1),
@@ -625,6 +626,22 @@ WORKLOAD_TRACES = [(case, k, t) for case, k in
 
 class TestNearFarSplit:
     """The exact near terms and the far Taylor series of the joint solve."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 7])
+    def test_power_table(self, count):
+        # count 0 and 1 serve an empty far series
+        base = np.array([[0.5, -0.25, 3.0]])
+        got = oracle._powers(base, count)
+        assert got.shape == (count, 1, 3)
+        assert np.array_equal(got, base ** np.arange(count)[:, None, None])
+
+    @pytest.mark.parametrize("size, P", [(0, 0), (1, 29), (138, 32), (139, 33),
+                                         (553, 33), (554, 34)])
+    def test_series_length_from_the_far_count(self, size, P):
+        # P = ceil(log_4(N (4/3) / 1e-17)) for N far terms, whatever their r_k
+        da = 4.0 + np.arange(size, dtype=float)
+        _, coef = oracle._far_series(da, da + 0.5)
+        assert coef.size == P
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_empty_series_where_the_near_terms_reach_n(self, monkeypatch, n):
