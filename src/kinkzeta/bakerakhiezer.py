@@ -101,14 +101,16 @@ def make_lame_solution(h: float, k: float) -> LameSolution:
     """Construct both Bloch solutions and their Wronskian at parameter h.
 
     W = psi_+ psi_-' - psi_- psi_+' = -sigma(a)^2 p'(a) / sqrt(3) in
-    closed form (CONVENTIONS item 18), with p'(a) = -2 s^3 cn dn / sn^3
-    at s a, s = sqrt(e1 - e3).  Band edges are uniformized by
-    half-periods, where p'(a) = 0 and the two solutions coincide; a guard
-    band of 1e-4 around each edge raises the degeneracy error (the
-    p -> a map is quadratic there, so closer h values are not numerically
-    distinguishable from the edge itself), as does a W that is zero or
-    not finite.  sigma(a) and zeta(a) come from one theta_1 pass, and
-    zeta(a) serves both solutions.
+    closed form (CONVENTIONS item 18), with p'(a) from the Weierstrass
+    equation, p'(a)^2 = 4 prod (p(a) - e_i) = 108 r (1 - h)(k^2 - h),
+    r = 1 + k^2 - h: the principal root, negated on boundary segments 0
+    and 3, where a lies on the real or the imaginary axis.  Band edges
+    are uniformized by half-periods, where p'(a) = 0 and the two
+    solutions coincide; a guard band of 1e-4 around each edge raises the
+    degeneracy error (the p -> a map is quadratic there, so closer h
+    values are not numerically distinguishable from the edge itself), as
+    does a W that is zero or not finite.  sigma(a) and zeta(a) come from
+    one theta_1 pass, and zeta(a) serves both solutions.
     """
     if not math.isfinite(h):
         raise DomainError(f"make_lame_solution requires a finite h, got {h}")
@@ -119,9 +121,13 @@ def make_lame_solution(h: float, k: float) -> LameSolution:
     params = lame_system(k)
     # r = (p(a) - e3) / 3 = 1 + k^2 - h without forming the O(1) p(a); the
     # boundary segment counts the band edges below h (CONVENTIONS item 20)
-    a = specfun._p_preimage((1.0 - h) + edges[0], sum(h > e for e in edges), params)
-    sn, cn, dn = specfun.jacobi_sn_cn_dn_complex(params.scale * a, params.k)
-    dp = -2.0 * params.scale ** 3 * cn * dn / sn ** 3
+    r, segment = (1.0 - h) + edges[0], sum(h > e for e in edges)
+    a = specfun._p_preimage(r, segment, params)
+    # p'(a)^2 = 4 prod (p(a) - e_i); p' < 0 on the real axis, -i|p'| on the
+    # imaginary one (segments 0, 3), i|p'| on 1 and > 0 on 2
+    dp = cmath.sqrt(108.0 * r * (1.0 - h) * (edges[0] - h))
+    if segment in (0, 3):
+        dp = -dp
     sa, za = specfun._sigma_zeta(a, params)
     w = -sa ** 2 * dp / _SQRT3
     if w == 0.0 or not cmath.isfinite(w):

@@ -1,7 +1,7 @@
 """Self-contained special-function layer.
 
 Complete elliptic integrals K, E by the arithmetic-geometric mean,
-Jacobi elliptic functions sn, cn, dn of a float or an ndarray by the
+Jacobi elliptic functions sn, cn, dn of a real float or ndarray by the
 descending Landen (AGM phase) recursion, the theta_1 series behind
 Weierstrass p/zeta/sigma on real rectangular lattices, and a
 pole-guarded Gamma.
@@ -26,7 +26,6 @@ __all__ = [
     "ellipk",
     "ellipke",
     "jacobi_sn_cn_dn",
-    "jacobi_sn_cn_dn_complex",
     "theta1",
     "WeierstrassParams",
     "weierstrass_params",
@@ -164,28 +163,6 @@ def _near_one(u, kp: float, K: float):
     return sn * flip * (1.0 - 2.0 * (w < 0.0)), cn * flip, dn
 
 
-def jacobi_sn_cn_dn_complex(u: complex, k: float) -> tuple[complex, complex, complex]:
-    """sn, cn, dn of complex argument via the real/imaginary addition rule.
-
-    Combines values at modulus k (real part) and the complementary modulus
-    k' (imaginary part); reduces to the real routine on the real axis.
-    """
-    u = complex(u)
-    # Python floats: complex arithmetic on numpy scalars costs more
-    s, c, d = map(float, jacobi_sn_cn_dn(u.real, k))
-    if u.imag == 0.0:
-        return complex(s), complex(c), complex(d)
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
-    s1, c1, d1 = map(float, jacobi_sn_cn_dn(u.imag, kp))
-    den = c1 * c1 + (k * s * s1) ** 2
-    if den == 0.0:
-        raise PoleError("jacobi_sn_cn_dn_complex: argument at a pole")
-    sn = (s * d1 + 1j * c * d * s1 * c1) / den
-    cn = (c * c1 - 1j * s * d * s1 * d1) / den
-    dn = (d * c1 * d1 - 1j * k * k * s * c * s1) / den
-    return sn, cn, dn
-
-
 # ---------------------------------------------------------------------------
 # Jacobi theta_1
 # ---------------------------------------------------------------------------
@@ -280,11 +257,27 @@ def weierstrass_params(k: float, spread: float) -> WeierstrassParams:
 
 
 def weierstrass_p(z: complex, params: WeierstrassParams) -> complex:
-    """p(z) through its sn representation: e3 + (e1 - e3)/sn^2(scale*z; k)."""
-    sn, _, _ = jacobi_sn_cn_dn_complex(params.scale * complex(z), params.k)
-    if abs(sn) < 1e-8:
+    """p(z) = e1 + q^2, q = e^{-eta z} sigma(z + omega) / (sigma(omega) sigma(z)),
+    the cosigma identity (DLMF 23.6.2-23.6.5; CONVENTIONS item 20).
+
+    z is first reduced by whole periods 2 omega and 2 omega' into the
+    rectangle about 0, exactly (math.remainder), where the sigma Gaussians cancel and q =
+    theta_1'(0) theta_1(w + 1/2) / (2 omega theta_1(1/2) theta_1(w)),
+    w = z / (2 omega).  A reduced z within 1e-8 of 0 raises PoleError, a
+    non-finite z DomainError.
+    """
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"weierstrass_p requires a finite z, got {z}")
+    omega = params.omega
+    z = complex(math.remainder(z.real, 2.0 * omega),
+                math.remainder(z.imag, 2.0 * params.omega_imag))
+    if abs(z) < 1e-8:
         raise PoleError("weierstrass_p evaluated within 1e-8 of a lattice point")
-    return params.e3 + (params.scale ** 2) / (sn * sn)
+    w = z / (2.0 * omega)
+    q = (params.dtheta0 * theta1(w + 0.5, params.tau)[0]
+         / (2.0 * omega * theta1(0.5, params.tau)[0] * theta1(w, params.tau)[0]))
+    return params.e1 + q * q
 
 
 def weierstrass_zeta(z: complex, params: WeierstrassParams) -> complex:

@@ -90,15 +90,27 @@ class TestLameSolutions:
         assert drift < 1e-9 * abs(sol.wronskian)
 
     def test_wronskian_closed_form(self):
-        # W = -sigma(a)^2 p'(a) / sqrt(3), from the sigma product identity
-        k, h = 0.6, 1.15
-        sol = ba.make_lame_solution(h, k)
-        params = sol.params
-        eps = 1e-6
-        dp = (specfun.weierstrass_p(sol.a + eps, params)
-              - specfun.weierstrass_p(sol.a - eps, params)) / (2 * eps)
-        closed = -specfun.weierstrass_sigma(sol.a, params) ** 2 * dp / math.sqrt(3)
-        assert sol.wronskian == pytest.approx(closed, rel=1e-6)
+        # W = -sigma(a)^2 p'(a) / sqrt(3), from the sigma product identity;
+        # one h per boundary segment, each with its own sign of p'(a)
+        k = 0.6
+        for h in (0.2, 0.6, 1.15, 2.0):
+            sol = ba.make_lame_solution(h, k)
+            params = sol.params
+            eps = 1e-6
+            dp = (specfun.weierstrass_p(sol.a + eps, params)
+                  - specfun.weierstrass_p(sol.a - eps, params)) / (2 * eps)
+            closed = (-specfun.weierstrass_sigma(sol.a, params) ** 2 * dp
+                      / math.sqrt(3))
+            assert sol.wronskian == pytest.approx(closed, rel=1e-6)
+
+    def test_no_jacobi_function(self, monkeypatch):
+        # p'(a) comes from the Weierstrass equation, not from sn, cn, dn
+        def jacobi(u, k):
+            raise AssertionError("make_lame_solution evaluated a Jacobi function")
+        monkeypatch.setattr(specfun, "jacobi_sn_cn_dn", jacobi)
+        for h in (0.2, 0.6, 1.15, 2.0):
+            sol = ba.make_lame_solution(h, 0.55)
+            assert cmath.isfinite(sol.wronskian)
 
     @staticmethod
     def theta_args(monkeypatch):
@@ -248,11 +260,16 @@ class TestNonFiniteInputs:
         (ba.make_lame_solution, (math.nan, 0.5)),
         (specfun.weierstrass_sigma, (complex(0.3, math.nan), ba.lame_system(0.5))),
         (specfun.weierstrass_zeta, (complex(math.inf, 0.3), ba.lame_system(0.5))),
+        (specfun.weierstrass_p, (complex(0.3, math.nan), ba.lame_system(0.5))),
+        (specfun.weierstrass_p, (complex(math.nan, 0.2), ba.lame_system(0.5))),
+        (specfun.weierstrass_p, (complex(math.inf, 0.2), ba.lame_system(0.5))),
+        (specfun.weierstrass_p, (complex(0.3, -math.inf), ba.lame_system(0.5))),
         (specfun.theta1, (complex(math.nan, 0.0), 0.8j)),
         (specfun.theta1, (0.1, complex(0.0, math.inf))),
         (specfun.theta1, (0.1, complex(math.nan, 0.8))),
     ], ids=["h=inf", "h=-inf", "x=nan", "x=inf", "x0=nan", "lame h=nan",
-            "sigma", "zeta", "theta1 w=nan", "theta1 tau=inf", "theta1 tau=nan"])
+            "sigma", "zeta", "p y=nan", "p x=nan", "p x=inf", "p y=-inf",
+            "theta1 w=nan", "theta1 tau=inf", "theta1 tau=nan"])
     def test_domain_error(self, f, args):
         with pytest.raises(DomainError):
             f(*args)

@@ -255,30 +255,6 @@ class TestJacobiFunctions:
         with pytest.raises(DomainError):
             specfun.jacobi_sn_cn_dn(0.3, k)
 
-    def test_complex_reduces_to_real(self):
-        sn, cn, dn = specfun.jacobi_sn_cn_dn_complex(1.1 + 0.0j, 0.6)
-        s, c, d = specfun.jacobi_sn_cn_dn(1.1, 0.6)
-        assert sn == pytest.approx(s) and cn == pytest.approx(c)
-        assert dn == pytest.approx(d)
-
-    def test_complex_identities(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            k = rng.uniform(0.1, 0.9)
-            u = complex(rng.uniform(-2, 2), rng.uniform(-0.8, 0.8))
-            sn, cn, dn = specfun.jacobi_sn_cn_dn_complex(u, k)
-            assert abs(sn * sn + cn * cn - 1.0) < 1e-11
-            assert abs(dn * dn + k * k * sn * sn - 1.0) < 1e-11
-
-    def test_complex_imaginary_axis(self):
-        # sn(iy, k) = i sc(y, k'), purely imaginary
-        k = 0.6
-        kp = math.sqrt(1 - k * k)
-        y = 0.7
-        sn, _, _ = specfun.jacobi_sn_cn_dn_complex(1j * y, k)
-        s1, c1, _ = specfun.jacobi_sn_cn_dn(y, kp)
-        assert sn == pytest.approx(1j * s1 / c1, abs=1e-12)
-
 
 class TestTheta:
     def test_nome_near_one_is_a_convergence_error(self):
@@ -454,6 +430,47 @@ class TestWeierstrass:
     def test_pole_error(self):
         with pytest.raises(PoleError):
             specfun.weierstrass_p(1e-12, self.params)
+
+    def test_pole_error_at_a_lattice_point_away_from_zero(self):
+        # the point is reduced by whole periods first; 2e-8 off it p is finite
+        p = self.params
+        corner = 2.0 * p.omega + 2.0 * p.omega_p
+        with pytest.raises(PoleError, match="lattice point"):
+            specfun.weierstrass_p(corner + 5e-9, p)
+        assert cmath.isfinite(specfun.weierstrass_p(corner + 2e-8, p))
+
+    @pytest.mark.parametrize("k", [0.05, 0.5, 0.95])
+    def test_periods_far_from_the_origin(self, k):
+        # 64 periods 2 omega and 32 periods 2 omega' out, where the sigma
+        # quotient of the unreduced point overflows; z sits on a 2^-40 grid,
+        # so z + 128 omega is z plus whole float periods exactly
+        p = specfun.weierstrass_params(k, 1.0)
+        z = complex(0.3, 0.2)
+        z = complex(round(z.real * 2 ** 40), round(z.imag * 2 ** 40)) / 2 ** 40
+        want = specfun.weierstrass_p(z, p)
+        for shift in (128.0 * p.omega, -128.0 * p.omega, 64.0 * p.omega_p,
+                      128.0 * p.omega - 64.0 * p.omega_p):
+            got = specfun.weierstrass_p(z + shift, p)
+            assert abs(got - want) <= 64 * 2.220446049250313e-16 * max(1.0, abs(want))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(k=st.floats(0.01, 0.99), spread=st.sampled_from([0.37, 1.0, 3.0]),
+           x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0))
+    def test_p_against_mpmath(self, k, spread, x, y):
+        # z over the rectangle about 0 that p reduces to, where the only
+        # pole is 0 and p's relative condition number stays near 2
+        p = specfun.weierstrass_params(k, spread)
+        z = complex(x * p.omega, y * p.omega_imag)
+        try:
+            got = specfun.weierstrass_p(z, p)
+        except PoleError:
+            assert abs(z) < 1e-8
+            return
+        with mp.workdps(40):
+            s, m = mp.mpf(spread), mp.mpf(k) ** 2
+            sn = mp.ellipfun("sn", mp.sqrt(s) * mp.mpc(z.real, z.imag), m=m)
+            want = complex(-s * (1 + m) / 3 + s / sn ** 2)
+        assert abs(got - want) <= 64 * 2.220446049250313e-16 * max(1.0, abs(want))
 
     def test_inverse_half_periods(self):
         # r = (H - e3)/(e1 - e3): H = e1 is r = 1 on segment 0, H = e3 is
