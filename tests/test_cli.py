@@ -252,6 +252,13 @@ class TestOracleCommand:
         assert code == 2 and out == ""
         assert "kink case" in err
 
+    def test_trace_below_ten_grid_steps_squared_exit_2(self, capsys):
+        # n = 900 on [-20, 20]: t = 1e-5 is below 10 h^2 = 0.0198
+        code, out, err = run_cli(capsys, "oracle", "--case", "a", "--mode",
+                                 "trace", "--t", "1e-5")
+        assert code == 2 and out == ""
+        assert "10 h^2" in err
+
     def test_trace_smoke(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--case", "a", "--b", "1",
                                "--mode", "trace", "--n", "1500", "--t", "1")

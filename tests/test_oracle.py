@@ -183,6 +183,17 @@ class TestRelativeTrace:
         with pytest.raises(DomainError, match="box length"):
             oracle.relative_heat_trace(spec, nu, t)
 
+    def test_time_below_ten_grid_steps_squared_is_a_domain_error(self):
+        # the CLI's case-A box, n = 900: at t = 10 h^2 the trace is 0.64 %
+        # off erf(sqrt t); below it the lattice does not resolve the kernel
+        spec, nu = self.make_pair(n=900)
+        t_min = 10.0 * spec.h ** 2
+        got = oracle.relative_heat_trace(spec, nu, t_min)
+        assert got == pytest.approx(math.erf(math.sqrt(t_min)), rel=7e-3)
+        for t in (math.nextafter(t_min, 0.0), 1e-5, 0.0):
+            with pytest.raises(DomainError, match="10 h\\^2"):
+                oracle.relative_heat_trace(spec, nu, t)
+
     def test_overflowing_sum_raises(self):
         well = oracle.LatticeSpec(-20.0, 20.0, 64, "dirichlet", lambda x: -1e4)
         with pytest.raises(ConvergenceError):
