@@ -123,8 +123,6 @@ def make_lame_solution(h: float, k: float) -> LameSolution:
     # boundary segment counts the band edges below h (CONVENTIONS item 20)
     r, segment = (1.0 - h) + edges[0], sum(h > e for e in edges)
     a = specfun._p_preimage(r, segment, params)
-    # p'(a)^2 = 4 prod (p(a) - e_i); p' < 0 on the real axis, -i|p'| on the
-    # imaginary one (segments 0, 3), i|p'| on 1 and > 0 on 2
     dp = cmath.sqrt(108.0 * r * (1.0 - h) * (edges[0] - h))
     if segment in (0, 3):
         dp = -dp

@@ -258,13 +258,13 @@ def weierstrass_params(k: float, spread: float) -> WeierstrassParams:
 
 def weierstrass_p(z: complex, params: WeierstrassParams) -> complex:
     """p(z) = e1 + q^2, q = e^{-eta z} sigma(z + omega) / (sigma(omega) sigma(z)),
-    the cosigma identity (DLMF 23.6.2-23.6.5; CONVENTIONS item 20).
+    the cosigma identity (DLMF ch. 23; CONVENTIONS item 20).
 
     z is first reduced by whole periods 2 omega and 2 omega' into the
-    rectangle about 0, exactly (math.remainder), where the sigma Gaussians cancel and q =
-    theta_1'(0) theta_1(w + 1/2) / (2 omega theta_1(1/2) theta_1(w)),
-    w = z / (2 omega).  A reduced z within 1e-8 of 0 raises PoleError, a
-    non-finite z DomainError.
+    rectangle about 0, exactly (math.remainder).  There the sigma
+    Gaussians cancel, and q = theta_1'(0) theta_1(w + 1/2) / (2 omega
+    theta_1(1/2) theta_1(w)), w = z / (2 omega).  A reduced z within 1e-8
+    of 0 raises PoleError, a non-finite z DomainError.
     """
     z = complex(z)
     if not cmath.isfinite(z):
