@@ -48,9 +48,8 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eig_banded, eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgtsv
 
+from ._deferred import dgtsv, eig_banded, eigvalsh_tridiagonal
 from .errors import ConvergenceError, DomainError
 
 __all__ = [

@@ -37,11 +37,13 @@ from functools import cached_property
 
 import numpy as np
 from scipy.fft import dct
-# nothing here calls quad; kzbench/tracing.py wraps resolvent.quad by name
-from scipy.integrate import quad  # noqa: F401
 from scipy.special import binom, rgamma
 
 from . import specfun
+# kzbench/tracing.py wraps resolvent.quad by name for its per-layer
+# resolvent.quad_self_s, so the name must exist; nothing here calls it,
+# and the deferred quad loads scipy.integrate only when called
+from ._deferred import quad  # noqa: F401
 from .errors import ConvergenceError, DomainError, PoleError
 from .models import _K1, _KE_IMAG
 

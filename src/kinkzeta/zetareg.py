@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import rgamma
 
+from ._deferred import quad
 from .errors import BranchCollisionError, ConvergenceError, DomainError, PoleError
 from .resolvent import ResolventPolynomial, _band_integral
 from .specfun import _EPS, _near_nonpositive_integer, gamma_fn
@@ -345,6 +345,8 @@ def mellin_zeta(trace: HeatTrace, s: complex) -> ZetaEvaluation:
     def f(tau: float, terms) -> complex:
         g = trace.eval(tau) - sum(c * tau ** a for a, c in terms)
         return g * cmath.exp((s - 1.0) * math.log(tau))
+
+    from scipy.integrate import IntegrationWarning
 
     with warnings.catch_warnings():
         # roundoff-limited extrapolation on subtracted tails is expected;
