@@ -85,7 +85,7 @@ def _psi_values(params: specfun.WeierstrassParams, a: complex, za: complex,
         sigma_v = specfun.weierstrass_sigma(v, params)
         values = [specfun.weierstrass_sigma(v + sign * a, params) / sigma_v
                   * cmath.exp(-sign * za * v) for sign in signs]
-    except OverflowError:
+    except (OverflowError, DomainError):     # sigma or e^{-s zeta(a) v} overflows
         values = [cmath.inf]
     if not all(cmath.isfinite(value) for value in values):
         raise DomainError(f"psi is not finite at x = {x!r}")
@@ -109,8 +109,10 @@ def make_lame_solution(h: float, k: float) -> LameSolution:
     solutions coincide; a guard band of 1e-4 around each edge raises the
     degeneracy error (the p -> a map is quadratic there, so closer h
     values are not numerically distinguishable from the edge itself), as
-    does a W that is zero or not finite.  sigma(a) and zeta(a) come from
-    one theta_1 pass, and zeta(a) serves both solutions.
+    does a W that is zero or not finite.  Where p'(a)^2 overflows (|h|
+    past about 1e102) DomainError is raised instead: that is no band
+    edge.  sigma(a) and zeta(a) come from one theta_1 pass, and zeta(a)
+    serves both solutions.
     """
     if not math.isfinite(h):
         raise DomainError(f"make_lame_solution requires a finite h, got {h}")
@@ -123,7 +125,10 @@ def make_lame_solution(h: float, k: float) -> LameSolution:
     # boundary segment counts the band edges below h (CONVENTIONS item 20)
     r, segment = (1.0 - h) + edges[0], sum(h > e for e in edges)
     a = specfun._p_preimage(r, segment, params)
-    dp = cmath.sqrt(108.0 * r * (1.0 - h) * (edges[0] - h))
+    dp2 = 108.0 * r * (1.0 - h) * (edges[0] - h)
+    if not math.isfinite(dp2):
+        raise DomainError(f"make_lame_solution: p'(a)^2 overflows at h = {h}")
+    dp = cmath.sqrt(dp2)
     if segment in (0, 3):
         dp = -dp
     sa, za = specfun._sigma_zeta(a, params)

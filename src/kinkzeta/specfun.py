@@ -174,24 +174,29 @@ def theta1(w: complex, tau: complex) -> tuple[complex, complex]:
     theta_1' has (2m+1) pi cos in place of sin.  Both sums take every term
     and stop together (at m >= 2) once both envelopes, |2 q^{(m+1/2)^2}|
     e^{(2m+1) pi |Im w|} times 2 and (2m+1) pi + 1, have been below
-    1e-17 max(1, |sum|) at two consecutive m.
+    1e-17 max(1, |sum|) at two consecutive m.  A term that overflows, as
+    sin((2m+1) pi w) does a few dozen periods tau off the real axis,
+    raises DomainError.
     """
     tau, w = complex(tau), complex(w)
     if not (cmath.isfinite(w) and cmath.isfinite(tau) and tau.imag > 0.0):
         raise DomainError(f"theta1 needs finite w, tau and Im tau > 0: {w}, {tau}")
     s0 = s1 = 0.0 + 0.0j
     run = 0
-    for m in range(0, 512):
-        amp = (2 * m + 1) * math.pi
-        base = 2.0 * (-1.0) ** m * cmath.exp(1j * math.pi * tau * (m + 0.5) ** 2)
-        s0 += base * cmath.sin(amp * w)
-        s1 += base * amp * cmath.cos(amp * w)
-        size, grow = abs(base), math.exp(amp * abs(w.imag))
-        small = (size * 2.0 * grow < 1e-17 * max(1.0, abs(s0))
-                 and size * (amp + 1.0) * grow < 1e-17 * max(1.0, abs(s1)))
-        run = run + 1 if small else 0
-        if run >= 2 and m >= 2:
-            return s0, s1
+    try:
+        for m in range(0, 512):
+            amp = (2 * m + 1) * math.pi
+            base = 2.0 * (-1.0) ** m * cmath.exp(1j * math.pi * tau * (m + 0.5) ** 2)
+            s0 += base * cmath.sin(amp * w)
+            s1 += base * amp * cmath.cos(amp * w)
+            size, grow = abs(base), math.exp(amp * abs(w.imag))
+            small = (size * 2.0 * grow < 1e-17 * max(1.0, abs(s0))
+                     and size * (amp + 1.0) * grow < 1e-17 * max(1.0, abs(s1)))
+            run = run + 1 if small else 0
+            if run >= 2 and m >= 2:
+                return s0, s1
+    except OverflowError:
+        raise DomainError(f"theta1 overflows at w = {w}, tau = {tau}") from None
     raise ConvergenceError("theta1 series did not converge in 512 terms")
 
 
@@ -286,16 +291,23 @@ def weierstrass_zeta(z: complex, params: WeierstrassParams) -> complex:
 
 
 def weierstrass_sigma(z: complex, params: WeierstrassParams) -> complex:
-    """sigma(z) = 2 omega e^{eta z^2 / 2 omega} theta_1(z/2omega)/theta_1'(0)."""
+    """sigma(z) = 2 omega e^{eta z^2 / 2 omega} theta_1(z/2omega)/theta_1'(0).
+
+    sigma grows like e^{c |z|^2}; where the Gaussian or a theta_1 term
+    overflows (a few dozen periods out) DomainError is raised, here and
+    in weierstrass_zeta, which forms sigma on the way.
+    """
     z = complex(z)
     return _sigma(z, theta1(z / (2.0 * params.omega), params.tau)[0], params)
 
 
 def _sigma(z: complex, t0: complex, params: WeierstrassParams) -> complex:
     """sigma(z) from t0 = theta_1(z/2omega)."""
-    return (2.0 * params.omega
-            * cmath.exp(params.eta * z * z / (2.0 * params.omega))
-            * t0 / params.dtheta0)
+    try:
+        gauss = cmath.exp(params.eta * z * z / (2.0 * params.omega))
+    except OverflowError:
+        raise DomainError(f"weierstrass sigma overflows at z = {z}") from None
+    return 2.0 * params.omega * gauss * t0 / params.dtheta0
 
 
 def _sigma_zeta(z: complex, params: WeierstrassParams) -> tuple[complex, complex]:

@@ -289,3 +289,16 @@ class TestNonFiniteInputs:
         # e^{-zeta(a) v} or a sigma overflows far from the origin
         with pytest.raises(DomainError, match="not finite"):
             f(*args)
+
+    @pytest.mark.parametrize("h", [1e120, -1e120, 1e300, -1e300])
+    def test_p_prime_overflow_is_a_domain_error(self, h):
+        # 108 r (1 - h)(k^2 - h) overflows: no band edge
+        with pytest.raises(DomainError, match="overflows"):
+            ba.green_diag(0.3, h, 0.5)
+
+    @pytest.mark.parametrize("h, w", [(1e20, -2e10j), (-1e20, 2e10)])
+    def test_far_h_still_builds(self, h, w):
+        # W -> -2 sqrt(|h|) times a phase as |h| grows; psi overflows at x
+        assert ba.make_lame_solution(h, 0.5).wronskian == pytest.approx(w, rel=1e-14)
+        with pytest.raises(DomainError, match="not finite"):
+            ba.green_diag(0.3, h, 0.5)

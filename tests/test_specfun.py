@@ -452,6 +452,18 @@ class TestWeierstrass:
             got = specfun.weierstrass_p(z + shift, p)
             assert abs(got - want) <= 64 * EPS * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("k", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("f", [specfun.weierstrass_sigma, specfun.weierstrass_zeta],
+                             ids=["sigma", "zeta"])
+    def test_far_overflow_is_a_domain_error(self, f, k):
+        # sigma grows like e^{c |z|^2}: the Gaussian overflows 64 periods
+        # 2 omega out, a theta_1 term 32 periods 2 omega' out
+        p = specfun.weierstrass_params(k, 1.0)
+        for shift in (128.0 * p.omega, 64.0 * p.omega_p,
+                      128.0 * p.omega - 64.0 * p.omega_p):
+            with pytest.raises(DomainError, match="overflows"):
+                f(0.3 + 0.2j + shift, p)
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(k=st.floats(0.01, 0.99), spread=st.sampled_from([0.37, 1.0, 3.0]),
            x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0))
