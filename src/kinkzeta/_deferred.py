@@ -1,14 +1,14 @@
-"""The scipy functions that only two routes call, loaded on their first call.
+"""Every scipy function the package calls, loaded on its first call.
 
-scipy.integrate imports scipy.optimize, sparse, spatial and constants
-with it, and scipy.linalg its LAPACK library: about a third of a fresh
-``import kinkzeta`` between them, for the Mellin zeta (quad) and the
-lattice oracle (the LAPACK solvers) alone.  Each name below is bound
-when the package is imported, so a module can take it by name and a
-caller can replace it there (a test's fake, a tracer's span); its
-subpackage is imported the first time it is called.  scipy.special and
-scipy.fft load at import: nearly every route needs them.  CONVENTIONS
-item 24 gives the policy and the measured start-up times.
+A ``kinkzeta`` CLI table takes a few milliseconds of numerics, and a
+fresh process spends most of its wall time importing, so importing the
+package loads numpy and no scipy module: each name below is bound when
+the package is imported, and its subpackage is imported the first time
+it is called.  A module takes the name from here, so a caller can
+replace it there (a test's fake, a tracer's span).  The ``solution``,
+``energy``, ``resolvent``, ``correction`` and ``figure-z`` commands call
+none of them and never load scipy.  CONVENTIONS item 24 gives the policy
+and the measured start-up times.
 """
 
 from __future__ import annotations
@@ -20,9 +20,15 @@ __all__: list[str] = []
 
 
 def _deferred(module: str, name: str) -> Callable:
-    """module.name, imported when the returned function is first called."""
+    """module.name, imported when the returned function is first called
+    and kept for the later calls."""
+    fn = None
+
     def call(*args, **kwargs):
-        return getattr(importlib.import_module(module), name)(*args, **kwargs)
+        nonlocal fn
+        if fn is None:
+            fn = getattr(importlib.import_module(module), name)
+        return fn(*args, **kwargs)
     return call
 
 
@@ -30,3 +36,8 @@ quad = _deferred("scipy.integrate", "quad")
 eig_banded = _deferred("scipy.linalg", "eig_banded")
 eigvalsh_tridiagonal = _deferred("scipy.linalg", "eigvalsh_tridiagonal")
 dgtsv = _deferred("scipy.linalg.lapack", "dgtsv")
+dct = _deferred("scipy.fft", "dct")
+binom = _deferred("scipy.special", "binom")
+gamma = _deferred("scipy.special", "gamma")
+rgamma = _deferred("scipy.special", "rgamma")
+ellipkinc = _deferred("scipy.special", "ellipkinc")

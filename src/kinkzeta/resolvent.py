@@ -33,13 +33,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.fft import dct
-from scipy.special import binom, rgamma
 
 from . import specfun
+from ._deferred import binom, dct, rgamma
 # kzbench/tracing.py wraps resolvent.quad by name for its per-layer
 # resolvent.quad_self_s, so the name must exist; nothing here calls it,
 # and the deferred quad loads scipy.integrate only when called
@@ -69,8 +68,19 @@ class CaseTag(str, Enum):
 # 1/4 (the last below 4^-59 of the first), the heat trace at t R <= 1
 _HEAT_TERMS = 60
 _TERMS = np.arange(_HEAT_TERMS)
-_HALF_BINOMIAL = binom(2 * _TERMS, _TERMS) / 4.0 ** _TERMS
-_RGAMMA_HALF = rgamma(_TERMS + 0.5)
+
+
+@cache
+def _half_binomial() -> np.ndarray:
+    """C(2n, n) / 4^n, n < _HEAT_TERMS; built on first use, so that importing
+    the package loads no scipy."""
+    return binom(2 * _TERMS, _TERMS) / 4.0 ** _TERMS
+
+
+@cache
+def _rgamma_half() -> np.ndarray:
+    """1 / Gamma(n + 1/2), n < _HEAT_TERMS; built on first use, as above."""
+    return rgamma(_TERMS + 0.5)
 
 
 def _polyval(coeffs, x):
@@ -254,7 +264,7 @@ class ResolventPolynomial:
         n = self._trace_coeffs[::-1]
         series = np.array(n) * (0.5 * factor) * scale ** np.arange(len(n))
         for r in self.roots:
-            series = np.convolve(series, _HALF_BINOMIAL * (r * scale) ** _TERMS
+            series = np.convolve(series, _half_binomial() * (r * scale) ** _TERMS
                                  )[:_HEAT_TERMS]
         return series
 
@@ -601,7 +611,7 @@ def invert_laplace_gamma(rp: ResolventPolynomial, t: float) -> TraceInversion:
             else:
                 unstable += val.real
     if series:
-        terms = rp.heat_coeffs(t, 1.0 / math.sqrt(t)) * _RGAMMA_HALF
+        terms = rp.heat_coeffs(t, 1.0 / math.sqrt(t)) * _rgamma_half()
         total = math.fsum(terms)
         stable = total - bound - unstable
         err += float(np.sum(np.abs(terms))) * 16.0 * specfun._EPS

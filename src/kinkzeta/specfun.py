@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipkinc
-from scipy.special import gamma as _sc_gamma
 
+from ._deferred import ellipkinc, gamma as _sc_gamma
 from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [

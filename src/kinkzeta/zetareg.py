@@ -33,9 +33,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import rgamma
 
-from ._deferred import quad
+from ._deferred import quad, rgamma
 from .errors import BranchCollisionError, ConvergenceError, DomainError, PoleError
 from .resolvent import ResolventPolynomial, _band_integral
 from .specfun import _EPS, _near_nonpositive_integer, gamma_fn
