@@ -327,10 +327,10 @@ def mellin_zeta(trace: HeatTrace, s: complex) -> ZetaEvaluation:
     1/Gamma(s+1) cancellation exactly, so s = 0 is a regular point of the
     continuation).  The (0, 1) integral converges for Re s above minus the
     largest small-t exponent, and Re s is capped at _RE_S_MAX; past either
-    bound DomainError is raised, and so where the value overflows.  The
-    error estimate adds to the quadrature's the rounding of the large-t
-    subtraction, eps |c| 35^(Re s - q) / |Gamma(s + 1)| per term
-    (CONVENTIONS item 19).
+    bound DomainError is raised, and so where the value or the integrand
+    overflows.  The error estimate adds to the quadrature's the rounding of
+    the large-t subtraction, eps |c| 35^(Re s - q) / |Gamma(s + 1)| per
+    term (CONVENTIONS item 19).
     """
     s = complex(s)
     small, large, T = trace.small_t, trace.large_t, trace.scale
@@ -351,8 +351,13 @@ def mellin_zeta(trace: HeatTrace, s: complex) -> ZetaEvaluation:
         # roundoff-limited extrapolation on subtracted tails is expected;
         # the returned error estimate still reflects it
         warnings.simplefilter("ignore", IntegrationWarning)
-        i1, e1 = quad(f, 0.0, 1.0, (small,), complex_func=True, **_QUAD_OPTS)
-        i2, e2 = quad(f, 1.0, math.inf, (tail,), complex_func=True, **_QUAD_OPTS)
+        try:
+            i1, e1 = quad(f, 0.0, 1.0, (small,), complex_func=True, **_QUAD_OPTS)
+            i2, e2 = quad(f, 1.0, math.inf, (tail,), complex_func=True, **_QUAD_OPTS)
+        except OverflowError:
+            # tau^(s - 1) leaves the float range at a node near 0 when Re s
+            # is far below 0 (s = -4.6 on kink_trace_d(1, 1))
+            raise DomainError(f"mellin_zeta integrand overflows at s = {s}") from None
     main = i1 + i2
     main += sum(c / (s + a) for a, c in small if a != 0.0)
     main += sum(c / (q - s) for q, c in large if q != 0.0)

@@ -177,6 +177,12 @@ class TestKinkZeta1d:
         with pytest.raises(DomainError, match="Re s"):
             zetareg.mellin_zeta(zetareg.erf_heat_trace(1.0), s)
 
+    @pytest.mark.parametrize("s", [-4.6, -6.0 + 0.5j, -8.4])
+    def test_mellin_integrand_overflow_is_a_domain_error(self, s):
+        # inside the bounds, tau^(s - 1) overflows at a node near tau = 0
+        with pytest.raises(DomainError, match="integrand overflows"):
+            zetareg.mellin_zeta(zetareg.kink_trace_d(1.0, 1), s)
+
     @pytest.mark.parametrize("s, b", [(200.0, 0.01), (1e300, 0.5)])
     def test_overflowing_closed_form_is_a_domain_error(self, s, b):
         # b^{-2s} = 1e800 and 2^{2e300}; at b = 1 the value stays finite
