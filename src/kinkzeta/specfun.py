@@ -285,16 +285,35 @@ def weierstrass_p(z: complex, params: WeierstrassParams) -> complex:
 
 
 def weierstrass_zeta(z: complex, params: WeierstrassParams) -> complex:
-    """zeta(z) = eta z / omega + theta_1'(z/2omega) / (2 omega theta_1)."""
-    return _sigma_zeta(z, params)[1]
+    """zeta(z) = eta z / omega + theta_1'(z/2omega) / (2 omega theta_1).
+
+    z is first reduced by whole periods into the rectangle about 0, as in
+    weierstrass_p, and the quasi-periods added back: zeta(z + 2n omega +
+    2m omega') = zeta(z) + 2n eta + 2m eta', with eta' = (eta omega' -
+    i pi / 2) / omega from the Legendre relation.  So zeta stays finite
+    where sigma overflows.  A reduced z at a lattice point raises
+    PoleError, a non-finite z DomainError.
+    """
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"weierstrass_zeta requires a finite z, got {z}")
+    omega, omega_imag = params.omega, params.omega_imag
+    x = math.remainder(z.real, 2.0 * omega)
+    y = math.remainder(z.imag, 2.0 * omega_imag)
+    n = round((z.real - x) / (2.0 * omega))
+    m = round((z.imag - y) / (2.0 * omega_imag))
+    zeta = _sigma_zeta(complex(x, y), params)[1]
+    if n or m:
+        etap_imag = (params.eta * omega_imag - 0.5 * math.pi) / omega
+        zeta += complex(2.0 * n * params.eta, 2.0 * m * etap_imag)
+    return zeta
 
 
 def weierstrass_sigma(z: complex, params: WeierstrassParams) -> complex:
     """sigma(z) = 2 omega e^{eta z^2 / 2 omega} theta_1(z/2omega)/theta_1'(0).
 
     sigma grows like e^{c |z|^2}; where the Gaussian or a theta_1 term
-    overflows (a few dozen periods out) DomainError is raised, here and
-    in weierstrass_zeta, which forms sigma on the way.
+    overflows (a few dozen periods out) DomainError is raised.
     """
     z = complex(z)
     return _sigma(z, theta1(z / (2.0 * params.omega), params.tau)[0], params)

@@ -453,8 +453,7 @@ class TestWeierstrass:
             assert abs(got - want) <= 64 * EPS * max(1.0, abs(want))
 
     @pytest.mark.parametrize("k", [0.05, 0.5, 0.95])
-    @pytest.mark.parametrize("f", [specfun.weierstrass_sigma, specfun.weierstrass_zeta],
-                             ids=["sigma", "zeta"])
+    @pytest.mark.parametrize("f", [specfun.weierstrass_sigma], ids=["sigma"])
     def test_far_overflow_is_a_domain_error(self, f, k):
         # sigma grows like e^{c |z|^2}: the Gaussian overflows 64 periods
         # 2 omega out, a theta_1 term 32 periods 2 omega' out
@@ -463,6 +462,23 @@ class TestWeierstrass:
                       128.0 * p.omega - 64.0 * p.omega_p):
             with pytest.raises(DomainError, match="overflows"):
                 f(0.3 + 0.2j + shift, p)
+
+    @pytest.mark.parametrize("k", [0.05, 0.5, 0.95])
+    def test_zeta_is_quasi_periodic_far_out(self, k):
+        # zeta(z + 2n omega + 2m omega') = zeta(z) + 2n eta + 2m eta', out
+        # where sigma overflows; eta' = zeta(omega + omega') - zeta(omega)
+        # from two points of the rectangle, not the Legendre relation
+        p = specfun.weierstrass_params(k, 1.0)
+        z = 0.3 + 0.2j
+        zeta = specfun.weierstrass_zeta(z, p)
+        etap = (specfun.weierstrass_zeta(p.omega + p.omega_p, p)
+                - specfun.weierstrass_zeta(p.omega, p))
+        for n, m in [(64, 0), (-64, 0), (0, 8), (0, -8), (64, -8), (16, 0)]:
+            want = zeta + 2 * n * p.eta + 2 * m * etap
+            got = specfun.weierstrass_zeta(z + 2 * n * p.omega + 2 * m * p.omega_p, p)
+            assert abs(got - want) <= 1e-13 * abs(want)
+        with pytest.raises(PoleError, match="lattice point"):
+            specfun.weierstrass_zeta(128.0 * p.omega - 16.0 * p.omega_p, p)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(k=st.floats(0.01, 0.99), spread=st.sampled_from([0.37, 1.0, 3.0]),
