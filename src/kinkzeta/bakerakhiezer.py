@@ -29,7 +29,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from . import specfun
 from .errors import DomainError, WronskianDegeneracyError
@@ -73,8 +72,12 @@ class LameSolution:
     zeta_a: complex
     params: specfun.WeierstrassParams
     wronskian: complex
-    psi_plus: Callable[[float], complex]
-    psi_minus: Callable[[float], complex]
+
+    def psi_plus(self, x: float) -> complex:
+        return _psi_values(self.params, self.a, self.zeta_a, x, (+1,))[0]
+
+    def psi_minus(self, x: float) -> complex:
+        return _psi_values(self.params, self.a, self.zeta_a, x, (-1,))[0]
 
 
 def _psi_values(params: specfun.WeierstrassParams, a: complex, za: complex,
@@ -90,11 +93,6 @@ def _psi_values(params: specfun.WeierstrassParams, a: complex, za: complex,
     if not all(cmath.isfinite(value) for value in values):
         raise DomainError(f"psi is not finite at x = {x!r}")
     return values
-
-
-def _psi(params: specfun.WeierstrassParams, a: complex, za: complex,
-         sign: int) -> Callable[[float], complex]:
-    return lambda x: _psi_values(params, a, za, x, (sign,))[0]
 
 
 def make_lame_solution(h: float, k: float) -> LameSolution:
@@ -136,9 +134,7 @@ def make_lame_solution(h: float, k: float) -> LameSolution:
     if w == 0.0 or not cmath.isfinite(w):
         raise WronskianDegeneracyError(
             f"degenerate Bloch pair at h = {h} (band edge)")
-    return LameSolution(h=h, k=k, a=a, zeta_a=za, params=params, wronskian=w,
-                        psi_plus=_psi(params, a, za, +1),
-                        psi_minus=_psi(params, a, za, -1))
+    return LameSolution(h=h, k=k, a=a, zeta_a=za, params=params, wronskian=w)
 
 
 def green_diag(x: float, h: float, k: float) -> complex:

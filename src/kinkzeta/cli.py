@@ -55,22 +55,20 @@ def _emit(columns: list[str], rows: list[list], args) -> None:
         text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-
-
-def _model_from_args(args) -> models.ModelSpec:
-    fam = models.Family(args.family)
-    if fam is models.Family.NAHM:
-        return models.ModelSpec(family=fam, w=args.w)
-    return models.ModelSpec(family=fam, m=args.m, g=args.g)
+    except OSError as exc:   # a missing directory, a directory, no permission
+        raise DomainError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
 
 
 def _solution_from_args(args) -> models.ClassicalSolution:
-    spec = _model_from_args(args)
-    if spec.family is models.Family.NAHM:
-        return models.nahm_solution(spec, sign=args.sign)
+    fam = models.Family(args.family)
+    if fam is models.Family.NAHM:
+        return models.nahm_solution(models.ModelSpec(family=fam, w=args.w),
+                                    sign=args.sign)
+    spec = models.ModelSpec(family=fam, m=args.m, g=args.g)
     if args.kink:
         return models.kink_solution(spec, sign=args.sign)
     return models.periodic_solution(spec, k=args.k, W=args.W, sign=args.sign)
@@ -182,8 +180,8 @@ def _cmd_zeta(args) -> int:
         contour = zetareg.zeta_contour(rp, sv)
         vals = []
         if is_a:
-            vals.append(("closed_form", zetareg.zeta_kink_1d(sv, rp.b), 0.0))
-            ev = zetareg.mellin_zeta(zetareg.erf_heat_trace(rp.b), sv)
+            vals.append(("closed_form", zetareg.zeta_d_kink(sv, rp.b, 1), 0.0))
+            ev = zetareg.mellin_zeta(zetareg.kink_trace_d(rp.b, 1), sv)
             vals.append(("mellin_numeric", ev.value, ev.err_estimate))
         vals.append(("contour", contour.value, contour.err_estimate))
         spreads[sv] = [v for _, v, _ in vals]
@@ -255,7 +253,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=["gl", "sg", "nahm"])
+    p.add_argument("--family", required=True, choices=[f.value for f in models.Family])
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--g", type=float, default=1.0)
     p.add_argument("--w", type=float, default=1.0)
@@ -267,7 +265,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_case_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--case", required=True,
-                   choices=["a", "b", "c", "d", "nahm"])
+                   choices=[c.value for c in resolvent.CaseTag])
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--k", type=float, default=None)
 

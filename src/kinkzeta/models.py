@@ -398,12 +398,6 @@ def classical_energy(sol: ClassicalSolution) -> float:
                            f"{_ENERGY_MAX_NODES} nodes")
 
 
-def _sg_energy_norm(spec: ModelSpec) -> float:
-    # conventional normalization: the SG kink carries mass 16 m^2/g, while
-    # the raw field integral is 16 m^3/(3g); constant ratio 3/m.
-    return 3.0 / spec.m
-
-
 def closed_form_energy(sol: ClassicalSolution) -> float | None:
     """Closed-form energy in the conventional normalization (SG only).
 
@@ -430,7 +424,9 @@ def energy_report(sol: ClassicalSolution) -> dict:
     integral is reported as raw_integral.
     """
     raw = classical_energy(sol)
-    norm = _sg_energy_norm(sol.spec) if sol.spec.family is Family.SG else 1.0
+    # conventional normalization: the SG kink carries mass 16 m^2/g, while
+    # the raw field integral is 16 m^3/(3g); constant ratio 3/m.
+    norm = 3.0 / sol.spec.m if sol.spec.family is Family.SG else 1.0
     return {
         "closed_form": closed_form_energy(sol),
         "quadrature": norm * raw,

@@ -224,6 +224,7 @@ class ResolventPolynomial:
         bands = [(edges[j + 1], edges[j]) for j in range(len(edges) - 2, 0, -2)]
         return tuple(bands) + ((edges[0], math.inf),), tuple(states)
 
+    # kept for kzbench: tracing.TARGETS wraps it; the package uses band_density
     def density(self, lam: float) -> float:
         """Spectral density at lambda (per period, or relative for kinks):
         rho(lambda) = (1/pi) Im gamma_hat(p - i0) at p = -lambda, read off
@@ -249,10 +250,14 @@ class ResolventPolynomial:
         """
         above = sum(r >= -lo for r in self.roots)
         if above == len(self.roots):
-            return self._band_density(-(lo + d_lo), above, np.sqrt(d_lo), (-lo,))
-        p = -np.where(d_lo <= d_hi, lo + d_lo, hi - d_hi)
-        return self._band_density(p, above, np.sqrt(d_lo) * np.sqrt(d_hi),
-                                  (-lo, -hi))
+            p, mag, known = -(lo + d_lo), np.sqrt(d_lo), (-lo,)
+        else:
+            p = -np.where(d_lo <= d_hi, lo + d_lo, hi - d_hi)
+            mag, known = np.sqrt(d_lo) * np.sqrt(d_hi), (-lo, -hi)
+        for r in self.roots:
+            if r not in known:
+                mag = mag * np.sqrt(abs(p - r))
+        return _polyval(self._trace_coeffs, p) / (2.0 * math.pi * mag) * (2 - above % 4)
 
     def heat_coeffs(self, scale: float, factor: float = 1.0) -> np.ndarray:
         """factor g_n scale^n, n < _HEAT_TERMS, with g_n the heat-kernel
@@ -267,14 +272,6 @@ class ResolventPolynomial:
             series = np.convolve(series, _half_binomial() * (r * scale) ** _TERMS
                                  )[:_HEAT_TERMS]
         return series
-
-    def _band_density(self, p, above, mag, known):
-        """+-N(p) / (2 pi prod sqrt|p - r|); mag holds the factors of the
-        roots in known, computed by the caller."""
-        for r in self.roots:
-            if r not in known:
-                mag = mag * np.sqrt(abs(p - r))
-        return _polyval(self._trace_coeffs, p) / (2.0 * math.pi * mag) * (2 - above % 4)
 
 
 def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> ResolventPolynomial:
@@ -331,10 +328,11 @@ def build_resolvent(case: CaseTag, b: float, k: float | None = None) -> Resolven
     q = tuple(c + 0.0 for c in q)
     if not all(map(math.isfinite, q)):
         raise DomainError(f"the coefficients of Q overflow at b = {b}")
-    # Q(0) = 0; the next coefficient, q2 for the double root of a kink at 0
-    # and q1 otherwise, is the first to underflow as b -> 0
+    # Q(0) = 0; the next coefficient (q2 for the double root of a kink at 0,
+    # else q1) underflows first as b -> 0, and q1 of B and D, with k^2, as k -> 0
     if not abs(q[2 if kink else 1]) >= np.finfo(float).tiny:
-        raise DomainError(f"the coefficients of Q underflow at b = {b}")
+        at = f"b = {b}, k = {k}" if case in (CaseTag.B, CaseTag.D) else f"b = {b}"
+        raise DomainError(f"the coefficients of Q underflow at {at}")
     roots = tuple(sorted(roots))
     if not kink and len(set(roots)) < len(roots):
         raise DomainError(f"two band edges of case {case.value} round to one "

@@ -91,6 +91,7 @@ class HeatTrace:
 # heat-trace constructors
 # ---------------------------------------------------------------------------
 
+# kept for kzbench: workloads._mellin_a calls it; the package uses kink_trace_d
 def erf_heat_trace(b: float) -> HeatTrace:
     """Renormalized kink trace gamma_k(t) = erf(b sqrt(t))."""
     return kink_trace_d(b, 1)
@@ -99,8 +100,7 @@ def erf_heat_trace(b: float) -> HeatTrace:
 def vacuum_heat_trace(nu: float, d: int) -> HeatTrace:
     """Constant-background trace e^{-nu t} / (2 sqrt(pi t))^d per unit volume,
     on the time scale T = 1/nu."""
-    if d not in (1, 2, 3, 4):
-        raise DomainError("d must be 1..4")
+    _check_d(d)
     T = 1.0 / nu if 0.0 < nu < math.inf else 0.0
     if not 0.0 < T < math.inf:
         raise DomainError(f"vacuum_heat_trace requires 0 < 1/nu < inf, got nu = {nu!r}")
@@ -116,8 +116,7 @@ def kink_trace_d(m: float, d: int) -> HeatTrace:
     """Renormalized kink trace times the free transverse factor:
     erf(m sqrt(t)) (4 pi t)^{-(d-1)/2}, per unit transverse volume, on the
     time scale T = 1/m^2."""
-    if d not in (1, 2, 3, 4):
-        raise DomainError("d must be 1..4")
+    _check_d(d)
     T = 1.0 / m / m if 0.0 < m < math.inf else 0.0
     if not 0.0 < T < math.inf:
         raise DomainError(f"kink_trace_d requires 0 < 1/m^2 < inf, got m = {m!r}")
@@ -136,6 +135,11 @@ def kink_trace_d(m: float, d: int) -> HeatTrace:
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
+
+def _check_d(d: int) -> None:
+    if d not in (1, 2, 3, 4):
+        raise DomainError("d must be 1..4")
+
 
 def _check_s(s: complex, name: str, poles=(), shift: float | None = None) -> None:
     """The one test of s on every zeta route: DomainError where s is not
@@ -206,8 +210,7 @@ def zeta_vacuum(s: complex, nu: float, d: int) -> complex:
     (s - d/2 + j), j < d // 2, so the poles of Gamma(s - d/2) that 1/Gamma(s)
     cancels never appear numerically, and the zeros of 1/Gamma(s) at s = 0,
     -1, ... are exact zeros.  A value that is not finite raises DomainError."""
-    if d not in (1, 2, 3, 4):
-        raise DomainError("d must be 1..4")
+    _check_d(d)
     if not 0.0 < nu < math.inf:
         raise DomainError("zeta_vacuum requires 0 < nu < inf")
     s = complex(s)
@@ -219,6 +222,7 @@ def zeta_vacuum(s: complex, nu: float, d: int) -> complex:
     return _finite((2.0 * _SQRT_PI) ** (-d) * ratio * _power(nu, 0.5 * d - s, what), what)
 
 
+# kept for kzbench: workloads._closed_a calls it; the package uses zeta_d_kink
 def zeta_kink_1d(s: complex, b: float) -> complex:
     """Renormalized kink zeta in one dimension, zeta_d_kink at d = 1."""
     return zeta_d_kink(s, b, 1)
@@ -251,8 +255,7 @@ def zeta_d_kink(s: complex, m: float, d: int) -> complex:
     mellin_zeta(kink_trace_d(m, d), s) is the quadrature route to it.
     Raises DomainError where a factor overflows or the value is not finite.
     """
-    if d not in (1, 2, 3, 4):
-        raise DomainError("d must be 1..4")
+    _check_d(d)
     if not 0.0 < m < math.inf:
         raise DomainError("zeta_d_kink requires 0 < m < inf")
     s = complex(s)
@@ -272,8 +275,7 @@ def derivative_at_zero(m: float, d: int) -> float:
 
     Raises DomainError where the value overflows.
     """
-    if d not in (1, 2, 3, 4):
-        raise DomainError("d must be 1..4")
+    _check_d(d)
     if not 0.0 < m < math.inf:
         raise DomainError("derivative_at_zero requires 0 < m < inf")
     try:
@@ -383,22 +385,6 @@ def mellin_zeta(trace: HeatTrace, s: complex) -> ZetaEvaluation:
 # contour route
 # ---------------------------------------------------------------------------
 
-def _band(rp: ResolventPolynomial, s: complex, lo: float,
-          hi: float) -> tuple[complex, float]:
-    """int rho(lam) lam^{-s} over the band (lo, hi); a band below 0 carries
-    |lam|^{-s} e^{-i pi s}; the exponent at an edge at 0 is -1/2 - s.  On
-    the top band hi is the cut L, where the exponent is 0."""
-    top = lo == rp.bands()[-1][0]
-    value, err = _band_integral(rp, lo, hi,
-                                lambda lam: np.exp(-s * np.log(np.abs(lam))),
-                                -0.5 - s if lo == 0.0 else -0.5,
-                                0.0 if top else -0.5 - s if hi == 0.0 else -0.5)
-    if hi <= 0.0:
-        phase = complex(np.exp(-1j * np.pi * s))
-        return phase * value, abs(phase) * err
-    return value, err
-
-
 def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
     """zeta(s) from the resolvent trace, contour collapsed onto the cuts.
 
@@ -440,12 +426,18 @@ def zeta_contour(rp: ResolventPolynomial, s: complex) -> ZetaEvaluation:
                  * complex(np.sum(c[n] / (n + s - 0.5))))
     err = 0.0
     bands = rp.bands()
+    pieces = [(lo, hi, -0.5 - s if hi == 0.0 else -0.5) for lo, hi in bands[:-1]]
+    weight = lambda lam: np.exp(-s * np.log(np.abs(lam)))
     # lambda^{-s} overflows at small lambda and large Re s, and e^{-i pi s}
     # at large Im s; the value then is not finite and raises below
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo, hi in bands[:-1] + ((bands[-1][0], cut),):
-                v, e = _band(rp, s, lo, hi)
+            for lo, hi, exp_hi in pieces + [(bands[-1][0], cut, 0.0)]:
+                v, e = _band_integral(rp, lo, hi, weight,
+                                      -0.5 - s if lo == 0.0 else -0.5, exp_hi)
+                if hi <= 0.0:
+                    phase = complex(np.exp(-1j * np.pi * s))
+                    v, e = phase * v, abs(phase) * e
                 terms.append(v)
                 err += e
     except OverflowError:       # the modulus of a piece's value, at large Im s

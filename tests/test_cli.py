@@ -286,6 +286,16 @@ class TestContracts:
                              "--W", "-0.01")
         assert code == 2
 
+    @pytest.mark.parametrize("out", ["missing/t.csv", "", "."])
+    def test_unwritable_out_exit_2(self, capsys, monkeypatch, tmp_path, out):
+        # a missing directory, an empty path and a directory
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run_cli(capsys, "--out", out, "figure-z", "--n", "3")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: cannot write --out")
+        assert err.strip().count("\n") == 0
+
     @pytest.mark.parametrize("argv", [
         ("zeta", "--case", "nahm", "--s", "0.49"),
         ("zeta", "--case", "d", "--k", "0.9", "--s", "0.48")])

@@ -94,6 +94,12 @@ class TestCoefficients:
         with pytest.raises(DomainError):
             build_resolvent(case, b, k=k)
 
+    @pytest.mark.parametrize("case, k", [(CaseTag.B, 1e-300), (CaseTag.D, 1e-200)])
+    def test_small_k_underflow_names_k(self, case, k):
+        # q1 carries k^2, so at b = 1 it is k that underflows Q
+        with pytest.raises(DomainError, match=f"underflow at b = 1.0, k = {k}$"):
+            build_resolvent(case, 1.0, k=k)
+
     @pytest.mark.parametrize("case, k", [
         (CaseTag.C, None), (CaseTag.D, 0.5), (CaseTag.NAHM, None)])
     def test_overflow_is_a_domain_error(self, case, k):
