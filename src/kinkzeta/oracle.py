@@ -28,8 +28,8 @@ prod_k (lambda - a_k)/(lambda - b_k) = -tan^2(theta/2).  Bands are kept
 while the bound sum_{j >= m} e^{-t lo_j} on the rest exceeds
 1e-17 e^{-t hi_0} (4 to 30 of 360 bands at t >= 0.25).  All kept bands
 are solved for every phase in one vectorized Newton loop on the phase
-2 atan(|prod|^{1/2}), formed from G = log|prod|, with a bisection guard;
-a band leaves the loop once its steps are within its tolerance.  Over the
+2 atan(|prod|^{1/2}), formed from G = log|prod|, with a bisection guard,
+until every band's steps are within its tolerance.  Over the
 kept bands, with c and rho the centre and half-width of [lo_0, hi_{m-1}],
 G takes exact terms for k < K, K the first index with lo_k - c >= 4 rho
 and at least m, and a Taylor series in lambda - c for the rest, whose
@@ -260,23 +260,6 @@ def band_edges_lattice(spec: LatticeSpec, n_edges: int) -> np.ndarray:
     return edges
 
 
-def _pole_step(x: float, f: float, fp: float, p: float, r: float) -> float:
-    """Root of g + g' (lambda - x) - r / (p - lambda) on x's side of p, the
-    model of S with the pole p of residue r taken out of the value f and
-    slope fp at x (g = f + r/(p - x), g' = fp + r/(p - x)^2 <= -1)."""
-    dist = p - x
-    if dist == 0.0:
-        return x - f / fp
-    g = f + r / dist
-    gp = min(fp + r / (dist * dist), -1.0)
-    a = g + gp * dist
-    disc = math.sqrt(a * a - 4.0 * gp * r)
-    q = a + (disc if a >= 0.0 else -disc)
-    # p - y for y = q/(2g') and 2r/q, the roots of g' y^2 - a y + r without
-    # cancellation; on x's side of p, y has the sign of dist
-    return p - (max if dist > 0.0 else min)(2.0 * r / q, q / (2.0 * gp))
-
-
 def _secular_root(schur, lo: float, hi: float, near_hi: bool, tol: float) -> float:
     """The root in [lo, hi] of the decreasing schur(lambda) -> (S, S').
 
@@ -285,15 +268,14 @@ def _secular_root(schur, lo: float, hi: float, near_hi: bool, tol: float) -> flo
     tol inside it.  If S changes sign there, the root is within tol of the
     end: the end's Dirichlet eigenvector has no weight on the ends of T'
     to rounding, its pole is removable, and the end itself is returned
-    (deflation, as in divide and conquer).  Otherwise S and S' there fix a
-    pole p = lambda + S/S' of residue S^2/|S'|, the pole at the near end
-    or the next one past it, and each step is the root of the model with
-    that pole (_pole_step); a step that leaves the bracket is replaced by
-    Newton's, and one that leaves it too or is not half the step before
-    last by bisection.  A step shorter than tol/2 is lengthened to tol/2 so
-    that the bracket closes from both sides.  The solve stops when the
-    bracket is at most tol wide; past _MAX_EDGE_SOLVES solves it raises
-    ConvergenceError.
+    (deflation, as in divide and conquer).  Otherwise the first step is
+    Newton's if it is longer than 2 tol and stays in the bracket, else a
+    bisection.  Every later step is Newton's; one that leaves the bracket
+    or is not half the step before last is a bisection, and one shorter
+    than tol/2 is lengthened to tol/2 so that the bracket closes from both
+    sides.  The solve stops when the bracket is at most tol wide; past
+    _MAX_EDGE_SOLVES solves it raises ConvergenceError.  CONVENTIONS item
+    23 gives the step rules measured against this one.
     """
     if hi - lo <= 2.0 * tol:
         return 0.5 * (lo + hi)
@@ -305,7 +287,6 @@ def _secular_root(schur, lo: float, hi: float, near_hi: bool, tol: float) -> flo
         return hi if near_hi else lo
     lo, hi = (x, hi) if f > 0.0 else (lo, x)
     step = f / fp
-    p, r = x + step, -f * step
     if abs(step) > 2.0 * tol and lo < x - step < hi:
         x -= step                 # the near end is no pole: a Newton step
     else:
@@ -316,9 +297,7 @@ def _secular_root(schur, lo: float, hi: float, near_hi: bool, tol: float) -> flo
         if f == 0.0:
             return x
         lo, hi = (x, hi) if f > 0.0 else (lo, x)
-        new = _pole_step(x, f, fp, p, r)
-        if not lo <= new <= hi:
-            new = x - f / fp
+        new = x - f / fp
         if hi - lo <= tol:
             return min(max(new, lo), hi)
         if abs(new - x) < 0.5 * tol:
@@ -365,8 +344,8 @@ def _phase_roots(a: np.ndarray, b: np.ndarray, m: int, theta: np.ndarray) -> np.
     centre c of [lo_0, hi_{m-1}] and with its half-width rho: K is the
     first index with lo_k - c >= _NEAR_SPAN rho, and at least m.  A step
     that leaves the bracket [L, H] (end points included) is replaced by the
-    bracket's midpoint; a band whose steps are all within its tolerance
-    takes its last step, clipped to the bracket, and leaves the loop.
+    bracket's midpoint.  Once every band's steps are within its tolerance
+    the last step, clipped to the bracket, gives the roots.
     """
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     c, rho = 0.5 * (lo[0] + hi[m - 1]), 0.5 * (hi[m - 1] - lo[0])
@@ -375,14 +354,12 @@ def _phase_roots(a: np.ndarray, b: np.ndarray, m: int, theta: np.ndarray) -> np.
     P = coef.size
     series = np.stack([coef / np.arange(1, P + 1), coef])   # value / (x - c), slope
     an, bn = a[:K], b[:K]
-    rows = np.arange(m)
     rising = (b[:m] > a[:m])[:, None]
     L = np.repeat(lo[:m, None], theta.size, axis=1)
     H = np.repeat(hi[:m, None], theta.size, axis=1)
     tol = (1e-12 * (hi[:m] - lo[:m])
            + 4e-15 * np.maximum(np.abs(lo[:m]), np.abs(hi[:m])))[:, None]
     x = a[:m, None] + (b[:m] - a[:m])[:, None] * np.sin(0.5 * theta) ** 2
-    roots = np.empty_like(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_NEWTON):
             r = x[..., None] - an
@@ -399,16 +376,12 @@ def _phase_roots(a: np.ndarray, b: np.ndarray, m: int, theta: np.ndarray) -> np.
             L = np.where(above, x, L)
             H = np.where(above, H, x)
             done = np.all(np.abs(step) <= tol, axis=1)
-            if done.any():
-                roots[rows[done]] = np.clip(x[done] - step[done], L[done], H[done])
-                if done.all():
-                    return roots
-                rows, x, step, L, H, tol, rising = (
-                    v[~done] for v in (rows, x, step, L, H, tol, rising))
+            if done.all():
+                return np.clip(x - step, L, H)
             x = x - step
             x = np.where((x >= L) & (x <= H), x, 0.5 * (L + H))
     raise ConvergenceError(
-        f"lattice_heat_trace: band {rows[0]} not converged in {_MAX_NEWTON} steps")
+        f"lattice_heat_trace: band {np.argmin(done)} not converged in {_MAX_NEWTON} steps")
 
 
 def lattice_heat_trace(spec: LatticeSpec, t: float) -> float:

@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -37,6 +36,19 @@ def dense_edges(spec):
 def edge_bar(spec):
     """1e-13 (4/h^2 + max|u|), the accuracy asked of every edge."""
     return 1e-13 * (4.0 / spec.h ** 2 + np.max(np.abs(spec.diagonal - 2.0 / spec.h ** 2)))
+
+
+def counted_solves(monkeypatch):
+    """The argument tuples of every dgtsv solve of the oracle from here on."""
+    solves = []
+    solve = oracle.dgtsv
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(oracle, "dgtsv", counted)
+    return solves
 
 
 class TestEigenvalues:
@@ -341,18 +353,25 @@ class TestBandEdges:
     def test_closed_gap_edge_takes_one_solve(self, monkeypatch):
         # every edge but the lowest is an end of its bracket (deflation)
         spec = oracle.LatticeSpec(0.0, 3.7, 64, "periodic", lambda x: 2.5)
-        solves = []
-        solve = oracle.dgtsv
-
-        def counted(*args):
-            solves.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(oracle, "dgtsv", counted)
+        solves = counted_solves(monkeypatch)
         oracle.band_edges_lattice(spec, 1)
         lowest = len(solves)
         oracle.band_edges_lattice(spec, 9)
         assert len(solves) - 2 * lowest == 8
+
+    def test_solve_count_on_the_workload_set(self, monkeypatch):
+        # B and D at k = 0.3, 0.5, 0.7, 0.9 and NAHM, each at b = 0.5, 1
+        # and 2, n = 900: 507 solves in all, a count that does not depend
+        # on the machine; the bound is 10 % above it
+        solves = counted_solves(monkeypatch)
+        cases = [(case, k) for case in (CaseTag.B, CaseTag.D)
+                 for k in (0.3, 0.5, 0.7, 0.9)] + [(CaseTag.NAHM, None)]
+        for b in (0.5, 1.0, 2.0):
+            for case, k in cases:
+                rp = build_resolvent(case, b, k=k)
+                spec = oracle.LatticeSpec(0.0, rp.period, 900, "periodic", rp.u_of_x)
+                oracle.band_edges_lattice(spec, len(rp.roots))
+        assert len(solves) <= 557
 
     def test_solve_cap_raises(self, monkeypatch):
         rp = build_resolvent(CaseTag.B, 1.0, k=0.5)
@@ -360,68 +379,6 @@ class TestBandEdges:
         monkeypatch.setattr(oracle, "_MAX_EDGE_SOLVES", 2)
         with pytest.raises(ConvergenceError, match="not converged"):
             oracle.band_edges_lattice(spec, 3)
-
-
-def model_roots(x, f, fp, p, r):
-    """The two roots lambda of the pole step's model g + g' (lambda - x) -
-    r / (p - lambda), g and g' as _pole_step forms them, at 40 digits."""
-    with mp.workdps(40):
-        x, f, fp, p, r = map(mp.mpf, (x, f, fp, p, r))
-        dist = p - x
-        g = f + r / dist
-        gp = min(fp + r / dist ** 2, mp.mpf(-1))
-        a = g + gp * dist
-        # y = p - lambda solves g' y^2 - a y + r = 0
-        disc = mp.sqrt(a * a - 4 * gp * r)
-        return [p - (a + sign * disc) / (2 * gp) for sign in (1, -1)], a
-
-
-# (x, f, fp, p, r) and the sign of the model's a, by the signs of dist =
-# p - x and of a.  a = g + g' dist is -0.0 only if both terms are, and
-# g' dist is never zero, so a = +0.0 is the only zero
-POLE_STEPS = {
-    "dist+a+": (0.0, 3.0, -2.0, 1.0, 0.5, 1),
-    "dist+a-": (0.0, -1.0, -2.0, 1.0, 0.5, -1),
-    "dist-a+": (2.0, 2.0, -2.0, 1.0, 0.5, 1),
-    "dist-a-": (2.0, -3.0, -2.0, 1.0, 0.5, -1),
-    "dist+a0": (0.0, 1.0, -3.0, 1.0, 1.0, 0),
-    "dist-a0": (0.0, -1.0, -3.0, -1.0, 1.0, 0),
-    "slope-clamped": (0.0, 0.3, -1.0, 1.0, 0.5, -1),
-    "distant-pole": (-3.7, 1e-9, -1.25, 40.0, 1e-7, -1),
-}
-
-
-class TestPoleStep:
-    """_pole_step against the model's two roots: the one on x's side of p."""
-
-    @pytest.mark.parametrize("x, f, fp, p, r, sign", POLE_STEPS.values(), ids=POLE_STEPS)
-    def test_root_on_the_side_of_x(self, x, f, fp, p, r, sign):
-        roots, a = model_roots(x, f, fp, p, r)
-        assert mp.sign(a) == sign
-        [want] = [lam for lam in roots if (lam < p) == (x < p)]
-        got = oracle._pole_step(x, f, fp, p, r)
-        assert (got < p) == (x < p)
-        assert abs(got - want) <= 4.0 * np.finfo(float).eps * (abs(p) + abs(p - want))
-
-    def test_sample_of_the_four_sign_cases(self):
-        rng = np.random.default_rng(7)
-        cases = set()
-        for _ in range(400):
-            x = rng.uniform(-50.0, 50.0)
-            p = x + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 1.0)
-            fp = -(10.0 ** rng.uniform(0.0, 4.0))
-            r = 10.0 ** rng.uniform(-8.0, 2.0)
-            f = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, 3.0)
-            roots, a = model_roots(x, f, fp, p, r)
-            [want] = [lam for lam in roots if (lam < p) == (x < p)]
-            got = oracle._pole_step(x, f, fp, p, r)
-            cases.add((p > x, a >= 0))
-            assert abs(got - want) <= 4.0 * np.finfo(float).eps * (abs(p) + abs(p - want))
-        assert len(cases) == 4
-
-    def test_pole_at_x_takes_newton(self):
-        # dist == 0: no model is fitted, x - f/f' is returned
-        assert oracle._pole_step(1.5, 2.0, -4.0, 1.5, 0.25) == 2.0
 
 
 def dense_bloch(spec, theta):
@@ -590,6 +547,14 @@ class TestLatticeHeatTrace:
         monkeypatch.setattr(oracle, "_MAX_NEWTON", 1)
         with pytest.raises(ConvergenceError):
             oracle.lattice_heat_trace(spec, 1.0)
+
+    def test_newton_cap_names_the_first_band_not_converged(self, monkeypatch):
+        # after 4 steps band 0 has converged and band 1 has not
+        rp = build_resolvent(CaseTag.D, 1.0, k=0.9)
+        spec = oracle.LatticeSpec(0.0, rp.period, 64, "periodic", rp.u_of_x)
+        monkeypatch.setattr(oracle, "_MAX_NEWTON", 4)
+        with pytest.raises(ConvergenceError, match="band 1 not converged in 4 steps"):
+            oracle.lattice_heat_trace(spec, 0.25)
 
     def test_overflow_raises(self):
         # the lowest band lies below 0, so e^{-lambda t} overflows
