@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from . import models, oracle, resolvent, zetareg
-from .errors import DomainError, KinkZetaError, UnsupportedFamilyError
+from .errors import (DomainError, EnergyDivergenceError, KinkZetaError,
+                     UnsupportedFamilyError)
 
 __all__ = ["build_parser", "main"]
 
@@ -346,7 +347,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DomainError, UnsupportedFamilyError) as exc:
+    except (DomainError, UnsupportedFamilyError, EnergyDivergenceError) as exc:
+        # each is known from the input before any numerics run
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KinkZetaError as exc:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -102,7 +103,7 @@ def erf_heat_trace(b: float) -> HeatTrace:
 def vacuum_heat_trace(nu: float, d: int) -> HeatTrace:
     """Constant-background trace e^{-nu t} / (2 sqrt(pi t))^d per unit volume,
     on the time scale T = 1/nu."""
-    _check_d(d)
+    d = _check_d(d)
     T = 1.0 / nu if 0.0 < nu < math.inf else 0.0
     if not 0.0 < T < math.inf:
         raise DomainError(f"vacuum_heat_trace requires 0 < 1/nu < inf, got nu = {nu!r}")
@@ -118,7 +119,7 @@ def kink_trace_d(m: float, d: int) -> HeatTrace:
     """Renormalized kink trace times the free transverse factor:
     erf(m sqrt(t)) (4 pi t)^{-(d-1)/2}, per unit transverse volume, on the
     time scale T = 1/m^2."""
-    _check_d(d)
+    d = _check_d(d)
     T = 1.0 / m / m if 0.0 < m < math.inf else 0.0
     if not 0.0 < T < math.inf:
         raise DomainError(f"kink_trace_d requires 0 < 1/m^2 < inf, got m = {m!r}")
@@ -138,9 +139,15 @@ def kink_trace_d(m: float, d: int) -> HeatTrace:
 # closed forms
 # ---------------------------------------------------------------------------
 
-def _check_d(d: int) -> None:
-    if d not in (1, 2, 3, 4):
-        raise DomainError("d must be 1..4")
+def _check_d(d: int) -> int:
+    """d as an int; DomainError unless operator.index takes it to 1..4."""
+    try:
+        index = operator.index(d)
+    except TypeError:
+        index = None
+    if index not in (1, 2, 3, 4):
+        raise DomainError(f"d must be 1..4, got {d!r}")
+    return index
 
 
 def _check_s(s: complex, name: str, poles=(), shift: float | None = None) -> None:
@@ -212,7 +219,7 @@ def zeta_vacuum(s: complex, nu: float, d: int) -> complex:
     (s - d/2 + j), j < d // 2, so the poles of Gamma(s - d/2) that 1/Gamma(s)
     cancels never appear numerically, and the zeros of 1/Gamma(s) at s = 0,
     -1, ... are exact zeros.  A value that is not finite raises DomainError."""
-    _check_d(d)
+    d = _check_d(d)
     if not 0.0 < nu < math.inf:
         raise DomainError("zeta_vacuum requires 0 < nu < inf")
     s = complex(s)
@@ -257,7 +264,7 @@ def zeta_d_kink(s: complex, m: float, d: int) -> complex:
     mellin_zeta(kink_trace_d(m, d), s) is the quadrature route to it.
     Raises DomainError where a factor overflows or the value is not finite.
     """
-    _check_d(d)
+    d = _check_d(d)
     if not 0.0 < m < math.inf:
         raise DomainError("zeta_d_kink requires 0 < m < inf")
     s = complex(s)
@@ -277,7 +284,7 @@ def derivative_at_zero(m: float, d: int) -> float:
 
     Raises DomainError where the value overflows.
     """
-    _check_d(d)
+    d = _check_d(d)
     if not 0.0 < m < math.inf:
         raise DomainError("derivative_at_zero requires 0 < m < inf")
     try:

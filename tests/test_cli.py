@@ -286,6 +286,13 @@ class TestContracts:
                              "--W", "-0.01")
         assert code == 2
 
+    def test_divergent_energy_exit_2(self, capsys):
+        # the Nahm solution is unbounded: known from the input, as a bad one
+        code, out, err = run_cli(capsys, "energy", "--family", "nahm", "--w", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: Nahm solution is unbounded; energy diverges\n"
+
     @pytest.mark.parametrize("out", ["missing/t.csv", "", "."])
     def test_unwritable_out_exit_2(self, capsys, monkeypatch, tmp_path, out):
         # a missing directory, an empty path and a directory

@@ -629,6 +629,24 @@ class TestTypedErrors:
         with pytest.raises(DomainError):
             f(*args)
 
+    @pytest.mark.parametrize("f, args", [
+        (zetareg.zeta_vacuum, (0.3, 1.0)), (zetareg.vacuum_heat_trace, (1.0,)),
+        (zetareg.kink_trace_d, (1.0,)), (zetareg.zeta_d_kink, (0.3, 1.0)),
+        (zetareg.derivative_at_zero, (1.0,)), (zetareg.quantum_correction, (1.0,))],
+        ids=["zeta_vacuum", "vacuum_heat_trace", "kink_trace_d", "zeta_d_kink",
+             "derivative_at_zero", "quantum_correction"])
+    def test_dimension_must_be_an_integer(self, f, args):
+        # operator.index refuses them, as LatticeSpec's n; an integer of
+        # another type is its int
+        for d in (2.0, np.float64(3.0), 2.5, "2", None):
+            with pytest.raises(DomainError, match=r"d must be 1\.\.4, got"):
+                f(*args, d)
+        want = f(*args, 2)
+        got = f(*args, np.int64(2))
+        if isinstance(want, zetareg.HeatTrace):
+            want, got = want.small_t, got.small_t
+        assert got == want and type(got) is type(want)
+
 
 def _vacuum_mp(s, nu, d):
     """The vacuum closed form Gamma(s - d/2)/Gamma(s) (2 sqrt(pi))^{-d}
