@@ -348,7 +348,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (DomainError, UnsupportedFamilyError, EnergyDivergenceError) as exc:
-        # each is known from the input before any numerics run
+        # the input is at fault: outside the domain, a family without the
+        # operation, or an unbounded solution whose energy diverges
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KinkZetaError as exc:
