@@ -20,7 +20,9 @@ cut-off and by its exact large-lambda series beyond.  Each band is split
 at its midpoint and at points that close geometrically on its edges, and
 each edge is flattened by |lambda - edge| = a u^beta with
 beta = 1 / (1 - Re alpha) for the edge exponent -alpha (alpha = 1/2, or
-1/2 + s at lambda = 0).
+1/2 + s at lambda = 0).  Periodic.heat integrates the same density
+against e^{-lambda t}: the heat trace per period, by sector, that
+golden_cli.py --diff measures a moved heattrace cell against.
 """
 
 from __future__ import annotations
@@ -160,6 +162,22 @@ class Periodic:
         total += mp.fsum(g[j] * cut ** (half - j - s) / (j + s - half)
                          for j in range(1, terms + 1))
         return total
+
+    def heat(self, t):
+        """(unstable, stable): int rho(lambda) e^{-lambda t} over the bands
+        below 0 and over those above it, the top band included, so that
+        their sum is the heat trace per period.  Every edge, 0 included,
+        carries the density's own exponent -1/2."""
+        t = mp.mpf(t)
+        half = mp.mpf(1) / 2
+        w = lambda lam, *near: self.rho(lam, *near) * mp.exp(-lam * t)
+        bands = [(self.e[i], self.e[i + 1]) for i in range(0, len(self.e) - 1, 2)]
+        parts = [(hi <= 0, self.band(w, lo, hi, half, half)) for lo, hi in bands]
+        top = self.e[-1]
+        parts.append((False, self.edge_piece(w, top, 1, half, 1)
+                      + mp.quad(w, [top + 1, top + 1 + 1 / t, mp.inf])))
+        return tuple(mp.fsum(v for below, v in parts if below is side)
+                     for side in (True, False))
 
 
 def build(dps: int) -> dict:

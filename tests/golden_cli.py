@@ -23,8 +23,13 @@ old and new distance |zeta - reference| beside the row's printed err: the
 reference is, for case A, its closed form -b^{-2s} Gamma(s + 1/2) /
 (sqrt(pi) Gamma(s + 1)) in mpmath at 40 digits, so a moved closed_form
 cell shows its distance too, and for B, D and NAHM at b = 1 the 30-digit
-mpmath value of contour_reference.py (a few seconds a value).  So a
-rebuild can show that no value moved away from its reference.
+mpmath value of contour_reference.py (a few seconds a value).  A moved
+total, total_per_length, bound, stable or unstable cell of a heattrace
+row shows its old and new distance to its reference in the same way: for
+case C the closed form erf(2b sqrt t) + e^{-3b^2 t} erf(b sqrt t) with
+the bound states 0 and 3b^2, for B, D and NAHM at b = 1 the mpmath heat
+trace of contour_reference.py over the bands below and above 0.  So a
+rebuild can show how far each moved value sits from its reference.
 """
 
 from __future__ import annotations
@@ -123,13 +128,20 @@ def _ulps_to_closed_form(header: list[str], ca: list[str], cb: list[str],
 
 
 @functools.lru_cache(maxsize=None)
-def _periodic_zeta(case: str, k: str | None, s: str) -> complex:
-    """zeta(s) of a periodic case at b = 1 from contour_reference.py, at its
-    30 digits; that script never imports kinkzeta."""
+def _contour_reference():
+    """contour_reference.py beside this script; it never imports kinkzeta."""
     spec = importlib.util.spec_from_file_location(
         "contour_reference", TABLE.with_name("contour_reference.py"))
     ref = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ref)
+    return ref
+
+
+@functools.lru_cache(maxsize=None)
+def _periodic_zeta(case: str, k: str | None, s: str) -> complex:
+    """zeta(s) of a periodic case at b = 1 from contour_reference.py, at its
+    30 digits."""
+    ref = _contour_reference()
     with ref.mp.workdps(ref.DPS):
         return complex(ref.Periodic(case, None if k is None else float(k))
                        .zeta(complex(float(s))))
@@ -157,13 +169,55 @@ def _zeta_reference(argv: list[str], s: str) -> complex | None:
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _heat_reference(case: str, b: str, k: str | None, t: str) -> dict | None:
+    """The total, total_per_length, bound, stable and unstable cells of a
+    heattrace row at t, as 40-digit mpmath numbers: for case C from its
+    closed form erf(2b sqrt t) + e^{-3b^2 t} erf(b sqrt t) and its bound
+    states at 0 and 3b^2, for B, D and NAHM at b = 1 from the heat trace
+    of contour_reference.py over the bands below and above 0, at its 30
+    digits (a few seconds a row); None otherwise."""
+    with mp.workdps(40):
+        if case == "c":
+            bb, tt = mp.mpf(float(b)), mp.mpf(float(t))
+            bound = 1 + mp.exp(-3 * bb * bb * tt)
+            total = (mp.erf(2 * bb * mp.sqrt(tt))
+                     + mp.exp(-3 * bb * bb * tt) * mp.erf(bb * mp.sqrt(tt)))
+            return {"total": total, "total_per_length": total, "bound": bound,
+                    "stable": total - bound, "unstable": mp.mpf(0)}
+        if case not in ("b", "d", "nahm") or float(b) != 1.0:
+            return None
+        ref = _contour_reference()
+        kk = None if k is None else float(k)
+        with mp.workdps(ref.DPS):
+            unstable, stable = ref.Periodic(case, kk).heat(float(t))
+            period = ref.moments(case, kk)[0]
+        return {"total": unstable + stable,
+                "total_per_length": (unstable + stable) / period,
+                "bound": mp.mpf(0), "stable": stable, "unstable": unstable}
+
+
 def _distance_to_reference(argv: list[str], a: list[list[str]],
                            b: list[list[str]], n: int, j: int) -> str:
     """' | to reference OLD -> NEW (err ERR)' for a moved re or im cell j of
     line n of a zeta table, both sides against the reference at its s, ERR
-    the new row's printed err; '' otherwise."""
+    the new row's printed err, and ' | to reference OLD -> NEW' for a moved
+    cell of a heattrace row of B, C, D or NAHM against _heat_reference;
+    '' otherwise."""
+    if a[n][0] != b[n][0]:
+        return ""
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    if argv[0] == "heattrace" and a[0][:2] == ["t", "closed_form"]:
+        ref = _heat_reference(opts.get("--case"), opts.get("--b", "1"),
+                              opts.get("--k"), b[n][0])
+        if ref is None or a[0][j] not in ref:
+            return ""
+        with mp.workdps(40):
+            da, db = (float(abs(mp.mpf(float(row[n][j])) - ref[a[0][j]]))
+                      for row in (a, b))
+        return f" | to reference {da:.3g} -> {db:.3g}"
     if argv[0] != "zeta" or a[0][1:5] != ["re", "im", "method", "err"] \
-            or j not in (1, 2) or a[n][0] != b[n][0]:
+            or j not in (1, 2):
         return ""
     ref = _zeta_reference(argv, b[n][0])
     if ref is None:

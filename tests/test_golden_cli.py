@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath as mp
 import pytest
 
 import golden_cli
@@ -88,3 +89,43 @@ def test_diff_shows_distance_to_the_zeta_reference(monkeypatch):
         "zeta --case b --k 0.5 --s 0.25 | line 2 0.25 col 1 | -0.4999999999999999 -> -0.5"
         " | to reference 1.11e-16 -> 0 (err 2e-15)",
         "zeta --case b --k 0.5 --s 0.25 | line 2 0.25 col 4 | 1e-15 -> 2e-15"]
+
+
+def test_diff_shows_distance_to_the_heat_reference(monkeypatch):
+    # a moved cell of a heattrace row against its reference column: case C
+    # from its closed form and bound states in mpmath, so the stable cell
+    # is measured too; the t and unstable_sector cells show nothing
+    head = "t,closed_form,total,total_per_length,bound,stable,unstable,unstable_sector\n"
+    ref = golden_cli._heat_reference("c", "1", None, "1.0")
+    total = math.erf(2.0) + math.exp(-3.0) * math.erf(1.0)
+    assert float(ref["total"]) == pytest.approx(total, rel=1e-15)
+    assert float(ref["bound"]) == pytest.approx(1.0 + math.exp(-3.0), rel=1e-15)
+    assert float(ref["stable"]) == pytest.approx(total - 1.0 - math.exp(-3.0), rel=1e-13)
+    row = "1.0,,{v!r},{v!r},{b!r},{s!r},0.0,0\n"
+    z, bound = float(ref["total"]), float(ref["bound"])
+    argv = ["heattrace", "--case", "c", "--t", "1"]
+    old = {"argv": argv, "code": 0, "stdout": head + row.format(
+        v=z + 2 * math.ulp(z), b=bound, s=float(ref["stable"]))}
+    new = {"argv": argv, "code": 0, "stdout": head + row.format(
+        v=z, b=bound, s=float(ref["stable"]))}
+    lines = golden_cli.diff(old, new)
+    assert len(lines) == 2
+    assert lines[0].startswith(f"heattrace --case c --t 1 | line 2 1.0 col 2 | "
+                               f"{z + 2 * math.ulp(z)!r} -> {z!r} | to reference ")
+    far, near = map(float, lines[0].split(" | to reference ")[1].split(" -> "))
+    assert far == pytest.approx(2 * math.ulp(z), rel=0.5) and near < math.ulp(z)
+    # B, D and NAHM at b = 1 take the mpmath heat trace of
+    # contour_reference.py; another b has no reference
+    monkeypatch.setattr(golden_cli, "_heat_reference",
+                        lambda case, b, k, t: None if b != "1" else
+                        {"total": mp.mpf("0.5"), "stable": mp.mpf("0.5")})
+    argv = ["heattrace", "--case", "b", "--k", "0.5", "--t", "1"]
+    row = "1.0,,{v!r},0.25,0.0,{v!r},0.0,1\n"
+    old = {"argv": argv, "code": 0, "stdout": head + row.format(v=0.5 + 2 ** -53)}
+    new = {"argv": argv, "code": 0, "stdout": head + row.format(v=0.5)}
+    assert golden_cli.diff(old, new) == [
+        f"heattrace --case b --k 0.5 --t 1 | line 2 1.0 col {j} | "
+        "0.5000000000000001 -> 0.5 | to reference 1.11e-16 -> 0" for j in (2, 5)]
+    argv = ["heattrace", "--case", "b", "--b", "2", "--k", "0.5", "--t", "1"]
+    old, new = dict(old, argv=argv), dict(new, argv=argv)
+    assert golden_cli.diff(old, new)[0].endswith("0.5000000000000001 -> 0.5")
