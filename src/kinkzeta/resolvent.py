@@ -387,23 +387,22 @@ def hermit_residual(rp: ResolventPolynomial, p: complex, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 # Product integration against Jacobi weights: on a piece of a band the
-# integrand is (1 - y)^a (1 + y)^b f(y) with f smooth, f is interpolated at
-# first-kind Chebyshev nodes, and the Chebyshev coefficients are integrated
-# against the modified moments of the weight.  Every piece runs the rules
-# of _ORDER and 2 _ORDER nodes; their difference is the error estimate, and
-# a piece where it exceeds _PIECE_TOL * max(1, |value|) is bisected.
-# The four weights with exponents in {0, -1/2} at both ends (every
+# integrand is (1 - y)^a (1 + y)^b f(y) with f smooth, and the interpolant
+# of f at first-kind Chebyshev nodes is integrated against the weight, in
+# one dot product with node weights (_product_weights).  Every piece runs
+# the rules of _ORDER and 2 _ORDER nodes; their difference is the error
+# estimate, and a piece where it exceeds _PIECE_TOL * max(1, |value|) is
+# bisected.  The four pairs with exponents in {0, -1/2} at both ends (every
 # heat-trace piece, every contour-zeta piece off lambda = 0, and at s = 0
-# every piece) take _FIXED_MOMENTS, built at import; a piece at lambda = 0
-# carries -1/2 - s and gets its moments per call.
+# every piece) take _fixed_weights, built on first use; a piece at
+# lambda = 0 carries -1/2 - s and gets its weights per call.
 # 64 nodes already resolve every band of the test tables to rounding (worst
-# 4.3e-14 on kzbench/reference.json).  The order stays 512 because the
-# zeta-sweep harness keeps about 0.28 KB per operation, so its 5 % bound on
-# peak memory caps the operation rate.  With the closed-form moments a
-# periodic zeta value takes about 0.6 ms, and zeta-sweep read 97.6 MB of
-# peak memory against 93.1 MB before them (medians of ten 20 s seeds on 2
-# shared vCPUs, +4.8 %, 1.1-6.5 % seed by seed).  Order 64 waits for a
-# harness that keeps per-class aggregates (ROADMAP item 2).
+# 4.3e-14 on kzbench/reference.json).  The order stays 512: the zeta-sweep
+# harness keeps about 0.28 KB per operation, so its 5 % bound on peak
+# memory caps the operation rate.  Order 64 ran zeta-sweep at 2,425-2,431
+# results/s against 1,823-1,871 at 512, at 104.9-105.6 MB of peak memory
+# against 99.2-101.5 MB (20 s runs, seeds 1 and 2, 2 shared vCPUs).  It
+# waits for a harness that keeps per-class aggregates (ROADMAP item 2).
 _ORDER = 512
 _PIECE_TOL = 1e-11
 _MAX_PIECES = 200        # per band; past it pieces are taken as they are
@@ -454,16 +453,19 @@ def _moment_recurrence(g0: complex, a: complex, b: complex, n: int) -> np.ndarra
     return np.array(g)
 
 
-_FIXED_MOMENTS = {(a, b): _jacobi_moments(a, b, 2 * _ORDER)
-                  for a in (0.0, -0.5) for b in (0.0, -0.5)}
+def _product_weights(a: complex, b: complex) -> np.ndarray:
+    """Node weights of both rules for W = (1 - y)^a (1 + y)^b, laid out as
+    _OPY: scipy's DCT-III of G[:n], / n / W at the nodes, so that F . w
+    integrates W times the interpolant of F / W (Waldvogel, BIT 46, 2006)."""
+    g = _jacobi_moments(a, b, 2 * _ORDER)
+    w = np.concatenate([dct(g[:n], type=3) / n for n in (_ORDER, 2 * _ORDER)])
+    return w * np.exp(-a * _LOG_OMY - b * _LOG_OPY)
 
 
-def _chebyshev_sum(f: np.ndarray, moments: np.ndarray) -> complex:
-    """sum_k c_k G_k, c_k the Chebyshev coefficients of the interpolant of
-    f at the first-kind nodes (scipy's DCT-II is 2 sum_j f_j cos(...))."""
-    c = dct(f, type=2) / len(f)
-    c[0] *= 0.5
-    return complex(c @ moments[:len(f)])
+@cache
+def _fixed_weights() -> dict:
+    """_product_weights of the pairs in {0, -1/2}^2, built on first use."""
+    return {(a, b): _product_weights(a, b) for a in (0.0, -0.5) for b in (0.0, -0.5)}
 
 
 def _product_integral(F, exp_lo: complex, exp_hi: complex) -> tuple[complex, float]:
@@ -474,7 +476,7 @@ def _product_integral(F, exp_lo: complex, exp_hi: complex) -> tuple[complex, flo
     end's exponent in its weight, an inner piece the weight 1.  Returns
     the value of the finer rule and the summed rule differences.
     """
-    moments = dict(_FIXED_MOMENTS)
+    weights = dict(_fixed_weights())
     value, err = 0j, 0.0
     pieces = [(-1.0, 1.0)]
     done = 0
@@ -483,13 +485,11 @@ def _product_integral(F, exp_lo: complex, exp_hi: complex) -> tuple[complex, flo
         h = 0.5 * (v - u)
         b = exp_lo if u == -1.0 else 0.0
         a = exp_hi if v == 1.0 else 0.0
-        f = F((1.0 + u) + h * _OPY, (1.0 - v) + h * _OMY) * np.exp(
-            -a * _LOG_OMY - b * _LOG_OPY)
-        if (a, b) not in moments:
-            moments[a, b] = _jacobi_moments(a, b, 2 * _ORDER)
-        g = moments[a, b]
-        coarse = h * _chebyshev_sum(f[:_ORDER], g)
-        fine = h * _chebyshev_sum(f[_ORDER:], g)
+        if (a, b) not in weights:
+            weights[a, b] = _product_weights(a, b)
+        f, w = F((1.0 + u) + h * _OPY, (1.0 - v) + h * _OMY), weights[a, b]
+        coarse = h * complex(f[:_ORDER] @ w[:_ORDER])
+        fine = h * complex(f[_ORDER:] @ w[_ORDER:])
         diff = abs(fine - coarse)
         done += 1
         if (diff > _PIECE_TOL * max(1.0, abs(fine)) and h > _MIN_HALF

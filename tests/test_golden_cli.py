@@ -129,3 +129,45 @@ def test_diff_shows_distance_to_the_heat_reference(monkeypatch):
     argv = ["heattrace", "--case", "b", "--b", "2", "--k", "0.5", "--t", "1"]
     old, new = dict(old, argv=argv), dict(new, argv=argv)
     assert golden_cli.diff(old, new)[0].endswith("0.5000000000000001 -> 0.5")
+
+
+# band_density calls, one a piece of the band integrator, of each golden
+# zeta and heattrace invocation
+PIECES = {
+    "zeta --case a --b 1 --s 0.1,0.25,-0.3": 3,
+    "zeta --case b --k 0.5 --s 0.3,-0.2": 4,
+    "zeta --case d --k 0.5 --s 0.25": 3,
+    "zeta --case nahm --s 0.25,-0.1": 6,
+    "heattrace --case a --t 0.25,1,2": 1,
+    "heattrace --case c --t 0.25,1,2": 2,
+    "heattrace --case b --k 0.5 --t 0.25,1,2": 4,
+    "heattrace --case d --k 0.7 --t 0.25,1,2": 7,
+    "heattrace --case nahm --t 0.25,1,2": 7,
+    "heattrace --case a --t 1e-100,1e-29": 0,
+    "heattrace --case c --t 1e-100": 0,
+    "zeta --case b --k 0.5 --s 0": 2,
+    "zeta --case a --b 1.3 --s=-0.4,0.1,0.45": 3,
+}
+
+
+def test_piece_count_on_the_golden_set(monkeypatch):
+    # 42 pieces in all, as when every piece ran two DCTs, a count that does
+    # not depend on the machine: the product weights make each piece
+    # cheaper, not the pieces fewer or coarser
+    from kinkzeta.resolvent import ResolventPolynomial
+    calls = []
+    density = ResolventPolynomial.band_density
+
+    def counted(self, *args):
+        calls.append(args)
+        return density(self, *args)
+
+    monkeypatch.setattr(ResolventPolynomial, "band_density", counted)
+    seen = {}
+    for argv in golden_cli.INVOCATIONS:
+        if argv[0] in ("zeta", "heattrace"):
+            before = len(calls)
+            run(argv)
+            seen[" ".join(argv)] = len(calls) - before
+    assert seen == PIECES
+    assert sum(seen.values()) == 42

@@ -581,17 +581,66 @@ def _count_calls(monkeypatch, name):
     return seen
 
 
-class TestFixedMoments:
-    """The Jacobi moments of the four weights that do not depend on s are
-    computed once, at import."""
+@pytest.fixture(autouse=True, scope="module")
+def _fixed_weights_built():
+    """The weights of the four fixed exponent pairs are built on first use;
+    build them before a test counts the moment arrays a call builds."""
+    resolvent._fixed_weights()
 
-    def test_table_equals_the_moments_function(self):
-        table = resolvent._FIXED_MOMENTS
+
+# the four pairs that do not depend on s, and the pair of a band that ends
+# at lambda = 0 at s = 0.3 + 0.4i: -1/2 - s there, -1/2 at its other edge
+WEIGHT_PAIRS = [(a, b) for a in (0.0, -0.5) for b in (0.0, -0.5)] + [(-0.8 - 0.4j, -0.5)]
+
+
+def _rules(a, b):
+    """(n, 1 + y, 1 - y, weights) of each rule for the pair (a, b)."""
+    w = resolvent._fixed_weights().get((a, b))
+    if w is None:
+        w = resolvent._product_weights(a, b)
+    n = resolvent._ORDER
+    return [(m, resolvent._OPY[lo:lo + m], resolvent._OMY[lo:lo + m], w[lo:lo + m])
+            for lo, m in ((0, n), (n, 2 * n))]
+
+
+class TestFixedMoments:
+    """The product weights of the four Jacobi weights that do not depend on
+    s are computed once, on first use; a piece is one dot product with
+    them."""
+
+    def test_fixed_pairs(self):
+        table = resolvent._fixed_weights()
         assert set(table) == {(a, b) for a in (0.0, -0.5) for b in (0.0, -0.5)}
-        for (a, b), g in table.items():
-            assert type(a) is type(b) is float
-            want = resolvent._jacobi_moments(a, b, 2 * resolvent._ORDER)
-            assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+        assert all(type(a) is type(b) is float for a, b in table)
+        assert resolvent._fixed_weights() is table
+
+    @pytest.mark.parametrize("a, b", WEIGHT_PAIRS)
+    def test_weights_integrate_the_chebyshev_polynomials(self, a, b):
+        # sum_j w_j (1 - y_j)^a (1 + y_j)^b T_k(y_j) = G_k for every k < n
+        # of each rule: measured within 12.1 eps of |G_0| (the pair
+        # (-1/2, -1/2) at 1,024 nodes), allowed as 32.  T_k(y_j) =
+        # cos(pi k (2j + 1) / 2n) with the angle reduced mod 2 pi in integers
+        g = resolvent._jacobi_moments(a, b, 2 * resolvent._ORDER)
+        for n, opy, omy, w in _rules(a, b):
+            m = np.outer(np.arange(n), 2 * np.arange(n) + 1) % (4 * n)
+            got = np.cos(np.pi * m / (2 * n)) @ (w * omy ** a * opy ** b)
+            assert np.max(np.abs(got - g[:n])) <= 32 * specfun._EPS * abs(g[0])
+
+    @pytest.mark.parametrize("a, b", WEIGHT_PAIRS)
+    def test_weights_agree_with_the_dct_route(self, a, b):
+        # the route they replace: the integrand over the weight, its
+        # Chebyshev coefficients by a DCT-II, dotted with the moments.  On
+        # a smooth f both agree to within 1 eps of the value, allowed as 4
+        from scipy.fft import dct
+        g = resolvent._jacobi_moments(a, b, 2 * resolvent._ORDER)
+        for n, opy, omy, w in _rules(a, b):
+            y = opy - 1.0
+            f = np.exp(0.7 * y) / (2.5 + y) + 1j * np.cos(3.0 * y)
+            F = f * omy ** a * opy ** b
+            c = dct(F * np.exp(-a * np.log(omy) - b * np.log(opy)), type=2) / n
+            c[0] *= 0.5
+            old, new = complex(c @ g[:n]), complex(F @ w)
+            assert abs(new - old) <= 4 * specfun._EPS * max(1.0, abs(old))
 
     def test_float_pairs_come_from_the_table(self, monkeypatch):
         seen = _count_calls(monkeypatch, "_jacobi_moments")
