@@ -92,9 +92,9 @@ def test_diff_shows_distance_to_the_zeta_reference(monkeypatch):
 
 
 def test_diff_shows_distance_to_the_heat_reference(monkeypatch):
-    # a moved cell of a heattrace row against its reference column: case C
-    # from its closed form and bound states in mpmath, so the stable cell
-    # is measured too; the t and unstable_sector cells show nothing
+    # a moved cell of a heattrace row against the reference of its column:
+    # case C from its closed form and bound states in mpmath, whose stable
+    # part is their difference
     head = "t,closed_form,total,total_per_length,bound,stable,unstable,unstable_sector\n"
     ref = golden_cli._heat_reference("c", "1", None, "1.0")
     total = math.erf(2.0) + math.exp(-3.0) * math.erf(1.0)
@@ -170,4 +170,3 @@ def test_piece_count_on_the_golden_set(monkeypatch):
             run(argv)
             seen[" ".join(argv)] = len(calls) - before
     assert seen == PIECES
-    assert sum(seen.values()) == 42

@@ -611,7 +611,9 @@ class TestFixedMoments:
     def test_fixed_pairs(self):
         table = resolvent._fixed_weights()
         assert set(table) == {(a, b) for a in (0.0, -0.5) for b in (0.0, -0.5)}
-        assert all(type(a) is type(b) is float for a, b in table)
+        for (a, b), w in table.items():
+            assert type(a) is type(b) is float
+            assert w.tobytes() == resolvent._product_weights(a, b).tobytes()
         assert resolvent._fixed_weights() is table
 
     @pytest.mark.parametrize("a, b", WEIGHT_PAIRS)
