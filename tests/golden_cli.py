@@ -16,20 +16,21 @@ cell (argv, line, old, new) that --diff prints without writing:
     PYTHONPATH=src python3 tests/golden_cli.py
 
 --diff exits 1 when any cell differs from the table and 0 when it prints
-"no changes", so it can gate a script.  A moved number in a row that has a
-closed_form cell (heattrace --case a, energy) also shows its old and new
-distance to that cell in ulps, and a moved re or im cell of a zeta row its
-old and new distance |zeta - reference| beside the row's printed err: the
-reference is, for case A, its closed form -b^{-2s} Gamma(s + 1/2) /
-(sqrt(pi) Gamma(s + 1)) in mpmath at 40 digits, so a moved closed_form
-cell shows its distance too, and for B, D and NAHM at b = 1 the 30-digit
-mpmath value of contour_reference.py (a few seconds a value).  A moved
-total, total_per_length, bound, stable or unstable cell of a heattrace
-row shows its old and new distance to its reference in the same way: for
-case C the closed form erf(2b sqrt t) + e^{-3b^2 t} erf(b sqrt t) with
-the bound states 0 and 3b^2, for B, D and NAHM at b = 1 the mpmath heat
-trace of contour_reference.py over the bands below and above 0.  So a
-rebuild can show how far each moved value sits from its reference.
+"no changes", so it can gate a script.  A moved re or im cell of a zeta
+row shows its old and new distance |zeta - reference| beside the row's
+printed err, both taken in mpmath: the reference is, for case A, its
+closed form -b^{-2s} Gamma(s + 1/2) / (sqrt(pi) Gamma(s + 1)) at 40
+digits, so a moved closed_form cell shows its distance too, and for B, D
+and NAHM at b = 1 the 30-digit mpmath value of contour_reference.py (a few
+seconds a value).  A moved total, total_per_length, bound, stable or
+unstable cell of a heattrace row shows its old and new distance to its
+reference in the same way: for case A erf(b sqrt t) with the bound state
+0, for case C the closed form erf(2b sqrt t) + e^{-3b^2 t} erf(b sqrt t)
+with the bound states 0 and 3b^2, for B, D and NAHM at b = 1 the mpmath
+heat trace of contour_reference.py over the bands below and above 0.  A
+moved number of any other row with a closed_form cell (energy) shows its
+old and new distance to that cell in ulps.  So a rebuild can show how far
+each moved value sits from its reference.
 """
 
 from __future__ import annotations
@@ -138,26 +139,26 @@ def _contour_reference():
 
 
 @functools.lru_cache(maxsize=None)
-def _periodic_zeta(case: str, k: str | None, s: str) -> complex:
-    """zeta(s) of a periodic case at b = 1 from contour_reference.py, at its
-    30 digits."""
+def _periodic_zeta(case: str, k: str | None, s: str) -> mp.mpc:
+    """zeta(s) of a periodic case at b = 1 from contour_reference.py, an
+    mpmath number at its 30 digits."""
     ref = _contour_reference()
     with ref.mp.workdps(ref.DPS):
-        return complex(ref.Periodic(case, None if k is None else float(k))
-                       .zeta(complex(float(s))))
+        return (ref.Periodic(case, None if k is None else float(k))
+                .zeta(complex(float(s))))
 
 
 @functools.lru_cache(maxsize=None)
-def _kink_zeta(b: str, s: str) -> complex:
+def _kink_zeta(b: str, s: str) -> mp.mpf:
     """zeta(s) of case A, -b^{-2s} Gamma(s + 1/2) / (sqrt(pi) Gamma(s + 1)),
-    in mpmath at 40 digits from the doubles the CLI read."""
+    an mpmath number at 40 digits from the doubles the CLI read."""
     with mp.workdps(40):
         s = mp.mpf(float(s))
-        return complex(-mp.mpf(float(b)) ** (-2 * s) * mp.gamma(s + 0.5)
-                       * mp.rgamma(s + 1) / mp.sqrt(mp.pi))
+        return (-mp.mpf(float(b)) ** (-2 * s) * mp.gamma(s + 0.5)
+                * mp.rgamma(s + 1) / mp.sqrt(mp.pi))
 
 
-def _zeta_reference(argv: list[str], s: str) -> complex | None:
+def _zeta_reference(argv: list[str], s: str):
     """The reference of a zeta row at s: _kink_zeta for case A,
     _periodic_zeta for B, D and NAHM at b = 1; None otherwise."""
     opts = dict(zip(argv[1::2], argv[2::2]))
@@ -172,17 +173,21 @@ def _zeta_reference(argv: list[str], s: str) -> complex | None:
 @functools.lru_cache(maxsize=None)
 def _heat_reference(case: str, b: str, k: str | None, t: str) -> dict | None:
     """The total, total_per_length, bound, stable and unstable cells of a
-    heattrace row at t, as 40-digit mpmath numbers: for case C from its
-    closed form erf(2b sqrt t) + e^{-3b^2 t} erf(b sqrt t) and its bound
-    states at 0 and 3b^2, for B, D and NAHM at b = 1 from the heat trace
-    of contour_reference.py over the bands below and above 0, at its 30
+    heattrace row at t, as 40-digit mpmath numbers: for case A from its
+    closed form erf(b sqrt t) and its bound state at 0, for case C from
+    erf(2b sqrt t) + e^{-3b^2 t} erf(b sqrt t) and its bound states at 0
+    and 3b^2, for B, D and NAHM at b = 1 from the heat trace of
+    contour_reference.py over the bands below and above 0, at its 30
     digits (a few seconds a row); None otherwise."""
     with mp.workdps(40):
-        if case == "c":
+        if case in ("a", "c"):
             bb, tt = mp.mpf(float(b)), mp.mpf(float(t))
-            bound = 1 + mp.exp(-3 * bb * bb * tt)
-            total = (mp.erf(2 * bb * mp.sqrt(tt))
-                     + mp.exp(-3 * bb * bb * tt) * mp.erf(bb * mp.sqrt(tt)))
+            if case == "a":
+                bound, total = mp.mpf(1), mp.erf(bb * mp.sqrt(tt))
+            else:
+                bound = 1 + mp.exp(-3 * bb * bb * tt)
+                total = (mp.erf(2 * bb * mp.sqrt(tt))
+                         + mp.exp(-3 * bb * bb * tt) * mp.erf(bb * mp.sqrt(tt)))
             return {"total": total, "total_per_length": total, "bound": bound,
                     "stable": total - bound, "unstable": mp.mpf(0)}
         if case not in ("b", "d", "nahm") or float(b) != 1.0:
@@ -202,8 +207,8 @@ def _distance_to_reference(argv: list[str], a: list[list[str]],
     """' | to reference OLD -> NEW (err ERR)' for a moved re or im cell j of
     line n of a zeta table, both sides against the reference at its s, ERR
     the new row's printed err, and ' | to reference OLD -> NEW' for a moved
-    cell of a heattrace row of B, C, D or NAHM against _heat_reference;
-    '' otherwise."""
+    cell of a heattrace row against _heat_reference; '' otherwise.  Both
+    distances are taken in mpmath, so they are not rounded to ulp steps."""
     if a[n][0] != b[n][0]:
         return ""
     opts = dict(zip(argv[1::2], argv[2::2]))
@@ -222,17 +227,18 @@ def _distance_to_reference(argv: list[str], a: list[list[str]],
     ref = _zeta_reference(argv, b[n][0])
     if ref is None:
         return ""
-    da = abs(complex(float(a[n][1]), float(a[n][2])) - ref)
-    db = abs(complex(float(b[n][1]), float(b[n][2])) - ref)
+    with mp.workdps(40):
+        da, db = (float(abs(mp.mpc(float(row[n][1]), float(row[n][2])) - ref))
+                  for row in (a, b))
     return f" | to reference {da:.3g} -> {db:.3g} (err {float(b[n][4]):.3g})"
 
 
 def diff(old: dict, new: dict) -> list[str]:
     """One line per changed cell of an invocation: argv, line number (or
     'code'), old and new value; tables are compared cell by cell, and a
-    moved number in a row with a closed_form cell also shows its old and
-    new distance to it in ulps, a moved zeta value its distance to its
-    reference."""
+    moved zeta or heat-trace value also shows its old and new distance to
+    its reference, a moved number of another row with a closed_form cell
+    its distance to that cell in ulps."""
     argv = new["argv"]
     name = " ".join(argv)
     if old is None:
@@ -250,8 +256,8 @@ def diff(old: dict, new: dict) -> list[str]:
         if len(ca) == len(cb):
             head = ca[0] if ca[0] == cb[0] else ""
             out += [f"{name} | line {n + 1} {head} col {j} | {x} -> {y}"
-                    + (_ulps_to_closed_form(header, ca, cb, j)
-                       + _distance_to_reference(argv, a, b, n, j) if n else "")
+                    + (_distance_to_reference(argv, a, b, n, j)
+                       or _ulps_to_closed_form(header, ca, cb, j) if n else "")
                     for j, (x, y) in enumerate(zip(ca, cb)) if x != y]
         else:
             out.append(f"{name} | line {n + 1} | {','.join(ca)} -> {','.join(cb)}")

@@ -60,13 +60,16 @@ def test_diff_shows_distance_to_the_zeta_reference(monkeypatch):
     # a moved re or im cell of a zeta row: |zeta - reference| on each side,
     # beside the new printed err; case A against its closed form in mpmath,
     # so a moved closed_form cell shows its distance too, and an unmoved
-    # row, whose distance cannot change, shows nothing
+    # row, whose distance cannot change, shows nothing.  The reference stays
+    # an mpmath number, so the distance of the nearest double is its
+    # rounding, not 0
     head = "s,re,im,method,err,meta_2Ki,meta_Ki_minus_Ei\n"
     row = "0.25,{v!r},0.0,{m},{e},,\n"
     ref = golden_cli._kink_zeta("1", "0.25")
-    assert ref == pytest.approx(
+    assert isinstance(ref, mp.mpf)
+    z = float(ref)
+    assert z == pytest.approx(
         -math.gamma(0.75) / (math.sqrt(math.pi) * math.gamma(1.25)), rel=1e-15)
-    z = ref.real
     moved = z + 4 * math.ulp(z)
     contour = row.format(v=z - math.ulp(z), m="contour", e=1e-15)
     argv = ["zeta", "--case", "a", "--s", "0.25"]
@@ -74,9 +77,11 @@ def test_diff_shows_distance_to_the_zeta_reference(monkeypatch):
            "stdout": head + row.format(v=moved, m="closed_form", e=0.0) + contour}
     new = {"argv": argv, "code": 0,
            "stdout": head + row.format(v=z, m="closed_form", e=0.0) + contour}
+    far, near = (float(abs(mp.mpf(v) - ref)) for v in (moved, z))
+    assert 0.0 < near <= math.ulp(z) / 2
     assert golden_cli.diff(old, new) == [
         f"zeta --case a --s 0.25 | line 2 0.25 col 1 | {moved!r} -> {z!r}"
-        f" | to reference {4 * math.ulp(z):.3g} -> 0 (err 0)"]
+        f" | to reference {far:.3g} -> {near:.3g} (err 0)"]
     # B, D and NAHM at b = 1 take the mpmath value of contour_reference.py;
     # a moved err cell alone shows no distance
     monkeypatch.setattr(golden_cli, "_periodic_zeta", lambda case, k, s: -0.5 + 0j)
@@ -129,6 +134,32 @@ def test_diff_shows_distance_to_the_heat_reference(monkeypatch):
     argv = ["heattrace", "--case", "b", "--b", "2", "--k", "0.5", "--t", "1"]
     old, new = dict(old, argv=argv), dict(new, argv=argv)
     assert golden_cli.diff(old, new)[0].endswith("0.5000000000000001 -> 0.5")
+
+
+def test_diff_measures_case_a_heat_cells_against_their_own_reference():
+    # a case-A heattrace row carries closed_form = erf(b sqrt t), which only
+    # total and total_per_length equal; each moved cell is measured against
+    # the reference of its column, so the stable cell erf - 1 reads a
+    # sub-ulp distance where against closed_form it read about 9e15 ulps
+    ref = golden_cli._heat_reference("a", "1", None, "1.0")
+    assert set(ref) == {"total", "total_per_length", "bound", "stable", "unstable"}
+    assert float(ref["total"]) == math.erf(1.0)
+    assert (ref["bound"], ref["unstable"]) == (1, 0)
+    assert float(ref["stable"]) == pytest.approx(math.erf(1.0) - 1.0, rel=1e-15)
+    head = "t,closed_form,total,total_per_length,bound,stable,unstable,unstable_sector\n"
+    row = "1.0,{c!r},{c!r},{c!r},1.0,{s!r},0.0,0\n"
+    c, stable = math.erf(1.0), float(ref["stable"])
+    argv = ["heattrace", "--case", "a", "--t", "1"]
+    old = {"argv": argv, "code": 0, "stdout": head + row.format(
+        c=c, s=stable + math.ulp(stable))}
+    new = {"argv": argv, "code": 0, "stdout": head + row.format(c=c, s=stable)}
+    line, = golden_cli.diff(old, new)
+    assert line.startswith(f"heattrace --case a --t 1 | line 2 1.0 col 5 | "
+                           f"{stable + math.ulp(stable)!r} -> {stable!r} | to reference ")
+    assert "ulps to closed_form" not in line
+    far, near = map(float, line.split(" | to reference ")[1].split(" -> "))
+    assert far == pytest.approx(math.ulp(stable), rel=0.5)
+    assert near <= math.ulp(stable) / 2
 
 
 # band_density calls, one a piece of the band integrator, of each golden
