@@ -7,8 +7,10 @@ the package is imported, and its subpackage is imported the first time
 it is called.  A module takes the name from here, so a caller can
 replace it there (a test's fake, a tracer's span).  The ``solution``,
 ``energy``, ``resolvent``, ``correction`` and ``figure-z`` commands call
-none of them and never load scipy.  CONVENTIONS item 24 gives the policy
-and the measured start-up times.
+none of them and never load scipy; nor do ``heattrace`` and the contour
+``zeta`` (cases b, c, d, nahm) at real s, whose product weights and
+heat-kernel constants are built with numpy and exact arithmetic.
+CONVENTIONS item 24 gives the policy and the measured start-up times.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ quad = _deferred("scipy.integrate", "quad")
 eig_banded = _deferred("scipy.linalg", "eig_banded")
 eigvalsh_tridiagonal = _deferred("scipy.linalg", "eigvalsh_tridiagonal")
 dgtsv = _deferred("scipy.linalg.lapack", "dgtsv")
-dct = _deferred("scipy.fft", "dct")
-binom = _deferred("scipy.special", "binom")
 gamma = _deferred("scipy.special", "gamma")
 rgamma = _deferred("scipy.special", "rgamma")
 ellipkinc = _deferred("scipy.special", "ellipkinc")

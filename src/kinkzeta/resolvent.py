@@ -21,7 +21,10 @@ relative spectral density along the branch cuts of sqrt(Q), its inverse
 Laplace transform (the relative heat trace) and the heat-kernel
 coefficients of gamma_hat at large p, which give the heat trace at small
 t and the top band above a cut.  The band integrator, product rules
-against Jacobi weights, lives here; both traces' routes run it.
+against Jacobi weights, lives here; both traces' routes run it.  At real
+exponents it loads no scipy module: the weights come from numpy's FFT and
+the heat-kernel constants from exact integer arithmetic; a complex
+exponent takes scipy's complex Gamma.
 
 Case tags: A = SG kink, B = SG periodic, C = GL kink, D = GL periodic,
 NAHM = the k^2 = -1 continuation of D.
@@ -33,12 +36,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import cache, cached_property
 
 import numpy as np
 
 from . import specfun
-from ._deferred import binom, dct, rgamma
+from ._deferred import rgamma
 # kzbench/tracing.py wraps resolvent.quad by name for its per-layer
 # resolvent.quad_self_s, so the name must exist; nothing here calls it,
 # and the deferred quad loads scipy.integrate only when called
@@ -70,17 +74,23 @@ _HEAT_TERMS = 60
 _TERMS = np.arange(_HEAT_TERMS)
 
 
+# 1 / sqrt(pi) to 48 digits
+_RSQRT_PI = Fraction("0.564189583547756286948079451560772585844050629329")
+
+
 @cache
 def _half_binomial() -> np.ndarray:
-    """C(2n, n) / 4^n, n < _HEAT_TERMS; built on first use, so that importing
-    the package loads no scipy."""
-    return binom(2 * _TERMS, _TERMS) / 4.0 ** _TERMS
+    """C(2n, n) / 4^n, n < _HEAT_TERMS, correctly rounded: the quotient of
+    two exact integers; built on first use."""
+    return np.array([math.comb(2 * n, n) / 4 ** n for n in range(_HEAT_TERMS)])
 
 
 @cache
 def _rgamma_half() -> np.ndarray:
-    """1 / Gamma(n + 1/2), n < _HEAT_TERMS; built on first use, as above."""
-    return rgamma(_TERMS + 0.5)
+    """1 / Gamma(n + 1/2) = 4^n n! / ((2n)! sqrt(pi)), n < _HEAT_TERMS,
+    correctly rounded: one exact rational times _RSQRT_PI, rounded once."""
+    return np.array([float(Fraction(4 ** n * math.factorial(n), math.factorial(2 * n))
+                           * _RSQRT_PI) for n in range(_HEAT_TERMS)])
 
 
 def _polyval(coeffs, x):
@@ -446,19 +456,39 @@ def _moment_recurrence(g0: complex, a: complex, b: complex, n: int) -> np.ndarra
     """(a+b+k+2) G_{k+1} + 2(a-b) G_k + (a+b-k+2) G_{k-1} = 0 from G_1 = G_0 (b-a)
     / (a+b+2) (Piessens & Branders, BIT 13, 1973; QUADPACK's QAWS moments)."""
     ab = a + b
-    g = [g0, g0 * (b - a) / (ab + 2.0)] + [0j] * (n - 2)
+    g = [g0, g0 * (b - a) / (ab + 2.0)] + [0.0 * g0] * (n - 2)
     amb2 = 2.0 * (a - b)
     for k in range(1, n - 1):
         g[k + 1] = -(amb2 * g[k] + (ab - k + 2.0) * g[k - 1]) / (ab + k + 2.0)
     return np.array(g)
 
 
+@cache
+def _twiddle(n: int) -> np.ndarray:
+    """2 e^{i pi k / (2n)}, k < n: the DCT-III of n points, over n, is then
+    np.fft.irfft of g times this, of length 2n, cut to n (Makhoul, IEEE
+    Trans. ASSP 28, 1980, 27)."""
+    return 2.0 * np.exp(0.5j * np.pi * np.arange(n) / n)
+
+
+def _dct3(g: np.ndarray, n: int) -> np.ndarray:
+    """g_0 + 2 sum_k g_k cos(pi k (j + 1/2) / n), j < n, over n: the
+    unnormalized DCT-III of g[:n] over n; one transform for real g, one for
+    each of the real and imaginary parts of complex g."""
+    if np.iscomplexobj(g):
+        return _dct3(g.real, n) + 1j * _dct3(g.imag, n)
+    return np.fft.irfft(g[:n] * _twiddle(n), 2 * n)[:n]
+
+
 def _product_weights(a: complex, b: complex) -> np.ndarray:
     """Node weights of both rules for W = (1 - y)^a (1 + y)^b, laid out as
-    _OPY: scipy's DCT-III of G[:n], / n / W at the nodes, so that F . w
-    integrates W times the interpolant of F / W (Waldvogel, BIT 46, 2006)."""
+    _OPY: the DCT-III of G[:n], / n / W at the nodes, so that F . w
+    integrates W times the interpolant of F / W (Waldvogel, BIT 46, 2006).
+    A pair with real parts only is taken as floats, so its weights are real."""
+    if a.imag == 0.0 and b.imag == 0.0:
+        a, b = a.real, b.real
     g = _jacobi_moments(a, b, 2 * _ORDER)
-    w = np.concatenate([dct(g[:n], type=3) / n for n in (_ORDER, 2 * _ORDER)])
+    w = np.concatenate([_dct3(g, n) for n in (_ORDER, 2 * _ORDER)])
     return w * np.exp(-a * _LOG_OMY - b * _LOG_OPY)
 
 
