@@ -1,8 +1,9 @@
 """A fresh import loads no scipy module.  The commands that need none
 (solution, energy, resolvent, correction, figure-z) load none and print
-their golden stdout; the routes that do (the contour zeta and heat trace,
-the Mellin zeta, the lattice oracle) load their subpackages on the first
-call and return the same bits there as in a process that has them loaded
+their golden stdout, and so do the contour zeta and the heat trace at
+real s; the routes that need scipy (the contour zeta at complex s, the
+Mellin zeta, the lattice oracle) load their subpackages on the first call
+and return the same bits there as in a process that has them loaded
 already."""
 
 import json
@@ -64,9 +65,12 @@ report["cells"] = [run(argv) + [loaded()] for argv in json.loads(sys.argv[1])]
 
 
 def test_first_contour_zeta_and_heat_trace_match_a_warm_process():
-    # the DCT and the heat-kernel constants load on the first call (t =
-    # 0.1 takes the heat-kernel series, t = 1 the band integrals); the
-    # values come first, then the golden invocation of the same route
+    # the product weights and the heat-kernel constants are built on the
+    # first call (t = 0.1 takes the heat-kernel series, t = 1 the band
+    # integrals), with no scipy module at real s; the values come first,
+    # then the golden invocation of the same route, then the contour zeta
+    # of the other periodic and kink cases.  A complex s loads
+    # scipy.special for the complex Gamma of its moments
     zeta_argv = ["zeta", "--case", "b", "--k", "0.5", "--s", "0.3,-0.2"]
     heat_argv = ["heattrace", "--case", "d", "--k", "0.7", "--t", "0.25,1,2"]
     zeta = fresh("""
@@ -75,11 +79,17 @@ from kinkzeta.zetareg import zeta_contour
 z = zeta_contour(build_resolvent(CaseTag.B, 1.0, k=0.5), 0.3)
 report["bits"] = [z.value.real.hex(), z.value.imag.hex(), z.err_estimate.hex()]
 report["cell"] = run(json.loads(sys.argv[1]))
+for case, k in (("c", None), ("d", 0.5), ("nahm", None)):
+    zeta_contour(build_resolvent(CaseTag(case), 1.0, k=k), 0.25)
+report["real_s"] = loaded()
+zeta_contour(build_resolvent(CaseTag.B, 1.0, k=0.5), 0.3 + 0.2j)
+report["complex_s"] = loaded()
 """, json.dumps(zeta_argv))
     heat = fresh("""
 from kinkzeta.resolvent import CaseTag, build_resolvent, invert_laplace_gamma
 rp = build_resolvent(CaseTag.D, 1.2, k=0.7)
 report["bits"] = [float(invert_laplace_gamma(rp, t).total).hex() for t in (0.1, 1.0)]
+report["real_s"] = loaded()
 report["cell"] = run(json.loads(sys.argv[1]))
 """, json.dumps(heat_argv))
 
@@ -90,9 +100,10 @@ report["cell"] = run(json.loads(sys.argv[1]))
     assert heat["bits"] == [float(invert_laplace_gamma(rp, t).total).hex()
                             for t in (0.1, 1.0)]
     for child, argv in ((zeta, zeta_argv), (heat, heat_argv)):
-        assert child["import"] == []
+        assert child["import"] == child["real_s"] == []
         row = cell(*argv)
         assert child["cell"] == [row["code"], row["stdout"]]
+    assert "scipy.special" in zeta["complex_s"]
 
 
 def test_fresh_import_defers_integrate_and_linalg():
