@@ -35,9 +35,7 @@ def _deferred(module: str, name: str) -> Callable:
 
 
 quad = _deferred("scipy.integrate", "quad")
-eig_banded = _deferred("scipy.linalg", "eig_banded")
 eigvalsh_tridiagonal = _deferred("scipy.linalg", "eigvalsh_tridiagonal")
-dgtsv = _deferred("scipy.linalg.lapack", "dgtsv")
 gamma = _deferred("scipy.special", "gamma")
 rgamma = _deferred("scipy.special", "rgamma")
 ellipkinc = _deferred("scipy.special", "ellipkinc")

@@ -1,15 +1,17 @@
 """A fresh import loads no scipy module.  The commands that need none
 (solution, energy, resolvent, correction, figure-z) load none and print
 their golden stdout, and so do the contour zeta and the heat trace at
-real s; the routes that need scipy (the contour zeta at complex s, the
-Mellin zeta, the lattice oracle) load their subpackages on the first call
-and return the same bits there as in a process that has them loaded
-already."""
+real s, and the periodic lattice oracle; the routes that need scipy (the
+contour zeta at complex s, the Mellin zeta, the oracle's Dirichlet box)
+load their subpackages on the first call and return the same bits there
+as in a process that has them loaded already."""
 
 import json
 import os
 import subprocess
 import sys
+
+import numpy as np
 
 import kinkzeta
 from kinkzeta import oracle
@@ -33,6 +35,7 @@ def run(argv):
         code = kinkzeta.cli.main(argv)
     return [code, buf.getvalue()]
 
+import numpy as np
 import kinkzeta, kinkzeta.cli
 report = {"import": loaded()}
 """
@@ -107,20 +110,30 @@ report["cell"] = run(json.loads(sys.argv[1]))
 
 
 def test_fresh_import_defers_integrate_and_linalg():
+    # the periodic oracle (numpy's FFT and eigvalsh) and `oracle --mode
+    # edges` load no scipy module; the Dirichlet box loads scipy.linalg,
+    # the Mellin zeta scipy.integrate
     deferred = ["scipy.integrate", "scipy.linalg", "scipy.optimize"]
     child = fresh(f"""
 from kinkzeta import oracle
 from kinkzeta.resolvent import CaseTag, build_resolvent
 from kinkzeta.zetareg import erf_heat_trace, mellin_zeta
-z = mellin_zeta(erf_heat_trace(1.0), 0.25)
 rp = build_resolvent(CaseTag.D, 1.0, k=0.5)
 spec = oracle.LatticeSpec(0.0, rp.period, 64, "periodic", rp.u_of_x)
 edges = oracle.band_edges_lattice(spec, len(rp.roots))
+trace = oracle.lattice_heat_trace(spec, 1.0)
+report["cli"] = run(["oracle", "--case", "b", "--k", "0.5", "--mode", "edges"])
+report["periodic"] = loaded()
+z = mellin_zeta(erf_heat_trace(1.0), 0.25)
+box = oracle.LatticeSpec(-20.0, 20.0, 400, "dirichlet",
+                         lambda x: 1.0 - 2.0 / np.cosh(x) ** 2)
+lam = oracle.eigenvalues(box, count=2)
 report["after"] = [m for m in {deferred!r} if m in sys.modules]
 report["zeta"] = [z.value.real.hex(), z.value.imag.hex(), z.err_estimate.hex()]
-report["edges"] = [float(e).hex() for e in edges]
+report["values"] = [float(e).hex() for e in [*edges, trace, *lam]]
 """)
-    assert child["import"] == []
+    assert child["import"] == child["periodic"] == []
+    assert child["cli"][0] == 0 and child["cli"][1].startswith("index,")
     assert child["after"] == deferred
 
     z = mellin_zeta(erf_heat_trace(1.0), 0.25)
@@ -129,4 +142,8 @@ report["edges"] = [float(e).hex() for e in edges]
     rp = build_resolvent(CaseTag.D, 1.0, k=0.5)
     spec = oracle.LatticeSpec(0.0, rp.period, 64, "periodic", rp.u_of_x)
     edges = oracle.band_edges_lattice(spec, len(rp.roots))
-    assert child["edges"] == [float(e).hex() for e in edges]
+    trace = oracle.lattice_heat_trace(spec, 1.0)
+    box = oracle.LatticeSpec(-20.0, 20.0, 400, "dirichlet",
+                             lambda x: 1.0 - 2.0 / np.cosh(x) ** 2)
+    lam = oracle.eigenvalues(box, count=2)
+    assert child["values"] == [float(e).hex() for e in [*edges, trace, *lam]]
