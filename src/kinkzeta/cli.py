@@ -76,8 +76,8 @@ def _solution_from_args(args) -> models.ClassicalSolution:
 
 
 def _check_n(n: int) -> None:
-    if n < 2:
-        raise DomainError(f"--n must be at least 2, got {n}")
+    if not 2 <= n <= oracle.MAX_N:
+        raise DomainError(f"--n must be in [2, {oracle.MAX_N}], got {n}")
 
 
 def _cmd_solution(args) -> int:
@@ -329,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_case_flags(p)
     p.add_argument("--mode", choices=["edges", "eigen", "trace"],
                    default="edges")
-    p.add_argument("--n", type=int, default=900)
+    p.add_argument("--n", type=int, default=900,
+                   help="grid points: samples of one period for edges, "
+                        "points of the box for eigen and trace")
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--t", default="0.5,1,2")
     p.set_defaults(func=_cmd_oracle)

@@ -446,7 +446,12 @@ class TestContracts:
         ("zeta", "--case", "c", "--s", "1e4"),
         # energy densities that underflow
         ("energy", "--family", "sg", "--m", "1e-100", "--kink"),
-        ("energy", "--family", "gl", "--m", "1e-80", "--kink")])
+        ("energy", "--family", "gl", "--m", "1e-80", "--kink"),
+        # grids past oracle.MAX_N points
+        ("solution", "--family", "gl", "--m", "1", "--g", "1", "--kink",
+         "--n", "100000000000"),
+        ("oracle", "--case", "b", "--k", "0.5", "--n", "100000000000"),
+        ("figure-z", "--n", "100000000000")])
     def test_bad_argument_exit_2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
