@@ -473,10 +473,12 @@ def _twiddle(n: int) -> np.ndarray:
 
 def _dct3(g: np.ndarray, n: int) -> np.ndarray:
     """g_0 + 2 sum_k g_k cos(pi k (j + 1/2) / n), j < n, over n: the
-    unnormalized DCT-III of g[:n] over n; one transform for real g, one for
-    each of the real and imaginary parts of complex g."""
+    unnormalized DCT-III of g[:n] over n.  Real g takes one real transform;
+    complex g one complex transform A of length 2n, whose entries j and
+    2n - 1 - j hold the two halves of each cosine, the k = 0 term twice."""
     if np.iscomplexobj(g):
-        return _dct3(g.real, n) + 1j * _dct3(g.imag, n)
+        A = np.fft.ifft(g[:n] * _twiddle(n), 2 * n)
+        return A[:n] + A[:n - 1:-1] - g[0] / n
     return np.fft.irfft(g[:n] * _twiddle(n), 2 * n)[:n]
 
 
