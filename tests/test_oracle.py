@@ -447,21 +447,16 @@ class TestLatticeHeatTrace:
             got = oracle.lattice_heat_trace(spec, t)
             assert got == pytest.approx(want, rel=1e-10)
 
-    @pytest.mark.parametrize("t", [0.1, 0.25, 1.0, 2.0, 30.0])
+    @pytest.mark.parametrize("t", [0.1, 0.25, 1.0, 2.0, 30.0, 100.0])
     @pytest.mark.parametrize("case, k", GATE_CASES)
     def test_matches_laplace_inversion(self, case, k, t):
-        # the band integrals at n = 360: measured within 2.5e-12 relative
+        # the band integrals at n = 360: measured within 2.6e-12 relative.
+        # At t = 100 the phase rule takes 10-24 phases: for B at k = 0.5
+        # 8 would miss by 1e-3
         from kinkzeta.resolvent import invert_laplace_gamma
         spec, _ = period_spec(case, k, 360)
         want = invert_laplace_gamma(build_resolvent(case, 1.0, k=k), t).total
         assert oracle.lattice_heat_trace(spec, t) == pytest.approx(want, rel=1e-10)
-
-    def test_long_time_takes_more_phases(self):
-        # B at k = 0.5, t = 100: 8 phases miss by 1e-3, the rule takes 19
-        from kinkzeta.resolvent import invert_laplace_gamma
-        spec, _ = period_spec(CaseTag.B, 0.5, 360)
-        want = invert_laplace_gamma(build_resolvent(CaseTag.B, 1.0, k=0.5), 100.0).total
-        assert oracle.lattice_heat_trace(spec, 100.0) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("t", [0.01, 1.0, 100.0, 1e4])
     def test_constant_potential_is_the_weyl_term(self, t):
