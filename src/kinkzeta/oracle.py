@@ -159,8 +159,8 @@ def _hill(spec: LatticeSpec, lam_max: float, thetas: np.ndarray) -> np.ndarray:
     above = np.flatnonzero(size > _DECAY * np.max(size))
     decay = int(above[-1]) + 1 if above.size else 0
     cap = (n - 1) // 2
-    kinetic = L * math.sqrt(max(lam_max - float(np.min(u)), 0.0)) / (2.0 * math.pi)
-    M = min(cap, decay + (math.ceil(kinetic) if kinetic < cap else cap))
+    reach = L * math.sqrt(max(lam_max - float(np.min(u)), 0.0)) / (2.0 * math.pi)
+    M = min(cap, decay + (math.ceil(reach) if reach < cap else cap))
     if len(thetas) * (2 * M + 1) ** 2 > _MAX_ENTRIES:
         raise DomainError(f"{len(thetas)} Hill matrices of {2 * M + 1} modes "
                           f"exceed {_MAX_ENTRIES} entries")
