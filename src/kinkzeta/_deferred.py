@@ -8,8 +8,8 @@ it is called.  A module takes the name from here, so a caller can
 replace it there (a test's fake, a tracer's span).  The ``solution``,
 ``energy``, ``resolvent``, ``correction`` and ``figure-z`` commands call
 none of them and never load scipy; nor do ``heattrace`` and the contour
-``zeta`` (cases b, c, d, nahm) at real s, whose product weights and
-heat-kernel constants are built with numpy and exact arithmetic.
+``zeta`` (cases b, c, d, nahm), whose product weights, heat-kernel
+constants and Gamma ratios come from numpy, exact arithmetic and specfun.
 CONVENTIONS item 24 gives the policy and the measured start-up times.
 """
 

@@ -21,10 +21,10 @@ relative spectral density along the branch cuts of sqrt(Q), its inverse
 Laplace transform (the relative heat trace) and the heat-kernel
 coefficients of gamma_hat at large p, which give the heat trace at small
 t and the top band above a cut.  The band integrator, product rules
-against Jacobi weights, lives here; both traces' routes run it.  At real
-exponents it loads no scipy module: the weights come from numpy's FFT and
-the heat-kernel constants from exact integer arithmetic; a complex
-exponent takes scipy's complex Gamma.
+against Jacobi weights, lives here; both traces' routes run it.  It loads
+no scipy module: the weights come from numpy's FFT, the heat-kernel
+constants from exact integer arithmetic, and a complex exponent's
+Gamma ratio from specfun.
 
 Case tags: A = SG kink, B = SG periodic, C = GL kink, D = GL periodic,
 NAHM = the k^2 = -1 continuation of D.
@@ -42,7 +42,6 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import specfun
-from ._deferred import rgamma
 # kzbench/tracing.py wraps resolvent.quad by name for its per-layer
 # resolvent.quad_self_s, so the name must exist; nothing here calls it,
 # and the deferred quad loads scipy.integrate only when called
@@ -436,15 +435,19 @@ def _jacobi_moments(a: complex, b: complex, n: int) -> np.ndarray:
     a, b with real parts above -1, from G_0 = 2^{a+b+1} B(a+1, b+1): at
     b = -1/2 the product G_{k+1} = G_k (k - a - 1/2) / (k + a + 3/2) (GR
     3.631.8 at x = cos theta), mirrored with alternating signs at a = -1/2;
-    other pairs take _moment_recurrence.  Where both exponents are real, G_0
-    comes from math.gamma and 2.0 **, a few eps against 35 via complex Gamma."""
+    other pairs take _moment_recurrence.  G_0 takes math.gamma at real a, b;
+    a complex e pairs with 0 or -1/2 (so do _product_integral and
+    _top_band_heat), for G_0 = 2^{e+1} / (e + 1) or 2^{e+1/2} sqrt(pi)
+    specfun._gamma_ratio(e + 1, e + 3/2), with no complex Gamma product."""
     ca, cb = complex(a), complex(b)
     if ca.imag == 0.0 and cb.imag == 0.0:
         g0 = (2.0 ** (ca.real + cb.real + 1.0) * math.gamma(ca.real + 1.0)
               * math.gamma(cb.real + 1.0) / math.gamma(ca.real + cb.real + 2.0))
     else:
-        g0 = (cmath.exp((a + b + 1.0) * math.log(2.0)) * specfun.gamma_fn(a + 1.0)
-              * specfun.gamma_fn(b + 1.0) * complex(rgamma(a + b + 2.0)))
+        e, other = (ca, cb) if cb.imag == 0.0 else (cb, ca)
+        g0 = cmath.exp((e + other + 1.0) * math.log(2.0)) * (
+            1.0 / (e + 1.0) if other == 0.0
+            else math.sqrt(math.pi) * specfun._gamma_ratio(e + 1.0, e + 1.5))
     if -0.5 in (a, b):
         e, sign = (a, 1.0) if b == -0.5 else (b, -1.0)
         k = np.arange(n - 1)

@@ -3,8 +3,8 @@
 Complete elliptic integrals K, E by the arithmetic-geometric mean,
 Jacobi elliptic functions sn, cn, dn of a real float or ndarray by the
 descending Landen (AGM phase) recursion, the theta_1 series behind
-Weierstrass p/zeta/sigma on real rectangular lattices, and a
-pole-guarded Gamma.
+Weierstrass p/zeta/sigma on real rectangular lattices, a pole-guarded
+Gamma, and the package's one Gamma(x) / Gamma(x + 1/2), real or complex.
 
 Everything here is a pure function of its arguments; there is no module
 state, so concurrent use is safe.
@@ -370,3 +370,40 @@ def gamma_fn(s: complex) -> complex:
         raise PoleError(f"gamma_fn pole at s = {s}")
     return complex(_sc_gamma(complex(s)))
 
+
+# B_n (2 - 2^{1-n}) / (n (n - 1)), n = 2, 4, .., 20, as quotients of exact integers
+_RATIO_SERIES = (1 / 8, -1 / 192, 1 / 640, -17 / 14336, 31 / 18432, -691 / 180224,
+                 5461 / 425984, -929569 / 15728640, 3202291 / 8912896,
+                 -221930581 / 79691776)
+
+
+def _gamma_ratio(x: complex, y: complex) -> complex:
+    """Gamma(x) / Gamma(y), y = x + 1/2 exact where x may be rounded, off the
+    poles of Gamma(x); a float where Im x = 0.  Re x < 0 reflects (DLMF
+    5.5.3) to -tan(pi y) Gamma(1 + w) / Gamma(3/2 + w), w = -y, the tangent
+    from y less the integer nearest Re y (exact zeros), and for Re w >= 1
+    on to the exact pair w - 1/2, w.  Real 0 <= x < 8 takes math.gamma.  Any
+    other x is shifted up by (x + 1/2) / x to |x| >= 8, where ln Gamma(x) /
+    Gamma(x + 1/2) = -ln(x) / 2 + sum_n _RATIO_SERIES[n] x^{-2n-1} (DLMF
+    5.11.8 at h = 0 and 1/2), its next term under 3e-18 (CONVENTIONS item 19)."""
+    x, y = (x.real, y.real) if x.imag == 0.0 else (x, y)
+    if x.real < 0.0:
+        f = y - round(y.real)      # exact; |Re f| < 1/2 off the poles of Gamma(x)
+        trig = -(cmath.tan(math.pi * f) if isinstance(f, complex) else math.copysign(
+            math.sin(math.pi * abs(f)) / math.sin(math.pi * (0.5 - abs(f))), f))
+        w = -y
+        if w.real < 1.0:
+            return trig * _gamma_ratio(1.0 + w, 1.5 + w)
+        return trig * w / ((w + 0.5) * (w - 0.5) * _gamma_ratio(w - 0.5, w))
+    if isinstance(x, float) and x < 8.0:
+        return math.gamma(x) / math.gamma(y)
+    shift = 1.0
+    while abs(x) < 8.0:
+        shift *= (x + 0.5) / x
+        x += 1.0
+    u = 1.0 / x
+    w, series = u * u, 0.0
+    for c in reversed(_RATIO_SERIES):
+        series = series * w + c
+    exp = math.exp if isinstance(x, float) else cmath.exp
+    return shift * x ** -0.5 * exp(series * u)

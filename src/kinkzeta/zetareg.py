@@ -37,7 +37,7 @@ import numpy as np
 from ._deferred import quad, rgamma
 from .errors import BranchCollisionError, ConvergenceError, DomainError, PoleError
 from .resolvent import ResolventPolynomial, _band_integral
-from .specfun import _EPS, _near_nonpositive_integer, gamma_fn
+from .specfun import _EPS, _gamma_ratio, _near_nonpositive_integer
 
 __all__ = [
     "ZetaEvaluation",
@@ -168,47 +168,6 @@ def _power(base: float, p: complex, what: str) -> complex:
         return base ** p.real * cmath.exp(1j * p.imag * math.log(base))
     except (OverflowError, ValueError):     # ValueError: Im p ln base = inf
         raise DomainError(f"{what} overflows") from None
-
-
-def _gamma_ratio(x: complex, y: complex) -> complex:
-    """Gamma(x) / Gamma(y), y = x + 1/2, with the callers' y exact where x
-    may be rounded.  Complex x takes the complex Gamma.
-
-    Real x < 0 reflects (DLMF 5.5.3) to -tan(pi y) Gamma(1 + w) /
-    Gamma(3/2 + w), w = -y, the tangent from y less its nearest integer (so
-    the zeros at y = 0, -1, ... are exact), and for w >= 1 to the exact
-    arguments w and w - 1/2 through Gamma(1 + w) / Gamma(3/2 + w) =
-    w / ((w + 1/2)(w - 1/2)) Gamma(w) / Gamma(w - 1/2).  Real x >= 0 takes
-    math.gamma; a rounded y >= 16 (y - x != 1/2) the exact pair x - 1/2, x
-    of Gamma(x) / Gamma(x + 1/2) = 1 / ((x - 1/2) Gamma(x - 1/2) / Gamma(x))
-    (below 16 its rounding costs at most psi(16) ulp(8) / 2, 11 eps); and
-    past the overflow of math.gamma (x > 171) the Stirling series of
-    ln Gamma(x + h), h = 0 and 1/2 (DLMF 5.11(i)), cut where the next term
-    is under 2e-21 relative at x >= 100:
-
-        Gamma(x) / Gamma(x + 1/2) = x^{-1/2} exp(1/(8x) - 1/(192x^3)
-                                     + 1/(640x^5) - 17/(14336x^7)).
-    """
-    if x.imag != 0.0:
-        return gamma_fn(x) * complex(rgamma(y))
-    x, y = x.real, y.real
-    if x < 0.0:
-        f = y - round(y)           # exact; |f| < 1/2 off the poles of Gamma(x)
-        trig = -math.copysign(math.sin(math.pi * abs(f))
-                              / math.sin(math.pi * (0.5 - abs(f))), f)
-        w = -y
-        if w < 1.0:
-            return trig * _gamma_ratio(1.0 + w, 1.5 + w)
-        return trig * w / ((w + 0.5) * (w - 0.5) * _gamma_ratio(w - 0.5, w))
-    try:
-        gx, gy = math.gamma(x), math.gamma(y)
-    except OverflowError:
-        w = 1.0 / (x * x)
-        series = (1.0 - w * (1.0 / 24.0 - w * (1.0 / 80.0 - w * (17.0 / 1792.0)))) / (8.0 * x)
-        return x ** -0.5 * math.exp(series)
-    if y >= 16.0 and y - x != 0.5:
-        return 1.0 / ((x - 0.5) * _gamma_ratio(x - 0.5, x))
-    return gx / gy
 
 
 def zeta_vacuum(s: complex, nu: float, d: int) -> complex:

@@ -1,10 +1,10 @@
 """A fresh import loads no scipy module.  The commands that need none
 (solution, energy, resolvent, correction, figure-z) load none and print
-their golden stdout, and so do the contour zeta and the heat trace at
-real s, and the periodic lattice oracle; the routes that need scipy (the
-contour zeta at complex s, the Mellin zeta, the oracle's Dirichlet box)
-load their subpackages on the first call and return the same bits there
-as in a process that has them loaded already."""
+their golden stdout, and so do the contour zeta (at real and complex s),
+the heat trace and the periodic lattice oracle; the routes that need
+scipy (the Mellin zeta, the oracle's Dirichlet box) load their
+subpackages on the first call and return the same bits there as in a
+process that has them loaded already."""
 
 import json
 import os
@@ -72,8 +72,8 @@ def test_first_contour_zeta_and_heat_trace_match_a_warm_process():
     # first call (t = 0.1 takes the heat-kernel series, t = 1 the band
     # integrals), with no scipy module at real s; the values come first,
     # then the golden invocation of the same route, then the contour zeta
-    # of the other periodic and kink cases.  A complex s loads
-    # scipy.special for the complex Gamma of its moments
+    # of the other periodic and kink cases.  A complex s loads none
+    # either: its moments take the Gamma ratio from specfun
     zeta_argv = ["zeta", "--case", "b", "--k", "0.5", "--s", "0.3,-0.2"]
     heat_argv = ["heattrace", "--case", "d", "--k", "0.7", "--t", "0.25,1,2"]
     zeta = fresh("""
@@ -106,7 +106,7 @@ report["cell"] = run(json.loads(sys.argv[1]))
         assert child["import"] == child["real_s"] == []
         row = cell(*argv)
         assert child["cell"] == [row["code"], row["stdout"]]
-    assert "scipy.special" in zeta["complex_s"]
+    assert zeta["complex_s"] == []
 
 
 def test_fresh_import_defers_integrate_and_linalg():

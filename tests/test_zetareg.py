@@ -265,8 +265,9 @@ class TestKinkZetaD:
     @given(d=st.sampled_from([1, 3]), log_m=st.floats(-3.0, 3.0),
            s=st.floats(-0.45, 10.0))
     def test_real_s_against_mpmath(self, d, log_m, s):
-        # real s takes the Gamma ratio from math.gamma: up to 12.2 eps on
-        # 10,800 draws of this domain
+        # real s takes the Gamma ratio from math.gamma below x = 8 and from
+        # the Stirling series above: up to 12.2 eps on 10,800 draws of this
+        # domain, at x < 8
         if d == 3 and min(abs(s - 0.5), abs(s - 1.0)) < 1e-3:
             return   # the poles at s = 1/2 and 1
         m = 10.0 ** log_m
@@ -284,18 +285,19 @@ class TestKinkZetaD:
     def test_real_s_where_a_gamma_overflows(self, d, s):
         # at the edges of math.gamma's range (it overflows past 171.62, and
         # Gamma(s) is subnormal near s = -171 and about 1/s at a subnormal s)
-        # the ratio Gamma(x) / Gamma(x + 1/2) stays finite: math.gamma's
-        # quotient at s = 170.6 and 171.5, and for x < 0 the reflection, its
-        # tangent from x + 1/2 less the nearest integer, then math.gamma at
-        # the exact pair 169.8, 170.3 for s = -171.3 and -170.3
+        # the ratio Gamma(x) / Gamma(x + 1/2) stays finite: the Stirling
+        # series of the ratio at s = 170.6 and 171.5, and for x < 0 the
+        # reflection, its tangent from x + 1/2 less the nearest integer, then
+        # math.gamma at x = 1 for the subnormal s and the series at the
+        # exact pair 169.8, 170.3 for s = -171.3 and -170.3
         with mp.workdps(40):
             ref = _zeta_d_mp(mp.mpf(s), mp.mpf(1), d)
         assert abs(zetareg.zeta_d_kink(s, 1.0, d) - ref) <= 1e-12 * abs(ref)
 
     def test_real_s_past_the_gamma_range_against_mpmath(self):
         # |s| log-spaced over [170, 1e4], both signs: Gamma(x)/Gamma(x + 1/2)
-        # from the Stirling series, after the reflection for s < 0; up to
-        # 2.5 eps on 8,000 such points
+        # from the Stirling series of the ratio, after the reflection for
+        # s < 0; up to 2.8 eps on 8,000 such points
         grid = np.logspace(math.log10(170.0), 4.0, 40)
         for d in (1, 3):
             for s in [float(v) for v in np.concatenate([grid, -grid])]:
@@ -308,10 +310,11 @@ class TestKinkZetaD:
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("s", [-175.3, -250.3])
     def test_real_s_where_both_gamma_routes_fail_is_a_domain_error(self, d, s):
-        # math.gamma is subnormal or 0.0 there, and the complex route's
-        # Gamma and 1/Gamma reach 0 and inf.  Both points raised DomainError
-        # before the Stirling route, whence the name; now they return the
-        # closed form within 16 eps of mpmath
+        # math.gamma is subnormal or 0.0 there, and scipy's complex Gamma
+        # and 1/Gamma reach 0 and inf.  Both points raised DomainError when
+        # the ratio was a quotient of Gammas, whence the name; the reflection
+        # and the Stirling series of the ratio return the closed form within
+        # 16 eps of mpmath
         x, y = (s + 0.5, s + 1.0) if d == 1 else (s - 0.5, s)
         assert abs(math.gamma(x)) < sys.float_info.min
         assert abs(specfun.gamma_fn(complex(x))) < sys.float_info.min
@@ -708,10 +711,10 @@ class TestClosedFormsAgainstMpmath:
         got = zetareg.zeta_d_kink(s, 1.0, 3)
         assert abs(got.real - ref) <= 16.0 * specfun._EPS * abs(ref)
 
-    def test_complex_s_no_worse_than_the_complex_gamma(self):
-        # complex s keeps the complex Gamma; on these draws the closed forms
-        # before the single ratio were at worst 134.8 eps (kink) and 120.4
-        # eps (vacuum, its loggamma difference) off 40-digit mpmath
+    def test_complex_s_within_16_eps(self):
+        # complex s takes the Stirling series of the ratio itself: at worst
+        # 8.4 eps (kink) and 6.0 eps (vacuum) off 40-digit mpmath on these
+        # draws, where scipy's complex Gamma and 1/Gamma were 134.8 and 104.4
         rng = np.random.default_rng(11)
         draws = [complex(a, b) for a, b in
                  zip(rng.uniform(-30.0, 30.0, 60), rng.uniform(-4.0, 4.0, 60))]
@@ -720,8 +723,20 @@ class TestClosedFormsAgainstMpmath:
                 with mp.workdps(40):
                     kink = complex(_zeta_d_mp(mp.mpc(s), mp.mpf(1.7), d))
                     vac = complex(_vacuum_mp(mp.mpc(s), 1.7, d))
-                assert abs(zetareg.zeta_d_kink(s, 1.7, d) - kink) <= 135.0 * specfun._EPS * abs(kink)
-                assert abs(zetareg.zeta_vacuum(s, 1.7, d) - vac) <= 121.0 * specfun._EPS * abs(vac)
+                assert abs(zetareg.zeta_d_kink(s, 1.7, d) - kink) <= 16.0 * specfun._EPS * abs(kink)
+                assert abs(zetareg.zeta_vacuum(s, 1.7, d) - vac) <= 16.0 * specfun._EPS * abs(vac)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("s", [0.3 + 300j, 0.3 + 600j])
+    def test_complex_s_far_from_the_real_axis(self, s, d):
+        # |zeta| is 1.5e-6 to 0.033 here; scipy's Gamma pair was 314-704 eps
+        # off at Im s = 300 and overflowed ("overflows") at 600.  m = nu = 1,
+        # so that the power m^{-2s} is exact and only the ratio is tested
+        with mp.workdps(40):
+            kink = complex(_zeta_d_mp(mp.mpc(s), mp.mpf(1), d))
+            vac = complex(_vacuum_mp(mp.mpc(s), 1, d))
+        assert abs(zetareg.zeta_d_kink(s, 1.0, d) - kink) <= 16.0 * specfun._EPS * abs(kink)
+        assert abs(zetareg.zeta_vacuum(s, 1.0, d) - vac) <= 16.0 * specfun._EPS * abs(vac)
 
     @pytest.mark.parametrize("f, args", [
         (zetareg.zeta_d_kink, (math.nan, 1.0, 1)),
