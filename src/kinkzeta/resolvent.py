@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -401,10 +401,12 @@ def hermit_residual(rp: ResolventPolynomial, p: complex, x: float) -> float:
 # one dot product with node weights (_product_weights).  Every piece runs
 # the rules of _ORDER and 2 _ORDER nodes; their difference is the error
 # estimate, and a piece where it exceeds _PIECE_TOL * max(1, |value|) is
-# bisected.  The four pairs with exponents in {0, -1/2} at both ends (every
-# heat-trace piece, every contour-zeta piece off lambda = 0, and at s = 0
-# every piece) take _fixed_weights, built on first use; a piece at
-# lambda = 0 carries -1/2 - s and gets its weights per call.
+# bisected.  The weights depend on the exponent pair only; one cache of 64
+# sets keeps them (_product_weights).  The pairs in {0, -1/2}^2 serve every
+# heat-trace piece, every contour-zeta piece off lambda = 0 and at s = 0
+# every piece; a piece at lambda = 0 carries -1/2 - s.  The zeta-sweep
+# benchmark's periodic grid makes 276 lookups of 24 sets, the golden CLI
+# set 42 of 7; 64 complex sets take about 1.5 MB.
 # 64 nodes already resolve every band of the test tables to rounding (worst
 # 4.3e-14 on kzbench/reference.json).  The order stays 512: the zeta-sweep
 # harness keeps about 0.28 KB per operation, so its 5 % bound on peak
@@ -485,22 +487,20 @@ def _dct3(g: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(g[:n] * _twiddle(n), 2 * n)[:n]
 
 
+@lru_cache(maxsize=64)
 def _product_weights(a: complex, b: complex) -> np.ndarray:
     """Node weights of both rules for W = (1 - y)^a (1 + y)^b, laid out as
     _OPY: the DCT-III of G[:n], / n / W at the nodes, so that F . w
     integrates W times the interpolant of F / W (Waldvogel, BIT 46, 2006).
-    A pair with real parts only is taken as floats, so its weights are real."""
+    A pair with real parts only is taken as floats, so its weights are real
+    and its complex twin is the same entry; the shared array is read-only."""
     if a.imag == 0.0 and b.imag == 0.0:
         a, b = a.real, b.real
     g = _jacobi_moments(a, b, 2 * _ORDER)
     w = np.concatenate([_dct3(g, n) for n in (_ORDER, 2 * _ORDER)])
-    return w * np.exp(-a * _LOG_OMY - b * _LOG_OPY)
-
-
-@cache
-def _fixed_weights() -> dict:
-    """_product_weights of the pairs in {0, -1/2}^2, built on first use."""
-    return {(a, b): _product_weights(a, b) for a in (0.0, -0.5) for b in (0.0, -0.5)}
+    w = w * np.exp(-a * _LOG_OMY - b * _LOG_OPY)
+    w.flags.writeable = False
+    return w
 
 
 def _product_integral(F, exp_lo: complex, exp_hi: complex) -> tuple[complex, float]:
@@ -511,7 +511,6 @@ def _product_integral(F, exp_lo: complex, exp_hi: complex) -> tuple[complex, flo
     end's exponent in its weight, an inner piece the weight 1.  Returns
     the value of the finer rule and the summed rule differences.
     """
-    weights = dict(_fixed_weights())
     value, err = 0j, 0.0
     pieces = [(-1.0, 1.0)]
     done = 0
@@ -520,9 +519,7 @@ def _product_integral(F, exp_lo: complex, exp_hi: complex) -> tuple[complex, flo
         h = 0.5 * (v - u)
         b = exp_lo if u == -1.0 else 0.0
         a = exp_hi if v == 1.0 else 0.0
-        if (a, b) not in weights:
-            weights[a, b] = _product_weights(a, b)
-        f, w = F((1.0 + u) + h * _OPY, (1.0 - v) + h * _OMY), weights[a, b]
+        f, w = F((1.0 + u) + h * _OPY, (1.0 - v) + h * _OMY), _product_weights(a, b)
         coarse = h * complex(f[:_ORDER] @ w[:_ORDER])
         fine = h * complex(f[_ORDER:] @ w[_ORDER:])
         diff = abs(fine - coarse)

@@ -582,40 +582,79 @@ def _count_calls(monkeypatch, name):
     return seen
 
 
+FIXED_PAIRS = [(a, b) for a in (0.0, -0.5) for b in (0.0, -0.5)]
+
+
+def _build_fixed_pairs():
+    for a, b in FIXED_PAIRS:
+        resolvent._product_weights(a, b)
+
+
 @pytest.fixture(autouse=True, scope="module")
 def _fixed_weights_built():
-    """The weights of the four fixed exponent pairs are built on first use;
-    build them before a test counts the moment arrays a call builds."""
-    resolvent._fixed_weights()
+    """The weights of the four exponent pairs that do not depend on s are
+    built on first use; build them before a test counts the moment arrays
+    a call builds."""
+    _build_fixed_pairs()
+
+
+@pytest.fixture
+def empty_weight_cache():
+    """The weight cache emptied for one test, with the four fixed pairs
+    built again after it."""
+    resolvent._product_weights.cache_clear()
+    yield resolvent._product_weights
+    _build_fixed_pairs()
 
 
 # the four pairs that do not depend on s, and the pair of a band that ends
 # at lambda = 0 at s = 0.3 + 0.4i: -1/2 - s there, -1/2 at its other edge
-WEIGHT_PAIRS = [(a, b) for a in (0.0, -0.5) for b in (0.0, -0.5)] + [(-0.8 - 0.4j, -0.5)]
+WEIGHT_PAIRS = FIXED_PAIRS + [(-0.8 - 0.4j, -0.5)]
 
 
 def _rules(a, b):
     """(n, 1 + y, 1 - y, weights) of each rule for the pair (a, b)."""
-    w = resolvent._fixed_weights().get((a, b))
-    if w is None:
-        w = resolvent._product_weights(a, b)
+    w = resolvent._product_weights(a, b)
     n = resolvent._ORDER
     return [(m, resolvent._OPY[lo:lo + m], resolvent._OMY[lo:lo + m], w[lo:lo + m])
             for lo, m in ((0, n), (n, 2 * n))]
 
 
 class TestFixedMoments:
-    """The product weights of the four Jacobi weights that do not depend on
-    s are computed once, on first use; a piece is one dot product with
+    """The product weights of an exponent pair are computed once, on first
+    use, and kept in one bounded cache; a piece is one dot product with
     them."""
 
-    def test_fixed_pairs(self):
-        table = resolvent._fixed_weights()
-        assert set(table) == {(a, b) for a in (0.0, -0.5) for b in (0.0, -0.5)}
-        for (a, b), w in table.items():
-            assert type(a) is type(b) is float
-            assert w.tobytes() == resolvent._product_weights(a, b).tobytes()
-        assert resolvent._fixed_weights() is table
+    def test_fixed_pairs(self, monkeypatch):
+        # the four pairs that do not depend on s are cached: a second call
+        # returns the same array and builds no moments
+        seen = _count_calls(monkeypatch, "_jacobi_moments")
+        for a, b in FIXED_PAIRS:
+            w = resolvent._product_weights(a, b)
+            assert w.dtype == np.float64
+            assert w.shape == (3 * resolvent._ORDER,)
+            assert resolvent._product_weights(a, b) is w
+        assert seen == []
+
+    def test_weights_are_read_only(self):
+        # one array serves every piece of every call, so none may write it
+        for a, b in WEIGHT_PAIRS:
+            w = resolvent._product_weights(a, b)
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0] = 0.0
+
+    def test_a_real_pair_and_its_complex_twin_are_one_entry(self, empty_weight_cache):
+        # -1/2 - s arrives as a complex at real s; it finds the float pair
+        w = empty_weight_cache(-0.8, -0.5)
+        assert empty_weight_cache(complex(-0.8), -0.5 + 0j) is w
+        info = empty_weight_cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_the_cache_is_bounded(self):
+        # 64 sets of at most 3 _ORDER complex weights, about 1.5 MB; the
+        # periodic grid of the zeta-sweep benchmark fills 24 of them
+        assert resolvent._product_weights.cache_info().maxsize == 64
 
     @pytest.mark.parametrize("a, b", WEIGHT_PAIRS)
     def test_weights_integrate_the_chebyshev_polynomials(self, a, b):
@@ -758,19 +797,25 @@ class TestClosedFormMoments:
         rec = resolvent._moment_recurrence(g[0], a, b, 40)
         assert np.max(np.abs(rec - g)) <= 16.0 * specfun._EPS * abs(g[0])
 
-    def test_the_periodic_strip_never_runs_the_recurrence(self, monkeypatch):
+    def test_the_periodic_strip_never_runs_the_recurrence(self, monkeypatch,
+                                                           empty_weight_cache):
         # evaluation counts, no timings: B and D at the benchmark's k and
-        # NAHM, over real s in the strip, build one moment array per value
-        # (none at s = 0, whose exponents are in the fixed table), and none
-        # of them reaches the recurrence
+        # NAHM, over real s in the strip, bisect no band.  From an empty
+        # cache one sweep builds one moment array per distinct exponent pair:
+        # (-1/2, -1/2) and (0, -1/2) of every call, and per s != 0 the pair
+        # of a band that ends at lambda = 0 from below (B, D) and from above
+        # (NAHM).  A second sweep builds none, and none reaches the recurrence
         seen = _count_calls(monkeypatch, "_jacobi_moments")
         recurrences = _count_calls(monkeypatch, "_moment_recurrence")
         grid = (-0.45, -0.3, -0.1, 0.0, 0.1, 0.25, 0.4, 0.45, 0.48, 0.49)
         configs = [(case, k) for case in (CaseTag.B, CaseTag.D)
                    for k in (0.3, 0.5, 0.7, 0.9)] + [(CaseTag.NAHM, None)]
-        for case, k in configs:
-            rp = build_resolvent(case, 1.0, k=k)
-            for s in grid:
-                zetareg.zeta_contour(rp, s)
-        assert len(seen) == len(configs) * (len(grid) - 1)
+        for _ in range(2):
+            for case, k in configs:
+                rp = build_resolvent(case, 1.0, k=k)
+                for s in grid:
+                    zetareg.zeta_contour(rp, s)
+            pairs = {args[:2] for args in seen}
+            assert len(seen) == len(pairs) == 2 + 2 * (len(grid) - 1)
         assert recurrences == []
+        assert empty_weight_cache.cache_info().currsize == len(pairs)
