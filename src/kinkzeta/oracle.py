@@ -150,7 +150,8 @@ def _hill(spec: LatticeSpec, lam_max: float, thetas: np.ndarray) -> np.ndarray:
     (len(thetas), 2M + 1), with M from lam_max by the module's rules."""
     u = spec.samples
     n, L = spec.n, spec.x_max - spec.x_min
-    c = np.fft.rfft(u) / n                  # u_k, k = 0 .. n // 2
+    with np.errstate(over="ignore", invalid="ignore"):   # raises below
+        c = np.fft.rfft(u) / n              # u_k, k = 0 .. n // 2
     if n % 2 == 0:
         c[-1] *= 0.5
     if not np.all(np.isfinite(c)):

@@ -431,6 +431,19 @@ class TestBlochEigenvalues:
         with pytest.raises(DomainError, match="entries"):
             oracle.bloch_eigenvalues(spec, 0.0)
 
+    def test_coefficients_that_overflow_are_a_domain_error(self):
+        # the sum of eight samples at 1e308 overflows in the FFT, and the
+        # division makes nan of inf; neither may warn before the typed error
+        spec = oracle.LatticeSpec(0.0, 1.0, 8, "periodic", lambda x: 1e308)
+        with pytest.raises(DomainError, match="Fourier coefficients"):
+            oracle.band_edges_lattice(spec, 1)
+
+    def test_kinetic_term_that_overflows_is_a_domain_error(self):
+        # ((2 pi m + theta) / L)^2 passes the largest float at L = 1e-300
+        spec = oracle.LatticeSpec(0.0, 1e-300, 8, "periodic", lambda x: 0.0)
+        with pytest.raises(DomainError, match="overflows"):
+            oracle.bloch_eigenvalues(spec, 0.0)
+
 
 class TestLatticeHeatTrace:
     def test_case_d_matches_laplace_inversion(self):
