@@ -568,6 +568,16 @@ class TestLaplaceInversion:
             with pytest.raises(DomainError):
                 invert_laplace_gamma(rp, t)
 
+    def test_unresolved_band_is_a_convergence_error(self, monkeypatch):
+        # no b, k and t reach the raise: 3,000 draws over every case came
+        # within 8.4e-4 of its 1e-8 bound at worst, since a piece is bisected
+        # until its rules agree.  With one piece a band, the narrow gap
+        # (0, 3k^2) of D at k = 0.001 leaves the rules 7.1e-7 apart
+        monkeypatch.setattr(resolvent, "_MAX_PIECES", 1)
+        rp = build_resolvent(CaseTag.D, 1.0, k=0.001)
+        with pytest.raises(ConvergenceError, match="quadrature error"):
+            invert_laplace_gamma(rp, 2.0)
+
 
 def _count_calls(monkeypatch, name):
     """Record the arguments of every call of resolvent.<name>."""

@@ -309,12 +309,12 @@ class TestKinkZetaD:
 
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("s", [-175.3, -250.3])
-    def test_real_s_where_both_gamma_routes_fail_is_a_domain_error(self, d, s):
+    def test_real_s_where_both_gamma_routes_fail_is_within_16_eps(self, d, s):
         # math.gamma is subnormal or 0.0 there, and scipy's complex Gamma
         # and 1/Gamma reach 0 and inf.  Both points raised DomainError when
-        # the ratio was a quotient of Gammas, whence the name; the reflection
-        # and the Stirling series of the ratio return the closed form within
-        # 16 eps of mpmath
+        # the ratio was a quotient of Gammas; the reflection and the
+        # Stirling series of the ratio return the closed form within 16 eps
+        # of mpmath
         x, y = (s + 0.5, s + 1.0) if d == 1 else (s - 0.5, s)
         assert abs(math.gamma(x)) < sys.float_info.min
         assert abs(specfun.gamma_fn(complex(x))) < sys.float_info.min
@@ -439,11 +439,23 @@ class TestContour:
     @pytest.mark.parametrize("case, k", [(CaseTag.B, 0.5), (CaseTag.D, 0.5),
                                          (CaseTag.NAHM, None)])
     def test_modulus_overflow_is_a_convergence_error(self, case, k):
-        # at Im s = 1e300 the modulus of a piece's complex value passes the
-        # largest float inside the band integral
+        # at Im s = 1e300 e^{-i pi s} on the band below 0 is inf, so the
+        # value is not finite and the check after the band loop raises
         rp = build_resolvent(case, 1.0, k=k)
         with pytest.raises(ConvergenceError, match="not finite"):
             zetareg.zeta_contour(rp, 0.1 + 1e300j)
+
+    @pytest.mark.parametrize("case, k", [(CaseTag.B, 0.5), (CaseTag.D, 0.5),
+                                         (CaseTag.NAHM, None)])
+    def test_modulus_overflow_inside_the_band_loop(self, case, k):
+        # at s = 0.25 + 226i both parts of e^{-i pi s} are finite, 1.6e308,
+        # but its modulus e^{226 pi} = 2.2e308 is not, so abs() raises
+        # OverflowError; the handler raises the typed error from None,
+        # where the check after the loop raises with no context to suppress
+        rp = build_resolvent(case, 1.0, k=k)
+        with pytest.raises(ConvergenceError, match="not finite") as info:
+            zetareg.zeta_contour(rp, 0.25 + 226j)
+        assert info.value.__suppress_context__
 
     def test_nahm_self_convergence(self):
         rp = build_resolvent(CaseTag.NAHM, 1.0)
