@@ -432,8 +432,9 @@ class TestBlochEigenvalues:
             oracle.bloch_eigenvalues(spec, 0.0)
 
     def test_coefficients_that_overflow_are_a_domain_error(self):
-        # the sum of eight samples at 1e308 overflows in the FFT, and the
-        # division makes nan of inf; neither may warn before the typed error
+        # the FFT of eight samples at 1e308 overflows to inf and nan
+        # coefficients; neither it nor the division may warn before the
+        # typed error
         spec = oracle.LatticeSpec(0.0, 1.0, 8, "periodic", lambda x: 1e308)
         with pytest.raises(DomainError, match="Fourier coefficients"):
             oracle.band_edges_lattice(spec, 1)
