@@ -309,12 +309,12 @@ class TestKinkZetaD:
 
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("s", [-175.3, -250.3])
-    def test_real_s_where_both_gamma_routes_fail_is_within_16_eps(self, d, s):
+    def test_real_s_where_both_gamma_routes_fail_is_a_domain_error(self, d, s):
         # math.gamma is subnormal or 0.0 there, and scipy's complex Gamma
         # and 1/Gamma reach 0 and inf.  Both points raised DomainError when
-        # the ratio was a quotient of Gammas; the reflection and the
-        # Stirling series of the ratio return the closed form within 16 eps
-        # of mpmath
+        # the ratio was a quotient of Gammas, whence the name; the
+        # reflection and the Stirling series of the ratio now return the
+        # closed form within 16 eps of mpmath
         x, y = (s + 0.5, s + 1.0) if d == 1 else (s - 0.5, s)
         assert abs(math.gamma(x)) < sys.float_info.min
         assert abs(specfun.gamma_fn(complex(x))) < sys.float_info.min
